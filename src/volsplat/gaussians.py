@@ -255,12 +255,18 @@ def import_ply(path) -> GaussianSet:
     end = raw.find(b"end_header\n")
     if not raw.startswith(b"ply") or end < 0:
         raise FormatError(f"{path}: not a PLY file")
-    header = raw[:end].decode("ascii").splitlines()
+    try:
+        header = raw[:end].decode("ascii").splitlines()
+    except UnicodeDecodeError:
+        raise FormatError(f"{path}: PLY header is not ASCII") from None
     names = []
     count = 0
     for line in header:
         if line.startswith("element vertex"):
-            count = int(line.split()[-1])
+            try:
+                count = int(line.split()[-1])
+            except ValueError:
+                raise FormatError(f"{path}: bad vertex count in {line!r}") from None
         elif line.startswith("property float"):
             names.append(line.split()[-1])
         elif line.startswith("property"):
@@ -269,17 +275,22 @@ def import_ply(path) -> GaussianSet:
     sh_degree = int(round(np.sqrt(n_rest / 3 + 1))) - 1
     if names != _ply_property_names(sh_degree):
         raise FormatError(f"{path}: unexpected property layout")
-    data = np.frombuffer(raw, dtype="<f4", count=count * len(names), offset=end + len(b"end_header\n"))
+    start = end + len(b"end_header\n")
+    need = count * len(names) * 4
+    if count < 0 or len(raw) - start < need:
+        raise FormatError(f"{path}: payload holds {len(raw) - start} bytes, "
+                          f"header declares {need}")
+    data = np.frombuffer(raw, dtype="<f4", count=count * len(names), offset=start)
+    if not np.all(np.isfinite(data)):
+        raise FormatError(f"{path}: non-finite values in payload")
     data = data.reshape(count, len(names))
-    dc = data[:, 3:6]
-    rest = data[:, 6 : 6 + n_rest]
     off = 6 + n_rest
     return GaussianSet(
-        centers=data[:, 0:3],
-        opacity_logits=data[:, off],
-        log_scales=data[:, off + 1 : off + 4],
-        rotations=data[:, off + 4 : off + 8],
-        sh=np.concatenate([dc, rest], axis=1),
+        centers=data[:, 0:3].copy(),
+        opacity_logits=data[:, off].copy(),
+        log_scales=data[:, off + 1 : off + 4].copy(),
+        rotations=data[:, off + 4 : off + 8].copy(),
+        sh=data[:, 3:off].copy(),
         sh_degree=sh_degree,
     )
 

@@ -87,12 +87,10 @@ class HeadConfig:
 @dataclass
 class LossConfig:
     lam: float = 0.05
-    perceptual: bool = False
 
 
 @dataclass
 class RenderConfig:
-    tile: int = 16
     bg: Tuple[float, float, float] = (0.0, 0.0, 0.0)
 
 

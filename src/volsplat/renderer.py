@@ -155,6 +155,24 @@ def project_gaussian(gset_or_g, K: Intrinsics, E: Extrinsics) -> Optional[Projec
                           color=colors[0], opacity=float(ops[0]), radius=float(radius[0]))
 
 
+def bin_tiles(tx0, tx1, ty0, ty1, nx: int, ny: int):
+    """Splat rows per tile from each splat's inclusive tile rectangle.
+
+    The 3DGS scheme (Kerbl et al. 2023): every splat is repeated once per
+    tile it overlaps, the (tile, row) pairs are stably sorted by tile, and
+    tile t holds rows[bounds[t] : bounds[t + 1]], in ascending row order.
+    """
+    span_x = tx1 - tx0 + 1
+    counts = span_x * (ty1 - ty0 + 1)
+    rows = np.repeat(np.arange(counts.size), counts)
+    offset = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    span_x = span_x[rows]
+    tile = (ty0[rows] + offset // span_x) * nx + tx0[rows] + offset % span_x
+    by_tile = np.argsort(tile, kind="stable")
+    bounds = np.searchsorted(tile[by_tile], np.arange(nx * ny + 1))
+    return rows[by_tile], bounds
+
+
 def render(
     gset: GaussianSet,
     K: Intrinsics,
@@ -173,10 +191,6 @@ def render(
         order = np.lexsort((idx, z))
         mean2d, conics, colors, ops, radius = (
             mean2d[order], conics[order], colors[order], ops[order], radius[order])
-        mean2d = np.ascontiguousarray(mean2d)
-        conics = np.ascontiguousarray(conics)
-        colors = np.ascontiguousarray(colors)
-        ops = np.ascontiguousarray(ops)
 
         nx = -(-w // TILE)
         ny = -(-h // TILE)
@@ -185,28 +199,20 @@ def render(
         ty0 = np.clip(((mean2d[:, 1] - radius) // TILE).astype(int), 0, ny - 1)
         ty1 = np.clip(((mean2d[:, 1] + radius) // TILE).astype(int), 0, ny - 1)
 
-        tile_lists = [[] for _ in range(nx * ny)]
-        for i in range(mean2d.shape[0]):
-            for ty in range(ty0[i], ty1[i] + 1):
-                for tx in range(tx0[i], tx1[i] + 1):
-                    tile_lists[ty * nx + tx].append(i)
+        rows, bounds = bin_tiles(tx0, tx1, ty0, ty1, nx, ny)
 
         def do_tile(t):
             ty, tx = divmod(t, nx)
-            rows = tile_lists[t]
-            if not rows:
+            sel = rows[bounds[t] : bounds[t + 1]]
+            if sel.size == 0:
                 return
             x0, y0 = tx * TILE, ty * TILE
             tw = min(TILE, w - x0)
             th = min(TILE, h - y0)
-            sel = np.asarray(rows, dtype=np.intp)
             tile_rgb = np.zeros((th, tw, 3))
             tile_T = np.ones((th, tw))
-            composite_tile(
-                np.ascontiguousarray(mean2d[sel]), np.ascontiguousarray(conics[sel]),
-                np.ascontiguousarray(colors[sel]), np.ascontiguousarray(ops[sel]),
-                x0, y0, tile_rgb, tile_T,
-            )
+            composite_tile(mean2d[sel], conics[sel], colors[sel], ops[sel],
+                           x0, y0, tile_rgb, tile_T)
             rgb[y0 : y0 + th, x0 : x0 + tw] = tile_rgb
             transmit[y0 : y0 + th, x0 : x0 + tw] = tile_T
 
@@ -269,9 +275,8 @@ def compute_image_metrics(a: np.ndarray, b: np.ndarray) -> dict:
     return {"mse": mse, "psnr": float(psnr), "ssim": ssim(a, b)}
 
 
-def combined_loss(renders: Sequence[np.ndarray], refs: Sequence[np.ndarray],
-                  lam: float = 0.05, perceptual_enabled: bool = False) -> float:
-    """Summed MSE over view pairs plus an (optional, disabled) perceptual term."""
+def combined_loss(renders: Sequence[np.ndarray], refs: Sequence[np.ndarray]) -> float:
+    """Summed MSE over view pairs."""
     if len(renders) != len(refs):
         raise InvalidInputError("render/reference list length mismatch")
     total = 0.0
@@ -279,8 +284,6 @@ def combined_loss(renders: Sequence[np.ndarray], refs: Sequence[np.ndarray],
         if r.shape != t.shape:
             raise InvalidInputError("render/reference shape mismatch")
         total += float(np.mean((r.astype(float) - t.astype(float)) ** 2))
-        if perceptual_enabled:
-            total += lam * 0.0  # perceptual metric intentionally not shipped
     return total
 
 

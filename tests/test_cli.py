@@ -8,6 +8,7 @@ from click.testing import CliRunner
 
 from volsplat import __version__
 from volsplat.cli import main, report_schema
+from volsplat.gaussians import GaussianSet, export_ply
 from volsplat.sceneio import load_scene, read_depth, save_scene, write_depth
 from volsplat.scenes import CameraPose, SceneSpec, synthesize
 
@@ -153,6 +154,12 @@ class TestRun:
                                    "--out", str(tmp_path / "x"), "-o", "bogus.key=1"])
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("override", ["render.tile=3", "loss.perceptual=true"])
+    def test_removed_config_keys_exit_2(self, runner, scene_dir, tmp_path, override):
+        res = runner.invoke(main, run_args(scene_dir, tmp_path / "x", "-o", override))
+        assert_one_error_line(res, 2)
+        assert "unknown config key" in res.stderr
+
     def test_stage_failure_exits_1(self, runner, scene_dir, tmp_path):
         res = runner.invoke(main, run_args(
             scene_dir, tmp_path / "x",
@@ -164,6 +171,27 @@ class TestRun:
         empty.mkdir()
         res = runner.invoke(main, ["run", "--scene", str(empty), "--out", str(tmp_path / "x")])
         assert res.exit_code == 2
+
+
+def assert_one_error_line(res, code):
+    assert res.exit_code == code, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), res.stderr
+
+
+def small_ply(path, n=30):
+    rng = np.random.default_rng(0)
+    gset = GaussianSet(
+        centers=np.c_[rng.uniform(-0.3, 0.3, (n, 2)), rng.uniform(1.5, 2.5, n)],
+        opacity_logits=rng.uniform(-1, 3, n),
+        log_scales=np.log(rng.uniform(0.02, 0.08, (n, 3))),
+        rotations=np.tile([1.0, 0, 0, 0], (n, 1)),
+        sh=rng.uniform(-1, 1, (n, 3)),
+    )
+    export_ply(gset, path)
+    return path.read_bytes()
 
 
 class TestEval:
@@ -190,6 +218,28 @@ class TestEval:
             "--targets", str(scene_dir), "--out", str(tmp_path / "r.json"),
         ])
         assert res.exit_code == 2
+
+    def eval_args(self, ply, scene_dir, tmp_path):
+        return ["eval", "--gaussians", str(ply), "--targets", str(scene_dir),
+                "--out", str(tmp_path / "r.json")]
+
+    def test_truncated_ply_exits_2(self, runner, scene_dir, tmp_path):
+        ply = tmp_path / "cut.ply"
+        raw = small_ply(ply)
+        assert raw.find(b"end_header\n") < 400 < len(raw)
+        ply.write_bytes(raw[:400])
+        res = runner.invoke(main, self.eval_args(ply, scene_dir, tmp_path))
+        assert_one_error_line(res, 2)
+
+    def test_nan_centre_ply_exits_2(self, runner, scene_dir, tmp_path):
+        ply = tmp_path / "nan.ply"
+        raw = bytearray(small_ply(ply))
+        start = raw.find(b"end_header\n") + len(b"end_header\n")
+        raw[start : start + 4] = np.float32("nan").tobytes()
+        ply.write_bytes(bytes(raw))
+        res = runner.invoke(main, self.eval_args(ply, scene_dir, tmp_path))
+        assert_one_error_line(res, 2)
+        assert "non-finite" in res.stderr
 
     def test_corrupt_ply_exits_2(self, runner, scene_dir, tmp_path):
         bad = tmp_path / "bad.ply"

@@ -192,6 +192,38 @@ class TestPly:
         with pytest.raises(FormatError):
             import_ply(path)
 
+    def test_imported_arrays_are_writable_copies(self, tmp_path):
+        path = tmp_path / "g.ply"
+        export_ply(random_set(np.random.default_rng(6), n=8, sh_degree=1), path)
+        back = import_ply(path)
+        arrays = [getattr(back, name) for name in
+                  ("centers", "opacity_logits", "log_scales", "rotations", "sh")]
+        for arr in arrays:
+            assert arr.flags.writeable and arr.flags.owndata
+        back.centers[0] = 7.0
+        assert import_ply(path).centers[0, 0] != 7.0
+
+    @pytest.mark.parametrize("keep", [0, 1, 4, 55])
+    def test_short_payload_raises(self, tmp_path, keep):
+        path = tmp_path / "g.ply"
+        export_ply(random_set(np.random.default_rng(7), n=5), path)
+        raw = path.read_bytes()
+        start = raw.index(b"end_header\n") + len(b"end_header\n")
+        path.write_bytes(raw[: start + keep])
+        with pytest.raises(FormatError, match="payload"):
+            import_ply(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_payload_raises(self, tmp_path, value):
+        path = tmp_path / "g.ply"
+        export_ply(random_set(np.random.default_rng(8), n=5), path)
+        raw = bytearray(path.read_bytes())
+        at = raw.index(b"end_header\n") + len(b"end_header\n") + 4 * 17
+        raw[at : at + 4] = np.float32(value).tobytes()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="non-finite"):
+            import_ply(path)
+
 
 def test_activate_set_matches_single(tmp_path):
     rng = np.random.default_rng(5)
