@@ -17,6 +17,7 @@ from .errors import FormatError, InvalidInputError
 from .geometry import CameraView, DepthMap, Intrinsics, bilinear_sample, warp_feature
 
 _ALLOWED_SCALES = (1, 2, 4, 8)
+DEPTH_SPACINGS = ("linear", "inverse")
 FEATURE_MAGIC = b"VSFM"
 
 

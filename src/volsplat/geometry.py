@@ -9,12 +9,13 @@ Conventions used throughout the engine:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .errors import BehindCameraError, InvalidInputError
+from .errors import BehindCameraError, FormatError, InvalidInputError
 
 _ORTHO_TOL = 1e-9
 
@@ -29,6 +30,11 @@ class Intrinsics:
     height: int
 
     def __post_init__(self):
+        if not all(math.isfinite(x) for x in (self.fx, self.fy, self.cx, self.cy)):
+            raise InvalidInputError(
+                f"intrinsics must be finite, got fx={self.fx} fy={self.fy} "
+                f"cx={self.cx} cy={self.cy}"
+            )
         if self.fx <= 0 or self.fy <= 0:
             raise InvalidInputError(f"focal lengths must be positive, got ({self.fx}, {self.fy})")
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
@@ -67,6 +73,8 @@ class Extrinsics:
         T = np.asarray(self.T, dtype=float).reshape(3)
         object.__setattr__(self, "R", R)
         object.__setattr__(self, "T", T)
+        if not np.all(np.isfinite(T)):
+            raise InvalidInputError("translation must be finite")
         if not np.allclose(R.T @ R, np.eye(3), atol=_ORTHO_TOL):
             raise InvalidInputError("rotation is not orthonormal")
         if abs(np.linalg.det(R) - 1.0) > _ORTHO_TOL:
@@ -155,9 +163,18 @@ def project_point(p, K: Intrinsics, E: Extrinsics, *, clip: bool = True):
 
 
 def bilinear_sample(data: np.ndarray, u: np.ndarray, v: np.ndarray):
-    """Sample H x W x C `data` at float coords with zero padding.
+    """Sample H x W x C float `data` at float coords with zero padding.
 
     Returns (samples, valid) where valid marks fully in-bounds footprints.
+    Taps outside the grid read zero. Non-finite coordinates sample zero and
+    are never valid.
+
+    The four taps are gathered with `np.take` from a flat copy of `data`
+    inside a two-cell zero border, with the base cell clipped into that
+    border; taps that fall off the grid read +0.0 there. For finite data
+    the result is bit-identical to masking each tap and gathering only the
+    in-bounds ones: the sum starts from +0.0 and adds the taps in the same
+    order, and a +0.0 or -0.0 term leaves any partial sum unchanged.
     """
     h, w = data.shape[:2]
     u = np.asarray(u, dtype=float)
@@ -167,27 +184,37 @@ def bilinear_sample(data: np.ndarray, u: np.ndarray, v: np.ndarray):
     vr = np.rint(v)
     u = np.where(np.abs(u - ur) < 1e-9, ur, u)
     v = np.where(np.abs(v - vr) < 1e-9, vr, v)
-    x0 = np.floor(u).astype(np.int64)
-    y0 = np.floor(v).astype(np.int64)
+    valid = (u >= 0) & (u <= w - 1) & (v >= 0) & (v <= h - 1)
+    # a non-finite coordinate samples the border: all four taps read zero
+    finite = np.isfinite(u) & np.isfinite(v)
+    u = np.where(finite, u, -2.0)
+    v = np.where(finite, v, -2.0)
+    x0 = np.floor(u)
+    y0 = np.floor(v)
     fx = u - x0
     fy = v - y0
-    valid = (u >= 0) & (u <= w - 1) & (v >= 0) & (v <= h - 1)
+    # With two border cells, a base clipped to -2 or to w keeps its +1 tap
+    # off the grid as well.
+    pw = w + 4
+    base = (np.clip(y0, -2, h).astype(np.int64) + 2) * pw + np.clip(x0, -2, w).astype(np.int64) + 2
 
-    out = np.zeros(u.shape + data.shape[2:], dtype=data.dtype)
+    # Taps are weighted in the precision of data * weight and only then
+    # added into `out`, as a direct `out += data[...] * weight` would.
+    padded = np.zeros((h + 4, pw) + data.shape[2:], dtype=np.result_type(data, fx))
+    padded[2 : h + 2, 2 : w + 2] = data
+    flat = padded.reshape((h + 4) * pw, -1)
 
-    def gather(xi, yi, weight):
-        inb = (xi >= 0) & (xi < w) & (yi >= 0) & (yi < h) & (weight > 0)
-        if not np.any(inb):
-            return
-        vals = data[yi[inb], xi[inb]]
-        wgt = weight[inb]
-        out[inb] += vals * wgt.reshape(wgt.shape + (1,) * (data.ndim - 2))
-
-    gather(x0, y0, (1 - fx) * (1 - fy))
-    gather(x0 + 1, y0, fx * (1 - fy))
-    gather(x0, y0 + 1, (1 - fx) * fy)
-    gather(x0 + 1, y0 + 1, fx * fy)
-    return out, valid
+    out = np.zeros(u.shape + flat.shape[1:], dtype=data.dtype)
+    for offset, weight in (
+        (0, (1 - fx) * (1 - fy)),
+        (1, fx * (1 - fy)),
+        (pw, (1 - fx) * fy),
+        (pw + 1, fx * fy),
+    ):
+        tap = np.take(flat, base + offset, axis=0)
+        tap *= weight[..., None]
+        out += tap
+    return out.reshape(u.shape + data.shape[2:]), valid
 
 
 def warp_grid(
@@ -229,13 +256,18 @@ def warp_feature(
 
 def load_camera_json(path) -> tuple:
     """Read an (Intrinsics, Extrinsics) pair from the camera JSON format."""
-    with open(path, "r") as f:
-        d = json.load(f)
+    try:
+        with open(path, "r") as f:
+            d = json.load(f)
+    except (OSError, ValueError) as e:  # ValueError covers bad JSON and bad UTF-8
+        raise FormatError(f"{path}: unreadable camera JSON: {e}") from e
     try:
         K = Intrinsics(d["fx"], d["fy"], d["cx"], d["cy"], int(d["width"]), int(d["height"]))
         E = Extrinsics(np.array(d["R"], dtype=float).reshape(3, 3), np.array(d["T"], dtype=float))
     except KeyError as e:
         raise InvalidInputError(f"camera JSON missing field {e}") from e
+    except (TypeError, ValueError) as e:
+        raise FormatError(f"{path}: malformed camera field: {e}") from e
     return K, E
 
 

@@ -4,6 +4,7 @@ refinement -> Gaussians, plus evaluation against held-out views."""
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
@@ -12,6 +13,7 @@ import numpy as np
 
 from .errors import InvalidInputError, StageError
 from .features import (
+    DEPTH_SPACINGS,
     FeatureExtractorSpec,
     FeatureMap,
     build_cost_volume,
@@ -141,17 +143,41 @@ class PipelineConfig:
         if section is None or not hasattr(section, key):
             raise InvalidInputError(f"unknown config key {dotted_key!r}")
         current = getattr(section, key)
-        if isinstance(current, bool):
-            parsed = value.lower() in ("1", "true", "yes", "on")
-        elif isinstance(current, int):
-            parsed = int(value)
-        elif isinstance(current, float):
-            parsed = float(value)
-        elif isinstance(current, tuple):
-            parsed = tuple(json.loads(value))
-        else:
-            parsed = value
+        try:
+            if isinstance(current, bool):
+                parsed = value.lower() in ("1", "true", "yes", "on")
+            elif isinstance(current, int):
+                parsed = int(value)
+            elif isinstance(current, float):
+                parsed = float(value)
+            elif isinstance(current, tuple):
+                parsed = tuple(json.loads(value))
+            else:
+                parsed = value
+        except (TypeError, ValueError) as e:
+            raise InvalidInputError(
+                f"cannot parse {value!r} for {dotted_key} "
+                f"(a {type(current).__name__}): {e}"
+            ) from e
         setattr(section, key, parsed)
+
+    def validate(self) -> None:
+        """Reject depth, voxel and head settings that no stage can run with."""
+        d = self.depth
+        for name, value in (("depth.near", d.near), ("depth.far", d.far),
+                            ("depth.temperature", d.temperature),
+                            ("voxel.size", self.voxel.size),
+                            ("head.offset_radius_multiplier", self.head.offset_radius_multiplier)):
+            if not isinstance(value, (int, float)) or not math.isfinite(value) or value <= 0:
+                raise InvalidInputError(f"{name} must be a positive finite number, got {value!r}")
+        if not d.near < d.far:
+            raise InvalidInputError(f"need depth.near < depth.far, got ({d.near}, {d.far})")
+        if not isinstance(d.num_hypotheses, int) or d.num_hypotheses < 2:
+            raise InvalidInputError(
+                f"depth.num_hypotheses must be an integer >= 2, got {d.num_hypotheses!r}")
+        if d.spacing not in DEPTH_SPACINGS:
+            raise InvalidInputError(
+                f"depth.spacing must be one of {DEPTH_SPACINGS}, got {d.spacing!r}")
 
 
 def _stage(name, fn, *args, **kwargs):
@@ -172,9 +198,16 @@ def _estimate_depths(
                                   cfg.depth.num_hypotheses, cfg.depth.spacing)
     s = cfg.feature.scale
     cams = [(v.intrinsics.scaled(s), v.extrinsics) for v in views]
+    # The cost volume sums neighbour scores in floating point, so the
+    # neighbours are visited in an order fixed by the views themselves (pose,
+    # then image bytes): the depths do not depend on the order of `views`.
+    canonical = sorted(range(len(views)), key=lambda j: (
+        views[j].extrinsics.R.tobytes() + views[j].extrinsics.T.tobytes(),
+        np.asarray(views[j].image, dtype=float).tobytes(),
+    ))
     depths = []
     for i, view in enumerate(views):
-        neighbors = [(fmaps[j], cams[j]) for j in range(len(views)) if j != i]
+        neighbors = [(fmaps[j], cams[j]) for j in canonical if j != i]
         cv = build_cost_volume(fmaps[i], neighbors, cams[i], hyp)
         d = regress_depth(cv, cfg.depth.temperature)
         h, w = view.image.shape[:2]
@@ -203,6 +236,7 @@ def _color_copy_raw(grid_feats: np.ndarray, cfg: HeadConfig) -> np.ndarray:
 
 def run_pipeline(views: Sequence[CameraView], config: PipelineConfig):
     """Full forward pass; returns (GaussianSet, diagnostics dict)."""
+    config.validate()
     has_gt = all(v.gt_depth is not None for v in views)
     use_gt = config.depth.use_gt and has_gt
     if len(views) < (1 if use_gt else 2):

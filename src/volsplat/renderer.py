@@ -7,6 +7,7 @@ tiles. Tiles are independent, so the worker count never changes output.
 
 from __future__ import annotations
 
+import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -15,7 +16,7 @@ import numpy as np
 from scipy.ndimage import correlate
 
 from ._kernels import ALPHA_MAX, T_CUTOFF, composite_tile
-from .errors import InvalidInputError
+from .errors import FormatError, InvalidInputError
 from .gaussians import GaussianSet, quat_to_rotmat
 from .geometry import Extrinsics, Intrinsics
 
@@ -300,11 +301,20 @@ def write_ppm(path, rgb: np.ndarray) -> None:
 
 def read_ppm(path) -> np.ndarray:
     """Returns H x W x 3 floats in [0, 1]."""
-    with open(path, "rb") as f:
-        raw = f.read()
-    parts = raw.split(maxsplit=4)
-    if parts[0] != b"P6" or parts[3] != b"255":
+    try:
+        with open(path, "rb") as f:
+            raw = f.read()
+    except OSError as e:
+        raise FormatError(f"{path}: cannot read image: {e.strerror}") from e
+    # The single whitespace byte after maxval ends the header; the payload
+    # may start with a byte that is itself whitespace.
+    header = re.match(rb"P6\s+(\d+)\s+(\d+)\s+255\s", raw)
+    if header is None:
         raise InvalidInputError(f"{path}: expected binary P6 maxval-255 PPM")
-    w, h = int(parts[1]), int(parts[2])
-    data = np.frombuffer(parts[4], dtype=np.uint8, count=h * w * 3)
+    w, h = int(header[1]), int(header[2])
+    payload = raw[header.end():]
+    if len(payload) < h * w * 3:
+        raise FormatError(f"{path}: {len(payload)} payload bytes for a {w}x{h} image "
+                          f"(needs {h * w * 3})")
+    data = np.frombuffer(payload, dtype=np.uint8, count=h * w * 3)
     return data.reshape(h, w, 3).astype(float) / 255.0

@@ -160,6 +160,20 @@ class TestRun:
         assert_one_error_line(res, 2)
         assert "unknown config key" in res.stderr
 
+    @pytest.mark.parametrize("overrides", [
+        ["depth.near=5", "depth.far=1"],
+        ["depth.num_hypotheses=1"],
+        ["depth.temperature=0"],
+        ["voxel.size=-1"],
+        ["voxel.size=abc"],
+        ["head.offset_radius_multiplier=nan"],
+    ])
+    def test_bad_config_value_exits_2(self, runner, scene_dir, tmp_path, overrides):
+        extra = [arg for item in overrides for arg in ("-o", item)]
+        res = runner.invoke(main, run_args(scene_dir, tmp_path / "x", *extra))
+        assert_one_error_line(res, 2)
+        assert "stage" not in res.stderr
+
     def test_stage_failure_exits_1(self, runner, scene_dir, tmp_path):
         res = runner.invoke(main, run_args(
             scene_dir, tmp_path / "x",
@@ -249,6 +263,47 @@ class TestEval:
             "--targets", str(scene_dir), "--out", str(tmp_path / "r.json"),
         ])
         assert res.exit_code == 2
+
+
+class TestBadSceneFiles:
+    """A malformed scene file is a format error: exit 2, one `error:` line."""
+
+    def run_on(self, runner, scene_dir, tmp_path):
+        return runner.invoke(main, run_args(scene_dir, tmp_path / "x"))
+
+    def test_truncated_ppm(self, runner, scene_dir, tmp_path):
+        ppm = scene_dir / "view_001.ppm"
+        ppm.write_bytes(ppm.read_bytes()[:300])
+        assert_one_error_line(self.run_on(runner, scene_dir, tmp_path), 2)
+
+    def test_invalid_camera_json(self, runner, scene_dir, tmp_path):
+        (scene_dir / "view_001.json").write_text('{"fx": 30.0, "fy": ')
+        assert_one_error_line(self.run_on(runner, scene_dir, tmp_path), 2)
+
+    def test_missing_view_image(self, runner, scene_dir, tmp_path):
+        (scene_dir / "view_002.ppm").unlink()
+        res = self.run_on(runner, scene_dir, tmp_path)
+        assert_one_error_line(res, 2)
+        assert "view_002.ppm" in res.stderr
+
+    @pytest.mark.parametrize("field", ["fx", "fy", "cx", "cy"])
+    def test_non_finite_intrinsics(self, runner, scene_dir, tmp_path, field):
+        cam_path = scene_dir / "view_000.json"
+        cam = json.loads(cam_path.read_text())
+        cam[field] = float("nan")
+        cam_path.write_text(json.dumps(cam))
+        res = self.run_on(runner, scene_dir, tmp_path)
+        assert_one_error_line(res, 2)
+        assert "finite" in res.stderr
+
+    def test_truncated_target_ppm_in_eval(self, runner, scene_dir, tmp_path):
+        ply = tmp_path / "g.ply"
+        small_ply(ply)
+        ppm = scene_dir / "view_000.ppm"
+        ppm.write_bytes(ppm.read_bytes()[:300])
+        res = runner.invoke(main, ["eval", "--gaussians", str(ply), "--targets", str(scene_dir),
+                                   "--out", str(tmp_path / "r.json")])
+        assert_one_error_line(res, 2)
 
 
 class TestSceneIO:

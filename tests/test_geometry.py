@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from volsplat import geometry
 from volsplat.errors import BehindCameraError, InvalidInputError
 from volsplat.geometry import (
     CameraView,
     Extrinsics,
     Intrinsics,
+    bilinear_sample,
     load_camera_json,
     project_point,
     save_camera_json,
@@ -90,9 +94,16 @@ class TestExtrinsicsValidation:
         with pytest.raises(InvalidInputError):
             Extrinsics(R, np.zeros(3))
 
+    def test_rejects_non_finite_translation(self):
+        with pytest.raises(InvalidInputError):
+            Extrinsics(np.eye(3), np.array([0.0, np.nan, 0.0]))
+
 
 class TestIntrinsicsValidation:
-    @pytest.mark.parametrize("fx,fy,cx,cy", [(-1, 100, 64, 64), (100, 100, 200, 64)])
+    @pytest.mark.parametrize("fx,fy,cx,cy", [
+        (-1, 100, 64, 64), (100, 100, 200, 64), (np.nan, 100, 64, 64),
+        (100, np.inf, 64, 64), (100, 100, np.nan, 64), (100, 100, 64, np.nan),
+    ])
     def test_rejects_bad_values(self, fx, fy, cx, cy):
         with pytest.raises(InvalidInputError):
             Intrinsics(fx, fy, cx, cy, 128, 128)
@@ -139,6 +150,167 @@ class TestWarp:
                 f = us - x0
                 expect = self.feat[y, x0] * (1 - f) + self.feat[y, x0 + 1] * f
                 np.testing.assert_allclose(warped[y, x], expect, atol=1e-12)
+
+
+def masked_bilinear_sample(data, u, v):
+    """Reference sampler: gathers each bilinear tap only where it is in bounds
+    and has positive weight (the engine's implementation before the padded
+    gather)."""
+    h, w = data.shape[:2]
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    ur = np.rint(u)
+    vr = np.rint(v)
+    u = np.where(np.abs(u - ur) < 1e-9, ur, u)
+    v = np.where(np.abs(v - vr) < 1e-9, vr, v)
+    x0 = np.floor(u).astype(np.int64)
+    y0 = np.floor(v).astype(np.int64)
+    fx = u - x0
+    fy = v - y0
+    valid = (u >= 0) & (u <= w - 1) & (v >= 0) & (v <= h - 1)
+
+    out = np.zeros(u.shape + data.shape[2:], dtype=data.dtype)
+
+    def gather(xi, yi, weight):
+        inb = (xi >= 0) & (xi < w) & (yi >= 0) & (yi < h) & (weight > 0)
+        if not np.any(inb):
+            return
+        vals = data[yi[inb], xi[inb]]
+        wgt = weight[inb]
+        out[inb] += vals * wgt.reshape(wgt.shape + (1,) * (data.ndim - 2))
+
+    gather(x0, y0, (1 - fx) * (1 - fy))
+    gather(x0 + 1, y0, fx * (1 - fy))
+    gather(x0, y0 + 1, (1 - fx) * fy)
+    gather(x0 + 1, y0 + 1, fx * fy)
+    return out, valid
+
+
+def assert_matches_reference(data, u, v):
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = masked_bilinear_sample(data, u, v)
+        got = bilinear_sample(data, u, v)
+    assert got[0].dtype == want[0].dtype and got[0].shape == want[0].shape
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+
+
+EXTREMES = (1e9, -1e9, np.inf, -np.inf, np.nan)
+
+
+def coordinate(size):
+    """One coordinate along an axis of `size` cells: anywhere around the
+    grid, in the border bands, on integers and half-integers, or extreme."""
+    return st.one_of(
+        st.floats(-4.0, size + 3.0),
+        st.floats(-2.0, -1.0, exclude_min=True, exclude_max=True),
+        st.floats(size - 1.0, size + 1.0, exclude_min=True, exclude_max=True),
+        st.integers(-4, size + 3).map(float),
+        st.integers(-8, 2 * size + 6).map(lambda k: k / 2),
+        st.sampled_from(EXTREMES),
+    )
+
+
+@st.composite
+def sampling_case(draw):
+    h, w = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    tail = draw(st.sampled_from([(), (1,), (2,), (5,)]))
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    data = rng.normal(size=(h, w) + tail).astype(dtype)
+    data[rng.uniform(size=data.shape) < 0.25] = -0.0
+    n = draw(st.integers(1, 24))
+    u = np.array(draw(st.lists(coordinate(w), min_size=n, max_size=n)))
+    v = np.array(draw(st.lists(coordinate(h), min_size=n, max_size=n)))
+    return data, u, v
+
+
+class TestBilinearSampleOracle:
+    """The padded gather returns the reference sampler's bytes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sampling_case())
+    def test_random_grids(self, case):
+        assert_matches_reference(*case)
+
+    def test_two_dimensional_data_through_channel_axis(self):
+        rng = np.random.default_rng(3)
+        data = rng.normal(size=(5, 6))
+        u = rng.uniform(-3, 8, (4, 7))
+        v = rng.uniform(-3, 7, (4, 7))
+        assert_matches_reference(data[..., None], u, v)
+        assert_matches_reference(data, u, v)
+
+    def test_border_bands(self):
+        rng = np.random.default_rng(4)
+        h, w = 6, 9
+        data = rng.normal(size=(h, w, 3))
+
+        def bands(size):
+            return np.r_[rng.uniform(-2, -1, 40), rng.uniform(size - 1, size + 1, 40)]
+
+        u, v = bands(w), bands(h)
+        assert_matches_reference(data, u, rng.uniform(0, h - 1, 80))
+        assert_matches_reference(data, rng.uniform(0, w - 1, 80), v)
+        assert_matches_reference(data, u, v)
+
+    def test_integers_and_half_integers(self):
+        rng = np.random.default_rng(5)
+        data = rng.normal(size=(4, 5, 2))
+        grid = np.arange(-6, 14) / 2
+        u, v = np.meshgrid(grid, grid)
+        assert_matches_reference(data, u, v)
+        # within the snapping distance of an integer
+        assert_matches_reference(data, u + 4e-10, v - 4e-10)
+
+    @pytest.mark.parametrize("value", EXTREMES)
+    def test_extreme_coordinates(self, value):
+        data = np.random.default_rng(6).normal(size=(4, 4, 2))
+        inside = np.array([0.0, 1.5, 3.0])
+        far = np.full(3, value)
+        assert_matches_reference(data, far, inside)
+        assert_matches_reference(data, inside, far)
+        with np.errstate(invalid="ignore"):
+            samples, valid = bilinear_sample(data, far, inside)
+        assert not valid.any()
+        assert samples.tobytes() == np.zeros_like(samples).tobytes()
+
+    def test_negative_zero_data(self):
+        data = np.full((3, 4, 2), -0.0)
+        data[1, 2] = [-1.5, 2.0]
+        u, v = np.meshgrid(np.linspace(-2.5, 4.5, 29), np.linspace(-2.5, 3.5, 25))
+        assert_matches_reference(data, u, v)
+        samples, _ = bilinear_sample(data, u, v)
+        # an all -0.0 footprint samples +0.0, as the reference does
+        assert not np.signbit(samples[0, 0]).any()
+
+
+def test_cost_volume_matches_reference_sampler(monkeypatch):
+    """The acceptance-09 wall scene gives a byte-identical cost volume through
+    the padded gather and through the reference sampler."""
+    from volsplat.features import (
+        FeatureExtractorSpec, build_cost_volume, extract_features, sample_depth_hypotheses,
+    )
+    from volsplat.scenes import CameraPose, SceneSpec, synthesize
+
+    cams_spec = [CameraPose((0.3 * i, 0.0, 0.0), (0.0, 0.0, 2.0)) for i in range(3)]
+    spec = SceneSpec(kind="textured-wall", cameras=cams_spec, image_size=(64, 64),
+                     seed=1, params={"texture_scale": 1.0})
+    views, _ = synthesize(spec)
+    fspec = FeatureExtractorSpec(channels=6, scale=1)
+    fmaps = [extract_features(v, fspec) for v in views]
+    hyp = sample_depth_hypotheses(1.0, 4.0, 32, "inverse")
+    cams = [(v.intrinsics, v.extrinsics) for v in views]
+
+    def build():
+        nbrs = [(fmaps[j], cams[j]) for j in (1, 2)]
+        return build_cost_volume(fmaps[0], nbrs, cams[0], hyp).scores
+
+    got = build()
+    monkeypatch.setattr(geometry, "bilinear_sample", masked_bilinear_sample)
+    want = build()
+    assert got.tobytes() == want.tobytes()
 
 
 def test_camera_json_roundtrip(tmp_path):

@@ -1,10 +1,12 @@
+import itertools
 import json
 
 import numpy as np
 import pytest
 
 from volsplat.errors import InvalidInputError, StageError
-from volsplat.pipeline import PipelineConfig, evaluate, run_pipeline
+from volsplat.features import FeatureExtractorSpec, extract_features
+from volsplat.pipeline import PipelineConfig, _estimate_depths, evaluate, run_pipeline
 from volsplat.scenes import CameraPose, SceneSpec, hold_out, synthesize
 
 
@@ -69,6 +71,39 @@ class TestConfig:
             cfg.apply_override("novoxel.size", "1")
         with pytest.raises(InvalidInputError):
             cfg.apply_override("plainkey", "1")
+
+    @pytest.mark.parametrize("key,value", [
+        ("voxel.size", "abc"), ("depth.num_hypotheses", "1.5"), ("unet.levels", "[4"),
+        ("unet.levels", "5"),
+    ])
+    def test_override_unparsable_value(self, key, value):
+        with pytest.raises(InvalidInputError, match="cannot parse"):
+            PipelineConfig().apply_override(key, value)
+
+    def test_validate_accepts_defaults(self):
+        PipelineConfig().validate()
+
+    @pytest.mark.parametrize("section,values", [
+        ("depth", {"near": 5.0, "far": 1.0}),
+        ("depth", {"near": 0.0}),
+        ("depth", {"far": float("inf")}),
+        ("depth", {"near": float("nan")}),
+        ("depth", {"near": "1"}),
+        ("depth", {"num_hypotheses": 1}),
+        ("depth", {"num_hypotheses": 2.5}),
+        ("depth", {"spacing": "log"}),
+        ("depth", {"temperature": 0.0}),
+        ("voxel", {"size": -1.0}),
+        ("voxel", {"size": float("nan")}),
+        ("head", {"offset_radius_multiplier": float("nan")}),
+    ])
+    def test_validate_rejects(self, section, values):
+        cfg = base_config(**{section: values})
+        with pytest.raises(InvalidInputError):
+            cfg.validate()
+        # run_pipeline validates before its first stage: no StageError
+        with pytest.raises(InvalidInputError):
+            run_pipeline(wall_views(n_cams=2, size=8), cfg)
 
 
 class TestRunPipeline:
@@ -170,6 +205,21 @@ class TestRunPipeline:
         cfg = base_config(depth={"use_gt": False})
         with pytest.raises(InvalidInputError):
             run_pipeline(views[:1], cfg)
+
+
+def test_estimated_depths_independent_of_view_order():
+    cams = [CameraPose((0.3 * np.cos(a), 0.1 * i, 0.3 * np.sin(a)), (0.0, 0.0, 2.0))
+            for i, a in enumerate(np.linspace(0, 1.5 * np.pi, 4))]
+    spec = SceneSpec(kind="sphere", cameras=cams, image_size=(32, 32), seed=2)
+    views, _ = synthesize(spec)
+    cfg = base_config(depth={"use_gt": False, "num_hypotheses": 6})
+    fspec = FeatureExtractorSpec(channels=cfg.feature.channels, scale=cfg.feature.scale)
+    fmaps = [extract_features(v, fspec) for v in views]
+    want = [d.values.tobytes() for d in _estimate_depths(views, fmaps, cfg)]
+    for order in itertools.permutations(range(4)):
+        depths = _estimate_depths([views[i] for i in order], [fmaps[i] for i in order], cfg)
+        got = {i: d.values.tobytes() for i, d in zip(order, depths)}
+        assert [got[i] for i in range(4)] == want, order
 
 
 class TestEvaluate:

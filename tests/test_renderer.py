@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from volsplat.errors import InvalidInputError
+from volsplat.errors import FormatError, InvalidInputError
 from volsplat.gaussians import GaussianSet, SH_C0
 from volsplat.geometry import Extrinsics, Intrinsics
 from volsplat.renderer import (
@@ -266,6 +266,20 @@ class TestPpm:
         path = tmp_path / "h.ppm"
         write_ppm(path, img)
         assert path.read_bytes()[-3:] == b"\x01\x01\x01"
+
+    @pytest.mark.parametrize("first", [9, 10, 13, 32])
+    def test_payload_starting_with_whitespace_byte(self, tmp_path, first):
+        img = np.zeros((2, 3, 3))
+        img[0, 0, 0] = first / 255.0
+        path = tmp_path / "ws.ppm"
+        write_ppm(path, img)
+        np.testing.assert_array_equal(read_ppm(path), img)
+
+    def test_rejects_short_payload(self, tmp_path):
+        path = tmp_path / "short.ppm"
+        path.write_bytes(b"P6\n4 4\n255\n" + bytes(47))
+        with pytest.raises(FormatError, match="47 payload bytes"):
+            read_ppm(path)
 
     def test_rejects_non_p6(self, tmp_path):
         path = tmp_path / "bad.ppm"
