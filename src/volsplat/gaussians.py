@@ -137,16 +137,22 @@ def quat_to_rotmat(q: np.ndarray) -> np.ndarray:
     return R
 
 
-def decode_raw(grid: SparseTensor, head_weights: WeightBlob, sh_degree: int = 0) -> RawGaussianParams:
-    """1x1x1 linear head mapping voxel features to raw Gaussian parameters."""
+def check_head_weights(head_weights: WeightBlob, channels: int, sh_degree: int = 0) -> None:
+    """Raise WeightLoadError unless the head maps `channels` features to raw params."""
     w = head_weights["head.weight"]
     b = head_weights["head.bias"]
     expect = param_length(sh_degree)
-    if w.shape != (grid.feats.shape[1], expect) or b.shape != (expect,):
+    if w.shape != (channels, expect) or b.shape != (expect,):
         raise WeightLoadError(
-            f"head weights {w.shape}/{b.shape} do not match C={grid.feats.shape[1]}, P={expect}"
+            f"head weights {w.shape}/{b.shape} do not match C={channels}, P={expect}"
         )
-    return RawGaussianParams(values=grid.feats @ w + b, sh_degree=sh_degree)
+
+
+def decode_raw(grid: SparseTensor, head_weights: WeightBlob, sh_degree: int = 0) -> RawGaussianParams:
+    """1x1x1 linear head mapping voxel features to raw Gaussian parameters."""
+    check_head_weights(head_weights, grid.feats.shape[1], sh_degree)
+    values = grid.feats @ head_weights["head.weight"] + head_weights["head.bias"]
+    return RawGaussianParams(values=values, sh_degree=sh_degree)
 
 
 def random_head_weights(channels: int, sh_degree: int = 0, seed: int = 0) -> WeightBlob:

@@ -112,8 +112,9 @@ class CameraView:
                 raise InvalidInputError("gt_depth shape mismatch")
             mask = self.gt_depth_mask
             valid = np.ones((h, w), bool) if mask is None else mask
-            if np.any(self.gt_depth[valid] <= 0):
-                raise InvalidInputError("gt_depth must be strictly positive where valid")
+            depth = self.gt_depth[valid]
+            if not np.all(np.isfinite(depth)) or np.any(depth <= 0):
+                raise InvalidInputError("gt_depth must be finite and strictly positive where valid")
 
 
 @dataclass

@@ -26,6 +26,7 @@ from .gaussians import (
     GaussianSet,
     RawGaussianParams,
     activate_set,
+    check_head_weights,
     decode_raw,
     param_length,
     random_head_weights,
@@ -35,6 +36,8 @@ from .renderer import compute_image_metrics, render
 from .sparse_unet import (
     SparseTensor,
     UNetSpec,
+    check_weights,
+    layer_plan,
     load_weights,
     random_weights,
     residual_refine,
@@ -162,7 +165,7 @@ class PipelineConfig:
         setattr(section, key, parsed)
 
     def validate(self) -> None:
-        """Reject depth, voxel and head settings that no stage can run with."""
+        """Reject depth, voxel, U-Net, head and render settings that no stage can run with."""
         d = self.depth
         for name, value in (("depth.near", d.near), ("depth.far", d.far),
                             ("depth.temperature", d.temperature),
@@ -178,6 +181,25 @@ class PipelineConfig:
         if d.spacing not in DEPTH_SPACINGS:
             raise InvalidInputError(
                 f"depth.spacing must be one of {DEPTH_SPACINGS}, got {d.spacing!r}")
+        u = self.unet
+        if not _is_int(u.blocks) or u.blocks < 0:
+            raise InvalidInputError(f"unet.blocks must be an integer >= 0, got {u.blocks!r}")
+        if not isinstance(u.levels, (list, tuple)) or (u.levels and (
+                len(u.levels) < 2 or not all(_is_int(c) and c >= 1 for c in u.levels))):
+            raise InvalidInputError(
+                f"unet.levels must be empty or >= 2 positive integers, got {u.levels!r}")
+        if not _is_int(self.head.sh_degree) or self.head.sh_degree < 0:
+            raise InvalidInputError(
+                f"head.sh_degree must be an integer >= 0, got {self.head.sh_degree!r}")
+        bg = self.render.bg
+        if not isinstance(bg, (list, tuple)) or len(bg) != 3 or not all(
+                isinstance(c, (int, float)) and not isinstance(c, bool) and math.isfinite(c)
+                for c in bg):
+            raise InvalidInputError(f"render.bg must be 3 finite numbers, got {bg!r}")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _stage(name, fn, *args, **kwargs):
@@ -245,6 +267,24 @@ def run_pipeline(views: Sequence[CameraView], config: PipelineConfig):
     if any(v.intrinsics != k0 for v in views):
         raise InvalidInputError("all views must share intrinsics")
 
+    fspec = FeatureExtractorSpec(
+        kind=config.feature.kind, channels=config.feature.channels,
+        scale=config.feature.scale, seed=config.feature.seed,
+        path=config.feature.path,
+    )
+
+    # Weight files are inputs: a missing, malformed or mis-shaped blob is a
+    # format error reported before any stage runs, not a stage failure.
+    channels = fspec.channels
+    spec = UNetSpec(levels=tuple(config.unet.levels), blocks_per_level=config.unet.blocks)
+    unet_weights = head_weights = None
+    if config.unet.enabled and config.unet.weights_path:
+        unet_weights = load_weights(config.unet.weights_path)
+        check_weights(unet_weights, layer_plan(spec, channels))
+    if config.head.kind == "linear" and config.head.weights_path:
+        head_weights = load_weights(config.head.weights_path)
+        check_head_weights(head_weights, channels, config.head.sh_degree)
+
     diagnostics: dict = {"stages": {}}
     t0 = time.perf_counter()
 
@@ -254,11 +294,6 @@ def run_pipeline(views: Sequence[CameraView], config: PipelineConfig):
         diagnostics["stages"][name] = t1 - t0
         t0 = t1
 
-    fspec = FeatureExtractorSpec(
-        kind=config.feature.kind, channels=config.feature.channels,
-        scale=config.feature.scale, seed=config.feature.seed,
-        path=config.feature.path,
-    )
     fmaps = _stage("features", lambda: [extract_features(v, fspec) for v in views])
     tick("features")
 
@@ -282,10 +317,8 @@ def run_pipeline(views: Sequence[CameraView], config: PipelineConfig):
     v_tensor = SparseTensor(coords=grid.keys.copy(), feats=grid.features.copy(), stride=1)
     if config.unet.enabled:
         def refine():
-            spec = UNetSpec(levels=tuple(config.unet.levels), blocks_per_level=config.unet.blocks)
-            if config.unet.weights_path:
-                weights = load_weights(config.unet.weights_path)
-            else:
+            weights = unet_weights
+            if weights is None:
                 weights = random_weights(spec, v_tensor.feats.shape[1], config.unet.seed)
             r = unet_forward(v_tensor, spec, weights)
             return residual_refine(v_tensor, r)
@@ -300,9 +333,8 @@ def run_pipeline(views: Sequence[CameraView], config: PipelineConfig):
             raw = RawGaussianParams(_color_copy_raw(refined.feats, config.head),
                                     config.head.sh_degree)
         elif config.head.kind == "linear":
-            if config.head.weights_path:
-                head_w = load_weights(config.head.weights_path)
-            else:
+            head_w = head_weights
+            if head_w is None:
                 head_w = random_head_weights(refined.feats.shape[1],
                                              config.head.sh_degree, config.head.seed)
             raw = decode_raw(refined, head_w, config.head.sh_degree)

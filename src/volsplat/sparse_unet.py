@@ -55,9 +55,8 @@ class _CoordIndex:
         self.order = np.argsort(self.codes, kind="stable")
         self.sorted_codes = self.codes[self.order]
 
-    def lookup(self, coords: np.ndarray) -> np.ndarray:
-        """Row index per query coord, -1 where absent."""
-        q = _encode(coords)
+    def lookup(self, q: np.ndarray) -> np.ndarray:
+        """Row index per query code (see _encode), -1 where absent."""
         if self.sorted_codes.size == 0:
             return np.full(q.shape, -1, np.int64)
         pos = np.clip(np.searchsorted(self.sorted_codes, q), 0, self.sorted_codes.size - 1)
@@ -70,46 +69,105 @@ def _check_kernel(w: np.ndarray, cin: int) -> None:
         raise WeightLoadError(f"kernel shape {w.shape} does not match 3x3x3x{cin}xCout")
 
 
-def submanifold_conv(
-    x: SparseTensor, w: np.ndarray, b: Optional[np.ndarray] = None
-) -> SparseTensor:
-    """3x3x3 sparse conv whose output occupancy equals the input occupancy."""
-    _check_kernel(w, x.feats.shape[1])
-    cout = w.shape[4]
-    out = np.zeros((x.coords.shape[0], cout))
-    if b is not None:
-        out += b
-    index = _CoordIndex(x.coords)
+@dataclass
+class KernelMap:
+    """Neighbour map ("rulebook") of one 3x3x3 sparse conv.
+
+    pairs[k] = (out_rows, in_rows) for offset k in _OFFSETS order: output
+    row out_rows[j] gathers input row in_rows[j] through weight[offset k].
+    Within one offset the output rows are ascending and distinct.
+    """
+
+    out_coords: np.ndarray
+    pairs: List[Tuple[np.ndarray, np.ndarray]]
+
+    def transpose(self, coords: np.ndarray) -> "KernelMap":
+        """The adjoint map, scattering back onto the input sites `coords`."""
+        pairs = []
+        for o, i in self.pairs:
+            order = np.argsort(i, kind="stable")
+            pairs.append((i[order], o[order]))
+        return KernelMap(coords, pairs)
+
+
+def _map_pairs(index: _CoordIndex, query: np.ndarray) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Per offset d: the rows o of `query` whose site query[o] + d is in `index`."""
+    codes = _encode(query)
+    if query.size:  # every query + d must stay in range, so its code is codes + code(d)
+        _encode(np.stack([query.min(axis=0) - 1, query.max(axis=0) + 1]))
+    pairs = []
     for di, dj, dk in _OFFSETS:
-        nbr = x.coords + np.array([di, dj, dk], np.int64)
-        rows = index.lookup(nbr)
+        rows = index.lookup(codes + ((di << 2 * _BITS) + (dj << _BITS) + dk))
         hit = rows >= 0
-        if np.any(hit):
-            out[hit] += x.feats[rows[hit]] @ w[di + 1, dj + 1, dk + 1]
-    return SparseTensor(coords=x.coords.copy(), feats=out, stride=x.stride)
+        pairs.append((np.flatnonzero(hit), rows[hit]))
+    return pairs
+
+
+def submanifold_map(coords: np.ndarray, index: Optional[_CoordIndex] = None) -> KernelMap:
+    """Map of a submanifold conv: site u gathers the sites u + offset."""
+    index = _CoordIndex(coords) if index is None else index
+    return KernelMap(coords, _map_pairs(index, coords))
 
 
 def downsample_coords(coords: np.ndarray) -> np.ndarray:
     """Unique floor-divided-by-2 coords, lexicographically sorted."""
-    return np.unique(coords >> 1, axis=0) if coords.size else coords.copy()
+    if not coords.size:
+        return coords.copy()
+    # _encode is monotone in (z, y, x), so sorting codes sorts rows
+    codes = np.unique(_encode(coords >> 1))
+    mask = (1 << _BITS) - 1
+    fields = [(codes >> (2 * _BITS)) & mask, (codes >> _BITS) & mask, codes & mask]
+    return np.stack(fields, axis=1) - _BIAS
 
 
-def strided_down(x: SparseTensor, w: np.ndarray, b: Optional[np.ndarray] = None) -> SparseTensor:
-    """Stride-2 sparse conv; output site o gathers inputs at 2*o + offset."""
-    _check_kernel(w, x.feats.shape[1])
-    cout = w.shape[4]
-    out_coords = downsample_coords(x.coords)
-    out = np.zeros((out_coords.shape[0], cout))
+def down_map(
+    coords: np.ndarray, out_coords: Optional[np.ndarray] = None,
+    index: Optional[_CoordIndex] = None,
+) -> KernelMap:
+    """Map of a stride-2 conv: coarse site o gathers the fine sites 2*o + offset."""
+    out_coords = downsample_coords(coords) if out_coords is None else out_coords
+    index = _CoordIndex(coords) if index is None else index
+    return KernelMap(out_coords, _map_pairs(index, out_coords * 2))
+
+
+def _apply_map(feats: np.ndarray, w: np.ndarray, b: Optional[np.ndarray],
+               kmap: KernelMap) -> np.ndarray:
+    """Gather, multiply and scatter-add each offset's rows in _OFFSETS order."""
+    out = np.zeros((kmap.out_coords.shape[0], w.shape[4]))
     if b is not None:
         out += b
-    index = _CoordIndex(x.coords)
-    for di, dj, dk in _OFFSETS:
-        src = out_coords * 2 + np.array([di, dj, dk], np.int64)
-        rows = index.lookup(src)
-        hit = rows >= 0
-        if np.any(hit):
-            out[hit] += x.feats[rows[hit]] @ w[di + 1, dj + 1, dk + 1]
-    return SparseTensor(coords=out_coords, feats=out, stride=x.stride * 2)
+    for (di, dj, dk), (o, i) in zip(_OFFSETS, kmap.pairs):
+        if o.size:
+            out[o] += feats[i] @ w[di + 1, dj + 1, dk + 1]
+    return out
+
+
+def submanifold_conv(
+    x: SparseTensor, w: np.ndarray, b: Optional[np.ndarray] = None, *,
+    kmap: Optional[KernelMap] = None,
+) -> SparseTensor:
+    """3x3x3 sparse conv whose output occupancy equals the input occupancy.
+
+    `kmap` is `submanifold_map(x.coords)`; it is built when not given.
+    """
+    _check_kernel(w, x.feats.shape[1])
+    kmap = submanifold_map(x.coords) if kmap is None else kmap
+    out = _apply_map(x.feats, w, b, kmap)
+    return SparseTensor(coords=x.coords.copy(), feats=out, stride=x.stride)
+
+
+def strided_down(
+    x: SparseTensor, w: np.ndarray, b: Optional[np.ndarray] = None, *,
+    kmap: Optional[KernelMap] = None,
+) -> SparseTensor:
+    """Stride-2 sparse conv; output site o gathers inputs at 2*o + offset.
+
+    `kmap` is `down_map(x.coords)`; it is built when not given.
+    """
+    _check_kernel(w, x.feats.shape[1])
+    kmap = down_map(x.coords) if kmap is None else kmap
+    out = _apply_map(x.feats, w, b, kmap)
+    return SparseTensor(coords=kmap.out_coords.copy(), feats=out, stride=x.stride * 2)
 
 
 def transposed_up(
@@ -117,30 +175,21 @@ def transposed_up(
     target_coords: np.ndarray,
     w: np.ndarray,
     b: Optional[np.ndarray] = None,
+    *,
+    kmap: Optional[KernelMap] = None,
 ) -> SparseTensor:
     """Adjoint of strided_down onto the saved finer-level coordinate set.
 
     Fine site u receives w[offset] . x[o] from every coarse site o with
-    u = 2*o + offset; sites with no contribution get bias only.
+    u = 2*o + offset; sites with no contribution get bias only. `kmap` is
+    `down_map(target_coords, x.coords).transpose(target_coords)`; it is
+    built when not given. Like strided_down, this raises InvalidInputError
+    when some 2*o + offset lies outside the supported coordinate range.
     """
     _check_kernel(w, x.feats.shape[1])
-    cout = w.shape[4]
-    out = np.zeros((target_coords.shape[0], cout))
-    if b is not None:
-        out += b
-    if target_coords.size:
-        index = _CoordIndex(x.coords)
-        for di, dj, dk in _OFFSETS:
-            # u = 2 o + d  =>  o = (u - d) / 2 when the division is exact
-            num = target_coords - np.array([di, dj, dk], np.int64)
-            exact = ~np.any(num & 1, axis=1)
-            if not np.any(exact):
-                continue
-            rows = np.full(target_coords.shape[0], -1, np.int64)
-            rows[exact] = index.lookup(num[exact] >> 1)
-            hit = rows >= 0
-            if np.any(hit):
-                out[hit] += x.feats[rows[hit]] @ w[di + 1, dj + 1, dk + 1]
+    if kmap is None:
+        kmap = down_map(target_coords, x.coords).transpose(target_coords)
+    out = _apply_map(x.feats, w, b, kmap)
     return SparseTensor(coords=target_coords.copy(), feats=out, stride=max(1, x.stride // 2))
 
 
@@ -249,7 +298,8 @@ def zero_weights(spec: UNetSpec, in_channels: int) -> WeightBlob:
     return blob
 
 
-def _validate(blob: WeightBlob, plan: Sequence[dict]) -> None:
+def check_weights(blob: WeightBlob, plan: Sequence[dict]) -> None:
+    """Raise WeightLoadError unless `blob` holds every tensor of `plan` in its shape."""
     for name, shape in _tensor_shapes(plan).items():
         t = blob[name]
         if t.shape != shape:
@@ -265,23 +315,33 @@ def unet_forward(x: SparseTensor, spec: UNetSpec, weights: WeightBlob) -> Sparse
     if x.stride != 1:
         raise InvalidInputError("unet_forward expects a stride-1 tensor")
     plan = layer_plan(spec, x.feats.shape[1])
-    _validate(weights, plan)
+    check_weights(weights, plan)
     n_levels = len(spec.widths(x.feats.shape[1]))
+
+    # Every conv at one level sees the same coordinate set, so each level's
+    # lookup and kernel maps are built once and shared by all its convs.
+    coords = [x.coords]
+    for _ in range(1, n_levels):
+        coords.append(downsample_coords(coords[-1]))
+    index = [_CoordIndex(c) for c in coords]
+    sub_maps = [submanifold_map(c, i) if spec.blocks_per_level else None
+                for c, i in zip(coords, index)]
+    down_maps = [None] + [down_map(coords[l - 1], coords[l], index[l - 1])
+                          for l in range(1, n_levels)]
 
     skips: List[SparseTensor] = []
     cur = x
-    i = 0
     by_name = {l["name"]: l for l in plan}
 
-    def run(layer, tensor, **kw):
+    def run(layer, tensor, kmap=None):
         w = weights[layer["name"] + ".weight"]
         b = weights[layer["name"] + ".bias"]
         if layer["op"] == "sub":
-            out = submanifold_conv(tensor, w, b)
+            out = submanifold_conv(tensor, w, b, kmap=kmap)
         elif layer["op"] == "strided":
-            out = strided_down(tensor, w, b)
+            out = strided_down(tensor, w, b, kmap=kmap)
         elif layer["op"] == "up":
-            out = transposed_up(tensor, kw["target_coords"], w, b)
+            out = transposed_up(tensor, kmap.out_coords, w, b, kmap=kmap)
         else:
             out = pointwise_conv(tensor, w, b)
         out.feats = _act(out.feats, layer["act"])
@@ -289,17 +349,17 @@ def unet_forward(x: SparseTensor, spec: UNetSpec, weights: WeightBlob) -> Sparse
 
     for lvl in range(n_levels):
         if lvl > 0:
-            cur = run(by_name[f"down{lvl}"], cur)
+            cur = run(by_name[f"down{lvl}"], cur, down_maps[lvl])
         for blk in range(spec.blocks_per_level):
-            cur = run(by_name[f"enc{lvl}.block{blk}"], cur)
+            cur = run(by_name[f"enc{lvl}.block{blk}"], cur, sub_maps[lvl])
         skips.append(cur)
     for lvl in range(n_levels - 2, -1, -1):
         skip = skips[lvl]
-        cur = run(by_name[f"up{lvl}"], cur, target_coords=skip.coords)
+        cur = run(by_name[f"up{lvl}"], cur, down_maps[lvl + 1].transpose(coords[lvl]))
         cur = SparseTensor(cur.coords, np.concatenate([cur.feats, skip.feats], axis=1), cur.stride)
         cur = run(by_name[f"dec{lvl}.fuse"], cur)
         for blk in range(spec.blocks_per_level):
-            cur = run(by_name[f"dec{lvl}.block{blk}"], cur)
+            cur = run(by_name[f"dec{lvl}.block{blk}"], cur, sub_maps[lvl])
     return run(by_name["head"], cur)
 
 
@@ -325,29 +385,39 @@ def save_weights(path, blob: WeightBlob) -> None:
 
 
 def load_weights(path) -> WeightBlob:
-    with open(path, "rb") as f:
-        raw = f.read()
+    """Read a blob written by save_weights; FormatError unless it is whole and finite."""
+    try:
+        with open(path, "rb") as f:
+            raw = f.read()
+    except OSError as e:
+        raise FormatError(f"{path}: cannot read weight blob: {e.strerror or e}") from None
     if len(raw) < 12 or raw[:4] != WEIGHT_MAGIC:
         raise FormatError(f"{path}: bad weight-blob header")
     body, crc_stored = raw[:-4], struct.unpack("<I", raw[-4:])[0]
     if zlib.crc32(body) != crc_stored:
         raise WeightLoadError(f"{path}: checksum mismatch")
-    n = struct.unpack("<I", body[4:8])[0]
     blob = WeightBlob()
-    off = 8
-    for _ in range(n):
-        (name_len,) = struct.unpack_from("<H", body, off)
-        off += 2
-        name = body[off : off + name_len].decode()
-        off += name_len
-        (rank,) = struct.unpack_from("<B", body, off)
-        off += 1
-        dims = struct.unpack_from(f"<{rank}I", body, off)
-        off += 4 * rank
-        count = int(np.prod(dims))
-        data = np.frombuffer(body, dtype="<f4", count=count, offset=off)
-        off += 4 * count
-        blob.tensors[name] = data.reshape(dims).astype(float)
+    try:
+        n = struct.unpack("<I", body[4:8])[0]
+        off = 8
+        for _ in range(n):
+            (name_len,) = struct.unpack_from("<H", body, off)
+            off += 2
+            name = body[off : off + name_len].decode()
+            off += name_len
+            (rank,) = struct.unpack_from("<B", body, off)
+            off += 1
+            dims = struct.unpack_from(f"<{rank}I", body, off)
+            off += 4 * rank
+            count = int(np.prod(dims))
+            data = np.frombuffer(body, dtype="<f4", count=count, offset=off)
+            off += 4 * count
+            blob.tensors[name] = data.reshape(dims).astype(float)
+    except (struct.error, ValueError) as e:  # UnicodeDecodeError is a ValueError
+        raise FormatError(f"{path}: malformed weight blob: {e}") from None
     if off != len(body):
         raise FormatError(f"{path}: trailing bytes in weight blob")
+    for name, tensor in blob.tensors.items():
+        if not np.all(np.isfinite(tensor)):
+            raise FormatError(f"{path}: tensor {name!r} has non-finite values")
     return blob

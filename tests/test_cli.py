@@ -11,6 +11,7 @@ from volsplat.cli import main, report_schema
 from volsplat.gaussians import GaussianSet, export_ply
 from volsplat.sceneio import load_scene, read_depth, save_scene, write_depth
 from volsplat.scenes import CameraPose, SceneSpec, synthesize
+from volsplat.sparse_unet import UNetSpec, random_weights, save_weights
 
 
 @pytest.fixture
@@ -167,6 +168,14 @@ class TestRun:
         ["voxel.size=-1"],
         ["voxel.size=abc"],
         ["head.offset_radius_multiplier=nan"],
+        ["unet.blocks=-1"],
+        ["unet.levels=[0]"],
+        ["unet.levels=[4]"],
+        ["unet.levels=[4, 0]"],
+        ["unet.levels=[4, 8.5]"],
+        ["render.bg=[1]"],
+        ["render.bg=[0, 0, NaN]"],
+        ["head.sh_degree=-1"],
     ])
     def test_bad_config_value_exits_2(self, runner, scene_dir, tmp_path, overrides):
         extra = [arg for item in overrides for arg in ("-o", item)]
@@ -175,10 +184,10 @@ class TestRun:
         assert "stage" not in res.stderr
 
     def test_stage_failure_exits_1(self, runner, scene_dir, tmp_path):
-        res = runner.invoke(main, run_args(
-            scene_dir, tmp_path / "x",
-            "-o", f"unet.weights_path={tmp_path / 'missing.vswt'}"))
-        assert res.exit_code == 1
+        # voxel keys of a wall 2 units away at 1e-6 units overflow the U-Net's coordinate range
+        res = runner.invoke(main, run_args(scene_dir, tmp_path / "x", "-o", "voxel.size=1e-6"))
+        assert_one_error_line(res, 1)
+        assert "stage 'refine' failed" in res.stderr
 
     def test_empty_scene_dir_exits_2(self, runner, tmp_path):
         empty = tmp_path / "empty"
@@ -296,6 +305,17 @@ class TestBadSceneFiles:
         assert_one_error_line(res, 2)
         assert "finite" in res.stderr
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_gt_depth(self, runner, scene_dir, tmp_path, value):
+        path = scene_dir / "view_000.depth"
+        depth, mask = read_depth(path)
+        assert mask[0, 0]
+        depth[0, 0] = value
+        write_depth(path, depth, mask)
+        res = self.run_on(runner, scene_dir, tmp_path)
+        assert_one_error_line(res, 2)
+        assert "gt_depth must be finite" in res.stderr
+
     def test_truncated_target_ppm_in_eval(self, runner, scene_dir, tmp_path):
         ply = tmp_path / "g.ply"
         small_ply(ply)
@@ -304,6 +324,52 @@ class TestBadSceneFiles:
         res = runner.invoke(main, ["eval", "--gaussians", str(ply), "--targets", str(scene_dir),
                                    "--out", str(tmp_path / "r.json")])
         assert_one_error_line(res, 2)
+
+
+class TestBadWeightFiles:
+    """A bad weight blob is a format error found before any stage runs."""
+
+    def blob(self, tmp_path, channels=6):
+        path = tmp_path / "w.vswt"
+        save_weights(path, random_weights(UNetSpec(), channels, seed=1))
+        return path
+
+    def run_with(self, runner, scene_dir, tmp_path, path, key="unet.weights_path"):
+        res = runner.invoke(main, run_args(scene_dir, tmp_path / "x", "-o", f"{key}={path}"))
+        assert_one_error_line(res, 2)
+        assert "stage" not in res.stderr
+        return res
+
+    def test_good_blob_runs(self, runner, scene_dir, tmp_path):
+        res = runner.invoke(main, run_args(scene_dir, tmp_path / "x",
+                                           "-o", f"unet.weights_path={self.blob(tmp_path)}"))
+        assert res.exit_code == 0, res.output
+
+    def test_missing_blob(self, runner, scene_dir, tmp_path):
+        res = self.run_with(runner, scene_dir, tmp_path, tmp_path / "missing.vswt")
+        assert "cannot read weight blob" in res.stderr
+
+    def test_truncated_blob(self, runner, scene_dir, tmp_path):
+        path = self.blob(tmp_path)
+        path.write_bytes(path.read_bytes()[:200])
+        assert "checksum mismatch" in self.run_with(runner, scene_dir, tmp_path, path).stderr
+
+    def test_non_finite_weight(self, runner, scene_dir, tmp_path):
+        blob = random_weights(UNetSpec(), 6, seed=1)
+        blob.tensors["enc1.block0.weight"][0, 1, 2, 3, 4] = np.nan
+        path = tmp_path / "nan.vswt"
+        save_weights(path, blob)
+        res = self.run_with(runner, scene_dir, tmp_path, path)
+        assert "'enc1.block0.weight' has non-finite values" in res.stderr
+
+    def test_blob_for_other_channel_count(self, runner, scene_dir, tmp_path):
+        res = self.run_with(runner, scene_dir, tmp_path, self.blob(tmp_path, channels=4))
+        assert "expected" in res.stderr
+
+    def test_missing_head_blob(self, runner, scene_dir, tmp_path):
+        res = self.run_with(runner, scene_dir, tmp_path, tmp_path / "missing.vswt",
+                            key="head.weights_path")
+        assert "cannot read weight blob" in res.stderr
 
 
 class TestSceneIO:

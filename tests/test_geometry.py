@@ -327,3 +327,15 @@ def test_camera_view_validation():
     img = np.zeros((4, 4, 3))
     with pytest.raises(InvalidInputError):
         CameraView(image=img, intrinsics=K, extrinsics=Extrinsics.identity())
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+def test_camera_view_rejects_bad_gt_depth_where_valid(value):
+    K4 = Intrinsics(fx=4, fy=4, cx=2, cy=2, width=4, height=4)
+    depth = np.full((4, 4), 2.0)
+    depth[1, 2] = value
+    with pytest.raises(InvalidInputError, match="finite and strictly positive"):
+        CameraView(np.zeros((4, 4, 3)), K4, Extrinsics.identity(), gt_depth=depth)
+    mask = np.ones((4, 4), bool)
+    mask[1, 2] = False  # an invalid pixel may hold anything
+    CameraView(np.zeros((4, 4, 3)), K4, Extrinsics.identity(), gt_depth=depth, gt_depth_mask=mask)

@@ -83,6 +83,10 @@ class TestConfig:
     def test_validate_accepts_defaults(self):
         PipelineConfig().validate()
 
+    def test_validate_accepts_unet_head_render_values(self):
+        base_config(unet={"blocks": 0, "levels": [4, 8, 16]}, head={"sh_degree": 2},
+                    render={"bg": [0, 0.5, 1]}).validate()
+
     @pytest.mark.parametrize("section,values", [
         ("depth", {"near": 5.0, "far": 1.0}),
         ("depth", {"near": 0.0}),
@@ -96,6 +100,19 @@ class TestConfig:
         ("voxel", {"size": -1.0}),
         ("voxel", {"size": float("nan")}),
         ("head", {"offset_radius_multiplier": float("nan")}),
+        ("unet", {"blocks": -1}),
+        ("unet", {"blocks": 1.0}),
+        ("unet", {"blocks": True}),
+        ("unet", {"levels": (4,)}),
+        ("unet", {"levels": (4, 0)}),
+        ("unet", {"levels": (4, 8.0)}),
+        ("unet", {"levels": 4}),
+        ("head", {"sh_degree": -1}),
+        ("head", {"sh_degree": 0.0}),
+        ("render", {"bg": (1.0,)}),
+        ("render", {"bg": (0.0, 0.0, 0.0, 0.0)}),
+        ("render", {"bg": (0.0, float("inf"), 0.0)}),
+        ("render", {"bg": (0.0, "0", 0.0)}),
     ])
     def test_validate_rejects(self, section, values):
         cfg = base_config(**{section: values})
@@ -188,7 +205,8 @@ class TestRunPipeline:
 
     def test_stage_errors_are_tagged(self, tmp_path):
         views = wall_views()
-        cfg = base_config(unet={"weights_path": str(tmp_path / "missing.vswt")})
+        # voxel keys out of the U-Net's coordinate range
+        cfg = base_config(voxel={"size": 1e-6})
         with pytest.raises(StageError) as exc_info:
             run_pipeline(views, cfg)
         assert exc_info.value.stage == "refine"

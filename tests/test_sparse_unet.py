@@ -1,11 +1,19 @@
+import struct
+import zlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from volsplat import sparse_unet
 from volsplat.errors import FormatError, InvalidInputError, WeightLoadError
 from volsplat.sparse_unet import (
+    WEIGHT_MAGIC,
     SparseTensor,
     UNetSpec,
     WeightBlob,
+    down_map,
     downsample_coords,
     layer_plan,
     load_weights,
@@ -15,6 +23,7 @@ from volsplat.sparse_unet import (
     save_weights,
     strided_down,
     submanifold_conv,
+    submanifold_map,
     transposed_up,
     unet_forward,
     zero_weights,
@@ -240,7 +249,290 @@ class TestWeightIO:
         with pytest.raises(FormatError):
             load_weights(path)
 
+    def test_unreadable_file_is_format_error(self, tmp_path):
+        with pytest.raises(FormatError, match="cannot read weight blob"):
+            load_weights(tmp_path / "missing.vswt")
+        with pytest.raises(FormatError, match="cannot read weight blob"):
+            load_weights(tmp_path)
+
+    @pytest.mark.parametrize("body", [
+        WEIGHT_MAGIC + struct.pack("<I", 1),  # one tensor declared, none present
+        WEIGHT_MAGIC + struct.pack("<I", 1) + b"\x01\x00a\x01" + struct.pack("<I", 9),  # no data
+        WEIGHT_MAGIC + struct.pack("<I", 1) + b"\x01\x00\xff\x00",  # name is not UTF-8
+    ])
+    def test_malformed_body_is_format_error(self, tmp_path, body):
+        path = tmp_path / "w.vswt"
+        path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        with pytest.raises(FormatError, match="malformed weight blob"):
+            load_weights(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_tensor_is_format_error(self, tmp_path, value):
+        blob = random_weights(UNetSpec(), 4, seed=8)
+        blob.tensors["dec0.fuse.bias"][1] = value
+        path = tmp_path / "w.vswt"
+        save_weights(path, blob)
+        with pytest.raises(FormatError, match="'dec0.fuse.bias' has non-finite values"):
+            load_weights(path)
+
     def test_missing_tensor_error(self):
         blob = WeightBlob({"a": np.zeros(3)})
         with pytest.raises(WeightLoadError):
             blob["b"]
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the per-call-lookup convolutions the shared kernel maps replaced.
+# Each call builds its own coordinate table and makes 27 lookups; the
+# transposed conv finds its coarse parents through the parity of u - offset.
+# The kernel-map path must agree with them byte for byte, and each kernel
+# map must hold exactly the (output row, input row) pairs they gather.
+
+
+def oracle_lookup(coords):
+    table = {tuple(c): row for row, c in enumerate(coords.tolist())}
+    return lambda q: np.array([table.get(tuple(c), -1) for c in q.tolist()], np.int64)
+
+
+def oracle_submanifold_rows(coords):
+    lookup = oracle_lookup(coords)
+    return [lookup(coords + np.array(d, np.int64)) for d in OFFSETS]
+
+
+def oracle_strided_rows(coords, out_coords):
+    lookup = oracle_lookup(coords)
+    return [lookup(out_coords * 2 + np.array(d, np.int64)) for d in OFFSETS]
+
+
+def oracle_transposed_rows(coarse, target_coords):
+    lookup = oracle_lookup(coarse)
+    per_offset = []
+    for d in OFFSETS:
+        # u = 2 o + d  =>  o = (u - d) / 2 when the division is exact
+        num = target_coords - np.array(d, np.int64)
+        exact = ~np.any(num & 1, axis=1)
+        rows = np.full(target_coords.shape[0], -1, np.int64)
+        if np.any(exact):
+            rows[exact] = lookup(num[exact] >> 1)
+        per_offset.append(rows)
+    return per_offset
+
+
+def oracle_conv(feats, rows_per_offset, w, b, n_out):
+    out = np.zeros((n_out, w.shape[4]))
+    if b is not None:
+        out += b
+    for (di, dj, dk), rows in zip(OFFSETS, rows_per_offset):
+        hit = rows >= 0
+        if np.any(hit):
+            out[hit] += feats[rows[hit]] @ w[di + 1, dj + 1, dk + 1]
+    return out
+
+
+def oracle_submanifold(x, w, b=None):
+    n = x.coords.shape[0]
+    out = oracle_conv(x.feats, oracle_submanifold_rows(x.coords), w, b, n)
+    return SparseTensor(coords=x.coords.copy(), feats=out, stride=x.stride)
+
+
+def oracle_strided(x, w, b=None):
+    out_coords = np.unique(x.coords >> 1, axis=0) if x.coords.size else x.coords.copy()
+    rows = oracle_strided_rows(x.coords, out_coords)
+    out = oracle_conv(x.feats, rows, w, b, out_coords.shape[0])
+    return SparseTensor(coords=out_coords, feats=out, stride=x.stride * 2)
+
+
+def oracle_transposed(x, target_coords, w, b=None):
+    rows = oracle_transposed_rows(x.coords, target_coords)
+    out = oracle_conv(x.feats, rows, w, b, target_coords.shape[0])
+    return SparseTensor(coords=target_coords.copy(), feats=out, stride=max(1, x.stride // 2))
+
+
+def same_pairs(kmap, rows_per_offset):
+    assert len(kmap.pairs) == len(rows_per_offset) == 27
+    for (o, i), rows in zip(kmap.pairs, rows_per_offset):
+        hit = rows >= 0
+        assert o.tobytes() == np.flatnonzero(hit).tobytes()
+        assert i.tobytes() == rows[hit].tobytes()
+
+
+def oracle_forward(x, spec, weights):
+    plan = {l["name"]: l for l in layer_plan(spec, x.feats.shape[1])}
+    n_levels = len(spec.widths(x.feats.shape[1]))
+
+    def run(name, tensor, *target):
+        layer = plan[name]
+        w, b = weights[name + ".weight"], weights[name + ".bias"]
+        op = {"sub": oracle_submanifold, "strided": oracle_strided,
+              "point": pointwise_conv}.get(layer["op"])
+        out = oracle_transposed(tensor, *target, w, b) if layer["op"] == "up" else op(tensor, w, b)
+        out.feats = np.maximum(out.feats, 0.0) if layer["act"] == "relu" else out.feats
+        return out
+
+    skips, cur = [], x
+    for lvl in range(n_levels):
+        if lvl > 0:
+            cur = run(f"down{lvl}", cur)
+        for blk in range(spec.blocks_per_level):
+            cur = run(f"enc{lvl}.block{blk}", cur)
+        skips.append(cur)
+    for lvl in range(n_levels - 2, -1, -1):
+        cur = run(f"up{lvl}", cur, skips[lvl].coords)
+        cur = SparseTensor(cur.coords, np.concatenate([cur.feats, skips[lvl].feats], axis=1),
+                           cur.stride)
+        cur = run(f"dec{lvl}.fuse", cur)
+        for blk in range(spec.blocks_per_level):
+            cur = run(f"dec{lvl}.block{blk}", cur)
+    return run("head", cur)
+
+
+# Bases near both ends of the supported coordinate range [-2^20, 2^20).
+BASES = [0, -37, 2**20 - 12, -(2**20) + 10]
+COARSE_MAX = 2**19 - 1  # 2 * c + offset stays in range for |c| <= COARSE_MAX
+
+
+@st.composite
+def coord_sets(draw, max_n=40, extent=5, bases=BASES):
+    """Unique coordinates in drawn (unsorted) row order around a drawn base."""
+    base = draw(st.sampled_from(bases))
+    pts = draw(st.lists(st.tuples(*[st.integers(-extent, extent)] * 3),
+                        max_size=max_n, unique=True))
+    return np.array(pts, np.int64).reshape(-1, 3) + base
+
+
+def same(a, b):
+    assert a.coords.tobytes() == b.coords.tobytes()
+    assert a.feats.tobytes() == b.feats.tobytes()
+    assert a.stride == b.stride
+
+
+def conv_case(rng, coords, cin, cout, stride=1):
+    x = SparseTensor(coords, rng.normal(size=(coords.shape[0], cin)), stride=stride)
+    w = rng.normal(size=(3, 3, 3, cin, cout))
+    b = rng.normal(size=cout) if rng.random() < 0.5 else None
+    return x, w, b
+
+
+NAMED_SETS = {
+    "empty": np.zeros((0, 3), np.int64),
+    "single": np.array([[3, -4, 5]]),
+    "negative": np.array([[-1, -1, -1], [-2, -1, -1], [-1, 0, -2], [-3, -3, -3], [0, 0, 0]]),
+    "line": np.array([[0, 0, k] for k in range(7, -6, -1)]),
+}
+
+
+class TestKernelMapOracle:
+    @settings(max_examples=120, deadline=None)
+    @given(coord_sets(), st.integers(0, 2**32 - 1))
+    def test_submanifold(self, coords, seed):
+        x, w, b = conv_case(np.random.default_rng(seed), coords, 3, 4)
+        same(submanifold_conv(x, w, b), oracle_submanifold(x, w, b))
+        same(submanifold_conv(x, w, b, kmap=submanifold_map(coords)), oracle_submanifold(x, w, b))
+        same_pairs(submanifold_map(coords), oracle_submanifold_rows(coords))
+
+    @settings(max_examples=120, deadline=None)
+    @given(coord_sets(), st.integers(0, 2**32 - 1))
+    def test_strided(self, coords, seed):
+        x, w, b = conv_case(np.random.default_rng(seed), coords, 3, 4)
+        same(strided_down(x, w, b), oracle_strided(x, w, b))
+        same(strided_down(x, w, b, kmap=down_map(coords)), oracle_strided(x, w, b))
+        kmap = down_map(coords)
+        same_pairs(kmap, oracle_strided_rows(coords, kmap.out_coords))
+
+    @settings(max_examples=120, deadline=None)
+    @given(coord_sets(), coord_sets(extent=3, bases=[0]), st.booleans(),
+           st.integers(0, 2**32 - 1))
+    def test_transposed(self, target, coarse, from_target, seed):
+        # the coarse set is either the downsampled target or an unrelated set
+        # that leaves some targets without parents and some parents without children
+        if from_target:
+            coarse = np.random.default_rng(seed).permutation(downsample_coords(target))
+        elif target.size and coarse.size:
+            coarse = coarse - coarse[:1] + (target[0] >> 1)
+            # shift inward until every child 2 * coarse + offset is encodable
+            coarse = (coarse - np.maximum(coarse.max(axis=0) - COARSE_MAX, 0)
+                      + np.maximum(-COARSE_MAX - coarse.min(axis=0), 0))
+        x, w, b = conv_case(np.random.default_rng(seed), coarse, 3, 4, stride=2)
+        same(transposed_up(x, target, w, b), oracle_transposed(x, target, w, b))
+        same_pairs(down_map(target, coarse).transpose(target),
+                   oracle_transposed_rows(coarse, target))
+
+    @pytest.mark.parametrize("name", sorted(NAMED_SETS))
+    def test_named_sets(self, name):
+        rng = np.random.default_rng(9)
+        coords = NAMED_SETS[name]
+        x, w, b = conv_case(rng, coords, 2, 3)
+        same(submanifold_conv(x, w, b), oracle_submanifold(x, w, b))
+        same(strided_down(x, w, b), oracle_strided(x, w, b))
+        coarse, _, _ = conv_case(rng, downsample_coords(coords)[::-1], 2, 3, stride=2)
+        same(transposed_up(coarse, coords, w, b), oracle_transposed(coarse, coords, w, b))
+
+    def test_transposed_onto_set_it_was_not_downsampled_from(self):
+        rng = np.random.default_rng(10)
+        coarse = SparseTensor(np.array([[0, 0, 0], [5, 5, 5], [-1, 2, 0]]),
+                              rng.normal(size=(3, 2)), stride=2)
+        target = np.array([[1, 1, 1], [-2, 4, -1], [10, 10, 11], [0, 0, 0], [40, 0, 0]])
+        w = rng.normal(size=(3, 3, 3, 2, 3))
+        same(transposed_up(coarse, target, w), oracle_transposed(coarse, target, w))
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("edge", [-(2**20), 2**20 - 1])
+    def test_neighbours_out_of_range_raise(self, axis, edge):
+        # a neighbour one step past the edge would carry into the next field of its code
+        coords = np.zeros((2, 3), np.int64)
+        coords[1, axis] = edge
+        x = SparseTensor(coords, np.ones((2, 1)))
+        with pytest.raises(InvalidInputError, match="out of supported range"):
+            submanifold_conv(x, np.ones((3, 3, 3, 1, 1)))
+
+    def test_children_out_of_range_raise_like_strided(self):
+        # a coarse site whose children 2 * o + offset cannot be encoded
+        x = SparseTensor(np.array([[2**19, 0, 0]]), np.ones((1, 2)), stride=2)
+        with pytest.raises(InvalidInputError, match="out of supported range"):
+            transposed_up(x, np.zeros((1, 3), np.int64), np.ones((3, 3, 3, 2, 2)))
+
+    @pytest.mark.parametrize("levels,blocks", [((), 2), ((), 0), ((5, 7), 1), ((3, 4, 5, 6), 2)])
+    @settings(max_examples=15, deadline=None)
+    @given(coords=coord_sets(max_n=60), seed=st.integers(0, 2**32 - 1))
+    def test_unet_forward(self, levels, blocks, coords, seed):
+        rng = np.random.default_rng(seed)
+        spec = UNetSpec(levels=levels, blocks_per_level=blocks)
+        x = SparseTensor(coords, rng.normal(size=(coords.shape[0], 3)))
+        weights = random_weights(spec, 3, seed=seed % 1000)
+        for name, t in weights.tensors.items():
+            if name.endswith(".bias"):
+                t[:] = rng.normal(size=t.shape)
+        same(unet_forward(x, spec, weights), oracle_forward(x, spec, weights))
+
+    def test_unet_forward_on_many_voxels(self):
+        rng = np.random.default_rng(11)
+        x = random_sparse(rng, n=2000, cin=4, extent=12)
+        weights = random_weights(UNetSpec(), 4, seed=12)
+        same(unet_forward(x, UNetSpec(), weights), oracle_forward(x, UNetSpec(), weights))
+
+    def test_one_coordinate_index_per_level(self, monkeypatch):
+        built = []
+        real = sparse_unet._CoordIndex
+
+        def counting(coords):
+            built.append(coords.shape[0])
+            return real(coords)
+
+        monkeypatch.setattr(sparse_unet, "_CoordIndex", counting)
+        x = random_sparse(np.random.default_rng(13), n=200, cin=4, extent=6)
+        for levels in ((), (4, 4), (4, 4, 4, 4)):
+            built.clear()
+            spec = UNetSpec(levels=levels)
+            unet_forward(x, spec, random_weights(spec, 4))
+            assert len(built) == len(spec.widths(4))
+            assert built[0] == x.coords.shape[0]
+
+
+class TestDownsampleCoords:
+    @settings(max_examples=150, deadline=None)
+    @given(coord_sets(max_n=60, extent=9))
+    def test_equals_unique_rows(self, coords):
+        want = np.unique(coords >> 1, axis=0) if coords.size else coords.copy()
+        got = downsample_coords(coords)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
