@@ -109,12 +109,15 @@ def _random_projection(img: np.ndarray, spec: FeatureExtractorSpec) -> np.ndarra
 
 
 def read_feature_file(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        header = f.read(16)
-        if len(header) != 16 or header[:4] != FEATURE_MAGIC:
-            raise FormatError(f"{path}: bad feature-file header")
-        h, w, c = struct.unpack("<III", header[4:])
-        data = np.fromfile(f, dtype="<f4")
+    try:
+        with open(path, "rb") as f:
+            header = f.read(16)
+            if len(header) != 16 or header[:4] != FEATURE_MAGIC:
+                raise FormatError(f"{path}: bad feature-file header")
+            h, w, c = struct.unpack("<III", header[4:])
+            data = np.fromfile(f, dtype="<f4")
+    except OSError as e:
+        raise FormatError(f"{path}: cannot read feature file: {e.strerror}") from e
     if data.size != h * w * c:
         raise FormatError(f"{path}: payload size does not match header {h}x{w}x{c}")
     return data.reshape(h, w, c).astype(float)

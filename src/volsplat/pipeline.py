@@ -18,6 +18,7 @@ from .features import (
     FeatureMap,
     build_cost_volume,
     extract_features,
+    read_feature_file,
     regress_depth,
     sample_depth_hypotheses,
     upsample_depth,
@@ -79,9 +80,12 @@ class UNetConfig:
     seed: int = 0
 
 
+HEAD_KINDS = ("linear", "color-copy")
+
+
 @dataclass
 class HeadConfig:
-    kind: str = "linear"  # linear | color-copy
+    kind: str = "linear"  # one of HEAD_KINDS
     sh_degree: int = 0
     offset_radius_multiplier: float = 3.0
     symmetric_offset: bool = False
@@ -165,7 +169,8 @@ class PipelineConfig:
         setattr(section, key, parsed)
 
     def validate(self) -> None:
-        """Reject depth, voxel, U-Net, head and render settings that no stage can run with."""
+        """Reject feature, depth, voxel, U-Net, head and render settings that no
+        stage can run with."""
         d = self.depth
         for name, value in (("depth.near", d.near), ("depth.far", d.far),
                             ("depth.temperature", d.temperature),
@@ -188,9 +193,16 @@ class PipelineConfig:
                 len(u.levels) < 2 or not all(_is_int(c) and c >= 1 for c in u.levels))):
             raise InvalidInputError(
                 f"unet.levels must be empty or >= 2 positive integers, got {u.levels!r}")
-        if not _is_int(self.head.sh_degree) or self.head.sh_degree < 0:
+        h, f = self.head, self.feature
+        if not _is_int(h.sh_degree) or h.sh_degree < 0:
+            raise InvalidInputError(f"head.sh_degree must be an integer >= 0, got {h.sh_degree!r}")
+        if h.kind not in HEAD_KINDS:
+            raise InvalidInputError(f"head.kind must be one of {HEAD_KINDS}, got {h.kind!r}")
+        if h.kind == "color-copy" and not (_is_int(f.channels) and f.channels >= 3):
             raise InvalidInputError(
-                f"head.sh_degree must be an integer >= 0, got {self.head.sh_degree!r}")
+                f"head.kind=color-copy needs feature.channels >= 3, got {f.channels!r}")
+        if f.kind == "external-file" and not f.path:
+            raise InvalidInputError("feature.kind=external-file needs a feature.path")
         bg = self.render.bg
         if not isinstance(bg, (list, tuple)) or len(bg) != 3 or not all(
                 isinstance(c, (int, float)) and not isinstance(c, bool) and math.isfinite(c)
@@ -273,8 +285,11 @@ def run_pipeline(views: Sequence[CameraView], config: PipelineConfig):
         path=config.feature.path,
     )
 
-    # Weight files are inputs: a missing, malformed or mis-shaped blob is a
-    # format error reported before any stage runs, not a stage failure.
+    # Weight blobs and the external feature file are inputs: a missing or
+    # malformed file (or a mis-shaped blob) is a format error reported before
+    # any stage runs, not a stage failure.
+    if fspec.kind == "external-file":
+        read_feature_file(fspec.path)
     channels = fspec.channels
     spec = UNetSpec(levels=tuple(config.unet.levels), blocks_per_level=config.unet.blocks)
     unet_weights = head_weights = None
@@ -332,14 +347,12 @@ def run_pipeline(views: Sequence[CameraView], config: PipelineConfig):
         if config.head.kind == "color-copy":
             raw = RawGaussianParams(_color_copy_raw(refined.feats, config.head),
                                     config.head.sh_degree)
-        elif config.head.kind == "linear":
+        else:  # "linear"; validate() admits only HEAD_KINDS
             head_w = head_weights
             if head_w is None:
                 head_w = random_head_weights(refined.feats.shape[1],
                                              config.head.sh_degree, config.head.seed)
             raw = decode_raw(refined, head_w, config.head.sh_degree)
-        else:
-            raise InvalidInputError(f"unknown head kind {config.head.kind!r}")
         radius = config.head.offset_radius_multiplier * config.voxel.size
         return activate_set(raw, grid.keys, config.voxel.size, radius,
                             config.head.symmetric_offset)

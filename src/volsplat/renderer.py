@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.ndimage import correlate
 
-from ._kernels import ALPHA_MAX, T_CUTOFF, composite_tile
+from ._kernels import composite_tile
 from .errors import FormatError, InvalidInputError
 from .gaussians import GaussianSet, quat_to_rotmat
 from .geometry import Extrinsics, Intrinsics
@@ -81,7 +81,6 @@ def eval_sh(sh: np.ndarray, degree: int, dirs: np.ndarray) -> np.ndarray:
 def _project_all(gset: GaussianSet, K: Intrinsics, E: Extrinsics):
     """Vectorized EWA projection of a whole set; returns per-splat arrays
     plus the surviving-index array (culled splats removed)."""
-    n = len(gset)
     centers = gset.centers.astype(float)
     p_cam = E.world_to_cam(centers)
     z = p_cam[:, 2]
@@ -174,6 +173,56 @@ def bin_tiles(tx0, tx1, ty0, ty1, nx: int, ny: int):
     return rows[by_tile], bounds
 
 
+def sorted_splats(gset: GaussianSet, K: Intrinsics, E: Extrinsics):
+    """Projected splats in global front-to-back order, with the original
+    index as the tiebreak: (mean2d, conics, z, colors, opacities, radius)."""
+    mean2d, conics, z, colors, ops, radius, idx = _project_all(gset, K, E)
+    order = np.lexsort((idx, z))
+    return (mean2d[order], conics[order], z[order], colors[order], ops[order],
+            radius[order])
+
+
+def rasterize(mean2d, conics, colors, ops, radius, h: int, w: int, threads: int = 1):
+    """Composite depth-sorted 2D splats front to back into an h x w image.
+
+    Each splat goes to every tile its radius touches, and each non-empty tile
+    is one `composite_tile` call over its splats in input order. Returns
+    (rgb, transmit): the accumulated colour and the remaining transmittance.
+    """
+    rgb = np.zeros((h, w, 3))
+    transmit = np.ones((h, w))
+    nx = -(-w // TILE)
+    ny = -(-h // TILE)
+    tx0 = np.clip(((mean2d[:, 0] - radius) // TILE).astype(int), 0, nx - 1)
+    tx1 = np.clip(((mean2d[:, 0] + radius) // TILE).astype(int), 0, nx - 1)
+    ty0 = np.clip(((mean2d[:, 1] - radius) // TILE).astype(int), 0, ny - 1)
+    ty1 = np.clip(((mean2d[:, 1] + radius) // TILE).astype(int), 0, ny - 1)
+    rows, bounds = bin_tiles(tx0, tx1, ty0, ty1, nx, ny)
+
+    def do_tile(t):
+        ty, tx = divmod(t, nx)
+        sel = rows[bounds[t] : bounds[t + 1]]
+        x0, y0 = tx * TILE, ty * TILE
+        tw = min(TILE, w - x0)
+        th = min(TILE, h - y0)
+        tile_rgb = np.zeros((th, tw, 3))
+        tile_T = np.ones((th, tw))
+        composite_tile(mean2d[sel], conics[sel], colors[sel], ops[sel],
+                       x0, y0, tile_rgb, tile_T)
+        rgb[y0 : y0 + th, x0 : x0 + tw] = tile_rgb
+        transmit[y0 : y0 + th, x0 : x0 + tw] = tile_T
+
+    tiles = np.flatnonzero(np.diff(bounds)).tolist()
+    if threads == 1:
+        for t in tiles:
+            do_tile(t)
+    else:
+        workers = threads if threads > 0 else None
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(do_tile, tiles))
+    return rgb, transmit
+
+
 def render(
     gset: GaussianSet,
     K: Intrinsics,
@@ -182,50 +231,9 @@ def render(
     threads: int = 1,
 ) -> RenderedImage:
     """Rasterize a Gaussian set into an RGB + alpha image."""
-    h, w = K.height, K.width
-    bg = np.asarray(bg, dtype=float)
-    rgb = np.zeros((h, w, 3))
-    transmit = np.ones((h, w))
-    if len(gset) > 0:
-        mean2d, conics, z, colors, ops, radius, idx = _project_all(gset, K, E)
-        # global front-to-back order with original index as the tiebreak
-        order = np.lexsort((idx, z))
-        mean2d, conics, colors, ops, radius = (
-            mean2d[order], conics[order], colors[order], ops[order], radius[order])
-
-        nx = -(-w // TILE)
-        ny = -(-h // TILE)
-        tx0 = np.clip(((mean2d[:, 0] - radius) // TILE).astype(int), 0, nx - 1)
-        tx1 = np.clip(((mean2d[:, 0] + radius) // TILE).astype(int), 0, nx - 1)
-        ty0 = np.clip(((mean2d[:, 1] - radius) // TILE).astype(int), 0, ny - 1)
-        ty1 = np.clip(((mean2d[:, 1] + radius) // TILE).astype(int), 0, ny - 1)
-
-        rows, bounds = bin_tiles(tx0, tx1, ty0, ty1, nx, ny)
-
-        def do_tile(t):
-            ty, tx = divmod(t, nx)
-            sel = rows[bounds[t] : bounds[t + 1]]
-            if sel.size == 0:
-                return
-            x0, y0 = tx * TILE, ty * TILE
-            tw = min(TILE, w - x0)
-            th = min(TILE, h - y0)
-            tile_rgb = np.zeros((th, tw, 3))
-            tile_T = np.ones((th, tw))
-            composite_tile(mean2d[sel], conics[sel], colors[sel], ops[sel],
-                           x0, y0, tile_rgb, tile_T)
-            rgb[y0 : y0 + th, x0 : x0 + tw] = tile_rgb
-            transmit[y0 : y0 + th, x0 : x0 + tw] = tile_T
-
-        if threads == 1:
-            for t in range(nx * ny):
-                do_tile(t)
-        else:
-            workers = threads if threads > 0 else None
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(do_tile, range(nx * ny)))
-
-    rgb = rgb + transmit[..., None] * bg
+    mean2d, conics, _, colors, ops, radius = sorted_splats(gset, K, E)
+    rgb, transmit = rasterize(mean2d, conics, colors, ops, radius, K.height, K.width, threads)
+    rgb = rgb + transmit[..., None] * np.asarray(bg, dtype=float)
     return RenderedImage(rgb=np.clip(rgb, 0.0, 1.0), alpha=1.0 - transmit)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import InvalidInputError
 from .gaussians import SH_C0, GaussianSet
 from .geometry import CameraView, Extrinsics, Intrinsics
-from .renderer import _project_all, render
+from .renderer import rasterize, render, sorted_splats
 
 DEFAULT_UP = (0.0, -1.0, 0.0)  # image-up in world coordinates (y points down)
 
@@ -258,28 +258,17 @@ def _garden_gaussians(spec: SceneSpec) -> GaussianSet:
 
 
 def _expected_depth(gset: GaussianSet, K: Intrinsics, E: Extrinsics):
-    """Alpha-weighted mean splat depth per pixel; valid where alpha > 0.5."""
-    h, w = K.height, K.width
-    mean2d, conics, z, colors, ops, radius, idx = _project_all(gset, K, E)
-    order = np.lexsort((idx, z))
-    mean2d, conics, z, ops = mean2d[order], conics[order], z[order], ops[order]
-    ys, xs = np.mgrid[0:h, 0:w]
-    transmit = np.ones((h, w))
-    acc_d = np.zeros((h, w))
-    acc_a = np.zeros((h, w))
-    for i in range(mean2d.shape[0]):
-        dx = xs - mean2d[i, 0]
-        dy = ys - mean2d[i, 1]
-        q = conics[i, 0] * dx * dx + 2 * conics[i, 1] * dx * dy + conics[i, 2] * dy * dy
-        alpha = np.minimum(0.99, ops[i] * np.exp(-0.5 * q))
-        live = transmit >= 1e-4
-        a = np.where(live, alpha, 0.0)
-        acc_d += a * transmit * z[i]
-        acc_a += a * transmit
-        transmit *= 1.0 - a
-    mask = acc_a > 0.5
-    depth = np.divide(acc_d, acc_a, out=np.ones((h, w)), where=acc_a > 0)
-    return depth, mask
+    """Alpha-weighted mean splat depth per pixel; valid where alpha > 0.5.
+
+    The splats are composited through the renderer's tile path with colour
+    [z, 1, 0]: channel 0 accumulates sum(alpha T z) and channel 1 sum(alpha T).
+    """
+    mean2d, conics, z, _, ops, radius = sorted_splats(gset, K, E)
+    colors = np.stack([z, np.ones_like(z), np.zeros_like(z)], axis=1)
+    rgb, _ = rasterize(mean2d, conics, colors, ops, radius, K.height, K.width)
+    acc_d, acc_a = rgb[..., 0], rgb[..., 1]
+    depth = np.divide(acc_d, acc_a, out=np.ones(acc_a.shape), where=acc_a > 0)
+    return depth, acc_a > 0.5
 
 
 def hold_out(views: Sequence, m: int):

@@ -176,12 +176,33 @@ class TestRun:
         ["render.bg=[1]"],
         ["render.bg=[0, 0, NaN]"],
         ["head.sh_degree=-1"],
+        ["head.kind=telepathic"],
+        ["head.kind=color-copy", "feature.channels=2"],
+        ["feature.kind=external-file"],
     ])
     def test_bad_config_value_exits_2(self, runner, scene_dir, tmp_path, overrides):
         extra = [arg for item in overrides for arg in ("-o", item)]
         res = runner.invoke(main, run_args(scene_dir, tmp_path / "x", *extra))
         assert_one_error_line(res, 2)
         assert "stage" not in res.stderr
+
+    @pytest.mark.parametrize("content", [None, b"", b"VSFT", b"nope" + bytes(12)])
+    def test_bad_external_feature_file_exits_2(self, runner, scene_dir, tmp_path, content):
+        path = tmp_path / "features.bin"
+        if content is not None:
+            path.write_bytes(content)
+        res = runner.invoke(main, run_args(scene_dir, tmp_path / "x", "-o",
+                                           "feature.kind=external-file", "-o",
+                                           f"feature.path={path}"))
+        assert_one_error_line(res, 2)
+        assert "stage" not in res.stderr
+
+    def test_feature_path_that_is_a_directory_exits_2(self, runner, scene_dir, tmp_path):
+        res = runner.invoke(main, run_args(scene_dir, tmp_path / "x", "-o",
+                                           "feature.kind=external-file", "-o",
+                                           f"feature.path={tmp_path}"))
+        assert_one_error_line(res, 2)
+        assert "cannot read feature file" in res.stderr
 
     def test_stage_failure_exits_1(self, runner, scene_dir, tmp_path):
         # voxel keys of a wall 2 units away at 1e-6 units overflow the U-Net's coordinate range
@@ -194,6 +215,31 @@ class TestRun:
         empty.mkdir()
         res = runner.invoke(main, ["run", "--scene", str(empty), "--out", str(tmp_path / "x")])
         assert res.exit_code == 2
+
+
+class TestDeterminism:
+    def test_outputs_identical_across_threads_and_view_order(
+            self, runner, scene_dir, tmp_path, kernel_backend):
+        # the same views, listed in reverse order
+        reverse = tmp_path / "reverse"
+        reverse.mkdir()
+        n = len(list(scene_dir.glob("view_*.json")))
+        for src in scene_dir.iterdir():
+            i = int(src.name[5:8])
+            (reverse / f"view_{n - 1 - i:03d}{src.suffix}").write_bytes(src.read_bytes())
+        runs = {}
+        for name, scene, threads in (("t1", scene_dir, 1), ("t2", scene_dir, 2),
+                                     ("t8", scene_dir, 8), ("rev", reverse, 2)):
+            res = runner.invoke(main, run_args(scene, tmp_path / name, "--threads", str(threads)))
+            assert res.exit_code == 0, res.output
+            runs[name] = file_hashes(tmp_path / name)
+            del runs[name]["timings.json"]
+        # render i of the reversed scene is of input view n - 1 - i
+        runs["rev"] = {
+            (f"renders/render_{n - 1 - int(k[-7:-4]):03d}.ppm" if k.startswith("renders") else k): v
+            for k, v in runs["rev"].items()}
+        assert len(runs["t1"]) == 3 + n
+        assert runs["t2"] == runs["t1"] and runs["t8"] == runs["t1"] and runs["rev"] == runs["t1"]
 
 
 def assert_one_error_line(res, code):

@@ -1,15 +1,20 @@
-"""The chunked numpy compositing kernel against the one-splat-at-a-time loop.
+"""The compositing kernels against their references.
 
-`composite_tile_sequential` below is the reference: the per-splat
-recurrence the chunked kernel replaced. Every comparison is on raw bytes.
+`composite_tile_sequential` below is the reference for the chunked numpy
+kernel: the per-splat recurrence that kernel replaced. They are compared on
+raw bytes. The C kernel (composite.c) is compared with the numpy kernel to
+1e-12, since it calls libm `exp` where numpy may use its own. The loader is
+checked to fall back to numpy whenever the C kernel cannot be built or loaded.
 """
+
+import shutil
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from volsplat import renderer
+from volsplat import _kernels, renderer
 from volsplat._kernels._composite_np import (
     ALPHA_MAX,
     CHUNK_ELEMENTS,
@@ -179,3 +184,163 @@ def test_render_matches_sequential_kernel_at_any_thread_count(monkeypatch):
     for out in outs[1:]:
         assert out.rgb.tobytes() == outs[0].rgb.tobytes()
         assert out.alpha.tobytes() == outs[0].alpha.tobytes()
+
+
+def assert_c_matches_numpy(c_kernel, splats, x0, y0, rgb, transmit):
+    rgb_a, t_a = rgb.copy(), transmit.copy()
+    rgb_b, t_b = rgb.copy(), transmit.copy()
+    composite_tile(*splats, x0, y0, rgb_a, t_a)
+    c_kernel(*splats, x0, y0, rgb_b, t_b)
+    np.testing.assert_allclose(rgb_b, rgb_a, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(t_b, t_a, rtol=0, atol=1e-12)
+
+
+class TestCKernel:
+    @pytest.mark.parametrize("n", [0, 1, FULL_TILE_CHUNK - 1, FULL_TILE_CHUNK,
+                                   FULL_TILE_CHUNK + 1, 5 * FULL_TILE_CHUNK + 3])
+    @pytest.mark.parametrize("max_opacity", [0.05, 1.0])
+    def test_full_tile(self, c_composite, n, max_opacity):
+        rng = np.random.default_rng(n)
+        splats = random_splats(rng, n, 0, 0, TILE, TILE, max_opacity)
+        assert_c_matches_numpy(c_composite, splats, 0, 0, *fresh(TILE, TILE))
+
+    @pytest.mark.parametrize("th,tw,x0,y0", [(16, 5, 48, 0), (7, 16, 16, 32),
+                                             (3, 2, 112, 80), (1, 1, 5, 9)])
+    def test_partial_tile_with_offset(self, c_composite, th, tw, x0, y0):
+        rng = np.random.default_rng(th * 100 + tw)
+        for n in (0, 1, 2 * FULL_TILE_CHUNK + 1, 300):
+            splats = random_splats(rng, n, x0, y0, th, tw)
+            assert_c_matches_numpy(c_composite, splats, x0, y0, *fresh(th, tw))
+
+    def test_near_opaque_splats_on_pixel_centres_clamp_alpha(self, c_composite):
+        rng = np.random.default_rng(16)
+        means, conics, colors, _ = random_splats(rng, 40, 0, 0, TILE, TILE)
+        means = np.floor(means)  # q = 0 at the pixel under each mean
+        ops = rng.uniform(0.995, 1.0, 40)
+        rgb, transmit = fresh(TILE, TILE)
+        assert_c_matches_numpy(c_composite, (means, conics, colors, ops), 0, 0, rgb, transmit)
+
+    def test_non_fresh_rgb_and_saturated_pixels(self, c_composite):
+        rng = np.random.default_rng(7)
+        rgb = rng.uniform(0, 1, (TILE, TILE, 3))
+        transmit = rng.uniform(0, 1, (TILE, TILE))
+        transmit[rng.uniform(size=transmit.shape) < 0.4] = rng.uniform(0, T_CUTOFF)
+        transmit[0] = T_CUTOFF  # exactly at the cutoff is still live
+        transmit[1] = np.nextafter(T_CUTOFF, 0.0)  # just below it is not
+        splats = random_splats(rng, 3 * FULL_TILE_CHUNK, 32, 16, TILE, TILE)
+        assert_c_matches_numpy(c_composite, splats, 32, 16, rgb, transmit)
+        out_rgb, out_t = rgb.copy(), transmit.copy()
+        c_composite(*splats, 32, 16, out_rgb, out_t)
+        assert (out_t[0] < T_CUTOFF).any()  # row 0 took splats
+        assert out_rgb[1].tobytes() == rgb[1].tobytes()
+        assert out_t[1].tobytes() == transmit[1].tobytes()
+
+    def test_non_contiguous_inputs_and_outputs(self, c_composite):
+        rng = np.random.default_rng(9)
+        splats = random_splats(rng, 50, 0, 0, TILE, TILE)
+        rgb_a, t_a = fresh(TILE, TILE)
+        composite_tile(*splats, 0, 0, rgb_a, t_a)
+        strided = tuple(np.repeat(a, 2, axis=0)[::2] for a in splats)
+        strided = (np.asfortranarray(strided[0]),) + strided[1:]
+        assert not any(a.flags.c_contiguous for a in strided[1:])
+        rgb_big, t_big = np.zeros((TILE, 2 * TILE, 3)), np.ones((TILE, 2 * TILE))
+        rgb_b, t_b = rgb_big[:, ::2], t_big[:, ::2]
+        c_composite(*strided, 0, 0, rgb_b, t_b)
+        np.testing.assert_allclose(rgb_b, rgb_a, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(t_b, t_a, rtol=0, atol=1e-12)
+        assert not rgb_big[:, 1::2].any() and (t_big[:, 1::2] == 1.0).all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 3 * FULL_TILE_CHUNK + 2),
+           th=st.integers(1, TILE), tw=st.integers(1, TILE),
+           x0=st.integers(0, 200), y0=st.integers(0, 200),
+           max_opacity=st.sampled_from([0.02, 0.5, 1.0]), saturated=st.floats(0.0, 1.0))
+    def test_random_tiles(self, c_composite, seed, n, th, tw, x0, y0, max_opacity, saturated):
+        rng = np.random.default_rng(seed)
+        splats = random_splats(rng, n, x0, y0, th, tw, max_opacity)
+        rgb = rng.uniform(0, 1, (th, tw, 3))
+        transmit = rng.uniform(0, 1, (th, tw))
+        transmit[rng.uniform(size=(th, tw)) < saturated] = T_CUTOFF * 0.999
+        assert_c_matches_numpy(c_composite, splats, x0, y0, rgb, transmit)
+
+    @pytest.mark.parametrize("bad", [
+        "means float32", "conics list", "means (n, 3)", "conics (n, 2)", "colors n - 1 rows",
+        "opacities (n, 1)", "means 1-D", "rgb 4 channels", "rgb other tile", "transmit 1-D",
+        "transmit float32", "x0 float", "rgb read-only",
+    ])
+    def test_wrapper_raises_on_bad_arguments(self, c_composite, bad):
+        rng = np.random.default_rng(14)
+        args = dict(zip(("means", "conics", "colors", "opacities"),
+                        random_splats(rng, 20, 0, 0, TILE, TILE)))
+        args.update(x0=0, y0=0, rgb=np.zeros((TILE, TILE, 3)), transmit=np.ones((TILE, TILE)))
+        name, change = bad.split(" ", 1)
+        a = args[name]
+        args[name] = {
+            "float32": lambda: a.astype(np.float32), "list": lambda: a.tolist(),
+            "(n, 3)": lambda: np.zeros((20, 3)), "(n, 2)": lambda: np.zeros((20, 2)),
+            "n - 1 rows": lambda: a[:-1], "(n, 1)": lambda: a[:, None],
+            "1-D": lambda: a.ravel(), "4 channels": lambda: np.zeros((TILE, TILE, 4)),
+            "other tile": lambda: np.zeros((TILE, 8, 3)), "float": lambda: 1.5,
+            "read-only": lambda: np.frombuffer(bytes(a.nbytes)).reshape(a.shape),
+        }[change]()
+        before = [np.array(args[k], copy=True) for k in ("rgb", "transmit")]
+        with pytest.raises((TypeError, ValueError)):
+            c_composite(**args)
+        for k, old in zip(("rgb", "transmit"), before):
+            assert np.array_equal(np.asarray(args[k]), old)
+
+
+@pytest.fixture
+def cache(tmp_path, monkeypatch):
+    """A fresh per-user cache directory, with VOLSPLAT_FORCE_NUMPY unset."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    monkeypatch.delenv("VOLSPLAT_FORCE_NUMPY", raising=False)
+    return tmp_path / "cache" / "volsplat"
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+class TestLoader:
+    def test_builds_once_into_the_user_cache(self, cache, tmp_path, monkeypatch):
+        kernel, backend = _kernels.select()
+        assert backend == "c" and kernel is not composite_tile
+        built = sorted(p.name for p in cache.iterdir())
+        assert len(built) == 1 and built[0].startswith("composite-") and built[0].endswith(".so")
+        # warm cache: no compiler is needed on the next import
+        monkeypatch.setenv("PATH", str(tmp_path))
+        assert _kernels.select()[1] == "c"
+        assert sorted(p.name for p in cache.iterdir()) == built
+
+    def test_force_numpy(self, cache, monkeypatch):
+        monkeypatch.setenv("VOLSPLAT_FORCE_NUMPY", "1")
+        assert _kernels.select() == (composite_tile, "numpy")
+
+    def test_falls_back_without_a_compiler(self, cache, tmp_path, monkeypatch):
+        monkeypatch.setenv("PATH", str(tmp_path))  # no cc on the path
+        assert _kernels.select() == (composite_tile, "numpy")
+        assert not cache.exists() or not any(cache.iterdir())
+
+    def test_falls_back_when_the_cache_is_unwritable(self, tmp_path, monkeypatch):
+        blocker = tmp_path / "file"
+        blocker.write_text("a file where the cache directory should be")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+        monkeypatch.delenv("VOLSPLAT_FORCE_NUMPY", raising=False)
+        assert _kernels.select() == (composite_tile, "numpy")
+
+    def test_falls_back_on_a_compile_error(self, tmp_path):
+        bad = tmp_path / "bad.c"
+        bad.write_text("this is not C\n")
+        out = tmp_path / "out"
+        assert _kernels.load(out, bad) is None
+        assert not any(out.iterdir())  # the temporary output is removed
+
+    def test_falls_back_on_a_broken_library(self, tmp_path):
+        lib = _kernels.build(tmp_path)
+        lib.write_bytes(b"not a shared library")
+        assert _kernels.load(tmp_path) is None
+
+    def test_source_change_gets_a_new_build(self, tmp_path):
+        edited = tmp_path / "composite.c"
+        edited.write_bytes(_kernels.SOURCE.read_bytes() + b"\n/* edited */\n")
+        out = tmp_path / "out"
+        assert _kernels.build(out) != _kernels.build(out, edited)
+        assert _kernels.load(out, edited) is not None

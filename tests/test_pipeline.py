@@ -113,6 +113,8 @@ class TestConfig:
         ("render", {"bg": (0.0, 0.0, 0.0, 0.0)}),
         ("render", {"bg": (0.0, float("inf"), 0.0)}),
         ("render", {"bg": (0.0, "0", 0.0)}),
+        ("head", {"kind": "telepathic"}),
+        ("feature", {"kind": "external-file"}),
     ])
     def test_validate_rejects(self, section, values):
         cfg = base_config(**{section: values})
@@ -211,12 +213,12 @@ class TestRunPipeline:
             run_pipeline(views, cfg)
         assert exc_info.value.stage == "refine"
 
-    def test_bad_head_kind_fails_in_decode(self):
+    def test_bad_head_kind_rejected_before_any_stage(self):
         views = wall_views()
         cfg = base_config(head={"kind": "telepathic"})
-        with pytest.raises(StageError) as exc_info:
+        with pytest.raises(InvalidInputError, match="head.kind") as exc_info:
             run_pipeline(views, cfg)
-        assert exc_info.value.stage == "decode"
+        assert not isinstance(exc_info.value, StageError)
 
     def test_rejects_too_few_views(self):
         views = wall_views(n_cams=2)

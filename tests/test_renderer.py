@@ -175,10 +175,9 @@ class TestRender:
 
 
 class TestBackendAgreement:
-    def test_numpy_and_compiled_kernels_match(self):
+    def test_numpy_and_compiled_kernels_match(self, c_composite):
         from volsplat._kernels import _composite_np
 
-        cy = pytest.importorskip("volsplat._kernels._composite_cy")
         rng = np.random.default_rng(3)
         n = 50
         means = rng.uniform(-4, 20, (n, 2))
@@ -191,9 +190,45 @@ class TestBackendAgreement:
         rgb_a = np.zeros((16, 16, 3)); t_a = np.ones((16, 16))
         rgb_b = np.zeros((16, 16, 3)); t_b = np.ones((16, 16))
         _composite_np.composite_tile(means, conics, colors, ops, 0, 0, rgb_a, t_a)
-        cy.composite_tile(means, conics, colors, ops, 0, 0, rgb_b, t_b)
+        c_composite(means, conics, colors, ops, 0, 0, rgb_b, t_b)
         np.testing.assert_allclose(rgb_b, rgb_a, atol=1e-12)
         np.testing.assert_allclose(t_b, t_a, atol=1e-12)
+
+    def test_backends_render_the_same_frame(self, c_composite, monkeypatch):
+        from volsplat import renderer
+        from volsplat._kernels import _composite_np
+
+        rng = np.random.default_rng(12)
+        n = 800
+        gset = make_set(
+            np.c_[rng.uniform(-0.6, 0.6, (n, 2)), rng.uniform(1.5, 5.0, n)],
+            rng.uniform(0, 1, (n, 3)), rng.uniform(0.05, 0.95, n),
+            rng.uniform(0.02, 0.2, (n, 3)),
+        )
+        outs = []
+        for kernel in (_composite_np.composite_tile, c_composite):
+            monkeypatch.setattr(renderer, "composite_tile", kernel)
+            outs.append(render(gset, K, E0, bg=(0.2, 0.4, 0.6), threads=2))
+        np.testing.assert_allclose(outs[1].rgb, outs[0].rgb, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(outs[1].alpha, outs[0].alpha, rtol=0, atol=1e-12)
+
+
+class TestDeterminismOnBothBackends:
+    def test_thread_count_and_splat_order_do_not_change_output(self, kernel_backend):
+        rng = np.random.default_rng(13)
+        n = 1500
+        centers = np.c_[rng.uniform(-0.6, 0.6, (n, 2)), rng.uniform(1.5, 5.0, n)]
+        colors = rng.uniform(0, 1, (n, 3))
+        ops = rng.uniform(0.02, 0.6, n)
+        scales = rng.uniform(0.05, 0.2, (n, 3))
+        outs = [render(make_set(centers, colors, ops, scales), K, E0, threads=t)
+                for t in (1, 2, 8)]
+        perm = rng.permutation(n)
+        outs.append(render(make_set(centers[perm], colors[perm], ops[perm], scales[perm]),
+                           K, E0, threads=2))
+        for out in outs[1:]:
+            assert out.rgb.tobytes() == outs[0].rgb.tobytes()
+            assert out.alpha.tobytes() == outs[0].alpha.tobytes()
 
 
 class TestMetrics:

@@ -3,9 +3,13 @@ import pytest
 
 from volsplat.errors import InvalidInputError
 from volsplat.geometry import project_point
+from volsplat.renderer import _project_all
 from volsplat.scenes import (
     CameraPose,
     SceneSpec,
+    _expected_depth,
+    _garden_gaussians,
+    _intrinsics,
     hold_out,
     look_at_extrinsics,
     synthesize,
@@ -155,6 +159,66 @@ class TestSynthesize:
         )
         with pytest.raises(InvalidInputError):
             synthesize(spec)
+
+
+def expected_depth_per_splat(gset, K, E):
+    """The whole-image, one-splat-at-a-time loop `_expected_depth` replaced."""
+    h, w = K.height, K.width
+    mean2d, conics, z, colors, ops, radius, idx = _project_all(gset, K, E)
+    order = np.lexsort((idx, z))
+    mean2d, conics, z, ops = mean2d[order], conics[order], z[order], ops[order]
+    ys, xs = np.mgrid[0:h, 0:w]
+    transmit = np.ones((h, w))
+    acc_d = np.zeros((h, w))
+    acc_a = np.zeros((h, w))
+    for i in range(mean2d.shape[0]):
+        dx = xs - mean2d[i, 0]
+        dy = ys - mean2d[i, 1]
+        q = conics[i, 0] * dx * dx + 2 * conics[i, 1] * dx * dy + conics[i, 2] * dy * dy
+        alpha = np.minimum(0.99, ops[i] * np.exp(-0.5 * q))
+        live = transmit >= 1e-4
+        a = np.where(live, alpha, 0.0)
+        acc_d += a * transmit * z[i]
+        acc_a += a * transmit
+        transmit *= 1.0 - a
+    mask = acc_a > 0.5
+    depth = np.divide(acc_d, acc_a, out=np.ones((h, w)), where=acc_a > 0)
+    return depth, mask
+
+
+def test_expected_depth_matches_per_splat_loop():
+    # The benchmark's garden rig: six cameras on a 0.25 ring around the surface.
+    # The tile path drops each splat outside its 3-sigma tiles, which the
+    # whole-image loop still adds, so depths agree to a tolerance, not exactly.
+    cams = [CameraPose((0.25 * np.cos(a), 0.25 * np.sin(a), 0.0), (0.0, 0.0, 2.0))
+            for a in 2 * np.pi * np.arange(6) / 6]
+    spec = SceneSpec(kind="gaussian-garden", cameras=cams, image_size=(64, 64), seed=0)
+    gset, K = _garden_gaussians(spec), _intrinsics(spec)
+    worst = 0.0
+    for cam in cams:
+        E = look_at_extrinsics(cam.position, cam.look_at, cam.up)
+        depth, mask = _expected_depth(gset, K, E)
+        want_depth, want_mask = expected_depth_per_splat(gset, K, E)
+        assert np.array_equal(mask, want_mask)
+        assert mask.mean() > 0.9
+        worst = max(worst, float(np.max(np.abs(depth - want_depth))))
+    assert worst < 5e-3
+
+
+def test_expected_depth_mask_on_translucent_splats():
+    # partial coverage, so the alpha > 0.5 mask has an edge to get right
+    from test_renderer import E0, K, make_set
+
+    rng = np.random.default_rng(15)
+    n = 300
+    gset = make_set(np.c_[rng.uniform(-0.5, 0.5, (n, 2)), rng.uniform(1.5, 4.0, n)],
+                    rng.uniform(0, 1, (n, 3)), rng.uniform(0.1, 0.5, n),
+                    rng.uniform(0.03, 0.1, (n, 3)))
+    depth, mask = _expected_depth(gset, K, E0)
+    want_depth, want_mask = expected_depth_per_splat(gset, K, E0)
+    assert 0.1 < mask.mean() < 0.9
+    assert np.array_equal(mask, want_mask)
+    np.testing.assert_allclose(depth[mask], want_depth[mask], rtol=0, atol=5e-3)
 
 
 class TestHoldOut:
