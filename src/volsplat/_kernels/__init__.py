@@ -1,16 +1,23 @@
-"""Compositing kernel backends.
+"""Compiled kernels and their numpy fallbacks.
 
-`composite.c` is the compiled kernel. On first import it is built with
-`cc -O2 -ffp-contract=off -fPIC -shared` into the per-user cache
+`kernels.c` holds the engine's two compiled kernels: `composite_tile`, the
+rasterizer's per-tile compositing loop, and `plane_sweep`, one (reference,
+neighbour) pair of the depth stage's cost volume. On first import it is built
+with `cc -O2 -ffp-contract=off -fPIC -shared` into the per-user cache
 ($XDG_CACHE_HOME or ~/.cache, then volsplat/), under a file name that carries
 a hash of the source and the flags, and loaded with ctypes, which releases the
 GIL for the length of each call, so render threads composite tiles in
-parallel. If the build or the load fails, or VOLSPLAT_FORCE_NUMPY=1 is set, the
-numpy kernel in `_composite_np` takes over. BACKEND names the kernel in use:
-"c" or "numpy".
+parallel. If the build or the load fails, or VOLSPLAT_FORCE_NUMPY=1 is set,
+both kernels fall back to numpy together: `composite_tile` is then the numpy
+kernel in `_composite_np`, and `plane_sweep` is None, which makes
+`features.build_cost_volume` run its own per-plane `warp_feature` loop.
+BACKEND names the kernels in use: "c" or "numpy".
 
-The two agree to about 1e-16 rather than bit for bit: the C kernel calls libm
-`exp`, and numpy may dispatch its own vectorised `exp`.
+Neither C kernel is bit-identical to its numpy counterpart, though both do
+the same operations in the same order. The compositing kernel agrees to about
+1e-16: it calls libm `exp`, and numpy may dispatch its own vectorised `exp`.
+The sweep agrees to about 1e-15: numpy's `einsum` and matmul order the
+channel sum and the camera transforms in their own way.
 """
 
 from __future__ import annotations
@@ -22,17 +29,23 @@ import os
 import subprocess
 import tempfile
 from pathlib import Path
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from . import _composite_np
 from ._composite_np import ALPHA_MAX, T_CUTOFF
 
-SOURCE = Path(__file__).with_name("composite.c")
+SOURCE = Path(__file__).with_name("kernels.c")
 # Fixed, whatever CC and CFLAGS say: -ffp-contract=off keeps the compiler from
-# fusing a * b + c into one rounding, so the C loop rounds like the numpy kernel.
+# fusing a * b + c into one rounding, so the C loops round like numpy does.
 FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 BUILD_TIMEOUT_S = 120
+
+
+class Kernels(NamedTuple):
+    composite_tile: Callable
+    plane_sweep: Optional[Callable]  # None on the numpy backend
 
 
 def cache_dir() -> Path:
@@ -47,7 +60,7 @@ def build(out_dir: Path, source: Path = SOURCE) -> Path:
     place, so a concurrent build or load never sees a partial file.
     """
     digest = hashlib.sha256(source.read_bytes() + "\0".join(FLAGS).encode()).hexdigest()
-    lib = Path(out_dir) / f"composite-{digest[:16]}.so"
+    lib = Path(out_dir) / f"{Path(source).stem}-{digest[:16]}.so"
     if lib.is_file():
         return lib
     lib.parent.mkdir(parents=True, exist_ok=True)
@@ -63,23 +76,24 @@ def build(out_dir: Path, source: Path = SOURCE) -> Path:
     return lib
 
 
-def load(out_dir: Path | None = None, source: Path = SOURCE):
-    """The C kernel's checked `composite_tile`, built into `out_dir` (the
-    per-user cache by default), or None when it cannot be built or loaded."""
+def load(out_dir: Path | None = None, source: Path = SOURCE) -> Optional[Kernels]:
+    """The checked C kernels, built into `out_dir` (the per-user cache by
+    default), or None when they cannot be built or loaded."""
     try:
         lib = ctypes.CDLL(str(build(cache_dir() if out_dir is None else out_dir, source)))
-        fn = lib.composite_tile
+        composite, sweep = lib.composite_tile, lib.plane_sweep
     except (OSError, AttributeError, subprocess.SubprocessError):
         return None
     ptr, size = ctypes.c_void_p, ctypes.c_long
-    fn.argtypes = [ptr, ptr, ptr, ptr, size, size, size, size, size, ptr, ptr]
-    fn.restype = None
-    return _checked(fn)
+    composite.argtypes = [ptr, ptr, ptr, ptr, size, size, size, size, size, ptr, ptr]
+    sweep.argtypes = [ptr, ptr, size, size, size, ptr, ptr, ptr, size, ptr, ptr]
+    composite.restype = sweep.restype = None
+    return Kernels(_checked(composite), _checked_sweep(sweep))
 
 
-def _float64(name: str, a) -> np.ndarray:
+def _float64(kernel: str, name: str, a) -> np.ndarray:
     if not isinstance(a, np.ndarray) or a.dtype != np.float64:
-        raise TypeError(f"composite_tile: {name} must be a float64 ndarray, "
+        raise TypeError(f"{kernel}: {name} must be a float64 ndarray, "
                         f"got {getattr(a, 'dtype', type(a).__name__)}")
     return a
 
@@ -93,7 +107,7 @@ def _checked(fn):
     """
 
     def composite_tile(means, conics, colors, opacities, x0, y0, rgb, transmit):
-        arrays = {name: _float64(name, a) for name, a in (
+        arrays = {name: _float64("composite_tile", name, a) for name, a in (
             ("means", means), ("conics", conics), ("colors", colors),
             ("opacities", opacities), ("rgb", rgb), ("transmit", transmit))}
         n = means.shape[0] if means.ndim == 2 else -1
@@ -119,15 +133,70 @@ def _checked(fn):
     return composite_tile
 
 
+def _camera(name: str, cam) -> np.ndarray:
+    """An (Intrinsics, Extrinsics) pair as the 16 doubles kernels.c reads:
+    fx, fy, cx, cy, then R row by row, then T."""
+    K, E = cam
+    packed = np.concatenate(([K.fx, K.fy, K.cx, K.cy],
+                             np.asarray(E.R, dtype=np.float64).ravel(),
+                             np.asarray(E.T, dtype=np.float64).ravel()))
+    if packed.shape != (16,):
+        raise ValueError(f"plane_sweep: {name} must hold a 3x3 R and a 3-vector T")
+    return packed
+
+
+def _checked_sweep(fn):
+    """Wrap the raw C plane sweep in a checked Python signature.
+
+    Every array must already be a C-contiguous float64 array of the right
+    shape; nothing is copied, and any mismatch raises before a pointer is
+    passed.
+    """
+
+    def plane_sweep(ref, nbr, ref_cam, nbr_cam, depths, acc, n_valid):
+        """Add one neighbour's plane-sweep scores into acc and n_valid.
+
+        ref and nbr are (h, w, c) feature grids, the cameras (Intrinsics,
+        Extrinsics) pairs at feature resolution, depths the (d,) planes, and
+        acc and n_valid (h, w, d) arrays that are updated in place.
+        """
+        arrays = {name: _float64("plane_sweep", name, a) for name, a in (
+            ("ref", ref), ("nbr", nbr), ("depths", depths), ("acc", acc),
+            ("n_valid", n_valid))}
+        if ref.ndim != 3:
+            raise ValueError(f"plane_sweep: ref has shape {ref.shape}, expected (h, w, c)")
+        if depths.ndim != 1:
+            raise ValueError(f"plane_sweep: depths has shape {depths.shape}, expected (d,)")
+        h, w, c = ref.shape
+        expected = {"nbr": (h, w, c), "acc": (h, w, depths.size),
+                    "n_valid": (h, w, depths.size)}
+        for name, shape in expected.items():
+            if arrays[name].shape != shape:
+                raise ValueError(f"plane_sweep: {name} has shape "
+                                 f"{arrays[name].shape}, expected {shape}")
+        for name, a in arrays.items():
+            if not a.flags.c_contiguous:
+                raise ValueError(f"plane_sweep: {name} must be C-contiguous")
+        if not (acc.flags.writeable and n_valid.flags.writeable):
+            raise ValueError("plane_sweep: acc and n_valid must be writeable")
+        cams = [_camera("ref_cam", ref_cam), _camera("nbr_cam", nbr_cam)]
+        fn(ref.ctypes.data, nbr.ctypes.data, h, w, c, cams[0].ctypes.data,
+           cams[1].ctypes.data, depths.ctypes.data, depths.size,
+           acc.ctypes.data, n_valid.ctypes.data)
+
+    return plane_sweep
+
+
 def select():
-    """(composite_tile, backend name) for this process."""
+    """(Kernels, backend name) for this process."""
     if os.environ.get("VOLSPLAT_FORCE_NUMPY") != "1":
         compiled = load()
         if compiled is not None:
             return compiled, "c"
-    return _composite_np.composite_tile, "numpy"
+    return Kernels(_composite_np.composite_tile, None), "numpy"
 
 
-composite_tile, BACKEND = select()
+(composite_tile, plane_sweep), BACKEND = select()
 
-__all__ = ["composite_tile", "BACKEND", "ALPHA_MAX", "T_CUTOFF", "build", "load", "select"]
+__all__ = ["composite_tile", "plane_sweep", "BACKEND", "Kernels", "ALPHA_MAX", "T_CUTOFF",
+           "build", "load", "select"]

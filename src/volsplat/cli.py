@@ -13,7 +13,7 @@ from importlib import resources
 import click
 import numpy as np
 
-from . import __version__
+from . import KERNEL_BACKEND, __version__
 from .errors import StageError, VolsplatError
 from .gaussians import export_ply, import_ply, write_summary
 from .pipeline import PipelineConfig, evaluate, run_pipeline
@@ -33,7 +33,8 @@ def _fail(exc: Exception) -> "click.exceptions.Exit":
 def _print_version(ctx, param, value):
     if not value or ctx.resilient_parsing:
         return
-    click.echo(f"volsplat {__version__} (config schema v{CONFIG_SCHEMA_VERSION})")
+    click.echo(f"volsplat {__version__} (config schema v{CONFIG_SCHEMA_VERSION}, "
+               f"kernel {KERNEL_BACKEND})")
     ctx.exit(0)
 
 

@@ -102,9 +102,12 @@ class GaussianSet:
     def __post_init__(self):
         n = self.centers.shape[0]
         for name in ("centers", "opacity_logits", "log_scales", "rotations", "sh"):
-            arr = np.asarray(getattr(self, name), dtype=np.float32)
+            with np.errstate(over="ignore"):  # a value past float32's range fails below
+                arr = np.asarray(getattr(self, name), dtype=np.float32)
             if arr.shape[0] != n:
                 raise InvalidInputError(f"{name} length mismatch")
+            if not np.all(np.isfinite(arr)):
+                raise InvalidInputError(f"{name} holds non-finite values")
             setattr(self, name, arr)
         if self.sh.shape[1] != 3 * (self.sh_degree + 1) ** 2:
             raise InvalidInputError("SH coefficient count does not match degree")
@@ -287,18 +290,19 @@ def import_ply(path) -> GaussianSet:
         raise FormatError(f"{path}: payload holds {len(raw) - start} bytes, "
                           f"header declares {need}")
     data = np.frombuffer(raw, dtype="<f4", count=count * len(names), offset=start)
-    if not np.all(np.isfinite(data)):
-        raise FormatError(f"{path}: non-finite values in payload")
     data = data.reshape(count, len(names))
     off = 6 + n_rest
-    return GaussianSet(
-        centers=data[:, 0:3].copy(),
-        opacity_logits=data[:, off].copy(),
-        log_scales=data[:, off + 1 : off + 4].copy(),
-        rotations=data[:, off + 4 : off + 8].copy(),
-        sh=data[:, 3:off].copy(),
-        sh_degree=sh_degree,
-    )
+    try:
+        return GaussianSet(
+            centers=data[:, 0:3].copy(),
+            opacity_logits=data[:, off].copy(),
+            log_scales=data[:, off + 1 : off + 4].copy(),
+            rotations=data[:, off + 4 : off + 8].copy(),
+            sh=data[:, 3:off].copy(),
+            sh_degree=sh_degree,
+        )
+    except InvalidInputError as e:  # a non-finite field
+        raise FormatError(f"{path}: {e}") from None
 
 
 def summarize(gset: GaussianSet) -> dict:

@@ -290,6 +290,10 @@ def run_pipeline(views: Sequence[CameraView], config: PipelineConfig):
     # any stage runs, not a stage failure.
     if fspec.kind == "external-file":
         read_feature_file(fspec.path)
+        if len(views) > 1:
+            raise InvalidInputError(
+                f"feature.kind=external-file gives every view the one grid in feature.path, "
+                f"so it takes a single view, got {len(views)}")
     channels = fspec.channels
     spec = UNetSpec(levels=tuple(config.unet.levels), blocks_per_level=config.unet.blocks)
     unet_weights = head_weights = None

@@ -3,14 +3,14 @@
 The acceptance tests register one PASS/FAIL line each in GATE_LINES; the
 terminal-summary hook prints them after the run so the gate outcome is
 visible in any log, independent of output capture. The kernel fixtures run
-a test on the compiled compositing kernel, or once on each backend.
+a test on the compiled kernels, or once on each backend.
 """
 
 import shutil
 
 import pytest
 
-from volsplat import _kernels, renderer
+from volsplat import _kernels, features, renderer
 from volsplat._kernels import _composite_np
 
 GATE_LINES = []
@@ -24,19 +24,31 @@ def pytest_terminal_summary(terminalreporter):
 
 
 @pytest.fixture(scope="session")
-def c_composite(tmp_path_factory):
-    """The shipped composite.c, compiled into a fresh directory and loaded."""
+def c_kernels(tmp_path_factory):
+    """The shipped kernels.c, compiled into a fresh directory and loaded."""
     if shutil.which("cc") is None:
         pytest.skip("no C compiler")
-    kernel = _kernels.load(tmp_path_factory.mktemp("kernel"))
-    assert kernel is not None, "composite.c did not build or load"
-    return kernel
+    kernels = _kernels.load(tmp_path_factory.mktemp("kernel"))
+    assert kernels is not None, "kernels.c did not build or load"
+    return kernels
+
+
+@pytest.fixture(scope="session")
+def c_composite(c_kernels):
+    return c_kernels.composite_tile
+
+
+@pytest.fixture(scope="session")
+def c_sweep(c_kernels):
+    return c_kernels.plane_sweep
 
 
 @pytest.fixture(params=["numpy", "c"])
 def kernel_backend(request, monkeypatch):
-    """Run the test once per compositing backend, patched into the renderer."""
-    kernel = (_composite_np.composite_tile if request.param == "numpy"
-              else request.getfixturevalue("c_composite"))
-    monkeypatch.setattr(renderer, "composite_tile", kernel)
+    """Run the test once per kernel backend, patched into the renderer and
+    the depth stage as `_kernels.select` would set them."""
+    kernels = (_kernels.Kernels(_composite_np.composite_tile, None) if request.param == "numpy"
+               else request.getfixturevalue("c_kernels"))
+    monkeypatch.setattr(renderer, "composite_tile", kernels.composite_tile)
+    monkeypatch.setattr(features, "plane_sweep", kernels.plane_sweep)
     return request.param

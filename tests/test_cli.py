@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from volsplat import __version__
+from volsplat import KERNEL_BACKEND, __version__
 from volsplat.cli import main, report_schema
+from volsplat.features import write_feature_file
 from volsplat.gaussians import GaussianSet, export_ply
 from volsplat.sceneio import load_scene, read_depth, save_scene, write_depth
 from volsplat.scenes import CameraPose, SceneSpec, synthesize
@@ -59,6 +60,8 @@ class TestVersion:
         res = runner.invoke(main, ["--version"])
         assert res.exit_code == 0
         assert __version__ in res.output
+        assert res.output.strip().endswith(f", kernel {KERNEL_BACKEND})")
+        assert KERNEL_BACKEND in ("c", "numpy")
 
 
 class TestSynth:
@@ -204,6 +207,17 @@ class TestRun:
         assert_one_error_line(res, 2)
         assert "cannot read feature file" in res.stderr
 
+    def test_external_feature_file_with_several_views_exits_2(self, runner, scene_dir, tmp_path):
+        # one feature.path would give all three views the same grid
+        path = tmp_path / "features.bin"
+        write_feature_file(path, np.zeros((24, 24, 6)))
+        res = runner.invoke(main, run_args(scene_dir, tmp_path / "x", "-o",
+                                           "feature.kind=external-file", "-o",
+                                           f"feature.path={path}"))
+        assert_one_error_line(res, 2)
+        assert "single view, got 3" in res.stderr and "stage" not in res.stderr
+        assert not (tmp_path / "x").exists()
+
     def test_stage_failure_exits_1(self, runner, scene_dir, tmp_path):
         # voxel keys of a wall 2 units away at 1e-6 units overflow the U-Net's coordinate range
         res = runner.invoke(main, run_args(scene_dir, tmp_path / "x", "-o", "voxel.size=1e-6"))
@@ -220,26 +234,37 @@ class TestRun:
 class TestDeterminism:
     def test_outputs_identical_across_threads_and_view_order(
             self, runner, scene_dir, tmp_path, kernel_backend):
-        # the same views, listed in reverse order
-        reverse = tmp_path / "reverse"
-        reverse.mkdir()
-        n = len(list(scene_dir.glob("view_*.json")))
-        for src in scene_dir.iterdir():
-            i = int(src.name[5:8])
-            (reverse / f"view_{n - 1 - i:03d}{src.suffix}").write_bytes(src.read_bytes())
-        runs = {}
-        for name, scene, threads in (("t1", scene_dir, 1), ("t2", scene_dir, 2),
-                                     ("t8", scene_dir, 8), ("rev", reverse, 2)):
-            res = runner.invoke(main, run_args(scene, tmp_path / name, "--threads", str(threads)))
-            assert res.exit_code == 0, res.output
-            runs[name] = file_hashes(tmp_path / name)
-            del runs[name]["timings.json"]
-        # render i of the reversed scene is of input view n - 1 - i
-        runs["rev"] = {
-            (f"renders/render_{n - 1 - int(k[-7:-4]):03d}.ppm" if k.startswith("renders") else k): v
-            for k, v in runs["rev"].items()}
-        assert len(runs["t1"]) == 3 + n
-        assert runs["t2"] == runs["t1"] and runs["t8"] == runs["t1"] and runs["rev"] == runs["t1"]
+        assert_outputs_identical_across_threads_and_view_order(runner, scene_dir, tmp_path)
+
+    def test_estimated_depth_outputs_identical_across_threads_and_view_order(
+            self, runner, scene_dir, tmp_path, kernel_backend):
+        # the plane sweep runs, on the backend under test
+        assert_outputs_identical_across_threads_and_view_order(
+            runner, scene_dir, tmp_path, "-o", "depth.use_gt=false")
+
+
+def assert_outputs_identical_across_threads_and_view_order(runner, scene_dir, tmp_path, *extra):
+    # the same views, listed in reverse order
+    reverse = tmp_path / "reverse"
+    reverse.mkdir()
+    n = len(list(scene_dir.glob("view_*.json")))
+    for src in scene_dir.iterdir():
+        i = int(src.name[5:8])
+        (reverse / f"view_{n - 1 - i:03d}{src.suffix}").write_bytes(src.read_bytes())
+    runs = {}
+    for name, scene, threads in (("t1", scene_dir, 1), ("t2", scene_dir, 2),
+                                 ("t8", scene_dir, 8), ("rev", reverse, 2)):
+        res = runner.invoke(main, run_args(scene, tmp_path / name, "--threads", str(threads),
+                                           *extra))
+        assert res.exit_code == 0, res.output
+        runs[name] = file_hashes(tmp_path / name)
+        del runs[name]["timings.json"]
+    # render i of the reversed scene is of input view n - 1 - i
+    runs["rev"] = {
+        (f"renders/render_{n - 1 - int(k[-7:-4]):03d}.ppm" if k.startswith("renders") else k): v
+        for k, v in runs["rev"].items()}
+    assert len(runs["t1"]) == 3 + n
+    assert runs["t2"] == runs["t1"] and runs["t8"] == runs["t1"] and runs["rev"] == runs["t1"]
 
 
 def assert_one_error_line(res, code):
@@ -305,6 +330,21 @@ class TestEval:
         raw = bytearray(small_ply(ply))
         start = raw.find(b"end_header\n") + len(b"end_header\n")
         raw[start : start + 4] = np.float32("nan").tobytes()
+        ply.write_bytes(bytes(raw))
+        res = runner.invoke(main, self.eval_args(ply, scene_dir, tmp_path))
+        assert_one_error_line(res, 2)
+        assert "non-finite" in res.stderr
+
+    @pytest.mark.parametrize("field,value", [("opacity", np.inf), ("scale_1", -np.inf),
+                                             ("rot_3", np.nan), ("f_dc_2", np.inf)])
+    def test_non_finite_field_ply_exits_2(self, runner, scene_dir, tmp_path, field, value):
+        ply = tmp_path / "bad.ply"
+        raw = bytearray(small_ply(ply))
+        start = raw.find(b"end_header\n") + len(b"end_header\n")
+        names = [ln.split()[-1] for ln in raw[:start].decode().splitlines()
+                 if ln.startswith("property")]
+        at = start + 4 * (2 * len(names) + names.index(field))  # third splat
+        raw[at : at + 4] = np.float32(value).tobytes()
         ply.write_bytes(bytes(raw))
         res = runner.invoke(main, self.eval_args(ply, scene_dir, tmp_path))
         assert_one_error_line(res, 2)

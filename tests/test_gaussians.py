@@ -148,6 +148,19 @@ def random_set(rng, n=50, sh_degree=0):
     )
 
 
+FIELDS = ("centers", "opacity_logits", "log_scales", "rotations", "sh")
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e39])  # 1e39 overflows float32
+def test_gaussian_set_rejects_non_finite_payload(field, value):
+    arrays = {name: getattr(random_set(np.random.default_rng(12), n=4), name).astype(float)
+              for name in FIELDS}
+    arrays[field].flat[-1] = value
+    with pytest.raises(InvalidInputError, match=f"{field} holds non-finite values"):
+        GaussianSet(**arrays)
+
+
 class TestPly:
     @pytest.mark.parametrize("deg", [0, 1, 2])
     def test_bit_exact_roundtrip(self, tmp_path, deg):

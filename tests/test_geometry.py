@@ -288,11 +288,16 @@ class TestBilinearSampleOracle:
 
 def test_cost_volume_matches_reference_sampler(monkeypatch):
     """The acceptance-09 wall scene gives a byte-identical cost volume through
-    the padded gather and through the reference sampler."""
+    the padded gather and through the reference sampler. Both run on the numpy
+    backend: the compiled sweep calls neither sampler (test_plane_sweep.py
+    compares it with this one)."""
+    from volsplat import features
     from volsplat.features import (
         FeatureExtractorSpec, build_cost_volume, extract_features, sample_depth_hypotheses,
     )
     from volsplat.scenes import CameraPose, SceneSpec, synthesize
+
+    monkeypatch.setattr(features, "plane_sweep", None)
 
     cams_spec = [CameraPose((0.3 * i, 0.0, 0.0), (0.0, 0.0, 2.0)) for i in range(3)]
     spec = SceneSpec(kind="textured-wall", cameras=cams_spec, image_size=(64, 64),

@@ -1,13 +1,19 @@
-"""The compositing kernels against their references.
+"""The compositing kernels against their references, and the kernel loader.
 
 `composite_tile_sequential` below is the reference for the chunked numpy
 kernel: the per-splat recurrence that kernel replaced. They are compared on
-raw bytes. The C kernel (composite.c) is compared with the numpy kernel to
+raw bytes. The C kernel (kernels.c) is compared with the numpy kernel to
 1e-12, since it calls libm `exp` where numpy may use its own. The loader is
-checked to fall back to numpy whenever the C kernel cannot be built or loaded.
+checked to switch both compiled kernels (compositing and the plane sweep,
+whose own agreement test is test_plane_sweep.py) to numpy together whenever
+the library cannot be built or loaded, or VOLSPLAT_FORCE_NUMPY=1 is set.
 """
 
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -290,6 +296,9 @@ class TestCKernel:
             assert np.array_equal(np.asarray(args[k]), old)
 
 
+NUMPY = _kernels.Kernels(composite_tile, None)  # both kernels on the numpy backend
+
+
 @pytest.fixture
 def cache(tmp_path, monkeypatch):
     """A fresh per-user cache directory, with VOLSPLAT_FORCE_NUMPY unset."""
@@ -301,10 +310,11 @@ def cache(tmp_path, monkeypatch):
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
 class TestLoader:
     def test_builds_once_into_the_user_cache(self, cache, tmp_path, monkeypatch):
-        kernel, backend = _kernels.select()
-        assert backend == "c" and kernel is not composite_tile
+        kernels, backend = _kernels.select()
+        assert backend == "c" and kernels.composite_tile is not composite_tile
+        assert kernels.plane_sweep is not None
         built = sorted(p.name for p in cache.iterdir())
-        assert len(built) == 1 and built[0].startswith("composite-") and built[0].endswith(".so")
+        assert len(built) == 1 and built[0].startswith("kernels-") and built[0].endswith(".so")
         # warm cache: no compiler is needed on the next import
         monkeypatch.setenv("PATH", str(tmp_path))
         assert _kernels.select()[1] == "c"
@@ -312,11 +322,24 @@ class TestLoader:
 
     def test_force_numpy(self, cache, monkeypatch):
         monkeypatch.setenv("VOLSPLAT_FORCE_NUMPY", "1")
-        assert _kernels.select() == (composite_tile, "numpy")
+        assert _kernels.select() == (NUMPY, "numpy")
+
+    @pytest.mark.parametrize("force,expect", [("0", "c False False"), ("1", "numpy True True")])
+    def test_force_numpy_switches_both_kernels_at_import(self, cache, force, expect):
+        # a fresh interpreter: the renderer and the depth stage read the kernels at import
+        probe = ("import volsplat, volsplat.features as f, volsplat.renderer as r\n"
+                 "from volsplat._kernels import _composite_np as np_\n"
+                 "print(volsplat.KERNEL_BACKEND, f.plane_sweep is None,"
+                 " r.composite_tile is np_.composite_tile)")
+        src = Path(_kernels.__file__).parents[2]  # the directory holding volsplat/
+        env = dict(os.environ, VOLSPLAT_FORCE_NUMPY=force, PYTHONPATH=str(src))
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.strip() == expect
 
     def test_falls_back_without_a_compiler(self, cache, tmp_path, monkeypatch):
         monkeypatch.setenv("PATH", str(tmp_path))  # no cc on the path
-        assert _kernels.select() == (composite_tile, "numpy")
+        assert _kernels.select() == (NUMPY, "numpy")
         assert not cache.exists() or not any(cache.iterdir())
 
     def test_falls_back_when_the_cache_is_unwritable(self, tmp_path, monkeypatch):
@@ -324,7 +347,7 @@ class TestLoader:
         blocker.write_text("a file where the cache directory should be")
         monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
         monkeypatch.delenv("VOLSPLAT_FORCE_NUMPY", raising=False)
-        assert _kernels.select() == (composite_tile, "numpy")
+        assert _kernels.select() == (NUMPY, "numpy")
 
     def test_falls_back_on_a_compile_error(self, tmp_path):
         bad = tmp_path / "bad.c"
@@ -339,7 +362,7 @@ class TestLoader:
         assert _kernels.load(tmp_path) is None
 
     def test_source_change_gets_a_new_build(self, tmp_path):
-        edited = tmp_path / "composite.c"
+        edited = tmp_path / "kernels.c"
         edited.write_bytes(_kernels.SOURCE.read_bytes() + b"\n/* edited */\n")
         out = tmp_path / "out"
         assert _kernels.build(out) != _kernels.build(out, edited)

@@ -4,8 +4,9 @@ import json
 import numpy as np
 import pytest
 
+from volsplat import features
 from volsplat.errors import InvalidInputError, StageError
-from volsplat.features import FeatureExtractorSpec, extract_features
+from volsplat.features import FeatureExtractorSpec, extract_features, write_feature_file
 from volsplat.pipeline import PipelineConfig, _estimate_depths, evaluate, run_pipeline
 from volsplat.scenes import CameraPose, SceneSpec, hold_out, synthesize
 
@@ -143,6 +144,15 @@ class TestRunPipeline:
         gset, diag = run_pipeline(views, cfg)
         assert len(gset) > 0
 
+    def test_external_feature_file_runs_on_a_single_view(self, tmp_path):
+        path = tmp_path / "features.bin"
+        write_feature_file(path, np.random.default_rng(3).uniform(-0.5, 0.5, (24, 24, 6)))
+        cfg = base_config(feature={"kind": "external-file", "path": str(path)})
+        gset, diag = run_pipeline(wall_views(n_cams=2)[:1], cfg)
+        assert len(gset) > 0 and diag["point_count"] == 24 * 24
+        with pytest.raises(InvalidInputError, match="single view, got 2"):
+            run_pipeline(wall_views(n_cams=2), cfg)
+
     def test_determinism_bit_exact(self):
         views = wall_views()
         a, _ = run_pipeline(views, base_config())
@@ -227,7 +237,7 @@ class TestRunPipeline:
             run_pipeline(views[:1], cfg)
 
 
-def test_estimated_depths_independent_of_view_order():
+def test_estimated_depths_independent_of_view_order(monkeypatch, c_sweep):
     cams = [CameraPose((0.3 * np.cos(a), 0.1 * i, 0.3 * np.sin(a)), (0.0, 0.0, 2.0))
             for i, a in enumerate(np.linspace(0, 1.5 * np.pi, 4))]
     spec = SceneSpec(kind="sphere", cameras=cams, image_size=(32, 32), seed=2)
@@ -235,11 +245,13 @@ def test_estimated_depths_independent_of_view_order():
     cfg = base_config(depth={"use_gt": False, "num_hypotheses": 6})
     fspec = FeatureExtractorSpec(channels=cfg.feature.channels, scale=cfg.feature.scale)
     fmaps = [extract_features(v, fspec) for v in views]
-    want = [d.values.tobytes() for d in _estimate_depths(views, fmaps, cfg)]
-    for order in itertools.permutations(range(4)):
-        depths = _estimate_depths([views[i] for i in order], [fmaps[i] for i in order], cfg)
-        got = {i: d.values.tobytes() for i, d in zip(order, depths)}
-        assert [got[i] for i in range(4)] == want, order
+    for sweep in (None, c_sweep):  # the numpy and the compiled plane sweep
+        monkeypatch.setattr(features, "plane_sweep", sweep)
+        want = [d.values.tobytes() for d in _estimate_depths(views, fmaps, cfg)]
+        for order in itertools.permutations(range(4)):
+            depths = _estimate_depths([views[i] for i in order], [fmaps[i] for i in order], cfg)
+            got = {i: d.values.tobytes() for i, d in zip(order, depths)}
+            assert [got[i] for i in range(4)] == want, (sweep, order)
 
 
 class TestEvaluate:
