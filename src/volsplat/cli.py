@@ -65,7 +65,8 @@ def cmd_synth(spec_path, out_dir):
 
 
 @main.command("run")
-@click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False))
+@click.option("--config", "config_path", type=click.Path(),
+              help="JSON config file; a missing or malformed one is a config error.")
 @click.option("--scene", "scene_dir", required=True, type=click.Path(exists=True, file_okay=False))
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
 @click.option("--ablate", type=click.Choice(["no-decoder"]), default=None,

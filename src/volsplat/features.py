@@ -7,19 +7,18 @@ feature grid at 1/s resolution.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from ._kernels import plane_sweep
-from .errors import FormatError, InvalidInputError
+from .errors import InvalidInputError
 from .geometry import CameraView, DepthMap, Intrinsics, bilinear_sample, warp_feature
 
 _ALLOWED_SCALES = (1, 2, 4, 8)
 DEPTH_SPACINGS = ("linear", "inverse")
-FEATURE_MAGIC = b"VSFM"
+FEATURE_KINDS = ("gradient-descriptor", "random-projection")
 
 
 @dataclass
@@ -53,19 +52,20 @@ class CostVolume:
 
 @dataclass(frozen=True)
 class FeatureExtractorSpec:
-    kind: str = "gradient-descriptor"  # | random-projection | external-file
+    kind: str = "gradient-descriptor"  # one of FEATURE_KINDS
     channels: int = 32
     scale: int = 4
     seed: int = 0
-    path: str = ""  # only for external-file
 
     def __post_init__(self):
-        if self.kind not in ("gradient-descriptor", "random-projection", "external-file"):
-            raise InvalidInputError(f"unknown extractor kind {self.kind!r}")
+        if self.kind not in FEATURE_KINDS:
+            raise InvalidInputError(f"feature.kind must be one of {FEATURE_KINDS}, "
+                                    f"got {self.kind!r}")
         if self.channels < 1:
-            raise InvalidInputError("channels must be >= 1")
+            raise InvalidInputError(f"feature.channels must be >= 1, got {self.channels}")
         if self.scale not in _ALLOWED_SCALES:
-            raise InvalidInputError(f"scale must be one of {_ALLOWED_SCALES}")
+            raise InvalidInputError(f"feature.scale must be one of {_ALLOWED_SCALES}, "
+                                    f"got {self.scale}")
 
 
 def _luma(img: np.ndarray) -> np.ndarray:
@@ -109,28 +109,6 @@ def _random_projection(img: np.ndarray, spec: FeatureExtractorSpec) -> np.ndarra
     return patches @ proj
 
 
-def read_feature_file(path) -> np.ndarray:
-    try:
-        with open(path, "rb") as f:
-            header = f.read(16)
-            if len(header) != 16 or header[:4] != FEATURE_MAGIC:
-                raise FormatError(f"{path}: bad feature-file header")
-            h, w, c = struct.unpack("<III", header[4:])
-            data = np.fromfile(f, dtype="<f4")
-    except OSError as e:
-        raise FormatError(f"{path}: cannot read feature file: {e.strerror}") from e
-    if data.size != h * w * c:
-        raise FormatError(f"{path}: payload size does not match header {h}x{w}x{c}")
-    return data.reshape(h, w, c).astype(float)
-
-
-def write_feature_file(path, data: np.ndarray) -> None:
-    h, w, c = data.shape
-    with open(path, "wb") as f:
-        f.write(FEATURE_MAGIC + struct.pack("<III", h, w, c))
-        data.astype("<f4").tofile(f)
-
-
 def extract_features(view: CameraView, spec: FeatureExtractorSpec) -> FeatureMap:
     """Turn a view into its deterministic (H/s, W/s, C) feature grid."""
     img = np.asarray(view.image, dtype=float)
@@ -139,15 +117,8 @@ def extract_features(view: CameraView, spec: FeatureExtractorSpec) -> FeatureMap
         raise InvalidInputError("image size must be divisible by the feature scale")
     if spec.kind == "gradient-descriptor":
         data = _gradient_descriptor(img, spec)
-    elif spec.kind == "random-projection":
+    else:  # "random-projection"
         data = _random_projection(img, spec)
-    else:
-        data = read_feature_file(spec.path)
-        if data.shape != (h // spec.scale, w // spec.scale, spec.channels):
-            raise FormatError(
-                f"external feature file shape {data.shape} does not match "
-                f"({h // spec.scale}, {w // spec.scale}, {spec.channels})"
-            )
     return FeatureMap(data=data, scale_factor=spec.scale, channels=spec.channels)
 
 

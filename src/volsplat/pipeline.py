@@ -5,20 +5,20 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import InvalidInputError, StageError
+from .errors import FormatError, InvalidInputError, StageError
 from .features import (
     DEPTH_SPACINGS,
     FeatureExtractorSpec,
     FeatureMap,
     build_cost_volume,
     extract_features,
-    read_feature_file,
     regress_depth,
     sample_depth_hypotheses,
     upsample_depth,
@@ -53,7 +53,6 @@ class FeatureConfig:
     channels: int = 12
     scale: int = 1
     seed: int = 0
-    path: str = ""
 
 
 @dataclass
@@ -115,103 +114,119 @@ class PipelineConfig:
 
     @staticmethod
     def from_json(path_or_dict) -> "PipelineConfig":
-        if isinstance(path_or_dict, dict):
-            d = path_or_dict
-        else:
-            with open(path_or_dict) as f:
-                d = json.load(f)
+        """A config from `{section: {key: value}}` or a JSON file of one; lists
+        become tuples. Field types are checked by `validate()`."""
+        d = path_or_dict
+        if isinstance(path_or_dict, (str, os.PathLike)):
+            try:
+                with open(path_or_dict) as f:
+                    d = json.load(f)
+            except OSError as e:
+                raise FormatError(f"{path_or_dict}: cannot read config: {e.strerror}") from e
+            except ValueError as e:  # invalid JSON or text
+                raise FormatError(f"{path_or_dict}: config is not valid JSON: {e}") from e
+        if not isinstance(d, dict):
+            raise InvalidInputError(f"config must be a JSON object, got {type(d).__name__}")
         cfg = PipelineConfig()
-        sections = {
-            "feature": cfg.feature, "depth": cfg.depth, "voxel": cfg.voxel,
-            "unet": cfg.unet, "head": cfg.head, "loss": cfg.loss, "render": cfg.render,
-        }
-        renames = {"lambda": "lam"}
         for sec_name, sec_val in d.items():
-            if sec_name not in sections:
-                raise InvalidInputError(f"unknown config section {sec_name!r}")
-            target = sections[sec_name]
+            cfg._resolve(sec_name)
+            if not isinstance(sec_val, dict):
+                raise InvalidInputError(
+                    f"config section {sec_name!r} must be an object, got {type(sec_val).__name__}")
             for key, value in sec_val.items():
-                attr = renames.get(key, key)
-                if not hasattr(target, attr):
-                    raise InvalidInputError(f"unknown config key {sec_name}.{key}")
-                if isinstance(value, list):
-                    value = tuple(value)
-                setattr(target, attr, value)
+                section, attr = cfg._resolve(sec_name, key)
+                setattr(section, attr, tuple(value) if isinstance(value, list) else value)
         return cfg
 
     def apply_override(self, dotted_key: str, value: str) -> None:
-        """Set `section.key` from its string form (CLI overrides)."""
-        try:
-            sec_name, key = dotted_key.split(".", 1)
-        except ValueError:
+        """Set `section.key` from its text form (CLI overrides), parsed by the
+        type of the field's default."""
+        sec_name, dot, key = dotted_key.partition(".")
+        if not dot:
             raise InvalidInputError(f"override key must be section.key, got {dotted_key!r}")
-        section = getattr(self, sec_name, None)
-        key = {"lambda": "lam"}.get(key, key)
-        if section is None or not hasattr(section, key):
-            raise InvalidInputError(f"unknown config key {dotted_key!r}")
-        current = getattr(section, key)
+        section, attr = self._resolve(sec_name, key)
+        kind = _FIELD_TYPES[sec_name][attr]
         try:
-            if isinstance(current, bool):
-                parsed = value.lower() in ("1", "true", "yes", "on")
-            elif isinstance(current, int):
-                parsed = int(value)
-            elif isinstance(current, float):
-                parsed = float(value)
-            elif isinstance(current, tuple):
+            if kind is bool:
+                parsed = _BOOL_WORDS[value.lower()]
+            elif kind is tuple:
                 parsed = tuple(json.loads(value))
             else:
-                parsed = value
-        except (TypeError, ValueError) as e:
+                parsed = kind(value)
+        except (KeyError, TypeError, ValueError) as e:
             raise InvalidInputError(
-                f"cannot parse {value!r} for {dotted_key} "
-                f"(a {type(current).__name__}): {e}"
-            ) from e
-        setattr(section, key, parsed)
+                f"cannot parse {value!r} for {dotted_key} ({_KIND_NAMES[kind]})") from e
+        setattr(section, attr, parsed)
+
+    def _resolve(self, sec_name: str, key: Optional[str] = None):
+        """(section, attribute) named by `section.key`, with `lambda` naming
+        `lam`; an unknown section or key is a config error."""
+        if sec_name not in _FIELD_TYPES:
+            raise InvalidInputError(f"unknown config section {sec_name!r}")
+        attr = _ALIASES.get(key, key)
+        if key is not None and attr not in _FIELD_TYPES[sec_name]:
+            raise InvalidInputError(f"unknown config key {sec_name}.{key}")
+        return getattr(self, sec_name), attr
 
     def validate(self) -> None:
-        """Reject feature, depth, voxel, U-Net, head and render settings that no
-        stage can run with."""
-        d = self.depth
+        """Reject settings that no stage can run with: first any field whose
+        type is not its default's, then out-of-range and conflicting values."""
+        for sec_name, types in _FIELD_TYPES.items():
+            section = getattr(self, sec_name)
+            for attr, kind in types.items():
+                value = getattr(section, attr)
+                if not _fits(value, kind):
+                    raise InvalidInputError(
+                        f"{sec_name}.{attr} must be {_KIND_NAMES[kind]}, got {value!r}")
+        d, f, u, h = self.depth, self.feature, self.unet, self.head
         for name, value in (("depth.near", d.near), ("depth.far", d.far),
                             ("depth.temperature", d.temperature),
                             ("voxel.size", self.voxel.size),
-                            ("head.offset_radius_multiplier", self.head.offset_radius_multiplier)):
-            if not isinstance(value, (int, float)) or not math.isfinite(value) or value <= 0:
+                            ("head.offset_radius_multiplier", h.offset_radius_multiplier)):
+            if not 0 < value < math.inf:
                 raise InvalidInputError(f"{name} must be a positive finite number, got {value!r}")
         if not d.near < d.far:
             raise InvalidInputError(f"need depth.near < depth.far, got ({d.near}, {d.far})")
-        if not isinstance(d.num_hypotheses, int) or d.num_hypotheses < 2:
-            raise InvalidInputError(
-                f"depth.num_hypotheses must be an integer >= 2, got {d.num_hypotheses!r}")
+        if d.num_hypotheses < 2:
+            raise InvalidInputError(f"depth.num_hypotheses must be >= 2, got {d.num_hypotheses}")
         if d.spacing not in DEPTH_SPACINGS:
             raise InvalidInputError(
                 f"depth.spacing must be one of {DEPTH_SPACINGS}, got {d.spacing!r}")
-        u = self.unet
-        if not _is_int(u.blocks) or u.blocks < 0:
-            raise InvalidInputError(f"unet.blocks must be an integer >= 0, got {u.blocks!r}")
-        if not isinstance(u.levels, (list, tuple)) or (u.levels and (
-                len(u.levels) < 2 or not all(_is_int(c) and c >= 1 for c in u.levels))):
+        FeatureExtractorSpec(f.kind, f.channels, f.scale, f.seed)  # kind, channels, scale
+        for name, value in (("unet.blocks", u.blocks), ("head.sh_degree", h.sh_degree),
+                            ("feature.seed", f.seed), ("unet.seed", u.seed),
+                            ("head.seed", h.seed)):
+            if value < 0:
+                raise InvalidInputError(f"{name} must be >= 0, got {value}")
+        if u.levels and (len(u.levels) < 2 or not all(
+                _fits(c, int) and c >= 1 for c in u.levels)):
             raise InvalidInputError(
                 f"unet.levels must be empty or >= 2 positive integers, got {u.levels!r}")
-        h, f = self.head, self.feature
-        if not _is_int(h.sh_degree) or h.sh_degree < 0:
-            raise InvalidInputError(f"head.sh_degree must be an integer >= 0, got {h.sh_degree!r}")
         if h.kind not in HEAD_KINDS:
             raise InvalidInputError(f"head.kind must be one of {HEAD_KINDS}, got {h.kind!r}")
-        if h.kind == "color-copy" and not (_is_int(f.channels) and f.channels >= 3):
+        if h.kind == "color-copy" and f.channels < 3:
             raise InvalidInputError(
-                f"head.kind=color-copy needs feature.channels >= 3, got {f.channels!r}")
-        if f.kind == "external-file" and not f.path:
-            raise InvalidInputError("feature.kind=external-file needs a feature.path")
+                f"head.kind=color-copy needs feature.channels >= 3, got {f.channels}")
         bg = self.render.bg
-        if not isinstance(bg, (list, tuple)) or len(bg) != 3 or not all(
-                isinstance(c, (int, float)) and not isinstance(c, bool) and math.isfinite(c)
-                for c in bg):
+        if len(bg) != 3 or not all(_fits(c, float) and -math.inf < c < math.inf for c in bg):
             raise InvalidInputError(f"render.bg must be 3 finite numbers, got {bg!r}")
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+# Each field's type is its default's: a float field also takes an int, a tuple
+# field a list, and only a bool field takes a bool.
+_FIELD_TYPES = {sec: {attr: type(value) for attr, value in vars(defaults).items()}
+                for sec, defaults in vars(PipelineConfig()).items()}
+_ACCEPTED = {bool: bool, int: int, float: (int, float), str: str, tuple: (list, tuple)}
+_KIND_NAMES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string",
+               tuple: "a list"}
+_ALIASES = {"lambda": "lam"}
+_BOOL_WORDS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
+               **dict.fromkeys(("0", "false", "no", "off"), False)}
+
+
+def _fits(value, kind: type) -> bool:
+    """Whether `value` may stand in a field whose default is a `kind`."""
+    return isinstance(value, bool) == (kind is bool) and isinstance(value, _ACCEPTED[kind])
 
 
 def _stage(name, fn, *args, **kwargs):
@@ -254,8 +269,6 @@ def _color_copy_raw(grid_feats: np.ndarray, cfg: HeadConfig) -> np.ndarray:
     colored by the first three feature channels (taken as RGB)."""
     from .gaussians import SH_C0
 
-    if grid_feats.shape[1] < 3:
-        raise InvalidInputError("color-copy head needs >= 3 feature channels")
     n = grid_feats.shape[0]
     p = param_length(cfg.sh_degree)
     raw = np.zeros((n, p))
@@ -282,18 +295,10 @@ def run_pipeline(views: Sequence[CameraView], config: PipelineConfig):
     fspec = FeatureExtractorSpec(
         kind=config.feature.kind, channels=config.feature.channels,
         scale=config.feature.scale, seed=config.feature.seed,
-        path=config.feature.path,
     )
 
-    # Weight blobs and the external feature file are inputs: a missing or
-    # malformed file (or a mis-shaped blob) is a format error reported before
-    # any stage runs, not a stage failure.
-    if fspec.kind == "external-file":
-        read_feature_file(fspec.path)
-        if len(views) > 1:
-            raise InvalidInputError(
-                f"feature.kind=external-file gives every view the one grid in feature.path, "
-                f"so it takes a single view, got {len(views)}")
+    # Weight blobs are inputs: a missing, malformed or mis-shaped blob is a
+    # format error reported before any stage runs, not a stage failure.
     channels = fspec.channels
     spec = UNetSpec(levels=tuple(config.unet.levels), blocks_per_level=config.unet.blocks)
     unet_weights = head_weights = None

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.ndimage import correlate
@@ -32,16 +32,6 @@ SH_C2 = (1.0925484305920792, -1.0925484305920792, 0.31539156525252005,
 SH_C3 = (-0.5900435899266435, 2.890611442640554, -0.4570457994644658,
          0.3731763325901154, -0.4570457994644658, 1.445305721320277,
          -0.5900435899266435)
-
-
-@dataclass
-class ProjectedSplat:
-    mean2d: np.ndarray
-    cov2d: np.ndarray
-    depth: float
-    color: np.ndarray
-    opacity: float
-    radius: float
 
 
 @dataclass
@@ -129,30 +119,6 @@ def _project_all(gset: GaussianSet, K: Intrinsics, E: Extrinsics):
     conics = np.stack([c, -b, a], axis=1) / (a * c - b * b)[:, None]
     return (mean2d[inside], conics[inside], z[inside], colors[inside],
             gset.opacities[idx][inside], radius[inside], idx[inside])
-
-
-def project_gaussian(gset_or_g, K: Intrinsics, E: Extrinsics) -> Optional[ProjectedSplat]:
-    """Project a single Gaussian; None when culled."""
-    from .gaussians import Gaussian3D
-
-    g = gset_or_g
-    if isinstance(g, Gaussian3D):
-        logit = np.log(g.opacity / (1 - g.opacity))
-        gset = GaussianSet(
-            centers=g.center[None], opacity_logits=np.array([logit]),
-            log_scales=np.log(g.scale)[None], rotations=g.rotation[None],
-            sh=g.sh[None], sh_degree=int(round(np.sqrt(g.sh.size / 3))) - 1,
-        )
-    else:
-        gset = g
-    mean2d, conics, z, colors, ops, radius, idx = _project_all(gset, K, E)
-    if idx.size == 0:
-        return None
-    ca, cb, cc = conics[0]  # conic [[ca, cb], [cb, cc]]
-    det = ca * cc - cb * cb
-    cov = np.array([[cc, -cb], [-cb, ca]]) / det
-    return ProjectedSplat(mean2d=mean2d[0], cov2d=cov, depth=float(z[0]),
-                          color=colors[0], opacity=float(ops[0]), radius=float(radius[0]))
 
 
 def bin_tiles(tx0, tx1, ty0, ty1, nx: int, ny: int):

@@ -26,15 +26,21 @@ def write_depth(path, depth: np.ndarray, mask: Optional[np.ndarray] = None) -> N
 
 
 def read_depth(path) -> Tuple[np.ndarray, np.ndarray]:
-    with open(path, "rb") as f:
-        header = f.read(12)
-        if len(header) != 12 or header[:4] != DEPTH_MAGIC:
-            raise FormatError(f"{path}: bad depth header")
-        h, w = struct.unpack("<II", header[4:])
-        depth = np.fromfile(f, dtype="<f4", count=h * w)
-        mask = np.fromfile(f, dtype=np.uint8, count=h * w)
+    try:
+        with open(path, "rb") as f:
+            header = f.read(12)
+            if len(header) != 12 or header[:4] != DEPTH_MAGIC:
+                raise FormatError(f"{path}: bad depth header")
+            h, w = struct.unpack("<II", header[4:])
+            depth = np.fromfile(f, dtype="<f4", count=h * w)
+            mask = np.fromfile(f, dtype=np.uint8, count=h * w)
+            trailing = f.read(1)
+    except OSError as e:
+        raise FormatError(f"{path}: cannot read depth file: {e.strerror}") from e
     if depth.size != h * w or mask.size != h * w:
         raise FormatError(f"{path}: truncated depth payload")
+    if trailing:
+        raise FormatError(f"{path}: depth payload is longer than its {h}x{w} header")
     return depth.reshape(h, w).astype(float), mask.reshape(h, w).astype(bool)
 
 

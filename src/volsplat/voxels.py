@@ -2,17 +2,14 @@
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import List, Sequence
 
 import numpy as np
 
-from .errors import FormatError, InvalidInputError
+from .errors import InvalidInputError
 from .features import FeatureMap, bilinear_upsample
 from .geometry import CameraView, DepthMap, unproject_pixel
-
-GRID_MAGIC = b"VSVG"
 
 
 @dataclass
@@ -150,35 +147,3 @@ def voxelize(cloud: FeaturedPointCloud, voxel_size: float) -> SparseVoxelGrid:
         features=sums / counts[:, None],
         counts=counts.astype(np.int64),
     )
-
-
-def write_grid(path, grid: SparseVoxelGrid) -> None:
-    c = grid.features.shape[1]
-    with open(path, "wb") as f:
-        f.write(GRID_MAGIC + struct.pack("<fIQ", grid.voxel_size, c, len(grid)))
-        for i in range(len(grid)):
-            f.write(struct.pack("<iiiI", *grid.keys[i], int(grid.counts[i])))
-            grid.features[i].astype("<f4").tofile(f)
-
-
-def read_grid(path) -> SparseVoxelGrid:
-    with open(path, "rb") as f:
-        header = f.read(20)
-        if len(header) != 20 or header[:4] != GRID_MAGIC:
-            raise FormatError(f"{path}: bad grid header")
-        v_s, c, n = struct.unpack("<fIQ", header[4:])
-        keys = np.zeros((n, 3), np.int64)
-        counts = np.zeros(n, np.int64)
-        feats = np.zeros((n, c))
-        for i in range(n):
-            rec = f.read(16)
-            if len(rec) != 16:
-                raise FormatError(f"{path}: truncated grid entry {i}")
-            ki, kj, kk, cnt = struct.unpack("<iiiI", rec)
-            keys[i] = (ki, kj, kk)
-            counts[i] = cnt
-            data = np.fromfile(f, dtype="<f4", count=c)
-            if data.size != c:
-                raise FormatError(f"{path}: truncated grid features at {i}")
-            feats[i] = data
-    return SparseVoxelGrid(voxel_size=float(v_s), keys=keys, features=feats, counts=counts)

@@ -8,7 +8,6 @@ from click.testing import CliRunner
 
 from volsplat import KERNEL_BACKEND, __version__
 from volsplat.cli import main, report_schema
-from volsplat.features import write_feature_file
 from volsplat.gaussians import GaussianSet, export_ply
 from volsplat.sceneio import load_scene, read_depth, save_scene, write_depth
 from volsplat.scenes import CameraPose, SceneSpec, synthesize
@@ -191,6 +190,8 @@ class TestRun:
 
     @pytest.mark.parametrize("content", [None, b"", b"VSFT", b"nope" + bytes(12)])
     def test_bad_external_feature_file_exits_2(self, runner, scene_dir, tmp_path, content):
+        # feature.kind=external-file and feature.path are gone: the key is
+        # rejected before any file is opened, whatever the file holds
         path = tmp_path / "features.bin"
         if content is not None:
             path.write_bytes(content)
@@ -198,25 +199,7 @@ class TestRun:
                                            "feature.kind=external-file", "-o",
                                            f"feature.path={path}"))
         assert_one_error_line(res, 2)
-        assert "stage" not in res.stderr
-
-    def test_feature_path_that_is_a_directory_exits_2(self, runner, scene_dir, tmp_path):
-        res = runner.invoke(main, run_args(scene_dir, tmp_path / "x", "-o",
-                                           "feature.kind=external-file", "-o",
-                                           f"feature.path={tmp_path}"))
-        assert_one_error_line(res, 2)
-        assert "cannot read feature file" in res.stderr
-
-    def test_external_feature_file_with_several_views_exits_2(self, runner, scene_dir, tmp_path):
-        # one feature.path would give all three views the same grid
-        path = tmp_path / "features.bin"
-        write_feature_file(path, np.zeros((24, 24, 6)))
-        res = runner.invoke(main, run_args(scene_dir, tmp_path / "x", "-o",
-                                           "feature.kind=external-file", "-o",
-                                           f"feature.path={path}"))
-        assert_one_error_line(res, 2)
-        assert "single view, got 3" in res.stderr and "stage" not in res.stderr
-        assert not (tmp_path / "x").exists()
+        assert "unknown config key feature.path" in res.stderr
 
     def test_stage_failure_exits_1(self, runner, scene_dir, tmp_path):
         # voxel keys of a wall 2 units away at 1e-6 units overflow the U-Net's coordinate range
@@ -410,6 +393,68 @@ class TestBadSceneFiles:
         res = runner.invoke(main, ["eval", "--gaussians", str(ply), "--targets", str(scene_dir),
                                    "--out", str(tmp_path / "r.json")])
         assert_one_error_line(res, 2)
+
+
+def config_file(content):
+    """Case setup: `--config` naming a file that holds `content` (bytes
+    as they are, anything else as JSON)."""
+    def setup(scene_dir, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(content if isinstance(content, bytes) else json.dumps(content).encode())
+        return ["--config", str(path)]
+    return setup
+
+
+def depth_file(change):
+    """Case setup: `change(path)` applied to the scene's `view_000.depth`."""
+    def setup(scene_dir, tmp_path):
+        change(scene_dir / "view_000.depth")
+        return []
+    return setup
+
+
+def depth_as_directory(path):
+    path.unlink()
+    path.mkdir()
+
+
+def depth_with_trailing_bytes(path):
+    path.write_bytes(path.read_bytes() + b"\0")
+
+
+BAD_INPUTS = {
+    "use_gt-text": config_file({"depth": {"use_gt": "false"}}),
+    "enabled-text": config_file({"unet": {"enabled": "no"}}),
+    "symmetric_offset-text": config_file({"head": {"symmetric_offset": "false"}}),
+    "voxel-size-bool": config_file({"voxel": {"size": True}}),
+    "channels-text": config_file({"feature": {"channels": "12"}}),
+    "scale-float": config_file({"feature": {"scale": 2.0}}),
+    "unet-seed-text": config_file({"unet": {"seed": "x"}}),
+    "top-level-list": config_file([]),
+    "top-level-number": config_file(3),
+    "section-list": config_file({"depth": ["x"]}),
+    "empty-unknown-section": config_file({"nope": {}}),
+    "invalid-json": config_file(b'{"depth": '),
+    "not-utf8": config_file(b"\xff\xfe{}"),
+    "config-missing": lambda scene_dir, tmp_path: ["--config", str(tmp_path / "none.json")],
+    "config-directory": lambda scene_dir, tmp_path: ["--config", str(tmp_path)],
+    "use_gt-misspelt": lambda scene_dir, tmp_path: ["-o", "depth.use_gt=flase"],
+    "negative-seed": lambda scene_dir, tmp_path: ["-o", "feature.seed=-1"],
+    "feature-kind-external-file": lambda scene_dir, tmp_path: ["-o", "feature.kind=external-file"],
+    "feature-path": lambda scene_dir, tmp_path: ["-o", "feature.path=x"],
+    "depth-directory": depth_file(depth_as_directory),
+    "depth-trailing-bytes": depth_file(depth_with_trailing_bytes),
+}
+
+
+@pytest.mark.parametrize("setup", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_bad_input_exits_2_with_one_error_line(runner, scene_dir, tmp_path, setup):
+    extra = setup(scene_dir, tmp_path)
+    res = runner.invoke(main, ["run", "--scene", str(scene_dir), "--out", str(tmp_path / "x"),
+                               *extra])
+    assert_one_error_line(res, 2)
+    assert "stage" not in res.stderr
+    assert not (tmp_path / "x").exists()
 
 
 class TestBadWeightFiles:

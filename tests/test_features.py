@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from volsplat.errors import FormatError, InvalidInputError
+from volsplat.errors import InvalidInputError
 from volsplat.features import (
     CostVolume,
     FeatureExtractorSpec,
@@ -9,11 +9,9 @@ from volsplat.features import (
     bilinear_upsample,
     build_cost_volume,
     extract_features,
-    read_feature_file,
     regress_depth,
     sample_depth_hypotheses,
     upsample_depth,
-    write_feature_file,
 )
 from volsplat.geometry import CameraView, DepthMap, Extrinsics, Intrinsics
 
@@ -56,19 +54,6 @@ class TestExtractors:
         a = extract_features(make_view(img), FeatureExtractorSpec("random-projection", 4, 2, seed=1))
         b = extract_features(make_view(img), FeatureExtractorSpec("random-projection", 4, 2, seed=2))
         assert not np.array_equal(a.data, b.data)
-
-    def test_external_file_roundtrip(self, tmp_path):
-        data = np.random.default_rng(3).normal(size=(8, 8, 5)).astype(np.float32)
-        path = tmp_path / "f.vsfm"
-        write_feature_file(path, data)
-        back = read_feature_file(path)
-        np.testing.assert_array_equal(back, data.astype(float))
-
-    def test_external_file_bad_magic(self, tmp_path):
-        path = tmp_path / "bad.vsfm"
-        path.write_bytes(b"NOPE" + b"\x00" * 12)
-        with pytest.raises(FormatError):
-            read_feature_file(path)
 
     def test_invalid_spec(self):
         with pytest.raises(InvalidInputError):

@@ -3,10 +3,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from volsplat import features
 from volsplat.errors import InvalidInputError, StageError
-from volsplat.features import FeatureExtractorSpec, extract_features, write_feature_file
+from volsplat.features import FeatureExtractorSpec, extract_features
 from volsplat.pipeline import PipelineConfig, _estimate_depths, evaluate, run_pipeline
 from volsplat.scenes import CameraPose, SceneSpec, hold_out, synthesize
 
@@ -47,6 +49,8 @@ class TestConfig:
             PipelineConfig.from_json({"nope": {}})
         with pytest.raises(InvalidInputError):
             PipelineConfig.from_json({"voxel": {"sizes": 0.1}})
+        with pytest.raises(InvalidInputError, match="unknown config key feature.path"):
+            PipelineConfig.from_json({"feature": {"path": "f.bin"}})
 
     def test_from_json_file(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -72,14 +76,40 @@ class TestConfig:
             cfg.apply_override("novoxel.size", "1")
         with pytest.raises(InvalidInputError):
             cfg.apply_override("plainkey", "1")
+        for key in ("feature.path", "validate.x", "voxel."):
+            with pytest.raises(InvalidInputError, match="unknown config"):
+                cfg.apply_override(key, "1")
 
     @pytest.mark.parametrize("key,value", [
         ("voxel.size", "abc"), ("depth.num_hypotheses", "1.5"), ("unet.levels", "[4"),
-        ("unet.levels", "5"),
+        ("unet.levels", "5"), ("depth.use_gt", "flase"), ("unet.enabled", ""),
+        ("unet.enabled", "2"), ("head.symmetric_offset", " true"),
     ])
     def test_override_unparsable_value(self, key, value):
         with pytest.raises(InvalidInputError, match="cannot parse"):
             PipelineConfig().apply_override(key, value)
+
+    @pytest.mark.parametrize("value,expected", [
+        ("1", True), ("true", True), ("YES", True), ("On", True),
+        ("0", False), ("False", False), ("no", False), ("OFF", False),
+    ])
+    def test_override_boolean_spellings(self, value, expected):
+        cfg = PipelineConfig()
+        cfg.apply_override("depth.use_gt", value)
+        assert cfg.depth.use_gt is expected
+
+    @pytest.mark.parametrize("config", [
+        [], 3, {"depth": ["x"]}, {"depth": None},
+    ])
+    def test_from_json_rejects_malformed(self, config):
+        with pytest.raises(InvalidInputError):
+            PipelineConfig.from_json(config)
+
+    def test_validate_accepts_ints_for_floats(self):
+        cfg = PipelineConfig.from_json({"depth": {"near": 1, "far": 5, "temperature": 1},
+                                        "voxel": {"size": 1}, "render": {"bg": [0, 1, 0]}})
+        cfg.validate()
+        assert cfg.render.bg == (0, 1, 0)
 
     def test_validate_accepts_defaults(self):
         PipelineConfig().validate()
@@ -116,6 +146,20 @@ class TestConfig:
         ("render", {"bg": (0.0, "0", 0.0)}),
         ("head", {"kind": "telepathic"}),
         ("feature", {"kind": "external-file"}),
+        ("depth", {"use_gt": "false"}),
+        ("unet", {"enabled": 1}),
+        ("head", {"symmetric_offset": "false"}),
+        ("voxel", {"size": True}),
+        ("feature", {"channels": "12"}),
+        ("feature", {"scale": 2.0}),
+        ("feature", {"channels": 0}),
+        ("unet", {"seed": "x"}),
+        ("feature", {"seed": -1}),
+        ("unet", {"seed": -1}),
+        ("head", {"seed": -1}),
+        ("head", {"weights_path": None}),
+        ("loss", {"lam": "0.05"}),
+        ("render", {"bg": (0.0, True, 0.0)}),
     ])
     def test_validate_rejects(self, section, values):
         cfg = base_config(**{section: values})
@@ -124,6 +168,34 @@ class TestConfig:
         # run_pipeline validates before its first stage: no StageError
         with pytest.raises(InvalidInputError):
             run_pipeline(wall_views(n_cams=2, size=8), cfg)
+
+
+FIELDS = sorted((sec, key) for sec, defaults in vars(PipelineConfig()).items()
+                for key in vars(defaults))
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.sampled_from(FIELDS), JSON_VALUES, max_size=4))
+def test_json_values_are_rejected_or_typed(assignments):
+    config = {}
+    for (sec, key), value in assignments.items():
+        config.setdefault(sec, {})[key] = value
+    try:
+        cfg = PipelineConfig.from_json(config)
+        cfg.validate()
+    except InvalidInputError:
+        return
+    for sec, defaults in vars(PipelineConfig()).items():
+        for key, default in vars(defaults).items():
+            value = getattr(getattr(cfg, sec), key)
+            if isinstance(default, float) and type(value) is int:
+                continue  # a float field takes an int
+            assert type(value) is type(default), (sec, key, value)
 
 
 class TestRunPipeline:
@@ -143,15 +215,6 @@ class TestRunPipeline:
                                  "near": 1.0, "far": 4.0})
         gset, diag = run_pipeline(views, cfg)
         assert len(gset) > 0
-
-    def test_external_feature_file_runs_on_a_single_view(self, tmp_path):
-        path = tmp_path / "features.bin"
-        write_feature_file(path, np.random.default_rng(3).uniform(-0.5, 0.5, (24, 24, 6)))
-        cfg = base_config(feature={"kind": "external-file", "path": str(path)})
-        gset, diag = run_pipeline(wall_views(n_cams=2)[:1], cfg)
-        assert len(gset) > 0 and diag["point_count"] == 24 * 24
-        with pytest.raises(InvalidInputError, match="single view, got 2"):
-            run_pipeline(wall_views(n_cams=2), cfg)
 
     def test_determinism_bit_exact(self):
         views = wall_views()

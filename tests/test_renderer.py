@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -8,10 +10,10 @@ from volsplat.renderer import (
     COV2D_DILATION,
     PSNR_CAP,
     RenderedImage,
+    _project_all,
     combined_loss,
     compute_image_metrics,
     eval_sh,
-    project_gaussian,
     read_ppm,
     render,
     ssim,
@@ -42,13 +44,25 @@ def make_set(centers, colors, opacities, scales, rotations=None):
     )
 
 
+def project_one(gset, E=E0):
+    """The one splat of `gset` through `_project_all`, with its 2D covariance
+    recovered as the inverse of the conic; None when it is culled."""
+    mean2d, conics, z, colors, ops, radius, idx = _project_all(gset, K, E)
+    assert all(len(a) == idx.size for a in (mean2d, conics, z, colors, ops, radius))
+    if idx.size == 0:
+        return None
+    a, b, c = conics[0]  # conic [[a, b], [b, c]]
+    return SimpleNamespace(mean2d=mean2d[0], cov2d=np.linalg.inv([[a, b], [b, c]]),
+                           depth=z[0], opacity=ops[0], radius=radius[0])
+
+
 class TestProjection:
     def test_on_axis_cov2d_oracle(self):
         # isotropic sigma at depth d on the optical axis:
         # cov2d = (fx * sigma / d)^2 I + dilation I, mean at principal point
         sigma, d = 0.05, 2.0
         gset = make_set([0, 0, d], [1, 0, 0], [0.8], [[sigma] * 3])
-        s = project_gaussian(gset, K, E0)
+        s = project_one(gset)
         np.testing.assert_allclose(s.mean2d, [32, 32], atol=1e-6)
         expect = (K.fx * sigma / d) ** 2 + COV2D_DILATION
         np.testing.assert_allclose(s.cov2d, np.diag([expect, expect]), atol=1e-9)
@@ -58,23 +72,23 @@ class TestProjection:
 
     def test_depth_halving_quadruples_pre_dilation_cov(self):
         sigma = 0.05
-        far = project_gaussian(make_set([0, 0, 4.0], [1, 0, 0], [0.5], [[sigma] * 3]), K, E0)
-        near = project_gaussian(make_set([0, 0, 2.0], [1, 0, 0], [0.5], [[sigma] * 3]), K, E0)
+        far = project_one(make_set([0, 0, 4.0], [1, 0, 0], [0.5], [[sigma] * 3]))
+        near = project_one(make_set([0, 0, 2.0], [1, 0, 0], [0.5], [[sigma] * 3]))
         ratio = (near.cov2d[0, 0] - COV2D_DILATION) / (far.cov2d[0, 0] - COV2D_DILATION)
         assert ratio == pytest.approx(4.0, rel=1e-9)
 
     def test_behind_camera_culled(self):
         gset = make_set([0, 0, -1.0], [1, 0, 0], [0.5], [[0.05] * 3])
-        assert project_gaussian(gset, K, E0) is None
+        assert project_one(gset) is None
 
     def test_far_off_screen_culled(self):
         gset = make_set([1000.0, 0, 2.0], [1, 0, 0], [0.5], [[0.01] * 3])
-        assert project_gaussian(gset, K, E0) is None
+        assert project_one(gset) is None
 
     def test_extrinsics_shift(self):
         E = Extrinsics(np.eye(3), np.array([0.5, 0.0, 0.0]))
         gset = make_set([0.5, 0, 2.0], [1, 0, 0], [0.5], [[0.05] * 3])
-        s = project_gaussian(gset, K, E)
+        s = project_one(gset, E)
         np.testing.assert_allclose(s.mean2d, [32, 32], atol=1e-6)
 
 

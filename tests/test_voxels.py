@@ -9,11 +9,9 @@ from volsplat.geometry import CameraView, DepthMap, Extrinsics, Intrinsics
 from volsplat.voxels import (
     FeaturedPointCloud,
     lift_views,
-    read_grid,
     voxel_center,
     voxel_index,
     voxelize,
-    write_grid,
 )
 
 
@@ -185,15 +183,3 @@ class TestLiftViews:
         with pytest.raises(InvalidInputError):
             lift_views([v], [], [DepthMap(v.gt_depth)])
 
-
-def test_grid_file_roundtrip(tmp_path):
-    rng = np.random.default_rng(5)
-    cloud = make_cloud(rng, m=500, c=6)
-    grid = voxelize(cloud, 0.1)
-    path = tmp_path / "grid.vsvg"
-    write_grid(path, grid)
-    back = read_grid(path)
-    assert back.voxel_size == pytest.approx(grid.voxel_size)
-    np.testing.assert_array_equal(back.keys, grid.keys)
-    np.testing.assert_array_equal(back.counts, grid.counts)
-    np.testing.assert_allclose(back.features, grid.features, atol=1e-6)
