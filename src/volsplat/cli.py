@@ -46,7 +46,7 @@ def main():
 
 
 @main.command("synth")
-@click.option("--spec", "spec_path", required=True, type=click.Path(exists=True, dir_okay=False))
+@click.option("--spec", "spec_path", required=True, type=click.Path())
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
 def cmd_synth(spec_path, out_dir):
     """Synthesize an analytic scene into a directory of views."""
@@ -67,15 +67,12 @@ def cmd_synth(spec_path, out_dir):
 @main.command("run")
 @click.option("--config", "config_path", type=click.Path(),
               help="JSON config file; a missing or malformed one is a config error.")
-@click.option("--scene", "scene_dir", required=True, type=click.Path(exists=True, file_okay=False))
+@click.option("--scene", "scene_dir", required=True, type=click.Path())
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
-@click.option("--ablate", type=click.Choice(["no-decoder"]), default=None,
-              help="Named ablation switch (no-decoder: skip U-Net refinement).")
-@click.option("--voxel-size", type=float, default=None, help="Override voxel.size.")
 @click.option("--threads", type=int, default=1, help="Render worker count (0 = auto).")
 @click.option("--override", "-o", "overrides", multiple=True, metavar="KEY=VALUE",
               help="Dotted config override, e.g. -o depth.near=0.5")
-def cmd_run(config_path, scene_dir, out_dir, ablate, voxel_size, threads, overrides):
+def cmd_run(config_path, scene_dir, out_dir, threads, overrides):
     """Run the forward pipeline on a scene directory."""
     try:
         cfg = PipelineConfig.from_json(config_path) if config_path else PipelineConfig()
@@ -84,10 +81,6 @@ def cmd_run(config_path, scene_dir, out_dir, ablate, voxel_size, threads, overri
                 raise click.UsageError(f"override must be KEY=VALUE, got {item!r}")
             key, value = item.split("=", 1)
             cfg.apply_override(key, value)
-        if ablate == "no-decoder":
-            cfg.unet.enabled = False
-        if voxel_size is not None:
-            cfg.voxel.size = voxel_size
         views = load_scene(scene_dir)
         gset, diagnostics = run_pipeline(views, cfg)
         os.makedirs(out_dir, exist_ok=True)
@@ -111,8 +104,8 @@ def cmd_run(config_path, scene_dir, out_dir, ablate, voxel_size, threads, overri
 
 
 @main.command("eval")
-@click.option("--gaussians", "ply_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--targets", "target_dir", required=True, type=click.Path(exists=True, file_okay=False))
+@click.option("--gaussians", "ply_path", required=True, type=click.Path())
+@click.option("--targets", "target_dir", required=True, type=click.Path())
 @click.option("--out", "report_path", required=True, type=click.Path(dir_okay=False))
 @click.option("--threads", type=int, default=1)
 def cmd_eval(ply_path, target_dir, report_path, threads):

@@ -1,7 +1,7 @@
 """Per-view feature maps, plane-sweep cost volumes and depth regression.
 
-The learned 2D backbone is replaced by deterministic extractors selected
-through FeatureExtractorSpec; everything downstream only assumes a per-view
+The learned 2D backbone is replaced by a deterministic gradient descriptor
+sized by FeatureExtractorSpec; everything downstream only assumes a per-view
 feature grid at 1/s resolution.
 """
 
@@ -18,7 +18,6 @@ from .geometry import CameraView, DepthMap, Intrinsics, bilinear_sample, warp_fe
 
 _ALLOWED_SCALES = (1, 2, 4, 8)
 DEPTH_SPACINGS = ("linear", "inverse")
-FEATURE_KINDS = ("gradient-descriptor", "random-projection")
 
 
 @dataclass
@@ -52,15 +51,10 @@ class CostVolume:
 
 @dataclass(frozen=True)
 class FeatureExtractorSpec:
-    kind: str = "gradient-descriptor"  # one of FEATURE_KINDS
     channels: int = 32
     scale: int = 4
-    seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in FEATURE_KINDS:
-            raise InvalidInputError(f"feature.kind must be one of {FEATURE_KINDS}, "
-                                    f"got {self.kind!r}")
         if self.channels < 1:
             raise InvalidInputError(f"feature.channels must be >= 1, got {self.channels}")
         if self.scale not in _ALLOWED_SCALES:
@@ -96,30 +90,14 @@ def _gradient_descriptor(img: np.ndarray, spec: FeatureExtractorSpec) -> np.ndar
     return _block_mean(feat, spec.scale)
 
 
-def _random_projection(img: np.ndarray, spec: FeatureExtractorSpec) -> np.ndarray:
-    s = spec.scale
-    h, w = img.shape[:2]
-    patches = (
-        img.reshape(h // s, s, w // s, s, 3)
-        .transpose(0, 2, 1, 3, 4)
-        .reshape(h // s, w // s, s * s * 3)
-    )
-    rng = np.random.default_rng(spec.seed)
-    proj = rng.standard_normal((s * s * 3, spec.channels)) / np.sqrt(s * s * 3)
-    return patches @ proj
-
-
 def extract_features(view: CameraView, spec: FeatureExtractorSpec) -> FeatureMap:
     """Turn a view into its deterministic (H/s, W/s, C) feature grid."""
     img = np.asarray(view.image, dtype=float)
     h, w = img.shape[:2]
     if h % spec.scale or w % spec.scale:
         raise InvalidInputError("image size must be divisible by the feature scale")
-    if spec.kind == "gradient-descriptor":
-        data = _gradient_descriptor(img, spec)
-    else:  # "random-projection"
-        data = _random_projection(img, spec)
-    return FeatureMap(data=data, scale_factor=spec.scale, channels=spec.channels)
+    return FeatureMap(data=_gradient_descriptor(img, spec), scale_factor=spec.scale,
+                      channels=spec.channels)
 
 
 def sample_depth_hypotheses(near: float, far: float, count: int, spacing: str = "inverse"):

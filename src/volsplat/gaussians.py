@@ -19,6 +19,7 @@ from .sparse_unet import SparseTensor, WeightBlob
 from .voxels import voxel_center
 
 SH_C0 = 0.28209479177387814
+MAX_SH_DEGREE = 3  # renderer.eval_sh implements SH bands 0-3
 
 _LOG_SCALE_MIN = -10.0
 _LOG_SCALE_MAX = 3.0
@@ -100,6 +101,8 @@ class GaussianSet:
     voxel_keys: Optional[np.ndarray] = None  # provenance, N x 3
 
     def __post_init__(self):
+        if not 0 <= self.sh_degree <= MAX_SH_DEGREE:
+            raise InvalidInputError(f"SH degree must be 0 to {MAX_SH_DEGREE}, got {self.sh_degree}")
         n = self.centers.shape[0]
         for name in ("centers", "opacity_logits", "log_scales", "rotations", "sh"):
             with np.errstate(over="ignore"):  # a value past float32's range fails below
@@ -182,19 +185,14 @@ def activate_set(
     keys: np.ndarray,
     voxel_size: float,
     offset_radius: float,
-    symmetric_offset: bool = False,
 ) -> GaussianSet:
-    """Apply the activation transforms to every voxel's raw parameters."""
+    """Apply the activation transforms to every voxel's raw parameters: the
+    center is the voxel center plus offset_radius * sigmoid(raw offset)."""
     if offset_radius <= 0:
         raise InvalidInputError("offset radius must be positive")
     if raw.values.shape[0] != keys.shape[0]:
         raise InvalidInputError("raw params / keys length mismatch")
-    centers = voxel_center(keys, voxel_size)
-    s = sigmoid(raw.offset)
-    if symmetric_offset:
-        centers = centers + offset_radius * (s - 0.5)
-    else:
-        centers = centers + offset_radius * s
+    centers = voxel_center(keys, voxel_size) + offset_radius * sigmoid(raw.offset)
     log_scales = np.clip(raw.log_scale, _LOG_SCALE_MIN, _LOG_SCALE_MAX) + np.log(voxel_size)
     return GaussianSet(
         centers=centers,
@@ -213,12 +211,10 @@ def activate(
     voxel_size: float,
     offset_radius: float,
     sh_degree: int = 0,
-    symmetric_offset: bool = False,
 ) -> Gaussian3D:
     """Single-voxel form of activate_set."""
     raw = RawGaussianParams(np.asarray(raw_vector, float)[None, :], sh_degree)
-    gs = activate_set(raw, np.asarray(key, np.int64)[None, :], voxel_size,
-                      offset_radius, symmetric_offset)
+    gs = activate_set(raw, np.asarray(key, np.int64)[None, :], voxel_size, offset_radius)
     return Gaussian3D(
         center=gs.centers[0].astype(float),
         opacity=float(gs.opacities[0]),
@@ -259,8 +255,11 @@ def export_ply(gset: GaussianSet, path) -> None:
 
 
 def import_ply(path) -> GaussianSet:
-    with open(path, "rb") as f:
-        raw = f.read()
+    try:
+        with open(path, "rb") as f:
+            raw = f.read()
+    except OSError as e:
+        raise FormatError(f"{path}: cannot read PLY file: {e.strerror}") from e
     end = raw.find(b"end_header\n")
     if not raw.startswith(b"ply") or end < 0:
         raise FormatError(f"{path}: not a PLY file")

@@ -40,11 +40,6 @@ class Intrinsics:
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise InvalidInputError("principal point must lie inside the image")
 
-    def matrix(self) -> np.ndarray:
-        return np.array(
-            [[self.fx, 0.0, self.cx], [0.0, self.fy, self.cy], [0.0, 0.0, 1.0]]
-        )
-
     def scaled(self, s: int) -> "Intrinsics":
         """Intrinsics of the s-times downsampled feature grid.
 

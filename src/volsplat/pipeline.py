@@ -24,7 +24,9 @@ from .features import (
     upsample_depth,
 )
 from .gaussians import (
+    MAX_SH_DEGREE,
     GaussianSet,
+    SH_C0,
     RawGaussianParams,
     activate_set,
     check_head_weights,
@@ -49,10 +51,8 @@ from .voxels import lift_views, voxelize
 
 @dataclass
 class FeatureConfig:
-    kind: str = "gradient-descriptor"
     channels: int = 12
     scale: int = 1
-    seed: int = 0
 
 
 @dataclass
@@ -87,7 +87,6 @@ class HeadConfig:
     kind: str = "linear"  # one of HEAD_KINDS
     sh_degree: int = 0
     offset_radius_multiplier: float = 3.0
-    symmetric_offset: bool = False
     weights_path: str = ""
     seed: int = 0
 
@@ -192,12 +191,13 @@ class PipelineConfig:
         if d.spacing not in DEPTH_SPACINGS:
             raise InvalidInputError(
                 f"depth.spacing must be one of {DEPTH_SPACINGS}, got {d.spacing!r}")
-        FeatureExtractorSpec(f.kind, f.channels, f.scale, f.seed)  # kind, channels, scale
-        for name, value in (("unet.blocks", u.blocks), ("head.sh_degree", h.sh_degree),
-                            ("feature.seed", f.seed), ("unet.seed", u.seed),
-                            ("head.seed", h.seed)):
+        FeatureExtractorSpec(f.channels, f.scale)  # channels, scale
+        for name, value in (("unet.blocks", u.blocks), ("unet.seed", u.seed), ("head.seed", h.seed)):
             if value < 0:
                 raise InvalidInputError(f"{name} must be >= 0, got {value}")
+        if not 0 <= h.sh_degree <= MAX_SH_DEGREE:
+            raise InvalidInputError(
+                f"head.sh_degree must be 0 to {MAX_SH_DEGREE}, got {h.sh_degree}")
         if u.levels and (len(u.levels) < 2 or not all(
                 _fits(c, int) and c >= 1 for c in u.levels)):
             raise InvalidInputError(
@@ -267,8 +267,6 @@ def _estimate_depths(
 def _color_copy_raw(grid_feats: np.ndarray, cfg: HeadConfig) -> np.ndarray:
     """Raw params whose activation yields a voxel-centered opaque splat
     colored by the first three feature channels (taken as RGB)."""
-    from .gaussians import SH_C0
-
     n = grid_feats.shape[0]
     p = param_length(cfg.sh_degree)
     raw = np.zeros((n, p))
@@ -284,18 +282,16 @@ def _color_copy_raw(grid_feats: np.ndarray, cfg: HeadConfig) -> np.ndarray:
 def run_pipeline(views: Sequence[CameraView], config: PipelineConfig):
     """Full forward pass; returns (GaussianSet, diagnostics dict)."""
     config.validate()
-    has_gt = all(v.gt_depth is not None for v in views)
-    use_gt = config.depth.use_gt and has_gt
+    use_gt = config.depth.use_gt
+    if use_gt and any(v.gt_depth is None for v in views):
+        raise InvalidInputError("depth.use_gt=true needs a depth file for every view")
     if len(views) < (1 if use_gt else 2):
         raise InvalidInputError("need >= 2 views (>= 1 with ground-truth depth)")
     k0 = views[0].intrinsics
     if any(v.intrinsics != k0 for v in views):
         raise InvalidInputError("all views must share intrinsics")
 
-    fspec = FeatureExtractorSpec(
-        kind=config.feature.kind, channels=config.feature.channels,
-        scale=config.feature.scale, seed=config.feature.seed,
-    )
+    fspec = FeatureExtractorSpec(channels=config.feature.channels, scale=config.feature.scale)
 
     # Weight blobs are inputs: a missing, malformed or mis-shaped blob is a
     # format error reported before any stage runs, not a stage failure.
@@ -322,13 +318,10 @@ def run_pipeline(views: Sequence[CameraView], config: PipelineConfig):
     tick("features")
 
     if use_gt:
-        depths = [
-            DepthMap(values=np.where(v.gt_depth_mask, v.gt_depth, 1.0)
-                     if v.gt_depth_mask is not None else v.gt_depth,
-                     valid_mask=(v.gt_depth_mask if v.gt_depth_mask is not None
-                                 else np.ones(v.gt_depth.shape, bool)))
-            for v in views
-        ]
+        depths = [DepthMap(values=v.gt_depth if v.gt_depth_mask is None
+                           else np.where(v.gt_depth_mask, v.gt_depth, 1.0),
+                           valid_mask=v.gt_depth_mask)  # None: every pixel valid
+                  for v in views]
     else:
         depths = _stage("depth", _estimate_depths, views, fmaps, config)
     tick("depth")
@@ -363,8 +356,7 @@ def run_pipeline(views: Sequence[CameraView], config: PipelineConfig):
                                              config.head.sh_degree, config.head.seed)
             raw = decode_raw(refined, head_w, config.head.sh_degree)
         radius = config.head.offset_radius_multiplier * config.voxel.size
-        return activate_set(raw, grid.keys, config.voxel.size, radius,
-                            config.head.symmetric_offset)
+        return activate_set(raw, grid.keys, config.voxel.size, radius)
 
     gset = _stage("decode", decode)
     tick("decode")
@@ -384,19 +376,13 @@ def run_pipeline(views: Sequence[CameraView], config: PipelineConfig):
     return gset, diagnostics
 
 
-def evaluate(
-    gset: GaussianSet,
-    targets: Sequence[CameraView],
-    config: Optional[PipelineConfig] = None,
-    threads: int = 1,
-) -> dict:
-    """Render each target camera and report PSNR/SSIM/MSE per view + means."""
+def evaluate(gset: GaussianSet, targets: Sequence[CameraView], threads: int = 1) -> dict:
+    """Render each target camera on black and report PSNR/SSIM/MSE per view + means."""
     if len(targets) == 0:
         raise InvalidInputError("need at least one target view")
-    config = config or PipelineConfig()
     per_view = []
     for v in targets:
-        out = render(gset, v.intrinsics, v.extrinsics, bg=config.render.bg, threads=threads)
+        out = render(gset, v.intrinsics, v.extrinsics, threads=threads)
         per_view.append(compute_image_metrics(out.rgb, np.asarray(v.image, float)))
     mean = {k: float(np.mean([m[k] for m in per_view])) for k in ("mse", "psnr", "ssim")}
     return {

@@ -13,7 +13,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import FormatError, InvalidInputError
 from .gaussians import SH_C0, GaussianSet
 from .geometry import CameraView, Extrinsics, Intrinsics
 from .renderer import rasterize, render, sorted_splats
@@ -48,14 +48,22 @@ class SceneSpec:
             raise InvalidInputError("a scene needs at least two cameras")
         if not 0 < self.near < self.far:
             raise InvalidInputError("need 0 < near < far")
+        if len(self.image_size) != 2 or not all(type(v) is int and v > 0 for v in self.image_size):
+            raise InvalidInputError(f"image_size must be 2 positive integers, got {self.image_size}")
+        if not isinstance(self.params, dict):
+            raise InvalidInputError(f"params must be an object, got {self.params!r}")
 
     @staticmethod
     def from_json(path_or_dict) -> "SceneSpec":
-        if isinstance(path_or_dict, dict):
-            d = path_or_dict
-        else:
-            with open(path_or_dict) as f:
-                d = json.load(f)
+        d = path_or_dict
+        if not isinstance(d, dict):
+            try:
+                with open(path_or_dict) as f:
+                    d = json.load(f)
+            except OSError as e:
+                raise FormatError(f"{path_or_dict}: cannot read scene spec: {e.strerror}") from e
+            except ValueError as e:  # invalid JSON or text
+                raise FormatError(f"{path_or_dict}: scene spec is not valid JSON: {e}") from e
         try:
             cams = [
                 CameraPose(tuple(c["position"]), tuple(c["look_at"]),
@@ -70,8 +78,21 @@ class SceneSpec:
                 fov_deg=float(d.get("fov_deg", 60.0)),
                 params=d.get("params", {}),
             )
-        except (KeyError, TypeError) as e:
+        except (KeyError, TypeError, ValueError) as e:
             raise InvalidInputError(f"bad scene spec: {e}") from e
+
+
+def _param(spec: SceneSpec, key: str, default):
+    """`spec.params[key]` (or `default`) as finite floats shaped like `default`."""
+    value = spec.params.get(key, default)
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        arr = np.array(np.nan)  # not numbers: rejected below
+    if arr.shape != np.shape(default) or not np.all(np.isfinite(arr)):
+        raise InvalidInputError(
+            f"scene param {key!r} must be finite and shaped like {default}, got {value!r}")
+    return arr if arr.ndim else float(arr)
 
 
 def look_at_extrinsics(position, target, up=DEFAULT_UP) -> Extrinsics:
@@ -156,18 +177,18 @@ def synthesize(spec: SceneSpec):
         E = look_at_extrinsics(pose.position, pose.look_at, pose.up)
         dirs = _ray_grid(K, E)
         if spec.kind == "textured-wall":
-            wall_z = float(spec.params.get("wall_z", 2.0))
-            scale = float(spec.params.get("texture_scale", 2.0))
+            wall_z = _param(spec, "wall_z", 2.0)
+            scale = _param(spec, "texture_scale", 2.0)
             lam = _plane_depth(E, dirs, wall_z)
             if np.any(lam <= 0):
                 raise InvalidInputError("wall is not fully in front of a camera")
             img = _shade_wall(spec, E, dirs, lam, tex, scale)
             depth, mask = lam, np.ones(lam.shape, bool)
         elif spec.kind == "two-planes":
-            z1 = float(spec.params.get("near_z", 1.5))
-            z2 = float(spec.params.get("far_z", 3.0))
-            half = float(spec.params.get("half_extent", 0.5))
-            scale = float(spec.params.get("texture_scale", 2.0))
+            z1 = _param(spec, "near_z", 1.5)
+            z2 = _param(spec, "far_z", 3.0)
+            half = _param(spec, "half_extent", 0.5)
+            scale = _param(spec, "texture_scale", 2.0)
             lam2 = _plane_depth(E, dirs, z2)
             if np.any(lam2 <= 0):
                 raise InvalidInputError("far plane is not fully in front of a camera")
@@ -181,10 +202,10 @@ def synthesize(spec: SceneSpec):
             depth = np.where(on_sq, lam1, depth)
             mask = np.ones(depth.shape, bool)
         elif spec.kind == "sphere":
-            center = np.asarray(spec.params.get("center", (0.0, 0.0, 2.0)), float)
-            radius = float(spec.params.get("radius", 0.6))
-            z2 = float(spec.params.get("far_z", 4.0))
-            scale = float(spec.params.get("texture_scale", 2.0))
+            center = _param(spec, "center", (0.0, 0.0, 2.0))
+            radius = _param(spec, "radius", 0.6)
+            z2 = _param(spec, "far_z", 4.0)
+            scale = _param(spec, "texture_scale", 2.0)
             lam2 = _plane_depth(E, dirs, z2)
             if np.any(lam2 <= 0):
                 raise InvalidInputError("backdrop is not fully in front of a camera")
@@ -229,11 +250,11 @@ def _garden_gaussians(spec: SceneSpec) -> GaussianSet:
     saturates and the expected-depth map is well defined everywhere.
     """
     rng = np.random.default_rng(spec.seed)
-    n_side = int(spec.params.get("side", 48))
-    ext = float(spec.params.get("half_extent", 1.6))
-    z0 = float(spec.params.get("z_base", 2.0))
-    amp = float(spec.params.get("z_amp", 0.15))
-    size = float(spec.params.get("splat_scale", 0.07))
+    n_side = int(_param(spec, "side", 48))
+    ext = _param(spec, "half_extent", 1.6)
+    z0 = _param(spec, "z_base", 2.0)
+    amp = _param(spec, "z_amp", 0.15)
+    size = _param(spec, "splat_scale", 0.07)
     tex = _value_noise(spec.seed + 1)
     height = _value_noise(spec.seed + 2)
     xs = np.linspace(-ext, ext, n_side)

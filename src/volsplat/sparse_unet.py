@@ -207,13 +207,10 @@ def pointwise_conv(x: SparseTensor, w: np.ndarray, b: Optional[np.ndarray] = Non
 class UNetSpec:
     levels: Tuple[int, ...] = ()  # channel width per level; () -> [C, 2C, 4C]
     blocks_per_level: int = 2
-    activation: str = "relu"  # relu | none
 
     def __post_init__(self):
         if self.levels and (len(self.levels) < 2 or any(c < 1 for c in self.levels)):
             raise InvalidInputError("need >= 2 levels with positive widths")
-        if self.activation not in ("relu", "none"):
-            raise InvalidInputError(f"unknown activation {self.activation!r}")
 
     def widths(self, in_channels: int) -> Tuple[int, ...]:
         return self.levels if self.levels else (in_channels, 2 * in_channels, 4 * in_channels)
@@ -240,12 +237,10 @@ class WeightBlob:
 def layer_plan(spec: UNetSpec, in_channels: int) -> List[dict]:
     """Ordered layer descriptors: name, op, in/out channels, activation."""
     widths = spec.widths(in_channels)
-    act = spec.activation
     plan: List[dict] = []
 
-    def add(name, op, cin, cout, activation=None):
-        plan.append({"name": name, "op": op, "cin": cin, "cout": cout,
-                     "act": act if activation is None else activation})
+    def add(name, op, cin, cout, act="relu"):
+        plan.append({"name": name, "op": op, "cin": cin, "cout": cout, "act": act})
 
     cin = in_channels
     for lvl, width in enumerate(widths):
@@ -262,7 +257,7 @@ def layer_plan(spec: UNetSpec, in_channels: int) -> List[dict]:
         for blk in range(spec.blocks_per_level):
             add(f"dec{lvl}.block{blk}", "sub", width, width)
         cin = width
-    add("head", "point", cin, in_channels, activation="none")
+    add("head", "point", cin, in_channels, act="none")
     return plan
 
 
@@ -306,10 +301,6 @@ def check_weights(blob: WeightBlob, plan: Sequence[dict]) -> None:
             raise WeightLoadError(f"tensor {name!r} has shape {t.shape}, expected {shape}")
 
 
-def _act(feats: np.ndarray, kind: str) -> np.ndarray:
-    return np.maximum(feats, 0.0) if kind == "relu" else feats
-
-
 def unet_forward(x: SparseTensor, spec: UNetSpec, weights: WeightBlob) -> SparseTensor:
     """Residual field on exactly the input voxel set."""
     if x.stride != 1:
@@ -344,7 +335,8 @@ def unet_forward(x: SparseTensor, spec: UNetSpec, weights: WeightBlob) -> Sparse
             out = transposed_up(tensor, kmap.out_coords, w, b, kmap=kmap)
         else:
             out = pointwise_conv(tensor, w, b)
-        out.feats = _act(out.feats, layer["act"])
+        if layer["act"] == "relu":
+            out.feats = np.maximum(out.feats, 0.0)
         return out
 
     for lvl in range(n_levels):

@@ -8,7 +8,7 @@ from click.testing import CliRunner
 
 from volsplat import KERNEL_BACKEND, __version__
 from volsplat.cli import main, report_schema
-from volsplat.gaussians import GaussianSet, export_ply
+from volsplat.gaussians import GaussianSet, _ply_property_names, export_ply
 from volsplat.sceneio import load_scene, read_depth, save_scene, write_depth
 from volsplat.scenes import CameraPose, SceneSpec, synthesize
 from volsplat.sparse_unet import UNetSpec, random_weights, save_weights
@@ -137,8 +137,9 @@ class TestRun:
         assert ha == hb
 
     def test_ablate_no_decoder(self, runner, scene_dir, tmp_path):
+        # the no-decoder ablation is an ordinary override
         out = tmp_path / "abl"
-        res = runner.invoke(main, run_args(scene_dir, out, "--ablate", "no-decoder"))
+        res = runner.invoke(main, run_args(scene_dir, out, "-o", "unet.enabled=false"))
         assert res.exit_code == 0, res.output
         diag = json.loads((out / "diagnostics.json").read_text())
         assert diag["unet_enabled"] is False
@@ -146,8 +147,9 @@ class TestRun:
     def test_voxel_size_flag(self, runner, scene_dir, tmp_path):
         big = tmp_path / "big"
         small = tmp_path / "small"
-        assert runner.invoke(main, run_args(scene_dir, big, "--voxel-size", "0.4")).exit_code == 0
-        assert runner.invoke(main, run_args(scene_dir, small, "--voxel-size", "0.05")).exit_code == 0
+        for out, size in ((big, "0.4"), (small, "0.05")):
+            res = runner.invoke(main, run_args(scene_dir, out, "-o", f"voxel.size={size}"))
+            assert res.exit_code == 0, res.output
         nb = json.loads((big / "diagnostics.json").read_text())["gaussian_count"]
         ns = json.loads((small / "diagnostics.json").read_text())["gaussian_count"]
         assert ns > nb
@@ -157,7 +159,17 @@ class TestRun:
                                    "--out", str(tmp_path / "x"), "-o", "bogus.key=1"])
         assert res.exit_code == 2
 
-    @pytest.mark.parametrize("override", ["render.tile=3", "loss.perceptual=true"])
+    @pytest.mark.parametrize("flag", [["--ablate", "no-decoder"], ["--voxel-size", "0.4"]])
+    def test_removed_flags_exit_2(self, runner, scene_dir, tmp_path, flag):
+        # -o unet.enabled=false and -o voxel.size=... set these
+        res = runner.invoke(main, run_args(scene_dir, tmp_path / "x", *flag))
+        assert res.exit_code == 2
+        assert "No such option" in res.output
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("override", ["render.tile=3", "loss.perceptual=true",
+                                          "feature.kind=random-projection", "feature.seed=1",
+                                          "head.symmetric_offset=true"])
     def test_removed_config_keys_exit_2(self, runner, scene_dir, tmp_path, override):
         res = runner.invoke(main, run_args(scene_dir, tmp_path / "x", "-o", override))
         assert_one_error_line(res, 2)
@@ -180,7 +192,7 @@ class TestRun:
         ["head.sh_degree=-1"],
         ["head.kind=telepathic"],
         ["head.kind=color-copy", "feature.channels=2"],
-        ["feature.kind=external-file"],
+        ["head.sh_degree=4"],
     ])
     def test_bad_config_value_exits_2(self, runner, scene_dir, tmp_path, overrides):
         extra = [arg for item in overrides for arg in ("-o", item)]
@@ -190,8 +202,8 @@ class TestRun:
 
     @pytest.mark.parametrize("content", [None, b"", b"VSFT", b"nope" + bytes(12)])
     def test_bad_external_feature_file_exits_2(self, runner, scene_dir, tmp_path, content):
-        # feature.kind=external-file and feature.path are gone: the key is
-        # rejected before any file is opened, whatever the file holds
+        # feature.kind and feature.path are gone: the first key is rejected
+        # before any file is opened, whatever the file holds
         path = tmp_path / "features.bin"
         if content is not None:
             path.write_bytes(content)
@@ -199,7 +211,7 @@ class TestRun:
                                            "feature.kind=external-file", "-o",
                                            f"feature.path={path}"))
         assert_one_error_line(res, 2)
-        assert "unknown config key feature.path" in res.stderr
+        assert "unknown config key feature.kind" in res.stderr
 
     def test_stage_failure_exits_1(self, runner, scene_dir, tmp_path):
         # voxel keys of a wall 2 units away at 1e-6 units overflow the U-Net's coordinate range
@@ -439,7 +451,7 @@ BAD_INPUTS = {
     "config-missing": lambda scene_dir, tmp_path: ["--config", str(tmp_path / "none.json")],
     "config-directory": lambda scene_dir, tmp_path: ["--config", str(tmp_path)],
     "use_gt-misspelt": lambda scene_dir, tmp_path: ["-o", "depth.use_gt=flase"],
-    "negative-seed": lambda scene_dir, tmp_path: ["-o", "feature.seed=-1"],
+    "negative-seed": lambda scene_dir, tmp_path: ["-o", "unet.seed=-1"],
     "feature-kind-external-file": lambda scene_dir, tmp_path: ["-o", "feature.kind=external-file"],
     "feature-path": lambda scene_dir, tmp_path: ["-o", "feature.path=x"],
     "depth-directory": depth_file(depth_as_directory),
@@ -454,6 +466,81 @@ def test_bad_input_exits_2_with_one_error_line(runner, scene_dir, tmp_path, setu
                                *extra])
     assert_one_error_line(res, 2)
     assert "stage" not in res.stderr
+    assert not (tmp_path / "x").exists()
+
+
+def spec_file(content):
+    """Case setup: `synth` on a spec file holding `content` (bytes as they
+    are, a dict as the 3-view wall spec updated with it)."""
+    def setup(scene_dir, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_bytes(content if isinstance(content, bytes)
+                         else json.dumps({**wall_spec_dict(), **content}).encode())
+        return synth_args(path, tmp_path)
+    return setup
+
+
+def synth_args(spec_path, tmp_path):
+    return ["synth", "--spec", str(spec_path), "--out", str(tmp_path / "x")]
+
+
+def eval_args(ply, scene_dir, tmp_path):
+    return ["eval", "--gaussians", str(ply), "--targets", str(scene_dir),
+            "--out", str(tmp_path / "x")]
+
+
+def ply_of_sh_degree_4(scene_dir, tmp_path):
+    names = _ply_property_names(4)
+    header = ["ply", "format binary_little_endian 1.0", "element vertex 2",
+              *(f"property float {n}" for n in names), "end_header"]
+    path = tmp_path / "deg4.ply"
+    payload = np.zeros((2, len(names)), "<f4").tobytes()  # finite: only the degree is wrong
+    path.write_bytes(("\n".join(header) + "\n").encode() + payload)
+    return eval_args(path, scene_dir, tmp_path)
+
+
+def eval_on_missing_targets(scene_dir, tmp_path):
+    small_ply(tmp_path / "g.ply")
+    return eval_args(tmp_path / "g.ply", tmp_path / "none", tmp_path)
+
+
+def without_depth_files(scene_dir, tmp_path):
+    for p in scene_dir.glob("view_*.depth"):
+        p.unlink()
+    return ["run", "--scene", str(scene_dir), "--out", str(tmp_path / "x"),
+            "-o", "depth.use_gt=true"]
+
+
+MALFORMED_INPUTS = {
+    "synth-invalid-json": spec_file(b'{"kind": '),
+    "synth-not-utf8": spec_file(b"\xff\xfe{}"),
+    "synth-seed-text": spec_file({"seed": "x"}),
+    "synth-image-size-one-value": spec_file({"image_size": [32]}),
+    "synth-image-size-float": spec_file({"image_size": [24.0, 24]}),
+    "synth-param-text": spec_file({"kind": "sphere", "params": {"radius": "x"}}),
+    "synth-param-nan": spec_file({"kind": "sphere", "params": {"radius": float("nan")}}),
+    "synth-param-short-vector": spec_file({"kind": "sphere", "params": {"center": [0, 0]}}),
+    "synth-params-not-object": spec_file({"params": 3}),
+    "synth-spec-missing": lambda scene_dir, tmp_path: synth_args(tmp_path / "none.json", tmp_path),
+    "synth-spec-directory": lambda scene_dir, tmp_path: synth_args(scene_dir, tmp_path),
+    "run-scene-missing": lambda scene_dir, tmp_path: [
+        "run", "--scene", str(tmp_path / "none"), "--out", str(tmp_path / "x")],
+    "run-use-gt-without-depth-files": without_depth_files,
+    "run-sh-degree-4": lambda scene_dir, tmp_path: run_args(scene_dir, tmp_path / "x",
+                                                            "-o", "head.sh_degree=4"),
+    "eval-gaussians-missing": lambda scene_dir, tmp_path: eval_args(
+        tmp_path / "none.ply", scene_dir, tmp_path),
+    "eval-gaussians-directory": lambda scene_dir, tmp_path: eval_args(
+        scene_dir, scene_dir, tmp_path),
+    "eval-targets-missing": eval_on_missing_targets,
+    "eval-sh-degree-4-ply": ply_of_sh_degree_4,
+}
+
+
+@pytest.mark.parametrize("setup", MALFORMED_INPUTS.values(), ids=MALFORMED_INPUTS.keys())
+def test_malformed_input_exits_2_with_one_error_line(runner, scene_dir, tmp_path, setup):
+    res = runner.invoke(main, setup(scene_dir, tmp_path))
+    assert_one_error_line(res, 2)
     assert not (tmp_path / "x").exists()
 
 

@@ -64,10 +64,6 @@ class TestActivate:
         np.testing.assert_allclose(lo.center, 0.0, atol=1e-6)
         np.testing.assert_allclose(hi.center, self.R, atol=1e-6)
 
-    def test_symmetric_offset_mode(self):
-        g = activate(np.zeros(14), (0, 0, 0), self.V_S, self.R, symmetric_offset=True)
-        np.testing.assert_allclose(g.center, 0.0, atol=1e-7)
-
     def test_scale_clamping(self):
         raw = np.zeros(14)
         raw[4:7] = [100.0, -100.0, 0.5]
@@ -159,6 +155,15 @@ def test_gaussian_set_rejects_non_finite_payload(field, value):
     arrays[field].flat[-1] = value
     with pytest.raises(InvalidInputError, match=f"{field} holds non-finite values"):
         GaussianSet(**arrays)
+
+
+@pytest.mark.parametrize("deg", [-1, 4])
+def test_gaussian_set_rejects_sh_degree_the_renderer_lacks(deg):
+    # renderer.eval_sh implements SH bands 0-3 only
+    arrays = {name: getattr(random_set(np.random.default_rng(12), n=4), name) for name in FIELDS}
+    arrays["sh"] = np.zeros((4, 3 * (max(deg, 0) + 1) ** 2))
+    with pytest.raises(InvalidInputError, match="SH degree must be 0 to 3"):
+        GaussianSet(**arrays, sh_degree=deg)
 
 
 class TestPly:

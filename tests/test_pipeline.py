@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 
@@ -76,14 +77,15 @@ class TestConfig:
             cfg.apply_override("novoxel.size", "1")
         with pytest.raises(InvalidInputError):
             cfg.apply_override("plainkey", "1")
-        for key in ("feature.path", "validate.x", "voxel."):
+        for key in ("feature.path", "feature.kind", "feature.seed", "head.symmetric_offset",
+                    "validate.x", "voxel."):
             with pytest.raises(InvalidInputError, match="unknown config"):
                 cfg.apply_override(key, "1")
 
     @pytest.mark.parametrize("key,value", [
         ("voxel.size", "abc"), ("depth.num_hypotheses", "1.5"), ("unet.levels", "[4"),
         ("unet.levels", "5"), ("depth.use_gt", "flase"), ("unet.enabled", ""),
-        ("unet.enabled", "2"), ("head.symmetric_offset", " true"),
+        ("unet.enabled", "2"), ("depth.use_gt", " true"),
     ])
     def test_override_unparsable_value(self, key, value):
         with pytest.raises(InvalidInputError, match="cannot parse"):
@@ -145,16 +147,16 @@ class TestConfig:
         ("render", {"bg": (0.0, float("inf"), 0.0)}),
         ("render", {"bg": (0.0, "0", 0.0)}),
         ("head", {"kind": "telepathic"}),
-        ("feature", {"kind": "external-file"}),
+        ("feature", {"scale": 3}),
         ("depth", {"use_gt": "false"}),
         ("unet", {"enabled": 1}),
-        ("head", {"symmetric_offset": "false"}),
+        ("head", {"sh_degree": 4}),
         ("voxel", {"size": True}),
         ("feature", {"channels": "12"}),
         ("feature", {"scale": 2.0}),
         ("feature", {"channels": 0}),
         ("unet", {"seed": "x"}),
-        ("feature", {"seed": -1}),
+        ("feature", {"channels": True}),
         ("unet", {"seed": -1}),
         ("head", {"seed": -1}),
         ("head", {"weights_path": None}),
@@ -208,6 +210,12 @@ class TestRunPipeline:
         assert diag["occupied_voxels"] == len(gset)
         assert diag["pgs"] == pytest.approx(len(gset) / 3)
         assert set(diag["stages"]) >= {"features", "depth", "lift", "voxelize", "refine", "decode"}
+
+    def test_gt_depth_path_needs_depth_for_every_view(self):
+        views = wall_views()
+        views[1] = dataclasses.replace(views[1], gt_depth=None, gt_depth_mask=None)
+        with pytest.raises(InvalidInputError, match="needs a depth file for every view"):
+            run_pipeline(views, base_config())
 
     def test_estimated_depth_path_runs(self):
         views = wall_views()

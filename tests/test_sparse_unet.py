@@ -170,16 +170,6 @@ class TestUNet:
         b = unet_forward(self.x, self.spec, w)
         np.testing.assert_array_equal(a.feats, b.feats)
 
-    def test_linear_when_no_activation(self):
-        spec = UNetSpec(activation="none")
-        w = random_weights(spec, 3, seed=3)  # biases are zero at init
-        a = random_sparse(self.rng, n=40, cin=3, extent=5)
-        b = SparseTensor(a.coords, self.rng.normal(size=a.feats.shape))
-        fa = unet_forward(a, spec, w).feats
-        fb = unet_forward(b, spec, w).feats
-        fsum = unet_forward(SparseTensor(a.coords, a.feats + b.feats), spec, w).feats
-        np.testing.assert_allclose(fsum, fa + fb, atol=1e-8)
-
     def test_row_permutation_equivariance(self):
         w = random_weights(self.spec, 4, seed=4)
         perm = self.rng.permutation(self.x.coords.shape[0])
@@ -215,6 +205,7 @@ class TestLayerPlan:
         assert plan[-1]["name"] == "head"
         assert plan[-1]["cout"] == 8
         assert plan[-1]["act"] == "none"
+        assert all(layer["act"] == "relu" for layer in plan[:-1])
 
     def test_fuse_takes_concatenated_channels(self):
         plan = {l["name"]: l for l in layer_plan(UNetSpec(), 4)}
