@@ -7,11 +7,8 @@ from __future__ import annotations
 
 import json
 import os
-import sys
-from importlib import resources
 
 import click
-import numpy as np
 
 from . import KERNEL_BACKEND, __version__
 from .errors import StageError, VolsplatError
@@ -115,7 +112,6 @@ def cmd_eval(ply_path, target_dir, report_path, threads):
         targets = load_scene(target_dir)
         report = evaluate(gset, targets, threads=threads)
         report["schema_version"] = CONFIG_SCHEMA_VERSION
-        _validate_report(report)
         with open(report_path, "w") as f:
             json.dump(report, f, indent=2, sort_keys=True)
     except VolsplatError as e:
@@ -126,17 +122,6 @@ def cmd_eval(ply_path, target_dir, report_path, threads):
     mean = report["mean"]
     click.echo(f"{'mean':>6} {mean['psnr']:>8.2f} {mean['ssim']:>8.4f} {mean['mse']:>10.6f}")
     click.echo(f"PGS: {report['pgs']:.1f} ({report['gaussian_count']} gaussians)")
-
-
-def report_schema() -> dict:
-    with resources.files("volsplat").joinpath("report_schema.json").open() as f:
-        return json.load(f)
-
-
-def _validate_report(report: dict) -> None:
-    import jsonschema
-
-    jsonschema.validate(report, report_schema())
 
 
 if __name__ == "__main__":

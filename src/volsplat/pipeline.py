@@ -158,14 +158,13 @@ class PipelineConfig:
         setattr(section, attr, parsed)
 
     def _resolve(self, sec_name: str, key: Optional[str] = None):
-        """(section, attribute) named by `section.key`, with `lambda` naming
-        `lam`; an unknown section or key is a config error."""
+        """(section, attribute) named by `section.key`; an unknown section or
+        key is a config error."""
         if sec_name not in _FIELD_TYPES:
             raise InvalidInputError(f"unknown config section {sec_name!r}")
-        attr = _ALIASES.get(key, key)
-        if key is not None and attr not in _FIELD_TYPES[sec_name]:
+        if key is not None and key not in _FIELD_TYPES[sec_name]:
             raise InvalidInputError(f"unknown config key {sec_name}.{key}")
-        return getattr(self, sec_name), attr
+        return getattr(self, sec_name), key
 
     def validate(self) -> None:
         """Reject settings that no stage can run with: first any field whose
@@ -219,7 +218,6 @@ _FIELD_TYPES = {sec: {attr: type(value) for attr, value in vars(defaults).items(
 _ACCEPTED = {bool: bool, int: int, float: (int, float), str: str, tuple: (list, tuple)}
 _KIND_NAMES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string",
                tuple: "a list"}
-_ALIASES = {"lambda": "lam"}
 _BOOL_WORDS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
                **dict.fromkeys(("0", "false", "no", "off"), False)}
 

@@ -13,11 +13,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.ndimage import correlate
 
 from ._kernels import composite_tile
 from .errors import FormatError, InvalidInputError
-from .gaussians import GaussianSet, quat_to_rotmat
+from .gaussians import SH_C0, GaussianSet, quat_to_rotmat
 from .geometry import Extrinsics, Intrinsics
 
 TILE = 16
@@ -25,7 +24,6 @@ NEAR_PLANE = 0.01
 COV2D_DILATION = 0.3
 PSNR_CAP = 99.0
 
-SH_C0 = 0.28209479177387814
 SH_C1 = 0.4886025119029199
 SH_C2 = (1.0925484305920792, -1.0925484305920792, 0.31539156525252005,
          -1.0925484305920792, 0.5462742152960396)
@@ -211,11 +209,20 @@ _SSIM_K1 = 0.01
 _SSIM_K2 = 0.03
 
 
-def _ssim_kernel() -> np.ndarray:
+def _ssim_window() -> np.ndarray:
+    """Normalised 1-D Gaussian; the 2-D window is its outer product."""
     r = _SSIM_WINDOW // 2
     g = np.exp(-0.5 * (np.arange(-r, r + 1) / _SSIM_SIGMA) ** 2)
-    k = np.outer(g, g)
-    return k / k.sum()
+    return g / g.sum()
+
+
+def _blur(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Separable blur of a 2-D image, one pass along each axis. The edge is
+    mirrored with the edge sample repeated, as often as the window needs."""
+    h, w = x.shape
+    p = np.pad(x, g.size // 2, mode="symmetric")
+    rows = sum(g[i] * p[i : i + h] for i in range(g.size))
+    return sum(g[j] * rows[:, j : j + w] for j in range(g.size))
 
 
 def ssim(a: np.ndarray, b: np.ndarray) -> float:
@@ -224,17 +231,17 @@ def ssim(a: np.ndarray, b: np.ndarray) -> float:
         raise InvalidInputError("SSIM inputs must share shape")
     if a.ndim == 2:
         a, b = a[..., None], b[..., None]
-    k = _ssim_kernel()
+    g = _ssim_window()
     c1 = _SSIM_K1**2
     c2 = _SSIM_K2**2
     vals = []
     for ch in range(a.shape[2]):
         x, y = a[..., ch].astype(float), b[..., ch].astype(float)
-        mx = correlate(x, k, mode="reflect")
-        my = correlate(y, k, mode="reflect")
-        sxx = correlate(x * x, k, mode="reflect") - mx * mx
-        syy = correlate(y * y, k, mode="reflect") - my * my
-        sxy = correlate(x * y, k, mode="reflect") - mx * my
+        mx = _blur(x, g)
+        my = _blur(y, g)
+        sxx = _blur(x * x, g) - mx * mx
+        syy = _blur(y * y, g) - my * my
+        sxy = _blur(x * y, g) - mx * my
         num = (2 * mx * my + c1) * (2 * sxy + c2)
         den = (mx * mx + my * my + c1) * (sxx + syy + c2)
         vals.append(np.mean(num / den))

@@ -8,6 +8,8 @@ regression), two-planes (occlusion), sphere (curvature), gaussian-garden
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -29,6 +31,13 @@ class CameraPose:
     look_at: Tuple[float, float, float]
     up: Tuple[float, float, float] = DEFAULT_UP
 
+    def __post_init__(self):
+        for name in ("position", "look_at", "up"):
+            v = getattr(self, name)
+            if len(v) != 3 or not all(isinstance(c, numbers.Real) and not isinstance(c, bool)
+                                      and math.isfinite(c) for c in v):
+                raise InvalidInputError(f"camera {name} must be 3 finite numbers, got {v!r}")
+
 
 @dataclass
 class SceneSpec:
@@ -48,6 +57,8 @@ class SceneSpec:
             raise InvalidInputError("a scene needs at least two cameras")
         if not 0 < self.near < self.far:
             raise InvalidInputError("need 0 < near < far")
+        if type(self.seed) is not int or self.seed < 0:
+            raise InvalidInputError(f"seed must be a non-negative integer, got {self.seed!r}")
         if len(self.image_size) != 2 or not all(type(v) is int and v > 0 for v in self.image_size):
             raise InvalidInputError(f"image_size must be 2 positive integers, got {self.image_size}")
         if not isinstance(self.params, dict):
@@ -73,7 +84,7 @@ class SceneSpec:
             return SceneSpec(
                 kind=d["kind"], cameras=cams,
                 image_size=tuple(d.get("image_size", (64, 64))),
-                seed=int(d.get("seed", 0)),
+                seed=d.get("seed", 0),
                 near=float(d.get("near", 0.5)), far=float(d.get("far", 10.0)),
                 fov_deg=float(d.get("fov_deg", 60.0)),
                 params=d.get("params", {}),
@@ -250,7 +261,9 @@ def _garden_gaussians(spec: SceneSpec) -> GaussianSet:
     saturates and the expected-depth map is well defined everywhere.
     """
     rng = np.random.default_rng(spec.seed)
-    n_side = int(_param(spec, "side", 48))
+    n_side = spec.params.get("side", 48)
+    if type(n_side) is not int or n_side < 2:
+        raise InvalidInputError(f"scene param 'side' must be an integer >= 2, got {n_side!r}")
     ext = _param(spec, "half_extent", 1.6)
     z0 = _param(spec, "z_base", 2.0)
     amp = _param(spec, "z_amp", 0.15)

@@ -119,9 +119,10 @@ def lift_views(
 def voxelize(cloud: FeaturedPointCloud, voxel_size: float) -> SparseVoxelGrid:
     """Average-pool point features into their voxels.
 
-    Points are canonically ordered by (key, source_view, position,
-    feature bytes) before accumulation, so the result is bit-identical
-    regardless of input order or sharding.
+    Points are summed in one order fixed by the points themselves: voxel
+    key, then position, then features. So the result is bit-identical for
+    any order of the points, and for any order of the views they were
+    lifted from.
     """
     if voxel_size <= 0:
         raise InvalidInputError("voxel size must be positive")
@@ -132,7 +133,7 @@ def voxelize(cloud: FeaturedPointCloud, voxel_size: float) -> SparseVoxelGrid:
     keys = voxel_index(cloud.positions, voxel_size)
     minor = [np.ascontiguousarray(cloud.features[:, j]) for j in range(c - 1, -1, -1)]
     minor += [cloud.positions[:, 2], cloud.positions[:, 1], cloud.positions[:, 0]]
-    order = np.lexsort(tuple(minor) + (cloud.source_view, keys[:, 2], keys[:, 1], keys[:, 0]))
+    order = np.lexsort(tuple(minor) + (keys[:, 2], keys[:, 1], keys[:, 0]))
     keys = keys[order]
     feats = cloud.features[order]
     new_group = np.empty(m, dtype=bool)

@@ -1,13 +1,17 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import volsplat
 from volsplat import KERNEL_BACKEND, __version__
-from volsplat.cli import main, report_schema
+from volsplat.cli import main
 from volsplat.gaussians import GaussianSet, _ply_property_names, export_ply
 from volsplat.sceneio import load_scene, read_depth, save_scene, write_depth
 from volsplat.scenes import CameraPose, SceneSpec, synthesize
@@ -295,11 +299,19 @@ class TestEval:
         assert res.exit_code == 0, res.output
         assert "psnr" in res.output and "PGS" in res.output
         report = json.loads(report_path.read_text())
+        assert set(report) == {"schema_version", "per_view", "mean", "pgs", "gaussian_count"}
         assert report["schema_version"] == 1
         assert len(report["per_view"]) == 3
-        import jsonschema
-
-        jsonschema.validate(report, report_schema())
+        for m in report["per_view"] + [report["mean"]]:
+            assert set(m) == {"mse", "psnr", "ssim"}
+            assert all(type(v) is float for v in m.values())
+            assert m["mse"] >= 0
+            assert m["psnr"] <= 99.0
+            assert -1 <= m["ssim"] <= 1
+        count = report["gaussian_count"]
+        assert type(count) is int
+        assert count == json.loads((out / "diagnostics.json").read_text())["gaussian_count"] > 0
+        assert report["pgs"] == count / 3
 
     def test_missing_ply_exits_2(self, runner, scene_dir, tmp_path):
         res = runner.invoke(main, [
@@ -504,6 +516,13 @@ def eval_on_missing_targets(scene_dir, tmp_path):
     return eval_args(tmp_path / "g.ply", tmp_path / "none", tmp_path)
 
 
+def first_camera(**fields):
+    """Case setup: `synth` on the wall spec with its first camera updated."""
+    cams = wall_spec_dict()["cameras"]
+    cams[0] = {**cams[0], **fields}
+    return spec_file({"cameras": cams})
+
+
 def without_depth_files(scene_dir, tmp_path):
     for p in scene_dir.glob("view_*.depth"):
         p.unlink()
@@ -515,12 +534,21 @@ MALFORMED_INPUTS = {
     "synth-invalid-json": spec_file(b'{"kind": '),
     "synth-not-utf8": spec_file(b"\xff\xfe{}"),
     "synth-seed-text": spec_file({"seed": "x"}),
+    "synth-seed-negative": spec_file({"seed": -1}),
+    "synth-seed-float": spec_file({"seed": 1.5}),
+    "synth-camera-position-two-numbers": first_camera(position=[0.0, 0.0]),
+    "synth-camera-position-text": first_camera(position="abc"),
+    "synth-camera-look-at-text": first_camera(look_at=["0", "0", "2"]),
+    "synth-camera-up-two-numbers": first_camera(up=[0.0, -1.0]),
     "synth-image-size-one-value": spec_file({"image_size": [32]}),
     "synth-image-size-float": spec_file({"image_size": [24.0, 24]}),
     "synth-param-text": spec_file({"kind": "sphere", "params": {"radius": "x"}}),
     "synth-param-nan": spec_file({"kind": "sphere", "params": {"radius": float("nan")}}),
     "synth-param-short-vector": spec_file({"kind": "sphere", "params": {"center": [0, 0]}}),
     "synth-params-not-object": spec_file({"params": 3}),
+    "synth-garden-side-one": spec_file({"kind": "gaussian-garden", "params": {"side": 1}}),
+    "synth-garden-side-negative": spec_file({"kind": "gaussian-garden", "params": {"side": -1}}),
+    "synth-garden-side-float": spec_file({"kind": "gaussian-garden", "params": {"side": 8.5}}),
     "synth-spec-missing": lambda scene_dir, tmp_path: synth_args(tmp_path / "none.json", tmp_path),
     "synth-spec-directory": lambda scene_dir, tmp_path: synth_args(scene_dir, tmp_path),
     "run-scene-missing": lambda scene_dir, tmp_path: [
@@ -613,3 +641,28 @@ class TestSceneIO:
             np.testing.assert_array_equal(a.extrinsics.R, b.extrinsics.R)
             # images survive 8-bit quantization within half a step
             assert np.max(np.abs(a.image - b.image)) <= 0.5 / 255 + 1e-12
+
+
+def test_cli_and_eval_import_neither_scipy_nor_jsonschema():
+    """The runtime dependencies are numpy and click: a fresh interpreter that
+    loads the CLI and evaluates a scene has imported neither scipy nor
+    jsonschema."""
+    code = textwrap.dedent("""
+        import sys
+        import volsplat.cli
+        from volsplat.pipeline import evaluate
+        from volsplat.scenes import CameraPose, SceneSpec, synthesize
+
+        cams = [CameraPose((0.1 * i, 0.0, 0.0), (0.0, 0.0, 2.0)) for i in range(2)]
+        spec = SceneSpec("gaussian-garden", cams, image_size=(16, 16), params={"side": 8})
+        views, gset = synthesize(spec)
+        report = evaluate(gset, views)
+        assert len(report["per_view"]) == 2
+        print(sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "jsonschema")))
+    """)
+    src = os.path.dirname(os.path.dirname(volsplat.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"

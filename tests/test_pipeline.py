@@ -10,8 +10,11 @@ from hypothesis import strategies as st
 from volsplat import features
 from volsplat.errors import InvalidInputError, StageError
 from volsplat.features import FeatureExtractorSpec, extract_features
+from volsplat.geometry import DepthMap
 from volsplat.pipeline import PipelineConfig, _estimate_depths, evaluate, run_pipeline
 from volsplat.scenes import CameraPose, SceneSpec, hold_out, synthesize
+from volsplat.sparse_unet import SparseTensor, UNetSpec, random_weights, unet_forward
+from volsplat.voxels import lift_views, voxelize
 
 
 def wall_views(n_cams=3, size=24, use_gt=True):
@@ -40,8 +43,8 @@ class TestConfig:
         assert cfg.depth.num_hypotheses == 32
         assert cfg.depth.temperature == 0.05
 
-    def test_from_json_with_lambda_alias(self):
-        cfg = PipelineConfig.from_json({"loss": {"lambda": 0.2}, "voxel": {"size": 0.05}})
+    def test_from_json_sets_fields(self):
+        cfg = PipelineConfig.from_json({"loss": {"lam": 0.2}, "voxel": {"size": 0.05}})
         assert cfg.loss.lam == 0.2
         assert cfg.voxel.size == 0.05
 
@@ -50,6 +53,8 @@ class TestConfig:
             PipelineConfig.from_json({"nope": {}})
         with pytest.raises(InvalidInputError):
             PipelineConfig.from_json({"voxel": {"sizes": 0.1}})
+        with pytest.raises(InvalidInputError, match="unknown config key loss.lambda"):
+            PipelineConfig.from_json({"loss": {"lambda": 0.2}})
         with pytest.raises(InvalidInputError, match="unknown config key feature.path"):
             PipelineConfig.from_json({"feature": {"path": "f.bin"}})
 
@@ -68,7 +73,7 @@ class TestConfig:
         assert cfg.unet.enabled is False
         cfg.apply_override("depth.num_hypotheses", "16")
         assert cfg.depth.num_hypotheses == 16
-        cfg.apply_override("loss.lambda", "0.3")
+        cfg.apply_override("loss.lam", "0.3")
         assert cfg.loss.lam == 0.3
 
     def test_override_bad_key(self):
@@ -308,11 +313,16 @@ class TestRunPipeline:
             run_pipeline(views[:1], cfg)
 
 
-def test_estimated_depths_independent_of_view_order(monkeypatch, c_sweep):
+def sphere_ring_views():
+    """Four views of the sphere scene from a ring around it, 32x32."""
     cams = [CameraPose((0.3 * np.cos(a), 0.1 * i, 0.3 * np.sin(a)), (0.0, 0.0, 2.0))
             for i, a in enumerate(np.linspace(0, 1.5 * np.pi, 4))]
     spec = SceneSpec(kind="sphere", cameras=cams, image_size=(32, 32), seed=2)
-    views, _ = synthesize(spec)
+    return synthesize(spec)[0]
+
+
+def test_estimated_depths_independent_of_view_order(monkeypatch, c_sweep):
+    views = sphere_ring_views()
     cfg = base_config(depth={"use_gt": False, "num_hypotheses": 6})
     fspec = FeatureExtractorSpec(channels=cfg.feature.channels, scale=cfg.feature.scale)
     fmaps = [extract_features(v, fspec) for v in views]
@@ -323,6 +333,27 @@ def test_estimated_depths_independent_of_view_order(monkeypatch, c_sweep):
             depths = _estimate_depths([views[i] for i in order], [fmaps[i] for i in order], cfg)
             got = {i: d.values.tobytes() for i, d in zip(order, depths)}
             assert [got[i] for i in range(4)] == want, (sweep, order)
+
+
+def test_grid_and_refined_features_independent_of_view_order():
+    """Voxel means sum in float64, so the points of a voxel must be added in
+    an order that does not come from the order of the views."""
+    views = sphere_ring_views()
+    fmaps = [extract_features(v, FeatureExtractorSpec(channels=6)) for v in views]
+    depths = [DepthMap(v.gt_depth) for v in views]
+    spec = UNetSpec()
+    weights = random_weights(spec, 6, seed=0)
+
+    def forward(order):
+        cloud = lift_views(*([seq[i] for i in order] for seq in (views, fmaps, depths)))
+        grid = voxelize(cloud, 0.1)
+        refined = unet_forward(SparseTensor(grid.keys, grid.features), spec, weights)
+        return (grid.keys.tobytes(), grid.counts.tobytes(), grid.features.tobytes(),
+                refined.feats.tobytes())
+
+    want = forward(range(4))
+    for order in itertools.permutations(range(4)):
+        assert forward(order) == want, order
 
 
 class TestEvaluate:

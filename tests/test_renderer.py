@@ -265,31 +265,38 @@ class TestMetrics:
             compute_image_metrics(np.zeros((4, 4, 3)), np.zeros((5, 5, 3)))
 
     def test_ssim_matches_naive_oracle(self):
-        rng = np.random.default_rng(5)
-        a = rng.uniform(size=(20, 20))
-        b = np.clip(a + rng.normal(0, 0.05, a.shape), 0, 1)
-        got = ssim(a, b)
+        """A direct 11x11 window against the separable blur, on images larger
+        and smaller than the window; the small ones mirror more than once."""
+        r = 5
+        g = np.exp(-0.5 * (np.arange(-r, r + 1) / 1.5) ** 2)
+        k = np.outer(g, g)
+        k /= k.sum()
+
+        def mirror(i, n):
+            # scipy's "reflect": the edge sample is repeated, period 2n
+            i = np.mod(i, 2 * n)
+            return np.where(i < n, i, 2 * n - 1 - i)
 
         def blur(x):
-            r = 5
-            g = np.exp(-0.5 * (np.arange(-r, r + 1) / 1.5) ** 2)
-            k = np.outer(g, g); k /= k.sum()
-            # scipy's "reflect" duplicates the edge sample (numpy "symmetric")
-            p = np.pad(x, r, mode="symmetric")
-            out = np.empty_like(x)
-            for i in range(x.shape[0]):
-                for j in range(x.shape[1]):
-                    out[i, j] = np.sum(p[i : i + 11, j : j + 11] * k)
-            return out
+            h, w = x.shape
+            taps = np.arange(-r, r + 1)
+            rows = mirror(np.arange(h)[:, None] + taps, h)
+            cols = mirror(np.arange(w)[:, None] + taps, w)
+            windows = x[rows[:, None, :, None], cols[None, :, None, :]]  # h, w, 11, 11
+            return np.sum(windows * k, axis=(2, 3))
 
-        mx, my = blur(a), blur(b)
-        sxx = blur(a * a) - mx * mx
-        syy = blur(b * b) - my * my
-        sxy = blur(a * b) - mx * my
-        c1, c2 = 0.01**2, 0.03**2
-        expect = np.mean(((2 * mx * my + c1) * (2 * sxy + c2))
-                         / ((mx**2 + my**2 + c1) * (sxx + syy + c2)))
-        assert got == pytest.approx(expect, abs=1e-9)
+        rng = np.random.default_rng(5)
+        for shape in [(64, 64), (48, 32), (20, 20), (11, 11), (5, 7), (3, 3), (2, 9), (1, 1)]:
+            a = rng.uniform(size=shape)
+            b = np.clip(a + rng.normal(0, 0.05, a.shape), 0, 1)
+            mx, my = blur(a), blur(b)
+            sxx = blur(a * a) - mx * mx
+            syy = blur(b * b) - my * my
+            sxy = blur(a * b) - mx * my
+            c1, c2 = 0.01**2, 0.03**2
+            expect = np.mean(((2 * mx * my + c1) * (2 * sxy + c2))
+                             / ((mx**2 + my**2 + c1) * (sxx + syy + c2)))
+            assert ssim(a, b) == pytest.approx(expect, abs=1e-12), shape
 
     def test_combined_loss(self):
         a = [np.zeros((4, 4, 3)), np.full((4, 4, 3), 0.5)]
