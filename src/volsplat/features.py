@@ -18,6 +18,10 @@ from .geometry import CameraView, DepthMap, Intrinsics, bilinear_sample, warp_fe
 
 _ALLOWED_SCALES = (1, 2, 4, 8)
 DEPTH_SPACINGS = ("linear", "inverse")
+# Upper bounds that keep every per-pixel feature and cost-volume array to a
+# size that can be allocated; larger values are config errors.
+MAX_FEATURE_CHANNELS = 128
+MAX_DEPTH_HYPOTHESES = 256
 
 
 @dataclass
@@ -55,8 +59,9 @@ class FeatureExtractorSpec:
     scale: int = 4
 
     def __post_init__(self):
-        if self.channels < 1:
-            raise InvalidInputError(f"feature.channels must be >= 1, got {self.channels}")
+        if not 1 <= self.channels <= MAX_FEATURE_CHANNELS:
+            raise InvalidInputError(
+                f"feature.channels must be 1 to {MAX_FEATURE_CHANNELS}, got {self.channels}")
         if self.scale not in _ALLOWED_SCALES:
             raise InvalidInputError(f"feature.scale must be one of {_ALLOWED_SCALES}, "
                                     f"got {self.scale}")

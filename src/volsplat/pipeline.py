@@ -15,6 +15,7 @@ import numpy as np
 from .errors import FormatError, InvalidInputError, StageError
 from .features import (
     DEPTH_SPACINGS,
+    MAX_DEPTH_HYPOTHESES,
     FeatureExtractorSpec,
     FeatureMap,
     build_cost_volume,
@@ -37,6 +38,7 @@ from .gaussians import (
 from .geometry import CameraView, DepthMap
 from .renderer import compute_image_metrics, render
 from .sparse_unet import (
+    MAX_UNET_WIDTH,
     SparseTensor,
     UNetSpec,
     check_weights,
@@ -185,8 +187,9 @@ class PipelineConfig:
                 raise InvalidInputError(f"{name} must be a positive finite number, got {value!r}")
         if not d.near < d.far:
             raise InvalidInputError(f"need depth.near < depth.far, got ({d.near}, {d.far})")
-        if d.num_hypotheses < 2:
-            raise InvalidInputError(f"depth.num_hypotheses must be >= 2, got {d.num_hypotheses}")
+        if not 2 <= d.num_hypotheses <= MAX_DEPTH_HYPOTHESES:
+            raise InvalidInputError(
+                f"depth.num_hypotheses must be 2 to {MAX_DEPTH_HYPOTHESES}, got {d.num_hypotheses}")
         if d.spacing not in DEPTH_SPACINGS:
             raise InvalidInputError(
                 f"depth.spacing must be one of {DEPTH_SPACINGS}, got {d.spacing!r}")
@@ -198,9 +201,9 @@ class PipelineConfig:
             raise InvalidInputError(
                 f"head.sh_degree must be 0 to {MAX_SH_DEGREE}, got {h.sh_degree}")
         if u.levels and (len(u.levels) < 2 or not all(
-                _fits(c, int) and c >= 1 for c in u.levels)):
-            raise InvalidInputError(
-                f"unet.levels must be empty or >= 2 positive integers, got {u.levels!r}")
+                _fits(c, int) and 1 <= c <= MAX_UNET_WIDTH for c in u.levels)):
+            raise InvalidInputError(f"unet.levels must be empty or >= 2 integers "
+                                    f"from 1 to {MAX_UNET_WIDTH}, got {u.levels!r}")
         if h.kind not in HEAD_KINDS:
             raise InvalidInputError(f"head.kind must be one of {HEAD_KINDS}, got {h.kind!r}")
         if h.kind == "color-copy" and f.channels < 3:

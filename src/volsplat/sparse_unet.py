@@ -17,6 +17,10 @@ import numpy as np
 from .errors import FormatError, InvalidInputError, WeightLoadError
 
 WEIGHT_MAGIC = b"VSWT"
+# Widest U-Net level a config may ask for: one 27 x 512 x 512 float64 kernel
+# is 57 MB. The default widths (C, 2C, 4C) stay within it for every allowed
+# feature.channels.
+MAX_UNET_WIDTH = 512
 
 # 27 kernel offsets in a fixed order; index k maps to (dz, dy, dx) via
 # weight[di+1, dj+1, dk+1].

@@ -16,11 +16,9 @@ from .geometry import CameraView, DepthMap, unproject_pixel
 class FeaturedPointCloud:
     positions: np.ndarray  # M x 3
     features: np.ndarray  # M x C
-    source_view: np.ndarray  # M
 
     def __post_init__(self):
-        m = self.positions.shape[0]
-        if self.features.shape[0] != m or self.source_view.shape[0] != m:
+        if self.features.shape[0] != self.positions.shape[0]:
             raise InvalidInputError("point cloud arrays disagree on length")
         if not np.all(np.isfinite(self.positions)):
             raise InvalidInputError("positions must be finite")
@@ -87,8 +85,7 @@ def lift_views(
         raise InvalidInputError("views/features/depths lists must align")
     pos_chunks: List[np.ndarray] = []
     feat_chunks: List[np.ndarray] = []
-    src_chunks: List[np.ndarray] = []
-    for idx, (view, fmap, depth) in enumerate(zip(views, features, depths)):
+    for view, fmap, depth in zip(views, features, depths):
         h, w = view.image.shape[:2]
         if depth.values.shape != (h, w):
             raise InvalidInputError("depth map must be at full image resolution")
@@ -105,14 +102,12 @@ def lift_views(
         )
         pos_chunks.append(pts)
         feat_chunks.append(feat[vs, us])
-        src_chunks.append(np.full(vs.size, idx, dtype=np.int64))
     if not pos_chunks:
         c = features[0].channels if features else 0
-        return FeaturedPointCloud(np.zeros((0, 3)), np.zeros((0, c)), np.zeros(0, np.int64))
+        return FeaturedPointCloud(np.zeros((0, 3)), np.zeros((0, c)))
     return FeaturedPointCloud(
         positions=np.concatenate(pos_chunks),
         features=np.concatenate(feat_chunks),
-        source_view=np.concatenate(src_chunks),
     )
 
 
@@ -120,9 +115,10 @@ def voxelize(cloud: FeaturedPointCloud, voxel_size: float) -> SparseVoxelGrid:
     """Average-pool point features into their voxels.
 
     Points are summed in one order fixed by the points themselves: voxel
-    key, then position, then features. So the result is bit-identical for
-    any order of the points, and for any order of the views they were
-    lifted from.
+    key, then position. Features order only points at exactly the same
+    position (channel 0 first), so they are sorted on only where such
+    points exist. The result is bit-identical for any order of the points,
+    and for any order of the views they were lifted from.
     """
     if voxel_size <= 0:
         raise InvalidInputError("voxel size must be positive")
@@ -130,10 +126,18 @@ def voxelize(cloud: FeaturedPointCloud, voxel_size: float) -> SparseVoxelGrid:
     c = cloud.features.shape[1] if cloud.features.ndim == 2 else 0
     if m == 0:
         return SparseVoxelGrid(voxel_size, np.zeros((0, 3), np.int64), np.zeros((0, c)), np.zeros(0, np.int64))
-    keys = voxel_index(cloud.positions, voxel_size)
-    minor = [np.ascontiguousarray(cloud.features[:, j]) for j in range(c - 1, -1, -1)]
-    minor += [cloud.positions[:, 2], cloud.positions[:, 1], cloud.positions[:, 0]]
-    order = np.lexsort(tuple(minor) + (keys[:, 2], keys[:, 1], keys[:, 0]))
+    pos = cloud.positions
+    keys = voxel_index(pos, voxel_size)
+    order = np.lexsort((pos[:, 2], pos[:, 1], pos[:, 0], keys[:, 2], keys[:, 1], keys[:, 0]))
+    sorted_pos = pos[order]
+    same_pos = np.all(sorted_pos[1:] == sorted_pos[:-1], axis=1)
+    if same_pos.any():
+        # Equal positions have equal keys, so each run of them is already
+        # contiguous; a stable sort by (run, features) orders only inside runs.
+        run = np.cumsum(np.append(True, ~same_pos))
+        feats = cloud.features[order]
+        by_features = tuple(feats[:, j] for j in range(c - 1, -1, -1))
+        order = order[np.lexsort(by_features + (run,))]
     keys = keys[order]
     feats = cloud.features[order]
     new_group = np.empty(m, dtype=bool)

@@ -77,7 +77,6 @@ def test_02_voxelize_oracle():
     cloud = FeaturedPointCloud(
         positions=rng.uniform(-1, 1, (10_000, 3)),
         features=rng.normal(size=(10_000, 8)),
-        source_view=rng.integers(0, 4, 10_000),
     )
     grid = voxelize(cloud, 0.1)
     groups = {}

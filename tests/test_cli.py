@@ -182,6 +182,10 @@ class TestRun:
     @pytest.mark.parametrize("overrides", [
         ["depth.near=5", "depth.far=1"],
         ["depth.num_hypotheses=1"],
+        ["depth.num_hypotheses=100000000000000000000"],
+        ["depth.num_hypotheses=257"],
+        ["feature.channels=100000000000"],
+        ["feature.channels=129"],
         ["depth.temperature=0"],
         ["voxel.size=-1"],
         ["voxel.size=abc"],
@@ -191,6 +195,8 @@ class TestRun:
         ["unet.levels=[4]"],
         ["unet.levels=[4, 0]"],
         ["unet.levels=[4, 8.5]"],
+        ["unet.levels=[100000000, 2]"],
+        ["unet.levels=[4, 513]"],
         ["render.bg=[1]"],
         ["render.bg=[0, 0, NaN]"],
         ["head.sh_degree=-1"],

@@ -9,11 +9,22 @@ from hypothesis import strategies as st
 
 from volsplat import features
 from volsplat.errors import InvalidInputError, StageError
-from volsplat.features import FeatureExtractorSpec, extract_features
+from volsplat.features import (
+    MAX_DEPTH_HYPOTHESES,
+    MAX_FEATURE_CHANNELS,
+    FeatureExtractorSpec,
+    extract_features,
+)
 from volsplat.geometry import DepthMap
 from volsplat.pipeline import PipelineConfig, _estimate_depths, evaluate, run_pipeline
 from volsplat.scenes import CameraPose, SceneSpec, hold_out, synthesize
-from volsplat.sparse_unet import SparseTensor, UNetSpec, random_weights, unet_forward
+from volsplat.sparse_unet import (
+    MAX_UNET_WIDTH,
+    SparseTensor,
+    UNetSpec,
+    random_weights,
+    unet_forward,
+)
 from volsplat.voxels import lift_views, voxelize
 
 
@@ -120,6 +131,14 @@ class TestConfig:
 
     def test_validate_accepts_defaults(self):
         PipelineConfig().validate()
+
+    def test_validate_accepts_the_upper_bounds(self):
+        cfg = base_config(feature={"channels": MAX_FEATURE_CHANNELS},
+                          depth={"num_hypotheses": MAX_DEPTH_HYPOTHESES},
+                          unet={"levels": (MAX_UNET_WIDTH, 1)})
+        cfg.validate()
+        # the default level widths (C, 2C, 4C) never exceed the bound
+        assert max(UNetSpec().widths(MAX_FEATURE_CHANNELS)) <= MAX_UNET_WIDTH
 
     def test_validate_accepts_unet_head_render_values(self):
         base_config(unet={"blocks": 0, "levels": [4, 8, 16]}, head={"sh_degree": 2},
@@ -337,19 +356,24 @@ def test_estimated_depths_independent_of_view_order(monkeypatch, c_sweep):
 
 def test_grid_and_refined_features_independent_of_view_order():
     """Voxel means sum in float64, so the points of a voxel must be added in
-    an order that does not come from the order of the views."""
+    an order that does not come from the order of the views. Views 0 and 3
+    share a camera and depth but not features, so every point of view 0 has
+    a twin at the same position and only the features can order the pair."""
     views = sphere_ring_views()
     fmaps = [extract_features(v, FeatureExtractorSpec(channels=6)) for v in views]
+    views[3] = views[0]
     depths = [DepthMap(v.gt_depth) for v in views]
     spec = UNetSpec()
     weights = random_weights(spec, 6, seed=0)
 
     def forward(order):
         cloud = lift_views(*([seq[i] for i in order] for seq in (views, fmaps, depths)))
+        rows = np.concatenate([cloud.positions, cloud.features], axis=1)
+        rows = rows[np.lexsort(rows.T[::-1])]  # the cloud as a multiset of points
         grid = voxelize(cloud, 0.1)
         refined = unet_forward(SparseTensor(grid.keys, grid.features), spec, weights)
-        return (grid.keys.tobytes(), grid.counts.tobytes(), grid.features.tobytes(),
-                refined.feats.tobytes())
+        return (rows.tobytes(), grid.keys.tobytes(), grid.counts.tobytes(),
+                grid.features.tobytes(), refined.feats.tobytes())
 
     want = forward(range(4))
     for order in itertools.permutations(range(4)):

@@ -24,6 +24,31 @@ def brute_force_voxelize(positions, features, v_s):
     return {k: (np.mean(v, axis=0), len(v)) for k, v in groups.items()}
 
 
+def full_lexsort_voxelize(positions, features, v_s):
+    """Reference pooling for `voxelize`: one lexsort over voxel key, then
+    position, then every feature channel (channel 0 first). `voxelize` sorts
+    on features only inside runs of equal positions and must match this bit
+    for bit."""
+    keys = voxel_index(positions, v_s)
+    minor = [features[:, j] for j in range(features.shape[1] - 1, -1, -1)]
+    minor += [positions[:, 2], positions[:, 1], positions[:, 0]]
+    order = np.lexsort(tuple(minor) + (keys[:, 2], keys[:, 1], keys[:, 0]))
+    keys, feats = keys[order], features[order]
+    new_group = np.append(True, np.any(keys[1:] != keys[:-1], axis=1))
+    starts = np.nonzero(new_group)[0]
+    counts = np.diff(np.append(starts, len(keys)))
+    sums = np.add.reduceat(feats, starts, axis=0)
+    return keys[starts], sums / counts[:, None], counts.astype(np.int64)
+
+
+def assert_bit_equal_to_full_lexsort(cloud, v_s):
+    grid = voxelize(cloud, v_s)
+    keys, feats, counts = full_lexsort_voxelize(cloud.positions, cloud.features, v_s)
+    assert grid.keys.tobytes() == keys.tobytes()
+    assert grid.features.tobytes() == feats.tobytes()
+    assert grid.counts.tobytes() == counts.tobytes()
+
+
 class TestVoxelIndex:
     def test_known_values(self):
         np.testing.assert_array_equal(voxel_index(np.array([0.26, -0.04, 1.01]), 0.1), [3, 0, 10])
@@ -64,11 +89,18 @@ class TestVoxelCenter:
         np.testing.assert_array_equal(voxel_index(voxel_center(key, v_s), v_s), key)
 
 
+def flat_view(h=8, w=8, T=(0, 0, 0), depth=2.0):
+    """A uniform grey view of a wall at `depth`, with ground-truth depth."""
+    K = Intrinsics(fx=10, fy=10, cx=(w - 1) / 2, cy=(h - 1) / 2, width=w, height=h)
+    E = Extrinsics(np.eye(3), np.array(T, float))
+    img = np.full((h, w, 3), 0.5)
+    return CameraView(image=img, intrinsics=K, extrinsics=E, gt_depth=np.full((h, w), depth))
+
+
 def make_cloud(rng, m=1000, c=4):
     return FeaturedPointCloud(
         positions=rng.uniform(-1, 1, (m, 3)),
         features=rng.normal(size=(m, c)),
-        source_view=rng.integers(0, 3, m),
     )
 
 
@@ -77,7 +109,6 @@ class TestVoxelize:
         cloud = FeaturedPointCloud(
             positions=np.array([[0.01, 0.0, 0.0], [-0.01, 0.0, 0.0]]),
             features=np.array([[1.0, 2.0], [3.0, 4.0]]),
-            source_view=np.array([0, 0]),
         )
         grid = voxelize(cloud, 0.1)
         assert len(grid) == 1
@@ -87,7 +118,7 @@ class TestVoxelize:
     def test_isolated_points_keep_features(self):
         positions = np.array([[0.0, 0, 0], [1.0, 0, 0], [0, 1.0, 0]])
         feats = np.arange(9.0).reshape(3, 3)
-        cloud = FeaturedPointCloud(positions, feats, np.zeros(3, np.int64))
+        cloud = FeaturedPointCloud(positions, feats)
         grid = voxelize(cloud, 0.1)
         assert len(grid) == 3
         assert np.all(grid.counts == 1)
@@ -118,9 +149,7 @@ class TestVoxelize:
         rng = np.random.default_rng(3)
         cloud = make_cloud(rng, m=2000)
         perm = rng.permutation(len(cloud))
-        shuffled = FeaturedPointCloud(
-            cloud.positions[perm], cloud.features[perm], cloud.source_view[perm]
-        )
+        shuffled = FeaturedPointCloud(cloud.positions[perm], cloud.features[perm])
         a = voxelize(cloud, 0.1)
         b = voxelize(shuffled, 0.1)
         np.testing.assert_array_equal(a.keys, b.keys)
@@ -138,48 +167,68 @@ class TestVoxelize:
             np.testing.assert_allclose(grid.features[i] * grid.counts[i], direct, atol=1e-6)
 
     def test_empty_cloud(self):
-        cloud = FeaturedPointCloud(np.zeros((0, 3)), np.zeros((0, 4)), np.zeros(0, np.int64))
+        cloud = FeaturedPointCloud(np.zeros((0, 3)), np.zeros((0, 4)))
         assert len(voxelize(cloud, 0.1)) == 0
+
+    @pytest.mark.parametrize("seed,m,v_s", [(5, 2000, 0.1), (6, 10_000, 0.3), (7, 500, 2.0)])
+    def test_bit_equal_to_full_lexsort_on_random_clouds(self, seed, m, v_s):
+        assert_bit_equal_to_full_lexsort(make_cloud(np.random.default_rng(seed), m=m), v_s)
+
+    def test_bit_equal_to_full_lexsort_with_coincident_points(self):
+        # two views from one camera and depth: every position comes twice,
+        # with different features, and only the features can order the pair
+        v = flat_view()
+        d = DepthMap(v.gt_depth)
+        rng = np.random.default_rng(8)
+        fmaps = [FeatureMap(rng.normal(size=(8, 8, 3)), 1, 3) for _ in range(2)]
+        cloud = lift_views([v, v], fmaps, [d, d])
+        perm = rng.permutation(len(cloud))
+        shuffled = FeaturedPointCloud(cloud.positions[perm], cloud.features[perm])
+        assert len(np.unique(cloud.positions, axis=0)) == len(cloud) // 2
+        for c in (cloud, shuffled):
+            for v_s in (0.2, 0.5, 2.0):  # 1, 4 to 9 and all 64 positions per voxel
+                assert_bit_equal_to_full_lexsort(c, v_s)
+
+    def test_bit_equal_to_full_lexsort_with_signed_zeros(self):
+        # -0.0 and +0.0 compare equal, so they share a voxel and a position run
+        rng = np.random.default_rng(9)
+        positions = rng.choice([-0.0, 0.0, 0.04, -0.04], size=(400, 3))
+        assert np.any(np.signbit(positions) & (positions == 0))
+        cloud = FeaturedPointCloud(positions, rng.normal(size=(400, 5)))
+        assert_bit_equal_to_full_lexsort(cloud, 0.1)
+        assert_bit_equal_to_full_lexsort(cloud, 0.05)
 
 
 class TestLiftViews:
-    def _view(self, h=8, w=8, T=(0, 0, 0), depth=2.0):
-        K = Intrinsics(fx=10, fy=10, cx=(w - 1) / 2, cy=(h - 1) / 2, width=w, height=h)
-        E = Extrinsics(np.eye(3), np.array(T, float))
-        img = np.full((h, w, 3), 0.5)
-        return CameraView(image=img, intrinsics=K, extrinsics=E,
-                          gt_depth=np.full((h, w), depth))
-
     def _fmap(self, h=8, w=8, c=3):
         return FeatureMap(np.random.default_rng(0).normal(size=(h, w, c)), 1, c)
 
     def test_single_view_point_count(self):
-        v = self._view()
+        v = flat_view()
         cloud = lift_views([v], [self._fmap()], [DepthMap(v.gt_depth)])
         assert len(cloud) == 64
 
     def test_duplicate_views_coincide(self):
-        v = self._view()
+        v = flat_view()
         d = DepthMap(v.gt_depth)
         cloud = lift_views([v, v], [self._fmap(), self._fmap()], [d, d])
         assert len(cloud) == 128
         np.testing.assert_array_equal(cloud.positions[:64], cloud.positions[64:])
-        assert set(cloud.source_view) == {0, 1}
 
     def test_wall_depth_lands_at_z(self):
-        v = self._view(depth=2.0)
+        v = flat_view(depth=2.0)
         cloud = lift_views([v], [self._fmap()], [DepthMap(v.gt_depth)])
         np.testing.assert_allclose(cloud.positions[:, 2], 2.0, atol=1e-6)
 
     def test_invalid_pixels_skipped(self):
-        v = self._view()
+        v = flat_view()
         mask = np.ones((8, 8), bool)
         mask[0] = False
         cloud = lift_views([v], [self._fmap()], [DepthMap(v.gt_depth, mask)])
         assert len(cloud) == 56
 
     def test_rejects_mismatched_lists(self):
-        v = self._view()
+        v = flat_view()
         with pytest.raises(InvalidInputError):
             lift_views([v], [], [DepthMap(v.gt_depth)])
 
