@@ -13,6 +13,13 @@ kernel in `_composite_np`, and `plane_sweep` is None, which makes
 `features.build_cost_volume` run its own per-plane `warp_feature` loop.
 BACKEND names the kernels in use: "c" or "numpy".
 
+Both compositing kernels follow one recurrence, in which a splat adds
+nothing at a pixel where its squared Mahalanobis distance q exceeds Q_SKIP
+(80); the C kernel skips the exp there. The unskipped alpha would be at most
+e^-40 < 2^-57, so 1 - alpha rounds to exactly 1: transmittance is
+bit-identical to the recurrence without the rule, and colour differs by less
+than 4.3e-18 per skipped (splat, pixel) pair.
+
 Neither C kernel is bit-identical to its numpy counterpart, though both do
 the same operations in the same order. The compositing kernel agrees to about
 1e-16: it calls libm `exp`, and numpy may dispatch its own vectorised `exp`.

@@ -3,18 +3,22 @@
  * Each follows its numpy counterpart with the same operations in the same
  * order. Arrays are C-contiguous float64. The Python wrappers in __init__.py
  * check every dtype, shape and contiguity, so this file does no validation.
+ * Compositing skips a (splat, pixel) pair whose q exceeds Q_SKIP before its
+ * exp: there alpha <= e^-40 < 2^-57 would leave transmittance unchanged to
+ * the bit, so only rgb moves, by less than 4.3e-18 per skipped pair.
  */
 #include <math.h>
 
 #define ALPHA_MAX 0.99
 #define T_CUTOFF 1e-4
+#define Q_SKIP 80.0
 #define SNAP_TOL 1e-9
 
 /* Front-to-back compositing of pre-sorted 2D splats into one tile: the
  * per-pixel loop of _composite_np.py. means (n, 2), conics (n, 3),
  * colors (n, 3), opacities (n), rgb (th, tw, 3) and transmit (th, tw); rgb
- * and transmit are updated in place. ALPHA_MAX and T_CUTOFF match
- * _composite_np.py.
+ * and transmit are updated in place. ALPHA_MAX, T_CUTOFF and Q_SKIP match
+ * _composite_np.py; a splat adds nothing at a pixel where q > Q_SKIP.
  */
 void composite_tile(const double *means, const double *conics, const double *colors,
                     const double *opacities, long n, long x0, long y0, long th, long tw,
@@ -30,6 +34,8 @@ void composite_tile(const double *means, const double *conics, const double *col
             const double *c = conics + 3 * i, *col = colors + 3 * i;
             double dx = px - means[2 * i], dy = py - means[2 * i + 1];
             double q = c[0] * dx * dx + 2.0 * c[1] * dx * dy + c[2] * dy * dy;
+            if (q > Q_SKIP)
+                continue;
             double alpha = opacities[i] * exp(-0.5 * q);
             if (alpha > ALPHA_MAX)
                 alpha = ALPHA_MAX;

@@ -14,7 +14,7 @@ from . import KERNEL_BACKEND, __version__
 from .errors import StageError, VolsplatError
 from .gaussians import export_ply, import_ply, write_summary
 from .pipeline import PipelineConfig, evaluate, run_pipeline
-from .renderer import render, write_ppm
+from .renderer import MAX_THREADS, check_threads, render, write_ppm
 from .sceneio import load_scene, save_scene
 from .scenes import SceneSpec, synthesize
 
@@ -66,12 +66,14 @@ def cmd_synth(spec_path, out_dir):
               help="JSON config file; a missing or malformed one is a config error.")
 @click.option("--scene", "scene_dir", required=True, type=click.Path())
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
-@click.option("--threads", type=int, default=1, help="Render worker count (0 = auto).")
+@click.option("--threads", type=int, default=1,
+              help=f"Render worker count, 0 (auto) to {MAX_THREADS}.")
 @click.option("--override", "-o", "overrides", multiple=True, metavar="KEY=VALUE",
               help="Dotted config override, e.g. -o depth.near=0.5")
 def cmd_run(config_path, scene_dir, out_dir, threads, overrides):
     """Run the forward pipeline on a scene directory."""
     try:
+        check_threads(threads)
         cfg = PipelineConfig.from_json(config_path) if config_path else PipelineConfig()
         for item in overrides:
             if "=" not in item:
@@ -104,10 +106,12 @@ def cmd_run(config_path, scene_dir, out_dir, threads, overrides):
 @click.option("--gaussians", "ply_path", required=True, type=click.Path())
 @click.option("--targets", "target_dir", required=True, type=click.Path())
 @click.option("--out", "report_path", required=True, type=click.Path(dir_okay=False))
-@click.option("--threads", type=int, default=1)
+@click.option("--threads", type=int, default=1,
+              help=f"Render worker count, 0 (auto) to {MAX_THREADS}.")
 def cmd_eval(ply_path, target_dir, report_path, threads):
     """Render against target views and write a metrics report."""
     try:
+        check_threads(threads)
         gset = import_ply(ply_path)
         targets = load_scene(target_dir)
         report = evaluate(gset, targets, threads=threads)

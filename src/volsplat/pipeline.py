@@ -38,6 +38,7 @@ from .gaussians import (
 from .geometry import CameraView, DepthMap
 from .renderer import compute_image_metrics, render
 from .sparse_unet import (
+    MAX_UNET_BLOCKS,
     MAX_UNET_WIDTH,
     SparseTensor,
     UNetSpec,
@@ -194,9 +195,11 @@ class PipelineConfig:
             raise InvalidInputError(
                 f"depth.spacing must be one of {DEPTH_SPACINGS}, got {d.spacing!r}")
         FeatureExtractorSpec(f.channels, f.scale)  # channels, scale
-        for name, value in (("unet.blocks", u.blocks), ("unet.seed", u.seed), ("head.seed", h.seed)):
+        for name, value in (("unet.seed", u.seed), ("head.seed", h.seed)):
             if value < 0:
                 raise InvalidInputError(f"{name} must be >= 0, got {value}")
+        if not 0 <= u.blocks <= MAX_UNET_BLOCKS:
+            raise InvalidInputError(f"unet.blocks must be 0 to {MAX_UNET_BLOCKS}, got {u.blocks}")
         if not 0 <= h.sh_degree <= MAX_SH_DEGREE:
             raise InvalidInputError(
                 f"head.sh_degree must be 0 to {MAX_SH_DEGREE}, got {h.sh_degree}")

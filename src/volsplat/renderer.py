@@ -23,6 +23,7 @@ TILE = 16
 NEAR_PLANE = 0.01
 COV2D_DILATION = 0.3
 PSNR_CAP = 99.0
+MAX_THREADS = 64  # render workers; 0 asks for the executor's default
 
 SH_C1 = 0.4886025119029199
 SH_C2 = (1.0925484305920792, -1.0925484305920792, 0.31539156525252005,
@@ -82,23 +83,22 @@ def _project_all(gset: GaussianSet, K: Intrinsics, E: Extrinsics):
     x, y = p_cam[:, 0], p_cam[:, 1]
     mean2d = np.stack([K.fx * x / z + K.cx, K.fy * y / z + K.cy], axis=1)
 
-    # J W Sigma W^T J^T with J the 2x3 perspective Jacobian at the mean
-    J = np.zeros((idx.size, 2, 3))
-    J[:, 0, 0] = K.fx / z
-    J[:, 0, 2] = -K.fx * x / (z * z)
-    J[:, 1, 1] = K.fy / z
-    J[:, 1, 2] = -K.fy * y / (z * z)
-    W = E.R.T  # world -> camera rotation
+    # cov2d = J W Sigma W^T J^T = (J W Rq S)(J W Rq S)^T, with J the 2x3
+    # perspective Jacobian at the mean, W the world -> camera rotation and
+    # Sigma = Rq S^2 Rq^T. Every entry of J, J W and J W Rq S is one (N,)
+    # array; J's entries j01 and j10 are 0.
+    W = E.R.T
+    j00, j02 = K.fx / z, -K.fx * x / (z * z)
+    j11, j12 = K.fy / z, -K.fy * y / (z * z)
+    jw = ([j00 * W[0, k] + j02 * W[2, k] for k in range(3)],
+          [j11 * W[1, k] + j12 * W[2, k] for k in range(3)])
     Rq = quat_to_rotmat(gset.rotations[idx].astype(float))
     S = gset.scales[idx]
-    M = Rq * S[:, None, :]
-    sigma = M @ M.transpose(0, 2, 1)
-    JW = J @ W
-    cov2d = JW @ sigma @ JW.transpose(0, 2, 1)
-    cov2d[:, 0, 0] += COV2D_DILATION
-    cov2d[:, 1, 1] += COV2D_DILATION
-
-    a, b, c = cov2d[:, 0, 0], cov2d[:, 0, 1], cov2d[:, 1, 1]
+    u, v = ([(r[0] * Rq[:, 0, k] + r[1] * Rq[:, 1, k] + r[2] * Rq[:, 2, k]) * S[:, k]
+             for k in range(3)] for r in jw)
+    a = u[0] * u[0] + u[1] * u[1] + u[2] * u[2] + COV2D_DILATION
+    b = u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+    c = v[0] * v[0] + v[1] * v[1] + v[2] * v[2] + COV2D_DILATION
     mid = 0.5 * (a + c)
     disc = np.sqrt(np.maximum(mid * mid - (a * c - b * b), 0.0))
     radius = 3.0 * np.sqrt(np.maximum(mid + disc, 0.0))
@@ -187,6 +187,12 @@ def rasterize(mean2d, conics, colors, ops, radius, h: int, w: int, threads: int 
     return rgb, transmit
 
 
+def check_threads(threads: int) -> None:
+    """Raise InvalidInputError unless `threads` is 0 (auto) to MAX_THREADS."""
+    if not 0 <= threads <= MAX_THREADS:
+        raise InvalidInputError(f"threads must be 0 (auto) to {MAX_THREADS}, got {threads}")
+
+
 def render(
     gset: GaussianSet,
     K: Intrinsics,
@@ -194,7 +200,9 @@ def render(
     bg=(0.0, 0.0, 0.0),
     threads: int = 1,
 ) -> RenderedImage:
-    """Rasterize a Gaussian set into an RGB + alpha image."""
+    """Rasterize a Gaussian set into an RGB + alpha image on `threads`
+    workers (0 = the executor's default)."""
+    check_threads(threads)
     mean2d, conics, _, colors, ops, radius = sorted_splats(gset, K, E)
     rgb, transmit = rasterize(mean2d, conics, colors, ops, radius, K.height, K.width, threads)
     rgb = rgb + transmit[..., None] * np.asarray(bg, dtype=float)

@@ -21,6 +21,9 @@ WEIGHT_MAGIC = b"VSWT"
 # is 57 MB. The default widths (C, 2C, 4C) stay within it for every allowed
 # feature.channels.
 MAX_UNET_WIDTH = 512
+# Most submanifold blocks a config may ask for per level, in the encoder and
+# again in the decoder (the default is 2).
+MAX_UNET_BLOCKS = 8
 
 # 27 kernel offsets in a fixed order; index k maps to (dz, dy, dx) via
 # weight[di+1, dj+1, dk+1].

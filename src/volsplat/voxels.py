@@ -111,13 +111,35 @@ def lift_views(
     )
 
 
+def pooling_order(positions: np.ndarray, features: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """The row order in which `voxelize` sums points: by voxel key, then
+    position, then features (channel 0 first).
+
+    Features only order points at exactly the same position, so they are
+    sorted on only inside runs of such points. This is the permutation of one
+    full lexsort on all these keys.
+    """
+    order = np.lexsort((positions[:, 2], positions[:, 1], positions[:, 0],
+                        keys[:, 2], keys[:, 1], keys[:, 0]))
+    sorted_pos = positions[order]
+    same_pos = np.all(sorted_pos[1:] == sorted_pos[:-1], axis=1)
+    if same_pos.any():
+        # Equal positions have equal keys, so each run of them is already
+        # contiguous. Only the rows of runs longer than one are reordered, by
+        # a stable sort on (run, features), so the runs keep their places.
+        tied = np.flatnonzero(np.append(same_pos, False) | np.append(False, same_pos))
+        run = np.cumsum(np.append(True, ~same_pos))[tied]
+        feats = features[order[tied]]
+        by_features = tuple(feats[:, j] for j in range(feats.shape[1] - 1, -1, -1))
+        order[tied] = order[tied][np.lexsort(by_features + (run,))]
+    return order
+
+
 def voxelize(cloud: FeaturedPointCloud, voxel_size: float) -> SparseVoxelGrid:
     """Average-pool point features into their voxels.
 
-    Points are summed in one order fixed by the points themselves: voxel
-    key, then position. Features order only points at exactly the same
-    position (channel 0 first), so they are sorted on only where such
-    points exist. The result is bit-identical for any order of the points,
+    Points are summed in `pooling_order`, which is fixed by the points
+    themselves, so the result is bit-identical for any order of the points,
     and for any order of the views they were lifted from.
     """
     if voxel_size <= 0:
@@ -126,18 +148,8 @@ def voxelize(cloud: FeaturedPointCloud, voxel_size: float) -> SparseVoxelGrid:
     c = cloud.features.shape[1] if cloud.features.ndim == 2 else 0
     if m == 0:
         return SparseVoxelGrid(voxel_size, np.zeros((0, 3), np.int64), np.zeros((0, c)), np.zeros(0, np.int64))
-    pos = cloud.positions
-    keys = voxel_index(pos, voxel_size)
-    order = np.lexsort((pos[:, 2], pos[:, 1], pos[:, 0], keys[:, 2], keys[:, 1], keys[:, 0]))
-    sorted_pos = pos[order]
-    same_pos = np.all(sorted_pos[1:] == sorted_pos[:-1], axis=1)
-    if same_pos.any():
-        # Equal positions have equal keys, so each run of them is already
-        # contiguous; a stable sort by (run, features) orders only inside runs.
-        run = np.cumsum(np.append(True, ~same_pos))
-        feats = cloud.features[order]
-        by_features = tuple(feats[:, j] for j in range(c - 1, -1, -1))
-        order = order[np.lexsort(by_features + (run,))]
+    keys = voxel_index(cloud.positions, voxel_size)
+    order = pooling_order(cloud.positions, cloud.features, keys)
     keys = keys[order]
     feats = cloud.features[order]
     new_group = np.empty(m, dtype=bool)

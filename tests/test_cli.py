@@ -13,6 +13,7 @@ import volsplat
 from volsplat import KERNEL_BACKEND, __version__
 from volsplat.cli import main
 from volsplat.gaussians import GaussianSet, _ply_property_names, export_ply
+from volsplat.renderer import MAX_THREADS
 from volsplat.sceneio import load_scene, read_depth, save_scene, write_depth
 from volsplat.scenes import CameraPose, SceneSpec, synthesize
 from volsplat.sparse_unet import UNetSpec, random_weights, save_weights
@@ -140,6 +141,20 @@ class TestRun:
         del ha["timings.json"], hb["timings.json"]
         assert ha == hb
 
+    @pytest.mark.parametrize("command", ["run", "eval"])
+    @pytest.mark.parametrize("threads", [-1, MAX_THREADS + 1])
+    def test_threads_out_of_range_exit_2_before_any_file_is_read(self, runner, tmp_path,
+                                                                  command, threads):
+        # neither the scene nor the PLY exists: the threads check comes first
+        missing = str(tmp_path / "missing")
+        args = (["run", "--scene", missing, "--out", str(tmp_path / "x")] if command == "run"
+                else ["eval", "--gaussians", missing + ".ply", "--targets", missing,
+                      "--out", str(tmp_path / "x.json")])
+        res = runner.invoke(main, [*args, "--threads", str(threads)])
+        assert_one_error_line(res, 2)
+        assert f"threads must be 0 (auto) to {MAX_THREADS}, got {threads}" in res.stderr
+        assert list(tmp_path.iterdir()) == []
+
     def test_ablate_no_decoder(self, runner, scene_dir, tmp_path):
         # the no-decoder ablation is an ordinary override
         out = tmp_path / "abl"
@@ -203,6 +218,7 @@ class TestRun:
         ["head.kind=telepathic"],
         ["head.kind=color-copy", "feature.channels=2"],
         ["head.sh_degree=4"],
+        ["unet.blocks=9"],
     ])
     def test_bad_config_value_exits_2(self, runner, scene_dir, tmp_path, overrides):
         extra = [arg for item in overrides for arg in ("-o", item)]

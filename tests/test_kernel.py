@@ -1,14 +1,20 @@
-"""The compositing kernels against their references, and the kernel loader.
+"""The compositing kernels and the projection against their references, and
+the kernel loader.
 
 `composite_tile_sequential` below is the reference for the chunked numpy
 kernel: the per-splat recurrence that kernel replaced. They are compared on
 raw bytes. The C kernel (kernels.c) is compared with the numpy kernel to
-1e-12, since it calls libm `exp` where numpy may use its own. The loader is
-checked to switch both compiled kernels (compositing and the plane sweep,
-whose own agreement test is test_plane_sweep.py) to numpy together whenever
-the library cannot be built or loaded, or VOLSPLAT_FORCE_NUMPY=1 is set.
+1e-12, since it calls libm `exp` where numpy may use its own. Each kernel's
+skip rule (a splat adds nothing where q > Q_SKIP) is checked against the
+same kernel without it: the reference run with `q_skip=inf`, and kernels.c
+rebuilt with Q_SKIP at infinity. `project_all_stacked` is the stacked-matmul
+projection that `renderer._project_all` replaced. The loader is checked to
+switch both compiled kernels (compositing and the plane sweep, whose own
+agreement test is test_plane_sweep.py) to numpy together whenever the
+library cannot be built or loaded, or VOLSPLAT_FORCE_NUMPY=1 is set.
 """
 
+import functools
 import os
 import shutil
 import subprocess
@@ -24,18 +30,24 @@ from volsplat import _kernels, renderer
 from volsplat._kernels._composite_np import (
     ALPHA_MAX,
     CHUNK_ELEMENTS,
+    Q_SKIP,
     T_CUTOFF,
     composite_tile,
 )
-from volsplat.renderer import TILE, bin_tiles, render
+from volsplat.gaussians import GaussianSet, quat_to_rotmat
+from volsplat.renderer import COV2D_DILATION, TILE, _project_all, bin_tiles, eval_sh, render
+from volsplat.scenes import look_at_extrinsics
 
 from test_renderer import E0, K, make_set
 
 FULL_TILE_CHUNK = CHUNK_ELEMENTS // (TILE * TILE)
 
 
-def composite_tile_sequential(means, conics, colors, opacities, x0, y0, rgb, transmit):
-    """Same contract as `composite_tile`: rgb and transmit update in place."""
+def composite_tile_sequential(means, conics, colors, opacities, x0, y0, rgb, transmit,
+                              q_skip=Q_SKIP):
+    """Same contract as `composite_tile`: rgb and transmit update in place.
+    A splat adds nothing where q > q_skip; q_skip=inf is the recurrence
+    without the skip rule."""
     th, tw = transmit.shape
     ys, xs = np.mgrid[0:th, 0:tw]
     px = (x0 + xs).astype(float)
@@ -48,6 +60,7 @@ def composite_tile_sequential(means, conics, colors, opacities, x0, y0, rgb, tra
         dy = py - means[i, 1]
         q = conics[i, 0] * dx * dx + 2.0 * conics[i, 1] * dx * dy + conics[i, 2] * dy * dy
         alpha = np.minimum(ALPHA_MAX, opacities[i] * np.exp(-0.5 * q))
+        alpha[q > q_skip] = 0.0
         a = np.where(active, alpha, 0.0)
         rgb += (a * transmit)[..., None] * colors[i]
         transmit *= np.where(active, 1.0 - a, 1.0)
@@ -138,6 +151,77 @@ class TestOracle:
         transmit = rng.uniform(0, 1, (th, tw))
         transmit[rng.uniform(size=(th, tw)) < saturated] = T_CUTOFF * 0.999
         assert_kernels_agree(splats, x0, y0, rgb, transmit)
+
+
+@pytest.fixture(scope="session")
+def c_composite_no_skip(tmp_path_factory):
+    """kernels.c with Q_SKIP at infinity: the C recurrence without the skip."""
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler")
+    line = f"#define Q_SKIP {Q_SKIP:.1f}\n"
+    text = _kernels.SOURCE.read_text()
+    assert text.count(line) == 1
+    source = tmp_path_factory.mktemp("no_skip") / "kernels.c"
+    source.write_text(text.replace(line, "#define Q_SKIP INFINITY\n"))
+    kernels = _kernels.load(source.parent, source)
+    assert kernels is not None, "kernels.c with Q_SKIP at infinity did not build or load"
+    return kernels.composite_tile
+
+
+@pytest.fixture(scope="module", params=["numpy", "c"])
+def with_and_without_skip(request):
+    """One backend's kernel and the same recurrence without the skip rule."""
+    if request.param == "numpy":
+        return composite_tile, functools.partial(composite_tile_sequential, q_skip=np.inf)
+    return (request.getfixturevalue("c_composite"),
+            request.getfixturevalue("c_composite_no_skip"))
+
+
+class TestSkipRule:
+    def test_pixels_either_side_of_the_threshold(self, kernel_backend):
+        # one opaque white splat between two pixels: q is 80 (1 + 2h)^2 at
+        # pixel 0, just above Q_SKIP, and 80 (1 - 2h)^2 at pixel 1, just below
+        h = 1e-9
+        splat = (np.array([[0.5 + h, 0.0]]), np.array([[4 * Q_SKIP, 0.0, 4 * Q_SKIP]]),
+                 np.ones((1, 3)), np.ones(1))
+        dx = np.array([0.0, 1.0]) - splat[0][0, 0]
+        q = 4 * Q_SKIP * dx * dx  # the kernels' q, as dy = 0 and the conic is diagonal
+        assert q[0] > Q_SKIP > q[1]
+        rgb, transmit = fresh(1, 2)
+        renderer.composite_tile(*splat, 0, 0, rgb, transmit)
+        assert rgb[0, 0].tobytes() == bytes(24)  # skipped: +0.0 in every channel
+        np.testing.assert_allclose(rgb[0, 1], np.exp(-0.5 * q[1]), rtol=1e-12)
+        assert 0 < rgb[0, 1, 0] < 4.3e-18
+        # 1 - alpha rounds to 1 on both sides of the threshold
+        assert transmit.tobytes() == np.ones((1, 2)).tobytes()
+        # without the rule pixel 0 would have taken its e^-40
+        rgb_all, t_all = fresh(1, 2)
+        composite_tile_sequential(*splat, 0, 0, rgb_all, t_all, q_skip=np.inf)
+        assert 0 < rgb_all[0, 0, 0] < 4.3e-18 and t_all.tobytes() == transmit.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 3 * FULL_TILE_CHUNK + 2),
+           th=st.integers(1, TILE), tw=st.integers(1, TILE),
+           x0=st.integers(0, 200), y0=st.integers(0, 200),
+           max_opacity=st.sampled_from([0.02, 0.5, 1.0]), is_fresh=st.booleans())
+    def test_transmittance_is_that_of_the_recurrence_without_the_skip(
+            self, with_and_without_skip, seed, n, th, tw, x0, y0, max_opacity, is_fresh):
+        kernel, no_skip = with_and_without_skip
+        rng = np.random.default_rng(seed)
+        splats = random_splats(rng, n, x0, y0, th, tw, max_opacity)
+        if is_fresh:
+            rgb, transmit = fresh(th, tw)
+        else:
+            rgb, transmit = rng.uniform(0, 1, (th, tw, 3)), rng.uniform(0, 1, (th, tw))
+        rgb_a, t_a = rgb.copy(), transmit.copy()
+        rgb_b, t_b = rgb.copy(), transmit.copy()
+        kernel(*splats, x0, y0, rgb_a, t_a)
+        no_skip(*splats, x0, y0, rgb_b, t_b)
+        assert t_a.tobytes() == t_b.tobytes()
+        # each of the n splats either adds a skipped term below e^-40 or, once
+        # an earlier skip moved the running sum, may round it one ulp apart
+        ulp = np.spacing(max(1.0, np.abs(rgb_b).max(initial=0.0)))
+        assert np.abs(rgb_a - rgb_b).max(initial=0.0) <= n * (np.exp(-40) + ulp)
 
 
 def triple_loop_bins(tx0, tx1, ty0, ty1, nx, ny):
@@ -294,6 +378,64 @@ class TestCKernel:
             c_composite(**args)
         for k, old in zip(("rgb", "transmit"), before):
             assert np.array_equal(np.asarray(args[k]), old)
+
+
+def project_all_stacked(gset, K, E):
+    """Reference for `renderer._project_all`: the same projection with the 3D
+    and 2D covariances built as stacked (N, 3, 3) matrix products."""
+    centers = gset.centers.astype(float)
+    p_cam = E.world_to_cam(centers)
+    idx = np.nonzero(p_cam[:, 2] > renderer.NEAR_PLANE)[0]
+    p_cam = p_cam[idx]
+    x, y, z = p_cam[:, 0], p_cam[:, 1], p_cam[:, 2]
+    mean2d = np.stack([K.fx * x / z + K.cx, K.fy * y / z + K.cy], axis=1)
+    J = np.zeros((idx.size, 2, 3))
+    J[:, 0, 0] = K.fx / z
+    J[:, 0, 2] = -K.fx * x / (z * z)
+    J[:, 1, 1] = K.fy / z
+    J[:, 1, 2] = -K.fy * y / (z * z)
+    M = quat_to_rotmat(gset.rotations[idx].astype(float)) * gset.scales[idx][:, None, :]
+    JW = J @ E.R.T
+    cov2d = JW @ (M @ M.transpose(0, 2, 1)) @ JW.transpose(0, 2, 1)
+    a = cov2d[:, 0, 0] + COV2D_DILATION
+    b = cov2d[:, 0, 1]
+    c = cov2d[:, 1, 1] + COV2D_DILATION
+    mid = 0.5 * (a + c)
+    disc = np.sqrt(np.maximum(mid * mid - (a * c - b * b), 0.0))
+    radius = 3.0 * np.sqrt(np.maximum(mid + disc, 0.0))
+    dirs = centers[idx] - E.T
+    norms = np.linalg.norm(dirs, axis=1, keepdims=True)
+    dirs = np.divide(dirs, norms, out=np.zeros_like(dirs), where=norms > 0)
+    colors = eval_sh(gset.sh[idx], gset.sh_degree, dirs)
+    inside = ((mean2d[:, 0] + radius >= -0.5) & (mean2d[:, 0] - radius <= K.width - 0.5)
+              & (mean2d[:, 1] + radius >= -0.5) & (mean2d[:, 1] - radius <= K.height - 0.5))
+    conics = np.stack([c, -b, a], axis=1) / (a * c - b * b)[:, None]
+    return (mean2d[inside], conics[inside], z[inside], colors[inside],
+            gset.opacities[idx][inside], radius[inside], idx[inside])
+
+
+class TestProjection:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_closed_form_matches_stacked_matmuls(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 3000
+        quats = rng.normal(size=(n, 4))
+        z = rng.uniform(0.3, 4.0, n) * rng.choice([-1, 1], n, p=[0.1, 0.9])
+        gset = GaussianSet(
+            centers=np.c_[rng.uniform(-1, 1, (n, 2)), z],
+            opacity_logits=rng.normal(size=n),
+            log_scales=rng.uniform(np.log(1e-3), np.log(0.3), (n, 3)),
+            rotations=quats / np.linalg.norm(quats, axis=1, keepdims=True),
+            sh=rng.normal(size=(n, 12)), sh_degree=1)
+        cams = [E0, look_at_extrinsics(rng.uniform(-1, 1, 3) + [0, 0, -1], [0, 0, 2])]
+        for E in cams:
+            got, want = _project_all(gset, K, E), project_all_stacked(gset, K, E)
+            assert 100 < want[6].size < n  # some splats are culled, most are not
+            for i in (0, 2, 3, 4, 6):  # mean2d, z, colors, opacities, surviving indices
+                assert got[i].tobytes() == want[i].tobytes()
+            scale = np.abs(want[1]).max(axis=1, keepdims=True)
+            assert (np.abs(got[1] - want[1]) <= 1e-9 * scale).all()
+            np.testing.assert_allclose(got[5], want[5], rtol=1e-9, atol=0)
 
 
 NUMPY = _kernels.Kernels(composite_tile, None)  # both kernels on the numpy backend

@@ -19,6 +19,7 @@ from volsplat.geometry import DepthMap
 from volsplat.pipeline import PipelineConfig, _estimate_depths, evaluate, run_pipeline
 from volsplat.scenes import CameraPose, SceneSpec, hold_out, synthesize
 from volsplat.sparse_unet import (
+    MAX_UNET_BLOCKS,
     MAX_UNET_WIDTH,
     SparseTensor,
     UNetSpec,
@@ -135,7 +136,7 @@ class TestConfig:
     def test_validate_accepts_the_upper_bounds(self):
         cfg = base_config(feature={"channels": MAX_FEATURE_CHANNELS},
                           depth={"num_hypotheses": MAX_DEPTH_HYPOTHESES},
-                          unet={"levels": (MAX_UNET_WIDTH, 1)})
+                          unet={"levels": (MAX_UNET_WIDTH, 1), "blocks": MAX_UNET_BLOCKS})
         cfg.validate()
         # the default level widths (C, 2C, 4C) never exceed the bound
         assert max(UNetSpec().widths(MAX_FEATURE_CHANNELS)) <= MAX_UNET_WIDTH
@@ -186,6 +187,7 @@ class TestConfig:
         ("head", {"weights_path": None}),
         ("loss", {"lam": "0.05"}),
         ("render", {"bg": (0.0, True, 0.0)}),
+        ("unet", {"blocks": MAX_UNET_BLOCKS + 1}),
     ])
     def test_validate_rejects(self, section, values):
         cfg = base_config(**{section: values})

@@ -6,8 +6,10 @@ import pytest
 from volsplat.errors import FormatError, InvalidInputError
 from volsplat.gaussians import GaussianSet, SH_C0
 from volsplat.geometry import Extrinsics, Intrinsics
+from volsplat import renderer
 from volsplat.renderer import (
     COV2D_DILATION,
+    MAX_THREADS,
     PSNR_CAP,
     RenderedImage,
     _project_all,
@@ -177,6 +179,17 @@ class TestRender:
         b = render(gset, K, E0, threads=8)
         np.testing.assert_array_equal(a.rgb, b.rgb)
         np.testing.assert_array_equal(a.alpha, b.alpha)
+
+    @pytest.mark.parametrize("threads", [-1, MAX_THREADS + 1])
+    def test_thread_count_out_of_range_raises_before_rendering(self, monkeypatch, threads):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+        monkeypatch.setattr(renderer, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(renderer, "sorted_splats", no_pool)
+        gset = make_set([0, 0, 2.0], [1, 0, 0], [0.5], [[0.02] * 3])
+        with pytest.raises(InvalidInputError, match="threads must be 0"):
+            render(gset, K, E0, threads=threads)
 
     def test_background_composited_with_residual_transmittance(self):
         gset = make_set([0, 0, 2.0], [1, 0, 0], [0.5], [[0.02] * 3])

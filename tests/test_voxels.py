@@ -9,6 +9,7 @@ from volsplat.geometry import CameraView, DepthMap, Extrinsics, Intrinsics
 from volsplat.voxels import (
     FeaturedPointCloud,
     lift_views,
+    pooling_order,
     voxel_center,
     voxel_index,
     voxelize,
@@ -24,15 +25,20 @@ def brute_force_voxelize(positions, features, v_s):
     return {k: (np.mean(v, axis=0), len(v)) for k, v in groups.items()}
 
 
-def full_lexsort_voxelize(positions, features, v_s):
-    """Reference pooling for `voxelize`: one lexsort over voxel key, then
-    position, then every feature channel (channel 0 first). `voxelize` sorts
-    on features only inside runs of equal positions and must match this bit
-    for bit."""
-    keys = voxel_index(positions, v_s)
+def full_lexsort_order(positions, features, keys):
+    """Reference for `pooling_order`: one lexsort over voxel key, then
+    position, then every feature channel (channel 0 first)."""
     minor = [features[:, j] for j in range(features.shape[1] - 1, -1, -1)]
     minor += [positions[:, 2], positions[:, 1], positions[:, 0]]
-    order = np.lexsort(tuple(minor) + (keys[:, 2], keys[:, 1], keys[:, 0]))
+    return np.lexsort(tuple(minor) + (keys[:, 2], keys[:, 1], keys[:, 0]))
+
+
+def full_lexsort_voxelize(positions, features, v_s):
+    """Reference pooling for `voxelize`, in `full_lexsort_order`. `voxelize`
+    sorts on features only inside runs of equal positions and must match
+    this bit for bit."""
+    keys = voxel_index(positions, v_s)
+    order = full_lexsort_order(positions, features, keys)
     keys, feats = keys[order], features[order]
     new_group = np.append(True, np.any(keys[1:] != keys[:-1], axis=1))
     starts = np.nonzero(new_group)[0]
@@ -42,6 +48,11 @@ def full_lexsort_voxelize(positions, features, v_s):
 
 
 def assert_bit_equal_to_full_lexsort(cloud, v_s):
+    # the orders are compared too: how np.add.reduceat brackets a voxel's sum
+    # can hide a swap of two rows from the pooled features
+    keys = voxel_index(cloud.positions, v_s)
+    order = pooling_order(cloud.positions, cloud.features, keys)
+    assert order.tobytes() == full_lexsort_order(cloud.positions, cloud.features, keys).tobytes()
     grid = voxelize(cloud, v_s)
     keys, feats, counts = full_lexsort_voxelize(cloud.positions, cloud.features, v_s)
     assert grid.keys.tobytes() == keys.tobytes()
@@ -188,6 +199,21 @@ class TestVoxelize:
         for c in (cloud, shuffled):
             for v_s in (0.2, 0.5, 2.0):  # 1, 4 to 9 and all 64 positions per voxel
                 assert_bit_equal_to_full_lexsort(c, v_s)
+
+    @pytest.mark.parametrize("twin", [0, 7_000, 16_383])
+    @pytest.mark.parametrize("shift", [-1.0, 1.0])
+    def test_bit_equal_to_full_lexsort_with_one_duplicate(self, twin, shift):
+        # one point at the position of another, in a large cloud, put in
+        # before, at and after its twin's row: only that pair is ordered by
+        # features, on channel 1 after a tie on channel 0
+        rng = np.random.default_rng(10)
+        cloud = make_cloud(rng, m=16_384, c=12)
+        extra = cloud.features[twin] + np.r_[0.0, shift, np.zeros(10)]
+        for at in (0, twin, 16_384):
+            dup = FeaturedPointCloud(np.insert(cloud.positions, at, cloud.positions[twin], axis=0),
+                                     np.insert(cloud.features, at, extra, axis=0))
+            assert len(np.unique(dup.positions, axis=0)) == len(dup) - 1
+            assert_bit_equal_to_full_lexsort(dup, 0.1)
 
     def test_bit_equal_to_full_lexsort_with_signed_zeros(self):
         # -0.0 and +0.0 compare equal, so they share a voxel and a position run
