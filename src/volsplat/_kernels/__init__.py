@@ -1,16 +1,19 @@
 """Compiled kernels and their numpy fallbacks.
 
-`kernels.c` holds the engine's two compiled kernels: `composite_tile`, the
-rasterizer's per-tile compositing loop, and `plane_sweep`, one (reference,
-neighbour) pair of the depth stage's cost volume. On first import it is built
-with `cc -O2 -ffp-contract=off -fPIC -shared` into the per-user cache
-($XDG_CACHE_HOME or ~/.cache, then volsplat/), under a file name that carries
-a hash of the source and the flags, and loaded with ctypes, which releases the
-GIL for the length of each call, so render threads composite tiles in
-parallel. If the build or the load fails, or VOLSPLAT_FORCE_NUMPY=1 is set,
-both kernels fall back to numpy together: `composite_tile` is then the numpy
-kernel in `_composite_np`, and `plane_sweep` is None, which makes
-`features.build_cost_volume` run its own per-plane `warp_feature` loop.
+`kernels.c` holds the engine's three compiled kernels: `composite_tile`, the
+rasterizer's per-tile compositing loop, `plane_sweep`, one (reference,
+neighbour) pair of the depth stage's cost volume, and `scatter_add_rows`,
+the scatter-add of one kernel offset's rows in a sparse U-Net conv. On first
+import it is built with `cc -O2 -ffp-contract=off -fPIC -shared` into the
+per-user cache ($XDG_CACHE_HOME or ~/.cache, then volsplat/), under a file
+name that carries a hash of the source and the flags, and loaded with
+ctypes, which releases the GIL for the length of each call, so render
+threads composite tiles in parallel. If the build or the load fails, or
+VOLSPLAT_FORCE_NUMPY=1 is set, all three kernels fall back to numpy
+together: `composite_tile` is then the numpy kernel in `_composite_np`,
+`plane_sweep` is None, which makes `features.build_cost_volume` run its own
+per-plane `warp_feature` loop, and `scatter_add_rows` is
+`scatter_add_rows_np`, the line `out[rows] += src`.
 BACKEND names the kernels in use: "c" or "numpy".
 
 Both compositing kernels follow one recurrence, in which a splat adds
@@ -20,11 +23,14 @@ e^-40 < 2^-57, so 1 - alpha rounds to exactly 1: transmittance is
 bit-identical to the recurrence without the rule, and colour differs by less
 than 4.3e-18 per skipped (splat, pixel) pair.
 
-Neither C kernel is bit-identical to its numpy counterpart, though both do
-the same operations in the same order. The compositing kernel agrees to about
-1e-16: it calls libm `exp`, and numpy may dispatch its own vectorised `exp`.
-The sweep agrees to about 1e-15: numpy's `einsum` and matmul order the
-channel sum and the camera transforms in their own way.
+Neither of the first two C kernels is bit-identical to its numpy
+counterpart, though both do the same operations in the same order. The
+compositing kernel agrees to about 1e-16: it calls libm `exp`, and numpy may
+dispatch its own vectorised `exp`. The sweep agrees to about 1e-15: numpy's
+`einsum` and matmul order the channel sum and the camera transforms in their
+own way. `scatter_add_rows` is bit-identical to its fallback for distinct
+rows: each output element takes exactly one IEEE addition, out + src, as in
+`out[rows] += src`, and there is no sum whose order could differ.
 """
 
 from __future__ import annotations
@@ -53,6 +59,12 @@ BUILD_TIMEOUT_S = 120
 class Kernels(NamedTuple):
     composite_tile: Callable
     plane_sweep: Optional[Callable]  # None on the numpy backend
+    scatter_add_rows: Callable
+
+
+def scatter_add_rows_np(out: np.ndarray, rows: np.ndarray, src: np.ndarray) -> None:
+    """out[rows[j]] += src[j] for every j; the rows are distinct."""
+    out[rows] += src
 
 
 def cache_dir() -> Path:
@@ -88,14 +100,15 @@ def load(out_dir: Path | None = None, source: Path = SOURCE) -> Optional[Kernels
     default), or None when they cannot be built or loaded."""
     try:
         lib = ctypes.CDLL(str(build(cache_dir() if out_dir is None else out_dir, source)))
-        composite, sweep = lib.composite_tile, lib.plane_sweep
+        composite, sweep, scatter = lib.composite_tile, lib.plane_sweep, lib.scatter_add_rows
     except (OSError, AttributeError, subprocess.SubprocessError):
         return None
     ptr, size = ctypes.c_void_p, ctypes.c_long
     composite.argtypes = [ptr, ptr, ptr, ptr, size, size, size, size, size, ptr, ptr]
     sweep.argtypes = [ptr, ptr, size, size, size, ptr, ptr, ptr, size, ptr, ptr]
-    composite.restype = sweep.restype = None
-    return Kernels(_checked(composite), _checked_sweep(sweep))
+    scatter.argtypes = [ptr, ptr, ptr, size, size]
+    composite.restype = sweep.restype = scatter.restype = None
+    return Kernels(_checked(composite), _checked_sweep(sweep), _checked_scatter(scatter))
 
 
 def _float64(kernel: str, name: str, a) -> np.ndarray:
@@ -194,16 +207,45 @@ def _checked_sweep(fn):
     return plane_sweep
 
 
+def _checked_scatter(fn):
+    """Wrap the raw C scatter-add in the signature of scatter_add_rows_np.
+
+    Every array must already be C-contiguous and of the right dtype and
+    shape, and every row inside `out`; nothing is copied, and any mismatch
+    raises before a pointer is passed.
+    """
+
+    def scatter_add_rows(out, rows, src):
+        """out[rows[j]] += src[j] for every j in order; the rows are distinct."""
+        _float64("scatter_add_rows", "out", out)
+        _float64("scatter_add_rows", "src", src)
+        if not isinstance(rows, np.ndarray) or rows.dtype != np.int64:
+            raise TypeError("scatter_add_rows: rows must be an int64 ndarray, "
+                            f"got {getattr(rows, 'dtype', type(rows).__name__)}")
+        if out.ndim != 2 or rows.ndim != 1 or src.shape != (rows.size, out.shape[1]):
+            raise ValueError(f"scatter_add_rows: out {out.shape}, rows {rows.shape} and src "
+                             f"{src.shape} must be (n, c), (m,) and (m, c)")
+        if not (out.flags.c_contiguous and rows.flags.c_contiguous and src.flags.c_contiguous):
+            raise ValueError("scatter_add_rows: out, rows and src must be C-contiguous")
+        if not out.flags.writeable:
+            raise ValueError("scatter_add_rows: out must be writeable")
+        if rows.size and not (0 <= rows.min() and rows.max() < out.shape[0]):
+            raise IndexError(f"scatter_add_rows: rows must lie in [0, {out.shape[0]})")
+        fn(out.ctypes.data, rows.ctypes.data, src.ctypes.data, rows.size, out.shape[1])
+
+    return scatter_add_rows
+
+
 def select():
     """(Kernels, backend name) for this process."""
     if os.environ.get("VOLSPLAT_FORCE_NUMPY") != "1":
         compiled = load()
         if compiled is not None:
             return compiled, "c"
-    return Kernels(_composite_np.composite_tile, None), "numpy"
+    return Kernels(_composite_np.composite_tile, None, scatter_add_rows_np), "numpy"
 
 
-(composite_tile, plane_sweep), BACKEND = select()
+(composite_tile, plane_sweep, scatter_add_rows), BACKEND = select()
 
-__all__ = ["composite_tile", "plane_sweep", "BACKEND", "Kernels", "ALPHA_MAX", "T_CUTOFF",
-           "build", "load", "select"]
+__all__ = ["composite_tile", "plane_sweep", "scatter_add_rows", "scatter_add_rows_np", "BACKEND",
+           "Kernels", "ALPHA_MAX", "T_CUTOFF", "build", "load", "select"]

@@ -1,13 +1,18 @@
-/* The engine's two compiled kernels: tile compositing and the plane sweep.
+/* The engine's three compiled kernels: tile compositing, the plane sweep and
+ * the sparse U-Net's row scatter-add.
  *
  * Each follows its numpy counterpart with the same operations in the same
- * order. Arrays are C-contiguous float64. The Python wrappers in __init__.py
- * check every dtype, shape and contiguity, so this file does no validation.
- * Compositing skips a (splat, pixel) pair whose q exceeds Q_SKIP before its
- * exp: there alpha <= e^-40 < 2^-57 would leave transmittance unchanged to
- * the bit, so only rgb moves, by less than 4.3e-18 per skipped pair.
+ * order. Arrays are C-contiguous float64 (row indices int64). The Python
+ * wrappers in __init__.py check every dtype, shape, contiguity and row
+ * index, so this file does no validation. The scatter-add is bit-identical
+ * to its numpy line, out[rows] += src: each element takes the one addition
+ * out + src, and no sum is reordered. Compositing skips a (splat, pixel)
+ * pair whose q exceeds Q_SKIP before its exp: there alpha <= e^-40 < 2^-57
+ * would leave transmittance unchanged to the bit, so only rgb moves, by less
+ * than 4.3e-18 per skipped pair.
  */
 #include <math.h>
+#include <stdint.h>
 
 #define ALPHA_MAX 0.99
 #define T_CUTOFF 1e-4
@@ -126,5 +131,19 @@ void plane_sweep(const double *ref, const double *nbr, long h, long w, long c,
                 nv[m] += 1.0;
             }
         }
+    }
+}
+
+/* out[rows[j], :] += src[j, :] for j = 0 .. m - 1 in order: the scatter of one
+ * kernel offset in sparse_unet._apply_map. out is (n, c), src (m, c); rows
+ * are distinct and in [0, n), so the result is that of out[rows] += src.
+ */
+void scatter_add_rows(double *out, const int64_t *rows, const double *src, long m, long c)
+{
+    for (long j = 0; j < m; j++) {
+        double *o = out + rows[j] * c;
+        const double *s = src + j * c;
+        for (long k = 0; k < c; k++)
+            o[k] += s[k];
     }
 }

@@ -14,6 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ._kernels import scatter_add_rows
 from .errors import FormatError, InvalidInputError, WeightLoadError
 
 WEIGHT_MAGIC = b"VSWT"
@@ -26,8 +27,10 @@ MAX_UNET_WIDTH = 512
 MAX_UNET_BLOCKS = 8
 
 # 27 kernel offsets in a fixed order; index k maps to (dz, dy, dx) via
-# weight[di+1, dj+1, dk+1].
+# weight[di+1, dj+1, dk+1]. Offset 26 - k is the negation of offset k, and
+# _CENTRE = 13 is (0, 0, 0).
 _OFFSETS = [(di, dj, dk) for di in (-1, 0, 1) for dj in (-1, 0, 1) for dk in (-1, 0, 1)]
+_CENTRE = len(_OFFSETS) // 2
 
 
 @dataclass
@@ -54,13 +57,23 @@ def _encode(coords: np.ndarray) -> np.ndarray:
     return (c[:, 0] << (2 * _BITS)) | (c[:, 1] << _BITS) | c[:, 2]
 
 
+def _check_unique(sorted_codes: np.ndarray) -> None:
+    if np.any(sorted_codes[1:] == sorted_codes[:-1]):
+        raise InvalidInputError("duplicate voxel coordinates")
+
+
 class _CoordIndex:
-    """Sorted-key lookup table from voxel coordinate to row index."""
+    """Sorted-key lookup table from voxel coordinate to row index.
+
+    Raises InvalidInputError when two rows share a coordinate: a lookup
+    finds only one of them, so the other would never be gathered.
+    """
 
     def __init__(self, coords: np.ndarray):
         self.codes = _encode(coords)
         self.order = np.argsort(self.codes, kind="stable")
         self.sorted_codes = self.codes[self.order]
+        _check_unique(self.sorted_codes)
 
     def lookup(self, q: np.ndarray) -> np.ndarray:
         """Row index per query code (see _encode), -1 where absent."""
@@ -82,28 +95,34 @@ class KernelMap:
 
     pairs[k] = (out_rows, in_rows) for offset k in _OFFSETS order: output
     row out_rows[j] gathers input row in_rows[j] through weight[offset k].
-    Within one offset the output rows are ascending and distinct.
+    Within one offset the output rows are ascending and distinct, and the
+    input rows are distinct. `identity_centre` marks a map whose centre pairs
+    are (arange(n), arange(n)) over the same n sites, as in a submanifold map.
     """
 
     out_coords: np.ndarray
     pairs: List[Tuple[np.ndarray, np.ndarray]]
+    identity_centre: bool = False
 
     def transpose(self, coords: np.ndarray) -> "KernelMap":
         """The adjoint map, scattering back onto the input sites `coords`."""
-        pairs = []
-        for o, i in self.pairs:
-            order = np.argsort(i, kind="stable")
-            pairs.append((i[order], o[order]))
-        return KernelMap(coords, pairs)
+        return KernelMap(coords, [_swap(o, i) for o, i in self.pairs])
 
 
-def _map_pairs(index: _CoordIndex, query: np.ndarray) -> List[Tuple[np.ndarray, np.ndarray]]:
+def _swap(o: np.ndarray, i: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The pairs (i, o), ordered by i."""
+    order = np.argsort(i, kind="stable")
+    return i[order], o[order]
+
+
+def _map_pairs(index: _CoordIndex, query: np.ndarray,
+               offsets=_OFFSETS) -> List[Tuple[np.ndarray, np.ndarray]]:
     """Per offset d: the rows o of `query` whose site query[o] + d is in `index`."""
     codes = _encode(query)
     if query.size:  # every query + d must stay in range, so its code is codes + code(d)
         _encode(np.stack([query.min(axis=0) - 1, query.max(axis=0) + 1]))
     pairs = []
-    for di, dj, dk in _OFFSETS:
+    for di, dj, dk in offsets:
         rows = index.lookup(codes + ((di << 2 * _BITS) + (dj << _BITS) + dk))
         hit = rows >= 0
         pairs.append((np.flatnonzero(hit), rows[hit]))
@@ -111,9 +130,17 @@ def _map_pairs(index: _CoordIndex, query: np.ndarray) -> List[Tuple[np.ndarray, 
 
 
 def submanifold_map(coords: np.ndarray, index: Optional[_CoordIndex] = None) -> KernelMap:
-    """Map of a submanifold conv: site u gathers the sites u + offset."""
+    """Map of a submanifold conv: site u gathers the sites u + offset.
+
+    Only the offsets before the centre are looked up. Site u gathers u + d
+    exactly when site u + d gathers u through -d, so offset 26 - k holds the
+    pairs of offset k swapped, and the centre pairs every site with itself.
+    """
     index = _CoordIndex(coords) if index is None else index
-    return KernelMap(coords, _map_pairs(index, coords))
+    first = _map_pairs(index, coords, _OFFSETS[:_CENTRE])
+    rows = np.arange(coords.shape[0])
+    return KernelMap(coords, first + [(rows, rows)] + [_swap(o, i) for o, i in first[::-1]],
+                     identity_centre=True)
 
 
 def downsample_coords(coords: np.ndarray) -> np.ndarray:
@@ -139,13 +166,22 @@ def down_map(
 
 def _apply_map(feats: np.ndarray, w: np.ndarray, b: Optional[np.ndarray],
                kmap: KernelMap) -> np.ndarray:
-    """Gather, multiply and scatter-add each offset's rows in _OFFSETS order."""
+    """Gather, multiply and scatter-add each offset's rows in _OFFSETS order.
+
+    The identity centre of a submanifold map is added in place, without the
+    gather and the scatter; every output element still takes the same
+    additions in the same order.
+    """
     out = np.zeros((kmap.out_coords.shape[0], w.shape[4]))
     if b is not None:
         out += b
-    for (di, dj, dk), (o, i) in zip(_OFFSETS, kmap.pairs):
-        if o.size:
-            out[o] += feats[i] @ w[di + 1, dj + 1, dk + 1]
+    for k, ((di, dj, dk), (o, i)) in enumerate(zip(_OFFSETS, kmap.pairs)):
+        if not o.size:
+            continue
+        if k == _CENTRE and kmap.identity_centre:
+            out += feats @ w[1, 1, 1]
+        else:
+            scatter_add_rows(out, o, np.take(feats, i, axis=0) @ w[di + 1, dj + 1, dk + 1])
     return out
 
 
@@ -195,6 +231,7 @@ def transposed_up(
     """
     _check_kernel(w, x.feats.shape[1])
     if kmap is None:
+        _check_unique(np.sort(_encode(x.coords)))
         kmap = down_map(target_coords, x.coords).transpose(target_coords)
     out = _apply_map(x.feats, w, b, kmap)
     return SparseTensor(coords=target_coords.copy(), feats=out, stride=max(1, x.stride // 2))

@@ -10,7 +10,7 @@ import shutil
 
 import pytest
 
-from volsplat import _kernels, features, renderer
+from volsplat import _kernels, features, renderer, sparse_unet
 from volsplat._kernels import _composite_np
 
 GATE_LINES = []
@@ -43,12 +43,18 @@ def c_sweep(c_kernels):
     return c_kernels.plane_sweep
 
 
+@pytest.fixture(scope="session")
+def c_scatter(c_kernels):
+    return c_kernels.scatter_add_rows
+
+
 @pytest.fixture(params=["numpy", "c"])
 def kernel_backend(request, monkeypatch):
-    """Run the test once per kernel backend, patched into the renderer and
-    the depth stage as `_kernels.select` would set them."""
-    kernels = (_kernels.Kernels(_composite_np.composite_tile, None) if request.param == "numpy"
-               else request.getfixturevalue("c_kernels"))
+    """Run the test once per kernel backend, patched into the renderer, the
+    depth stage and the sparse U-Net as `_kernels.select` would set them."""
+    kernels = (_kernels.Kernels(_composite_np.composite_tile, None, _kernels.scatter_add_rows_np)
+               if request.param == "numpy" else request.getfixturevalue("c_kernels"))
     monkeypatch.setattr(renderer, "composite_tile", kernels.composite_tile)
     monkeypatch.setattr(features, "plane_sweep", kernels.plane_sweep)
+    monkeypatch.setattr(sparse_unet, "scatter_add_rows", kernels.scatter_add_rows)
     return request.param

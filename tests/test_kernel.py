@@ -9,9 +9,10 @@ skip rule (a splat adds nothing where q > Q_SKIP) is checked against the
 same kernel without it: the reference run with `q_skip=inf`, and kernels.c
 rebuilt with Q_SKIP at infinity. `project_all_stacked` is the stacked-matmul
 projection that `renderer._project_all` replaced. The loader is checked to
-switch both compiled kernels (compositing and the plane sweep, whose own
-agreement test is test_plane_sweep.py) to numpy together whenever the
-library cannot be built or loaded, or VOLSPLAT_FORCE_NUMPY=1 is set.
+switch all three compiled kernels (compositing, the plane sweep, whose own
+agreement test is test_plane_sweep.py, and the U-Net's row scatter-add,
+tested in test_sparse_unet.py) to numpy together whenever the library
+cannot be built or loaded, or VOLSPLAT_FORCE_NUMPY=1 is set.
 """
 
 import functools
@@ -438,7 +439,8 @@ class TestProjection:
             np.testing.assert_allclose(got[5], want[5], rtol=1e-9, atol=0)
 
 
-NUMPY = _kernels.Kernels(composite_tile, None)  # both kernels on the numpy backend
+# every kernel on the numpy backend
+NUMPY = _kernels.Kernels(composite_tile, None, _kernels.scatter_add_rows_np)
 
 
 @pytest.fixture
@@ -455,6 +457,7 @@ class TestLoader:
         kernels, backend = _kernels.select()
         assert backend == "c" and kernels.composite_tile is not composite_tile
         assert kernels.plane_sweep is not None
+        assert kernels.scatter_add_rows is not _kernels.scatter_add_rows_np
         built = sorted(p.name for p in cache.iterdir())
         assert len(built) == 1 and built[0].startswith("kernels-") and built[0].endswith(".so")
         # warm cache: no compiler is needed on the next import
@@ -474,6 +477,16 @@ class TestLoader:
                  "print(volsplat.KERNEL_BACKEND, f.plane_sweep is None,"
                  " r.composite_tile is np_.composite_tile)")
         src = Path(_kernels.__file__).parents[2]  # the directory holding volsplat/
+        env = dict(os.environ, VOLSPLAT_FORCE_NUMPY=force, PYTHONPATH=str(src))
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.strip() == expect
+
+    @pytest.mark.parametrize("force,expect", [("0", "c False"), ("1", "numpy True")])
+    def test_force_numpy_switches_the_unet_scatter_at_import(self, cache, force, expect):
+        probe = ("import volsplat, volsplat._kernels as k, volsplat.sparse_unet as u\n"
+                 "print(volsplat.KERNEL_BACKEND, u.scatter_add_rows is k.scatter_add_rows_np)")
+        src = Path(_kernels.__file__).parents[2]
         env = dict(os.environ, VOLSPLAT_FORCE_NUMPY=force, PYTHONPATH=str(src))
         out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                              text=True, check=True).stdout

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from volsplat import sparse_unet
+from volsplat import _kernels, sparse_unet
 from volsplat.errors import FormatError, InvalidInputError, WeightLoadError
 from volsplat.sparse_unet import (
     WEIGHT_MAGIC,
@@ -458,6 +458,17 @@ class TestKernelMapOracle:
         coarse, _, _ = conv_case(rng, downsample_coords(coords)[::-1], 2, 3, stride=2)
         same(transposed_up(coarse, coords, w, b), oracle_transposed(coarse, coords, w, b))
 
+    @pytest.mark.parametrize("layout", ["fortran", "strided"])
+    def test_features_not_in_c_order(self, layout):
+        # the centre tap multiplies the features as given, the other taps a gathered copy
+        rng = np.random.default_rng(12)
+        x, w, b = conv_case(rng, random_sparse(rng, n=300, extent=6).coords, 8, 5)
+        feats = (np.asfortranarray(x.feats) if layout == "fortran"
+                 else np.repeat(x.feats, 2, axis=1)[:, ::2])
+        assert not feats.flags.c_contiguous
+        y = SparseTensor(x.coords, feats)
+        same(submanifold_conv(y, w, b), oracle_submanifold(x, w, b))
+
     def test_transposed_onto_set_it_was_not_downsampled_from(self):
         rng = np.random.default_rng(10)
         coarse = SparseTensor(np.array([[0, 0, 0], [5, 5, 5], [-1, 2, 0]]),
@@ -501,6 +512,45 @@ class TestKernelMapOracle:
         weights = random_weights(UNetSpec(), 4, seed=12)
         same(unet_forward(x, UNetSpec(), weights), oracle_forward(x, UNetSpec(), weights))
 
+    def test_unet_forward_on_a_shell_on_both_backends(self, kernel_backend):
+        # a one-voxel-thick sphere shell, like the surfaces the pipeline voxelizes
+        g = np.stack(np.meshgrid(*[np.arange(-15, 16)] * 3, indexing="ij"), -1).reshape(-1, 3)
+        r = np.sqrt((g**2).sum(axis=1))
+        coords = np.random.default_rng(14).permutation(g[(r >= 13.5) & (r < 14.5)])
+        assert coords.shape[0] >= 2000
+        rng = np.random.default_rng(15)
+        x = SparseTensor(coords + [40, -7, 3], rng.normal(size=(coords.shape[0], 4)))
+        weights = random_weights(UNetSpec(), 4, seed=16)
+        for name, t in weights.tensors.items():
+            if name.endswith(".bias"):
+                t[:] = rng.normal(size=t.shape)
+        same(unet_forward(x, UNetSpec(), weights), oracle_forward(x, UNetSpec(), weights))
+
+    def test_only_submanifold_maps_have_an_identity_centre(self):
+        coords = random_sparse(np.random.default_rng(17)).coords
+        assert submanifold_map(coords).identity_centre
+        assert not down_map(coords).identity_centre
+        assert not down_map(coords).transpose(coords).identity_centre
+
+    @pytest.mark.parametrize("seed", [18, 19])
+    def test_full_size_centre_that_is_not_the_identity(self, seed):
+        # every fine site 2 * c is its coarse site's centre child, listed in another
+        # row order: the centre offset pairs all n rows, but not row j with row j
+        rng = np.random.default_rng(seed)
+        coarse = np.unique(rng.integers(-6, 6, (40, 3)), axis=0)
+        fine = rng.permutation(2 * coarse)
+        n = coarse.shape[0]
+        x, w, b = conv_case(rng, fine, 3, 4)
+        kmap = down_map(fine)
+        o, i = kmap.pairs[13]
+        assert o.size == i.size == n and (i != np.arange(n)).any()
+        same(strided_down(x, w, b), oracle_strided(x, w, b))
+        y, w, b = conv_case(rng, coarse[::-1].copy(), 3, 4, stride=2)
+        kmap = down_map(fine, y.coords).transpose(fine)
+        o, i = kmap.pairs[13]
+        assert o.size == i.size == n and (i != np.arange(n)).any()
+        same(transposed_up(y, fine, w, b), oracle_transposed(y, fine, w, b))
+
     def test_one_coordinate_index_per_level(self, monkeypatch):
         built = []
         real = sparse_unet._CoordIndex
@@ -517,6 +567,107 @@ class TestKernelMapOracle:
             unet_forward(x, spec, random_weights(spec, 4))
             assert len(built) == len(spec.widths(4))
             assert built[0] == x.coords.shape[0]
+
+
+class TestDuplicateCoordinates:
+    # a lookup finds only one of two rows at one site, so the other would be
+    # silently left out of every conv that gathers it
+    DUPLICATE = np.array([[0, 0, 0], [0, 0, 1], [0, 0, 1]])
+
+    def test_submanifold(self):
+        x = SparseTensor(self.DUPLICATE, np.array([[1.0], [10.0], [100.0]]))
+        with pytest.raises(InvalidInputError, match="duplicate voxel coordinates"):
+            submanifold_conv(x, np.ones((3, 3, 3, 1, 1)))
+
+    def test_strided(self):
+        x = SparseTensor(self.DUPLICATE, np.ones((3, 2)))
+        with pytest.raises(InvalidInputError, match="duplicate voxel coordinates"):
+            strided_down(x, np.ones((3, 3, 3, 2, 2)))
+
+    def test_transposed_target(self):
+        x = SparseTensor(np.array([[0, 0, 0]]), np.ones((1, 2)), stride=2)
+        with pytest.raises(InvalidInputError, match="duplicate voxel coordinates"):
+            transposed_up(x, self.DUPLICATE, np.ones((3, 3, 3, 2, 2)))
+
+    def test_transposed_coarse(self):
+        x = SparseTensor(np.array([[0, 0, 0], [0, 0, 0]]), np.ones((2, 2)), stride=2)
+        with pytest.raises(InvalidInputError, match="duplicate voxel coordinates"):
+            transposed_up(x, np.array([[0, 0, 0], [1, 0, 0]]), np.ones((3, 3, 3, 2, 2)))
+
+
+def scatter_case(rng, n, m, c, special=False):
+    out = rng.normal(size=(n, c))
+    src = rng.normal(size=(m, c))
+    if special:  # signed zeros, huge and tiny magnitudes, sums that overflow
+        pool = np.array([0.0, -0.0, 1e308, -1e308, 1.7e308, 5e-324, -5e-324, 1e-300, 3.0])
+        out = rng.choice(pool, size=(n, c)) * rng.choice([1.0, 1.0, 2.0**-40], size=(n, c))
+        src = rng.choice(pool, size=(m, c))
+    return out, rng.permutation(n)[:m].astype(np.int64), src
+
+
+class TestScatterAddRows:
+    """The C row scatter-add against its numpy line, `out[rows] += src`, on raw bytes."""
+
+    @pytest.mark.parametrize("n,m", [(5, 0), (0, 0), (1, 1), (7, 1), (40, 40), (300, 123)])
+    @pytest.mark.parametrize("c", [1, 12, 48])
+    @pytest.mark.parametrize("special", [False, True])
+    def test_bit_equal_to_numpy(self, c_scatter, n, m, c, special):
+        out, rows, src = scatter_case(np.random.default_rng(n * 1000 + m * 10 + c), n, m, c,
+                                      special)
+        assert m < 2 or (np.diff(rows) < 0).any()  # unsorted rows
+        want, got, np_out = out.copy(), out.copy(), out.copy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            want[rows] += src
+            _kernels.scatter_add_rows_np(np_out, rows, src)
+        c_scatter(got, rows, src)
+        assert got.tobytes() == want.tobytes()
+        assert np_out.tobytes() == want.tobytes()
+
+    def test_signed_zero_sums(self, c_scatter):
+        out = np.array([[-0.0, -0.0, 0.0, 0.0]])
+        src = np.array([[-0.0, 0.0, -0.0, 0.0]])
+        c_scatter(out, np.array([0]), src)
+        assert out.tobytes() == np.array([[-0.0, 0.0, 0.0, 0.0]]).tobytes()
+
+    BAD = {
+        "out float32": lambda a: dict(a, out=a["out"].astype(np.float32)),
+        "src float32": lambda a: dict(a, src=a["src"].astype(np.float32)),
+        "rows int32": lambda a: dict(a, rows=a["rows"].astype(np.int32)),
+        "rows float": lambda a: dict(a, rows=a["rows"].astype(float)),
+        "rows list": lambda a: dict(a, rows=a["rows"].tolist()),
+        "rows 2-D": lambda a: dict(a, rows=a["rows"][:, None]),
+        "out 1-D": lambda a: dict(a, out=a["out"][:, 0].copy()),
+        "src one row more": lambda a: dict(a, src=np.zeros((4, 3))),
+        "src one column more": lambda a: dict(a, src=np.zeros((3, 4))),
+        "out Fortran-ordered": lambda a: dict(a, out=np.asfortranarray(a["out"])),
+        "src non-contiguous": lambda a: dict(a, src=np.zeros((3, 6))[:, ::2]),
+        "rows non-contiguous": lambda a: dict(a, rows=np.array([0, 9, 2, 9, 4, 9])[::2]),
+        "out read-only": lambda a: dict(a, out=np.frombuffer(bytes(a["out"].nbytes))
+                                        .reshape(a["out"].shape)),
+        "row below zero": lambda a: dict(a, rows=np.array([0, -1, 2])),
+        "row past the end": lambda a: dict(a, rows=np.array([0, 5, 2])),
+    }
+
+    @pytest.mark.parametrize("bad", sorted(BAD))
+    def test_wrapper_raises_before_calling_c(self, c_scatter, bad):
+        args = self.BAD[bad]({"out": np.zeros((5, 3)), "rows": np.array([0, 4, 2]),
+                              "src": np.ones((3, 3))})
+        calls = []
+        with pytest.raises((TypeError, ValueError, IndexError)):
+            _kernels._checked_scatter(lambda *a: calls.append(a))(**args)
+        assert calls == []
+        before = np.array(args["out"], copy=True)
+        with pytest.raises((TypeError, ValueError, IndexError)):
+            c_scatter(**args)
+        assert np.array_equal(np.asarray(args["out"]), before)
+
+    def test_wrapper_passes_good_arguments(self, c_scatter):
+        calls = []
+        good = {"out": np.zeros((5, 3)), "rows": np.array([0, 4, 2]), "src": np.ones((3, 3))}
+        _kernels._checked_scatter(lambda *a: calls.append(a))(**good)
+        assert len(calls) == 1 and calls[0][3:] == (3, 3)
+        c_scatter(**good)
+        assert good["out"].sum(axis=1).tolist() == [3.0, 0.0, 3.0, 0.0, 3.0]
 
 
 class TestDownsampleCoords:
