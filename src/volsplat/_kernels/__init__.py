@@ -4,7 +4,7 @@
 rasterizer's per-tile compositing loop, `plane_sweep`, one (reference,
 neighbour) pair of the depth stage's cost volume, and `scatter_add_rows`,
 the scatter-add of one kernel offset's rows in a sparse U-Net conv. On first
-import it is built with `cc -O2 -ffp-contract=off -fPIC -shared` into the
+import it is built with `cc -O3 -ffp-contract=off -fPIC -shared` into the
 per-user cache ($XDG_CACHE_HOME or ~/.cache, then volsplat/), under a file
 name that carries a hash of the source and the flags, and loaded with
 ctypes, which releases the GIL for the length of each call, so render
@@ -31,6 +31,14 @@ dispatch its own vectorised `exp`. The sweep agrees to about 1e-15: numpy's
 own way. `scatter_add_rows` is bit-identical to its fallback for distinct
 rows: each output element takes exactly one IEEE addition, out + src, as in
 `out[rows] += src`, and there is no sum whose order could differ.
+
+The C sweep runs in three passes per reference pixel: it projects every
+plane, sorts the planes into dropped, edge and interior ones, then samples
+the interior planes over contiguous channels and takes their dot products
+four at a time. Each (pixel, plane) keeps the operations and the order of
+the one-plane-at-a-time scalar loop, which tests/plane_sweep_scalar.c keeps,
+so acc and n_valid are byte-identical to that loop's. The wrapper allocates
+the three passes' scratch arrays; the C file holds no buffer of its own.
 """
 
 from __future__ import annotations
@@ -52,7 +60,11 @@ from ._composite_np import ALPHA_MAX, T_CUTOFF
 SOURCE = Path(__file__).with_name("kernels.c")
 # Fixed, whatever CC and CFLAGS say: -ffp-contract=off keeps the compiler from
 # fusing a * b + c into one rounding, so the C loops round like numpy does.
-FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+# -O3 because GCC vectorises the sweep's channel loops only there; with no
+# fast-math each vector lane still rounds like the scalar code. No -march:
+# a library tuned to one CPU could be loaded from the per-user cache by
+# another host that shares it.
+FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
 BUILD_TIMEOUT_S = 120
 
 
@@ -105,7 +117,7 @@ def load(out_dir: Path | None = None, source: Path = SOURCE) -> Optional[Kernels
         return None
     ptr, size = ctypes.c_void_p, ctypes.c_long
     composite.argtypes = [ptr, ptr, ptr, ptr, size, size, size, size, size, ptr, ptr]
-    sweep.argtypes = [ptr, ptr, size, size, size, ptr, ptr, ptr, size, ptr, ptr]
+    sweep.argtypes = [ptr, ptr, size, size, size, ptr, ptr, ptr, size, ptr, ptr, ptr, ptr, ptr]
     scatter.argtypes = [ptr, ptr, ptr, size, size]
     composite.restype = sweep.restype = scatter.restype = None
     return Kernels(_checked(composite), _checked_sweep(sweep), _checked_scatter(scatter))
@@ -170,7 +182,8 @@ def _checked_sweep(fn):
 
     Every array must already be a C-contiguous float64 array of the right
     shape; nothing is copied, and any mismatch raises before a pointer is
-    passed.
+    passed. The kernel's scratch (projections and weights, interior-plane
+    taps, channel samples) is allocated here from the checked shapes.
     """
 
     def plane_sweep(ref, nbr, ref_cam, nbr_cam, depths, acc, n_valid):
@@ -200,9 +213,11 @@ def _checked_sweep(fn):
         if not (acc.flags.writeable and n_valid.flags.writeable):
             raise ValueError("plane_sweep: acc and n_valid must be writeable")
         cams = [_camera("ref_cam", ref_cam), _camera("nbr_cam", nbr_cam)]
+        d = depths.size
+        proj, taps, samples = np.empty(7 * d), np.empty(2 * d, np.int64), np.empty(d * c)
         fn(ref.ctypes.data, nbr.ctypes.data, h, w, c, cams[0].ctypes.data,
-           cams[1].ctypes.data, depths.ctypes.data, depths.size,
-           acc.ctypes.data, n_valid.ctypes.data)
+           cams[1].ctypes.data, depths.ctypes.data, d, acc.ctypes.data, n_valid.ctypes.data,
+           proj.ctypes.data, taps.ctypes.data, samples.ctypes.data)
 
     return plane_sweep
 

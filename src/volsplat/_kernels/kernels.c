@@ -9,7 +9,12 @@
  * out + src, and no sum is reordered. Compositing skips a (splat, pixel)
  * pair whose q exceeds Q_SKIP before its exp: there alpha <= e^-40 < 2^-57
  * would leave transmittance unchanged to the bit, so only rgb moves, by less
- * than 4.3e-18 per skipped pair.
+ * than 4.3e-18 per skipped pair. The plane sweep runs in three passes per
+ * pixel (project, classify, sample and dot) whose vectorised loops keep each
+ * plane's operations and their order, so its output is byte-identical to
+ * the one-plane-at-a-time scalar loop kept in tests/plane_sweep_scalar.c.
+ * Built with -ffp-contract=off and without fast-math, no a * b + c is fused
+ * and no sum is reassociated.
  */
 #include <math.h>
 #include <stdint.h>
@@ -60,10 +65,16 @@ void composite_tile(const double *means, const double *conics, const double *col
 }
 
 /* Snap a coordinate within SNAP_TOL of an integer onto it, as
- * geometry.bilinear_sample does, so a self-warp is an exact identity. */
-static double snap(double x)
+ * geometry.bilinear_sample does, so a self-warp is an exact identity. The
+ * caller keeps x in [-0.5, size - 0.5]. There (long)(x + 0.5) is the nearest
+ * integer, as rint gives, except at a tie or within an ulp of one, where
+ * neither integer is within SNAP_TOL of x and x is returned either way. A
+ * snap onto 0 from below gives +0.0 where rint gives -0.0; both floor to 0
+ * and leave the fraction +0.0, so the weights are the same.
+ */
+static inline double snap(double x)
 {
-    double r = rint(x);
+    double r = (double)(long)(x + 0.5);
     return fabs(x - r) < SNAP_TOL ? r : x;
 }
 
@@ -80,41 +91,92 @@ static double snap(double x)
  * more valid neighbour. The warped (h, w, c) grid is never built. The numpy
  * sampler starts each tap sum from +0.0; here a zero sum may be -0.0, but the
  * dot product starts from +0.0, so no sign of zero reaches the score.
+ *
+ * Each pixel takes three passes over its planes:
+ * 1. Project: q2, u and v of every plane into proj, with no branch.
+ * 2. Classify: drop a plane behind the neighbour or off its grid. Score an
+ *    edge plane, one whose right or lower taps are off the grid, on the spot
+ *    with the tap tests. Queue an interior plane: its index and tap offset
+ *    into taps, its four weights into proj.
+ * 3. Sample each queued plane over contiguous channels into samples, then dot
+ *    four planes at a time with four independent sums.
+ * A (pixel, plane) still takes the same IEEE operations in the same order as
+ * one plane at a time would: each tap sum is ((00 + 01) + 10) + 11 and each
+ * dot runs over k = 0 .. c - 1 from +0.0. With -ffp-contract=off and no
+ * fast-math a vectorised loop rounds each lane as the scalar loop does, so
+ * acc and n_valid are byte-identical to the scalar kernel's. proj (7 d
+ * doubles), taps (2 d) and samples (d c doubles) are the caller's scratch.
  */
-void plane_sweep(const double *ref, const double *nbr, long h, long w, long c,
-                 const double *ref_cam, const double *nbr_cam, const double *depths, long d,
-                 double *acc, double *n_valid)
+void plane_sweep(const double *restrict ref, const double *restrict nbr, long h, long w, long c,
+                 const double *restrict ref_cam, const double *restrict nbr_cam,
+                 const double *restrict depths, long d, double *restrict acc,
+                 double *restrict n_valid, double *restrict proj, int64_t *restrict taps,
+                 double *restrict samples)
 {
-    const double *R0 = ref_cam + 4, *T0 = ref_cam + 13;
-    const double *R1 = nbr_cam + 4, *T1 = nbr_cam + 13;
+    const double fx0 = ref_cam[0], fy0 = ref_cam[1], cx0 = ref_cam[2], cy0 = ref_cam[3];
+    const double fx1 = nbr_cam[0], fy1 = nbr_cam[1], cx1 = nbr_cam[2], cy1 = nbr_cam[3];
+    double R0[9], T0[3], R1[9], T1[3];
+    for (int i = 0; i < 9; i++) {
+        R0[i] = ref_cam[4 + i];
+        R1[i] = nbr_cam[4 + i];
+    }
+    for (int i = 0; i < 3; i++) {
+        T0[i] = ref_cam[13 + i];
+        T1[i] = nbr_cam[13 + i];
+    }
+    const double umax = (double)(w - 1), vmax = (double)(h - 1);
+    double *qz = proj, *qu = proj + d, *qv = proj + 2 * d, *weights = proj + 3 * d;
+    int64_t *plane = taps, *offset = taps + d;
     for (long y = 0; y < h; y++) {
-        double yn = ((double)y - ref_cam[3]) / ref_cam[1];
+        double yn = ((double)y - cy0) / fy0;
         for (long x = 0; x < w; x++) {
-            double xn = ((double)x - ref_cam[2]) / ref_cam[0];
+            double xn = ((double)x - cx0) / fx0;
             const double *f = ref + (y * w + x) * c;
             double *a = acc + (y * w + x) * d, *nv = n_valid + (y * w + x) * d;
+
             for (long m = 0; m < d; m++) {
                 double z = depths[m], px = xn * z, py = yn * z;
-                double p[3];
-                for (int i = 0; i < 3; i++)
-                    p[i] = px * R0[3 * i] + py * R0[3 * i + 1] + z * R0[3 * i + 2] + T0[i];
-                double q[3];
-                for (int j = 0; j < 3; j++)
-                    q[j] = (p[0] - T1[0]) * R1[j] + (p[1] - T1[1]) * R1[3 + j]
-                           + (p[2] - T1[2]) * R1[6 + j];
-                if (!(q[2] > 0.0))
+                double p0 = px * R0[0] + py * R0[1] + z * R0[2] + T0[0];
+                double p1 = px * R0[3] + py * R0[4] + z * R0[5] + T0[1];
+                double p2 = px * R0[6] + py * R0[7] + z * R0[8] + T0[2];
+                double e0 = p0 - T1[0], e1 = p1 - T1[1], e2 = p2 - T1[2];
+                double q0 = e0 * R1[0] + e1 * R1[3] + e2 * R1[6];
+                double q1 = e0 * R1[1] + e1 * R1[4] + e2 * R1[7];
+                double q2 = e0 * R1[2] + e1 * R1[5] + e2 * R1[8];
+                qz[m] = q2;
+                qu[m] = fx1 * q0 / q2 + cx1;
+                qv[m] = fy1 * q1 / q2 + cy1;
+            }
+
+            long n = 0;
+            for (long m = 0; m < d; m++) {
+                double u = qu[m], v = qv[m];
+                /* a snap moves a coordinate by less than SNAP_TOL, so one
+                 * outside [-0.5, size - 0.5] cannot come back onto the grid */
+                if (!(qz[m] > 0.0 && u >= -0.5 && u <= umax + 0.5 && v >= -0.5
+                      && v <= vmax + 0.5))
                     continue;
-                double u = snap(nbr_cam[0] * q[0] / q[2] + nbr_cam[2]);
-                double v = snap(nbr_cam[1] * q[1] / q[2] + nbr_cam[3]);
-                if (!(u >= 0.0 && u <= (double)(w - 1) && v >= 0.0 && v <= (double)(h - 1)))
+                u = snap(u);
+                v = snap(v);
+                if (!(u >= 0.0 && u <= umax && v >= 0.0 && v <= vmax))
                     continue;
-                double u0 = floor(u), v0 = floor(v);
-                double fx = u - u0, fy = v - v0;
+                long x0 = (long)u, y0 = (long)v; /* floor, as u, v >= 0 */
+                double fx = u - (double)x0, fy = v - (double)y0;
                 double w00 = (1.0 - fx) * (1.0 - fy), w01 = fx * (1.0 - fy);
                 double w10 = (1.0 - fx) * fy, w11 = fx * fy;
-                long x0 = (long)u0, y0 = (long)v0;
                 int right = x0 + 1 < w, down = y0 + 1 < h;
                 const double *t00 = nbr + (y0 * w + x0) * c;
+                if (right && down) {
+                    double *wt = weights + 4 * n;
+                    wt[0] = w00;
+                    wt[1] = w01;
+                    wt[2] = w10;
+                    wt[3] = w11;
+                    plane[n] = m;
+                    offset[n] = t00 - nbr;
+                    n++;
+                    continue;
+                }
                 const double *t01 = t00 + c, *t10 = t00 + w * c, *t11 = t10 + c;
                 double dot = 0.0;
                 for (long k = 0; k < c; k++) {
@@ -129,6 +191,40 @@ void plane_sweep(const double *ref, const double *nbr, long h, long w, long c,
                 }
                 a[m] += dot / (double)c;
                 nv[m] += 1.0;
+            }
+
+            for (long i = 0; i < n; i++) {
+                const double *wt = weights + 4 * i;
+                const double w00 = wt[0], w01 = wt[1], w10 = wt[2], w11 = wt[3];
+                const double *t00 = nbr + offset[i];
+                const double *t01 = t00 + c, *t10 = t00 + w * c, *t11 = t10 + c;
+                double *s = samples + i * c;
+                for (long k = 0; k < c; k++)
+                    s[k] = ((t00[k] * w00 + t01[k] * w01) + t10[k] * w10) + t11[k] * w11;
+            }
+            long i = 0;
+            for (; i + 4 <= n; i += 4) {
+                const double *s0 = samples + i * c, *s1 = s0 + c, *s2 = s1 + c, *s3 = s2 + c;
+                double d0 = 0.0, d1 = 0.0, d2 = 0.0, d3 = 0.0;
+                for (long k = 0; k < c; k++) {
+                    d0 += f[k] * s0[k];
+                    d1 += f[k] * s1[k];
+                    d2 += f[k] * s2[k];
+                    d3 += f[k] * s3[k];
+                }
+                double dots[4] = {d0, d1, d2, d3};
+                for (int j = 0; j < 4; j++) {
+                    a[plane[i + j]] += dots[j] / (double)c;
+                    nv[plane[i + j]] += 1.0;
+                }
+            }
+            for (; i < n; i++) {
+                const double *s0 = samples + i * c;
+                double d0 = 0.0;
+                for (long k = 0; k < c; k++)
+                    d0 += f[k] * s0[k];
+                a[plane[i]] += d0 / (double)c;
+                nv[plane[i]] += 1.0;
             }
         }
     }

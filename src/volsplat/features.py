@@ -8,7 +8,7 @@ feature grid at 1/s resolution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,10 +40,14 @@ class FeatureMap:
 @dataclass
 class CostVolume:
     scores: np.ndarray  # (H/s) x (W/s) x D
-    depth_hypotheses: np.ndarray  # strictly increasing, length D
+    depth_hypotheses: np.ndarray  # finite, strictly increasing, length D
+    # (pixel, plane) cells with at least one valid neighbour; None if not counted
+    valid_cells: Optional[int] = None
 
     def __post_init__(self):
         d = np.asarray(self.depth_hypotheses, dtype=float)
+        if not np.all(np.isfinite(d)):
+            raise InvalidInputError("depth hypotheses must be finite")
         if d.size < 2 or np.any(np.diff(d) <= 0):
             raise InvalidInputError("need >= 2 strictly increasing depth hypotheses")
         if self.scores.shape[-1] != d.size:
@@ -107,8 +111,8 @@ def extract_features(view: CameraView, spec: FeatureExtractorSpec) -> FeatureMap
 
 def sample_depth_hypotheses(near: float, far: float, count: int, spacing: str = "inverse"):
     """D candidate depths between near and far, endpoints included exactly."""
-    if not 0 < near < far:
-        raise InvalidInputError(f"need 0 < near < far, got ({near}, {far})")
+    if not (0 < near < far and np.isfinite(far)):
+        raise InvalidInputError(f"need 0 < near < far < inf, got ({near}, {far})")
     if count < 2:
         raise InvalidInputError("need at least 2 hypotheses")
     if spacing == "linear":
@@ -118,6 +122,8 @@ def sample_depth_hypotheses(near: float, far: float, count: int, spacing: str = 
         d[0], d[-1] = near, far
     else:
         raise InvalidInputError(f"unknown spacing {spacing!r}")
+    if not np.all(np.isfinite(d)):  # 1 / near overflows for a subnormal near
+        raise InvalidInputError(f"depth hypotheses over ({near}, {far}) are not finite")
     return d
 
 
@@ -131,19 +137,25 @@ def build_cost_volume(
 
     Cameras are (Intrinsics, Extrinsics) at feature resolution. Scores are
     channel-normalized means over the neighbors with valid warps, summed in
-    the order the neighbors are given.
+    the order the neighbors are given. `valid_cells` counts the (pixel,
+    plane) cells with at least one valid neighbor, on either backend.
 
     With the compiled kernels (`_kernels.plane_sweep`), each neighbor is one
-    C pass over every plane and pixel that never builds the warped grid; it
-    agrees with the numpy loop below to about 1e-15. On the numpy backend the
-    loop warps each neighbor onto each plane with `warp_feature`; it is the
+    C call that never builds the warped grid. Per reference pixel it runs
+    three passes: project every plane, sort the planes into dropped, edge and
+    interior ones, then sample the interior planes over contiguous channels
+    and dot them four at a time. Each plane keeps the operations and their
+    order of a one-plane-at-a-time scalar loop, so the result is
+    byte-identical to that loop (tests/plane_sweep_scalar.c), and it agrees
+    with the numpy loop below to about 1e-15. On the numpy backend the loop
+    warps each neighbor onto each plane with `warp_feature`; it is the
     fallback and the oracle.
     """
     if len(neighbors) == 0:
         raise InvalidInputError("need at least one neighbor view")
     hyp = np.asarray(hypotheses, dtype=float)
-    if not np.all(hyp > 0):
-        raise InvalidInputError("depth hypotheses must be positive")
+    if not np.all((hyp > 0) & np.isfinite(hyp)):
+        raise InvalidInputError("depth hypotheses must be positive and finite")
     if any(nb_feat.data.shape != ref.data.shape for nb_feat, _ in neighbors):
         raise InvalidInputError("all feature maps must share shape")
     h, w, c = ref.data.shape
@@ -155,8 +167,10 @@ def build_cost_volume(
             plane_sweep(ref_data, np.ascontiguousarray(nb_feat.data, dtype=np.float64),
                         ref_cam, nb_cam, hyp, acc, n_valid)
         scores = np.divide(acc, n_valid, out=np.zeros_like(acc), where=n_valid > 0)
-        return CostVolume(scores=scores, depth_hypotheses=hyp)
+        return CostVolume(scores=scores, depth_hypotheses=hyp,
+                          valid_cells=int(np.count_nonzero(n_valid)))
     scores = np.zeros((h, w, hyp.size))
+    valid_cells = 0
     for m, depth in enumerate(hyp):
         acc = np.zeros((h, w))
         n_valid = np.zeros((h, w))
@@ -166,7 +180,8 @@ def build_cost_volume(
             acc += np.where(valid, dot, 0.0)
             n_valid += valid
         scores[:, :, m] = np.divide(acc, n_valid, out=np.zeros_like(acc), where=n_valid > 0)
-    return CostVolume(scores=scores, depth_hypotheses=hyp)
+        valid_cells += int(np.count_nonzero(n_valid))
+    return CostVolume(scores=scores, depth_hypotheses=hyp, valid_cells=valid_cells)
 
 
 def regress_depth(cv: CostVolume, temperature: float = 0.05) -> DepthMap:

@@ -246,7 +246,10 @@ def _estimate_depths(
     views: Sequence[CameraView],
     fmaps: Sequence[FeatureMap],
     cfg: PipelineConfig,
-) -> List[DepthMap]:
+) -> Tuple[List[DepthMap], float]:
+    """Depth per view from its plane-sweep cost volume, and the share of
+    (view, pixel, plane) cells with at least one valid neighbour. The share
+    is a ratio of integer counts, so no view order or thread count moves it."""
     hyp = sample_depth_hypotheses(cfg.depth.near, cfg.depth.far,
                                   cfg.depth.num_hypotheses, cfg.depth.spacing)
     s = cfg.feature.scale
@@ -259,13 +262,16 @@ def _estimate_depths(
         np.asarray(views[j].image, dtype=float).tobytes(),
     ))
     depths = []
+    valid_cells = cells = 0
     for i, view in enumerate(views):
         neighbors = [(fmaps[j], cams[j]) for j in canonical if j != i]
         cv = build_cost_volume(fmaps[i], neighbors, cams[i], hyp)
+        valid_cells += cv.valid_cells
+        cells += cv.scores.size
         d = regress_depth(cv, cfg.depth.temperature)
         h, w = view.image.shape[:2]
         depths.append(upsample_depth(d, (h, w)) if s > 1 else d)
-    return depths
+    return depths, valid_cells / cells
 
 
 def _color_copy_raw(grid_feats: np.ndarray, cfg: HeadConfig) -> np.ndarray:
@@ -326,8 +332,9 @@ def run_pipeline(views: Sequence[CameraView], config: PipelineConfig):
                            else np.where(v.gt_depth_mask, v.gt_depth, 1.0),
                            valid_mask=v.gt_depth_mask)  # None: every pixel valid
                   for v in views]
+        valid_fraction = None
     else:
-        depths = _stage("depth", _estimate_depths, views, fmaps, config)
+        depths, valid_fraction = _stage("depth", _estimate_depths, views, fmaps, config)
     tick("depth")
 
     cloud = _stage("lift", lift_views, views, fmaps, depths)
@@ -375,6 +382,7 @@ def run_pipeline(views: Sequence[CameraView], config: PipelineConfig):
             "pgs": len(gset) / n,
             "voxel_size": config.voxel.size,
             "unet_enabled": bool(config.unet.enabled),
+            "cost_volume_valid_fraction": valid_fraction,
         }
     )
     return gset, diagnostics

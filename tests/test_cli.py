@@ -286,6 +286,13 @@ def assert_outputs_identical_across_threads_and_view_order(runner, scene_dir, tm
         for k, v in runs["rev"].items()}
     assert len(runs["t1"]) == 3 + n
     assert runs["t2"] == runs["t1"] and runs["t8"] == runs["t1"] and runs["rev"] == runs["t1"]
+    # the byte-equal diagnostics hold the sweep's valid-cell share, null without a sweep
+    fraction = json.loads((tmp_path / "t1" / "diagnostics.json").read_text())[
+        "cost_volume_valid_fraction"]
+    if "depth.use_gt=false" in extra:
+        assert 0 < fraction <= 1
+    else:
+        assert fraction is None
 
 
 def assert_one_error_line(res, code):

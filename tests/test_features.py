@@ -70,6 +70,15 @@ class TestHypotheses:
         with pytest.raises(InvalidInputError):
             sample_depth_hypotheses(3, 1, 4)
 
+    @pytest.mark.parametrize("near,far,spacing", [
+        (0.5, np.inf, "linear"), (0.5, np.inf, "inverse"), (np.nan, 2.0, "inverse"),
+        (0.5, np.nan, "linear"),
+        (5e-324, 1.0, "inverse"),  # 1 / near overflows: NaN planes between the ends
+    ])
+    def test_rejects_non_finite_planes(self, near, far, spacing):
+        with pytest.raises(InvalidInputError), np.errstate(invalid="ignore"):
+            sample_depth_hypotheses(near, far, 4, spacing)
+
 
 def feature_cam(h, w):
     return (Intrinsics(fx=w, fy=w, cx=(w - 1) / 2, cy=(h - 1) / 2, width=w, height=h),
@@ -97,6 +106,21 @@ class TestCostVolume:
         fm = FeatureMap(np.zeros((8, 8, 4)), 1, 4)
         with pytest.raises(InvalidInputError):
             build_cost_volume(fm, [], feature_cam(8, 8), [1.0, 2.0])
+
+    @pytest.mark.parametrize("hyp", [[1.0, np.inf], [1.0, 2.0, np.inf], [np.nan, 1.0]])
+    def test_cost_volume_rejects_non_finite_hypotheses(self, hyp):
+        with pytest.raises(InvalidInputError, match="finite"):
+            CostVolume(np.zeros((2, 2, len(hyp))), np.array(hyp))
+
+    def test_counts_cells_with_a_valid_neighbour(self, kernel_backend):
+        # neighbours one pixel to the right at depth 1: there column 0 has no
+        # valid warp; at depth 1e12 the shift snaps to 0 and every pixel has
+        cam = feature_cam(8, 8)
+        shifted = (cam[0], Extrinsics(np.eye(3), np.array([1.0 / 8, 0, 0])))
+        fm = FeatureMap(np.ones((8, 8, 2)), 1, 2)
+        cv = build_cost_volume(fm, [(fm, shifted), (fm, shifted)], cam, [1.0, 1e12])
+        assert cv.valid_cells == 8 * 7 + 8 * 8
+        assert CostVolume(np.zeros((2, 2, 2)), np.array([1.0, 2.0])).valid_cells is None
 
     def test_permutation_invariant_over_neighbors(self):
         rng = np.random.default_rng(9)

@@ -443,6 +443,16 @@ class TestProjection:
 NUMPY = _kernels.Kernels(composite_tile, None, _kernels.scatter_add_rows_np)
 
 
+def test_build_flags_keep_ieee_rounding_and_any_host():
+    # no fused multiply-adds and no reassociation, so every vector lane rounds
+    # like the scalar code; no CPU-specific code in a library the per-user
+    # cache may hand to another host
+    flags = _kernels.FLAGS
+    assert "-ffp-contract=off" in flags
+    assert not {"-ffast-math", "-Ofast", "-funsafe-math-optimizations"} & set(flags)
+    assert not any(f.startswith(("-march", "-mcpu")) for f in flags)
+
+
 @pytest.fixture
 def cache(tmp_path, monkeypatch):
     """A fresh per-user cache directory, with VOLSPLAT_FORCE_NUMPY unset."""

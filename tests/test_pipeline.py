@@ -347,13 +347,20 @@ def test_estimated_depths_independent_of_view_order(monkeypatch, c_sweep):
     cfg = base_config(depth={"use_gt": False, "num_hypotheses": 6})
     fspec = FeatureExtractorSpec(channels=cfg.feature.channels, scale=cfg.feature.scale)
     fmaps = [extract_features(v, fspec) for v in views]
+    fractions = set()
     for sweep in (None, c_sweep):  # the numpy and the compiled plane sweep
         monkeypatch.setattr(features, "plane_sweep", sweep)
-        want = [d.values.tobytes() for d in _estimate_depths(views, fmaps, cfg)]
+        depths, fraction = _estimate_depths(views, fmaps, cfg)
+        want = [d.values.tobytes() for d in depths]
+        fractions.add(fraction)
         for order in itertools.permutations(range(4)):
-            depths = _estimate_depths([views[i] for i in order], [fmaps[i] for i in order], cfg)
+            depths, fraction = _estimate_depths([views[i] for i in order],
+                                                [fmaps[i] for i in order], cfg)
             got = {i: d.values.tobytes() for i, d in zip(order, depths)}
             assert [got[i] for i in range(4)] == want, (sweep, order)
+            fractions.add(fraction)
+    # counts of cells with a valid neighbour: the same on both backends, in any order
+    assert len(fractions) == 1 and 0 < fractions.pop() < 1
 
 
 def test_grid_and_refined_features_independent_of_view_order():

@@ -1,13 +1,21 @@
-"""The compiled plane sweep (kernels.c `plane_sweep`) against the numpy loop.
+"""The compiled plane sweep (kernels.c `plane_sweep`) against the numpy loop
+and against the scalar C loop it replaced.
 
 `features.build_cost_volume` on the numpy backend warps each neighbour onto
 each plane with `geometry.warp_feature`; test_geometry.py keeps that loop
 byte-identical to a masked reference sampler. Here the C pass is held to it:
 every valid-neighbour count must be equal and every score within TOL (the C
 kernel sums the channel dot product and the camera transforms in its own
-order, so the two differ by about 1e-15). The checked wrapper must reject a
-wrong dtype, shape or layout before any call reaches C.
+order, so the two differ by about 1e-15). The C pass must also give acc and
+n_valid byte-identical to the one-plane-at-a-time scalar sweep kept in
+plane_sweep_scalar.c, built with the same flags. The checked wrapper must
+reject a wrong dtype, shape or layout before any call reaches C.
 """
+
+import ctypes
+import shutil
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,6 +25,8 @@ from hypothesis import strategies as st
 from volsplat import _kernels, features
 from volsplat.errors import InvalidInputError
 from volsplat.features import (
+    MAX_DEPTH_HYPOTHESES,
+    MAX_FEATURE_CHANNELS,
     FeatureExtractorSpec,
     FeatureMap,
     build_cost_volume,
@@ -27,6 +37,7 @@ from volsplat.geometry import Extrinsics, Intrinsics, warp_feature
 from volsplat.scenes import CameraPose, SceneSpec, synthesize
 
 TOL = 1e-12
+SCALAR_SOURCE = Path(__file__).with_name("plane_sweep_scalar.c")
 
 
 def rot(ax, ay):
@@ -192,7 +203,8 @@ def test_non_finite_features_raise_on_both_backends(monkeypatch, c_sweep, where,
 @pytest.mark.parametrize("shape,hyp,match", [
     ((8, 9, 3), [1.0, 2.0], "share shape"), ((8, 8, 2), [1.0, 2.0], "share shape"),
     ((8, 8, 3), [0.0, 2.0], "must be positive"), ((8, 8, 3), [-1.0, 2.0], "must be positive"),
-    ((8, 8, 3), [1.0, np.nan], "must be positive"),
+    ((8, 8, 3), [1.0, np.nan], "must be positive"), ((8, 8, 3), [1.0, np.inf], "finite"),
+    ((8, 8, 3), [1.0, 2.0, np.inf], "finite"),
 ])
 def test_bad_inputs_raise_on_both_backends(monkeypatch, c_sweep, shape, hyp, match):
     cam = grid_cam(8, 8, 8.0)
@@ -201,6 +213,17 @@ def test_bad_inputs_raise_on_both_backends(monkeypatch, c_sweep, shape, hyp, mat
         monkeypatch.setattr(features, "plane_sweep", sweep)
         with pytest.raises(InvalidInputError, match=match):
             build_cost_volume(ref, [(ref, cam), (fmap(np.ones(shape)), cam)], cam, hyp)
+
+
+def test_non_finite_hypotheses_raise_before_the_kernel(monkeypatch):
+    def no_sweep(*args):
+        raise AssertionError("plane_sweep called with a non-finite hypothesis")
+
+    monkeypatch.setattr(features, "plane_sweep", no_sweep)
+    cam = grid_cam(8, 8, 8.0)
+    ref = fmap(np.ones((8, 8, 3)))
+    with pytest.raises(InvalidInputError, match="finite"):
+        build_cost_volume(ref, [(ref, cam)], cam, [1.0, np.inf])
 
 
 def test_compiled_sweep_builds_no_warped_grid(monkeypatch, c_sweep):
@@ -281,3 +304,126 @@ def test_wrapper_passes_good_arguments(c_sweep):
     args = sweep_args()
     c_sweep(**args)
     assert (args["n_valid"] == 1).all() and not args["acc"].any()  # self-warp of zeros
+
+
+@pytest.fixture(scope="session")
+def scalar_sweep(tmp_path_factory):
+    """The scalar sweep of plane_sweep_scalar.c, built with the shipped flags,
+    behind the shipped wrapper's signature."""
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler")
+    fn = ctypes.CDLL(str(_kernels.build(tmp_path_factory.mktemp("scalar"),
+                                        SCALAR_SOURCE))).plane_sweep
+    ptr, size = ctypes.c_void_p, ctypes.c_long
+    fn.argtypes = [ptr, ptr, size, size, size, ptr, ptr, ptr, size, ptr, ptr]
+    fn.restype = None
+
+    def plane_sweep(ref, nbr, ref_cam, nbr_cam, depths, acc, n_valid):
+        for a in (ref, nbr, depths, acc, n_valid):
+            assert a.dtype == np.float64 and a.flags.c_contiguous
+        assert nbr.shape == ref.shape and acc.shape == n_valid.shape == ref.shape[:2] + depths.shape
+        cams = [_kernels._camera("ref_cam", ref_cam), _kernels._camera("nbr_cam", nbr_cam)]
+        fn(ref.ctypes.data, nbr.ctypes.data, *ref.shape, cams[0].ctypes.data,
+           cams[1].ctypes.data, depths.ctypes.data, depths.size, acc.ctypes.data,
+           n_valid.ctypes.data)
+
+    return plane_sweep
+
+
+def assert_bit_identical(c_sweep, scalar_sweep, ref, nbrs, ref_cam, hyp, rng=None):
+    """Both kernels add every neighbour into the same acc and n_valid, from
+    zeros or from random values; the raw bytes must agree. Returns n_valid."""
+    hyp = np.asarray(hyp, dtype=float)
+    start = np.zeros(ref.shape[:2] + hyp.shape)
+    if rng is not None:
+        start = rng.normal(size=start.shape)
+    out = []
+    for sweep in (scalar_sweep, c_sweep):
+        acc, n_valid = start.copy(), np.zeros_like(start)
+        for data, cam in nbrs:
+            sweep(ref, data, ref_cam, cam, hyp, acc, n_valid)
+        out.append((acc.tobytes(), n_valid.tobytes()))
+    assert out[1][0] == out[0][0], "acc differs from the scalar sweep"
+    assert out[1][1] == out[0][1], "n_valid differs from the scalar sweep"
+    return n_valid
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), h=st.integers(1, 6), w=st.integers(1, 6),
+       c=st.integers(1, MAX_FEATURE_CHANNELS), n_planes=st.integers(2, MAX_DEPTH_HYPOTHESES))
+def test_bit_identical_to_the_scalar_sweep_on_random_rigs(c_sweep, scalar_sweep, seed, h, w, c,
+                                                           n_planes):
+    rng = np.random.default_rng(seed)
+    f = rng.uniform(0.5, 2.0) * max(h, w)
+    ref_cam = grid_cam(h, w, f, cx=rng.uniform(0, w - 1), cy=rng.uniform(0, h - 1))
+    moved = (ref_cam[0], Extrinsics(rot(*rng.uniform(-0.3, 0.3, 2)), rng.uniform(-0.5, 0.5, 3)))
+    # the self-warp keeps every plane of every pixel off the last row and
+    # column interior, so n_planes interior planes there, in any residue mod 4
+    nbrs = [(rng.normal(size=(h, w, c)), moved), (rng.normal(size=(h, w, c)), ref_cam)]
+    hyp = np.sort(rng.uniform(0.3, 6.0, n_planes))
+    assert_bit_identical(c_sweep, scalar_sweep, rng.normal(size=(h, w, c)), nbrs, ref_cam, hyp,
+                         rng)
+
+
+@pytest.mark.parametrize("n_planes", [4, 5, 6, 7, 8, MAX_DEPTH_HYPOTHESES - 1,
+                                      MAX_DEPTH_HYPOTHESES])
+@pytest.mark.parametrize("c", [1, 2, 3, 12, 13, MAX_FEATURE_CHANNELS])
+def test_bit_identical_at_every_interior_plane_count(c_sweep, scalar_sweep, n_planes, c):
+    rng = np.random.default_rng(n_planes * 1000 + c)
+    h, w = 3, 4
+    ref_cam = grid_cam(h, w, 3.0)
+    nbr_cam = grid_cam(h, w, 3.0, R=rot(0.01, -0.02), T=(0.03, 0.01, -0.02))
+    data = rng.normal(size=(h, w, c))
+    hyp = np.linspace(0.5, 8.0, n_planes)
+    counts = assert_bit_identical(c_sweep, scalar_sweep, data,
+                                  [(data, ref_cam), (rng.normal(size=(h, w, c)), nbr_cam)],
+                                  ref_cam, hyp, rng)
+    assert (counts[: h - 1, : w - 1] >= 1).all()
+
+
+def test_bit_identical_on_the_sweep_workload(c_sweep, scalar_sweep):
+    # the benchmark's `sweep` rig: 64 x 64, 12 channels, 32 planes, and the
+    # four input views of the six-camera ring, each against the other three
+    cams_spec = [CameraPose((0.3 * np.cos(a), 0.3 * np.sin(a), 0.0), (0.0, 0.0, 2.0))
+                 for a in 2 * np.pi * np.array([0, 1, 3, 4]) / 6]
+    views, _ = synthesize(SceneSpec(kind="sphere", cameras=cams_spec, image_size=(64, 64)))
+    fmaps = [extract_features(v, FeatureExtractorSpec(channels=12, scale=1)).data for v in views]
+    cams = [(v.intrinsics, v.extrinsics) for v in views]
+    hyp = sample_depth_hypotheses(0.5, 10.0, 32, "inverse")
+    for i in range(4):
+        for j in range(4):
+            if i != j:
+                assert_bit_identical(c_sweep, scalar_sweep, fmaps[i], [(fmaps[j], cams[j])],
+                                     cams[i], hyp)
+
+
+# Offsets of the neighbour's principal point. The reference camera maps pixel
+# (x, y) to (x, y, 1) exactly, so with no translation pixel x lands on x + the
+# offset: exactly -0.5 and w - 0.5 (the pre-snap bounds), w - 1 and h - 1 (the
+# last column and row), within and just beyond SNAP_TOL of an integer on either
+# side, and on half-integer ties.
+EDGE_OFFSETS = [0.0, -0.5, 0.5, 1e-10, -1e-10, 9.99e-10, -9.99e-10, 1.001e-9, -1.001e-9,
+                0.25, -1.0, "last"]
+
+
+@pytest.mark.parametrize("tz", [0.0, 1.0])  # 1.0: planes at 0.5 and 1 have q2 < 0 and = 0
+@pytest.mark.parametrize("oy", EDGE_OFFSETS)
+@pytest.mark.parametrize("ox", EDGE_OFFSETS)
+def test_bit_identical_on_edge_projections(c_sweep, scalar_sweep, ox, oy, tz):
+    h, w, c = 5, 7, 5
+    rng = np.random.default_rng(7)
+    ox = -(w - 1.0) if ox == "last" else ox  # pixel w - 1 lands on column 0 and vice versa
+    oy = -(h - 1.0) if oy == "last" else oy
+
+    def cam(cx, cy, T):  # principal points off the image, which Intrinsics refuses
+        return SimpleNamespace(fx=1.0, fy=1.0, cx=cx, cy=cy), Extrinsics(np.eye(3), np.array(T))
+
+    ref_cam = cam(0.0, 0.0, (0.0, 0.0, 0.0))
+    # with tz = 0 the translation moves plane z by exactly (-0.5 / z, 0.25 / z)
+    # pixels; the still neighbour lands every plane on the offsets alone
+    nbr_cam = cam(ox, oy, (0.5, -0.25, tz))
+    still = cam(ox, oy, (0.0, 0.0, tz))
+    hyp = [0.5, 1.0, 2.0, 4.0, 8.0]
+    nbrs = [(rng.normal(size=(h, w, c)), nbr_cam), (rng.normal(size=(h, w, c)), still)]
+    assert_bit_identical(c_sweep, scalar_sweep, rng.normal(size=(h, w, c)), nbrs, ref_cam, hyp,
+                         rng)
