@@ -1,20 +1,24 @@
-"""Compiled kernels and their numpy fallbacks.
+"""The engine's three kernels, and the one place that picks their backend.
 
-`kernels.c` holds the engine's three compiled kernels: `composite_tile`, the
-rasterizer's per-tile compositing loop, `plane_sweep`, one (reference,
-neighbour) pair of the depth stage's cost volume, and `scatter_add_rows`,
-the scatter-add of one kernel offset's rows in a sparse U-Net conv. On first
-import it is built with `cc -O3 -ffp-contract=off -fPIC -shared` into the
-per-user cache ($XDG_CACHE_HOME or ~/.cache, then volsplat/), under a file
-name that carries a hash of the source and the flags, and loaded with
-ctypes, which releases the GIL for the length of each call, so render
-threads composite tiles in parallel. If the build or the load fails, or
-VOLSPLAT_FORCE_NUMPY=1 is set, all three kernels fall back to numpy
-together: `composite_tile` is then the numpy kernel in `_composite_np`,
-`plane_sweep` is None, which makes `features.build_cost_volume` run its own
-per-plane `warp_feature` loop, and `scatter_add_rows` is
-`scatter_add_rows_np`, the line `out[rows] += src`.
-BACKEND names the kernels in use: "c" or "numpy".
+`composite_tile` is the rasterizer's per-tile compositing loop,
+`plane_sweep` adds one (reference, neighbour) pair into the depth stage's
+cost volume, and `scatter_add_rows` is the scatter-add of one kernel
+offset's rows in a sparse U-Net conv. Each kernel has one signature and two
+implementations: a C function in `kernels.c` behind a checked ctypes
+wrapper, and a numpy twin (`_composite_np.composite_tile`, `plane_sweep_np`,
+`scatter_add_rows_np`), so callers import the names below and never ask
+which backend runs.
+
+On first import `kernels.c` is built with `cc -O3 -ffp-contract=off -fPIC
+-shared` into the per-user cache ($XDG_CACHE_HOME or ~/.cache, then
+volsplat/), under a file name that carries a hash of the source and the
+flags, and loaded with ctypes, which releases the GIL for the length of each
+call, so render threads composite tiles in parallel. If the build or the
+load fails, or VOLSPLAT_FORCE_NUMPY=1 is set, the three kernels are the
+numpy twins together (`NUMPY`). BACKEND names the kernels in use: "c" or
+"numpy". Every C wrapper checks its arrays with one checker, `_check`: the
+kernel's dtype and shapes, C-contiguous, writeable where the kernel writes.
+It copies nothing, and any mismatch raises before a pointer is passed.
 
 Both compositing kernels follow one recurrence, in which a splat adds
 nothing at a pixel where its squared Mahalanobis distance q exceeds Q_SKIP
@@ -23,13 +27,13 @@ e^-40 < 2^-57, so 1 - alpha rounds to exactly 1: transmittance is
 bit-identical to the recurrence without the rule, and colour differs by less
 than 4.3e-18 per skipped (splat, pixel) pair.
 
-Neither of the first two C kernels is bit-identical to its numpy
-counterpart, though both do the same operations in the same order. The
-compositing kernel agrees to about 1e-16: it calls libm `exp`, and numpy may
-dispatch its own vectorised `exp`. The sweep agrees to about 1e-15: numpy's
-`einsum` and matmul order the channel sum and the camera transforms in their
-own way. `scatter_add_rows` is bit-identical to its fallback for distinct
-rows: each output element takes exactly one IEEE addition, out + src, as in
+Neither of the first two C kernels is bit-identical to its numpy twin,
+though both do the same operations in the same order. The compositing
+kernel agrees to about 1e-16: it calls libm `exp`, and numpy may dispatch its
+own vectorised `exp`. The sweep agrees to about 1e-15: numpy's `einsum` and
+matmul order the channel sum and the camera transforms in their own way.
+`scatter_add_rows` is bit-identical to its twin for distinct rows: each
+output element takes exactly one IEEE addition, out + src, as in
 `out[rows] += src`, and there is no sum whose order could differ.
 
 The C sweep runs in three passes per reference pixel: it projects every
@@ -54,6 +58,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
+from ..geometry import warp_feature
 from . import _composite_np
 from ._composite_np import ALPHA_MAX, T_CUTOFF
 
@@ -69,14 +74,35 @@ BUILD_TIMEOUT_S = 120
 
 
 class Kernels(NamedTuple):
+    """One backend's kernels; a field has the same signature on every backend."""
     composite_tile: Callable
-    plane_sweep: Optional[Callable]  # None on the numpy backend
+    plane_sweep: Callable
     scatter_add_rows: Callable
 
 
-def scatter_add_rows_np(out: np.ndarray, rows: np.ndarray, src: np.ndarray) -> None:
+def plane_sweep_np(ref, nbr, ref_cam, nbr_cam, depths, acc, n_valid):
+    """Add one neighbour's plane-sweep scores into acc and n_valid.
+
+    ref and nbr are (h, w, c) feature grids, the cameras (Intrinsics,
+    Extrinsics) pairs at feature resolution, depths the (d,) planes, and acc
+    and n_valid (h, w, d) arrays updated in place. At plane m, nbr is warped
+    onto the reference view (`warp_feature`); where the warp is valid, the
+    channel mean of ref * warped is added to acc[:, :, m] and 1 to
+    n_valid[:, :, m].
+    """
+    c = ref.shape[2]
+    for m, depth in enumerate(depths):
+        warped, valid = warp_feature(nbr, nbr_cam, ref_cam, depth)
+        acc[:, :, m] += np.where(valid, np.einsum("hwc,hwc->hw", ref, warped) / c, 0.0)
+        n_valid[:, :, m] += valid
+
+
+def scatter_add_rows_np(out, rows, src):
     """out[rows[j]] += src[j] for every j; the rows are distinct."""
     out[rows] += src
+
+
+NUMPY = Kernels(_composite_np.composite_tile, plane_sweep_np, scatter_add_rows_np)
 
 
 def cache_dir() -> Path:
@@ -120,47 +146,55 @@ def load(out_dir: Path | None = None, source: Path = SOURCE) -> Optional[Kernels
     sweep.argtypes = [ptr, ptr, size, size, size, ptr, ptr, ptr, size, ptr, ptr, ptr, ptr, ptr]
     scatter.argtypes = [ptr, ptr, ptr, size, size]
     composite.restype = sweep.restype = scatter.restype = None
-    return Kernels(_checked(composite), _checked_sweep(sweep), _checked_scatter(scatter))
+    return Kernels(_checked_composite(composite), _checked_sweep(sweep),
+                   _checked_scatter(scatter))
 
 
-def _float64(kernel: str, name: str, a) -> np.ndarray:
-    if not isinstance(a, np.ndarray) or a.dtype != np.float64:
-        raise TypeError(f"{kernel}: {name} must be a float64 ndarray, "
-                        f"got {getattr(a, 'dtype', type(a).__name__)}")
-    return a
+_F64, _I64, _U64 = np.dtype(np.float64), np.dtype(np.int64), np.dtype(np.uint64)
 
 
-def _checked(fn):
-    """Wrap the raw C function in the numpy kernel's signature.
+def _check(kernel: str, args, outputs) -> dict:
+    """Check one C kernel's array arguments before any pointer is passed.
 
-    Every dtype and shape is checked before a pointer is passed, so no call
-    reaches memory outside the arrays. Inputs are made contiguous; rgb and
-    transmit that are not are copied in and back out.
+    `args` holds (name, array, dtype, dims) for each array. The array must be
+    a C-contiguous ndarray of that dtype whose shape matches dims, a dim being
+    a size or a letter that stands for one size wherever it appears; the
+    arrays named in `outputs` must also be writeable. Nothing is copied: the
+    first mismatch raises TypeError (no ndarray, or another dtype) or
+    ValueError. Returns the size of each letter.
     """
+    sizes = {}
+    for name, a, dtype, dims in args:
+        if not isinstance(a, np.ndarray) or a.dtype != dtype:
+            raise TypeError(f"{kernel}: {name} must be a {dtype} ndarray, "
+                            f"got {getattr(a, 'dtype', type(a).__name__)}")
+        shape = a.shape
+        if len(shape) != len(dims):
+            raise ValueError(f"{kernel}: {name} has shape {shape}, expected {dims}")
+        for d, n in zip(dims, shape):  # a plain loop: this runs on every kernel call
+            if (sizes.setdefault(d, n) if d.__class__ is str else d) != n:
+                expected = tuple(sizes.get(d, d) for d in dims)
+                raise ValueError(f"{kernel}: {name} has shape {shape}, expected {expected}")
+        flags = a.flags
+        if not flags.c_contiguous:
+            raise ValueError(f"{kernel}: {name} must be C-contiguous")
+        if name in outputs and not flags.writeable:
+            raise ValueError(f"{kernel}: {name} must be writeable")
+    return sizes
+
+
+def _checked_composite(fn):
+    """Wrap the raw C compositing kernel in the signature of the numpy one."""
 
     def composite_tile(means, conics, colors, opacities, x0, y0, rgb, transmit):
-        arrays = {name: _float64("composite_tile", name, a) for name, a in (
-            ("means", means), ("conics", conics), ("colors", colors),
-            ("opacities", opacities), ("rgb", rgb), ("transmit", transmit))}
-        n = means.shape[0] if means.ndim == 2 else -1
-        th, tw = transmit.shape if transmit.ndim == 2 else (-1, -1)
-        expected = {"means": (n, 2), "conics": (n, 3), "colors": (n, 3),
-                    "opacities": (n,), "rgb": (th, tw, 3), "transmit": (th, tw)}
-        for name, shape in expected.items():
-            if arrays[name].shape != shape:
-                raise ValueError(f"composite_tile: {name} has shape "
-                                 f"{arrays[name].shape}, expected {shape} (n, th, tw)")
-        if not (rgb.flags.writeable and transmit.flags.writeable):
-            raise ValueError("composite_tile: rgb and transmit must be writeable")
         x0, y0 = operator.index(x0), operator.index(y0)
-        inputs = [np.ascontiguousarray(a) for a in (means, conics, colors, opacities)]
-        out_rgb, out_t = np.ascontiguousarray(rgb), np.ascontiguousarray(transmit)
-        fn(*(a.ctypes.data for a in inputs), n, x0, y0, th, tw,
-           out_rgb.ctypes.data, out_t.ctypes.data)
-        if out_rgb is not rgb:
-            rgb[...] = out_rgb
-        if out_t is not transmit:
-            transmit[...] = out_t
+        size = _check("composite_tile", (
+            ("means", means, _F64, ("n", 2)), ("conics", conics, _F64, ("n", 3)),
+            ("colors", colors, _F64, ("n", 3)), ("opacities", opacities, _F64, ("n",)),
+            ("rgb", rgb, _F64, ("th", "tw", 3)), ("transmit", transmit, _F64, ("th", "tw")),
+        ), ("rgb", "transmit"))
+        fn(means.ctypes.data, conics.ctypes.data, colors.ctypes.data, opacities.ctypes.data,
+           size["n"], x0, y0, size["th"], size["tw"], rgb.ctypes.data, transmit.ctypes.data)
 
     return composite_tile
 
@@ -178,42 +212,20 @@ def _camera(name: str, cam) -> np.ndarray:
 
 
 def _checked_sweep(fn):
-    """Wrap the raw C plane sweep in a checked Python signature.
+    """Wrap the raw C plane sweep in the signature of plane_sweep_np.
 
-    Every array must already be a C-contiguous float64 array of the right
-    shape; nothing is copied, and any mismatch raises before a pointer is
-    passed. The kernel's scratch (projections and weights, interior-plane
-    taps, channel samples) is allocated here from the checked shapes.
+    The kernel's scratch (projections and weights, interior-plane taps,
+    channel samples) is allocated here from the checked shapes.
     """
 
     def plane_sweep(ref, nbr, ref_cam, nbr_cam, depths, acc, n_valid):
-        """Add one neighbour's plane-sweep scores into acc and n_valid.
-
-        ref and nbr are (h, w, c) feature grids, the cameras (Intrinsics,
-        Extrinsics) pairs at feature resolution, depths the (d,) planes, and
-        acc and n_valid (h, w, d) arrays that are updated in place.
-        """
-        arrays = {name: _float64("plane_sweep", name, a) for name, a in (
-            ("ref", ref), ("nbr", nbr), ("depths", depths), ("acc", acc),
-            ("n_valid", n_valid))}
-        if ref.ndim != 3:
-            raise ValueError(f"plane_sweep: ref has shape {ref.shape}, expected (h, w, c)")
-        if depths.ndim != 1:
-            raise ValueError(f"plane_sweep: depths has shape {depths.shape}, expected (d,)")
-        h, w, c = ref.shape
-        expected = {"nbr": (h, w, c), "acc": (h, w, depths.size),
-                    "n_valid": (h, w, depths.size)}
-        for name, shape in expected.items():
-            if arrays[name].shape != shape:
-                raise ValueError(f"plane_sweep: {name} has shape "
-                                 f"{arrays[name].shape}, expected {shape}")
-        for name, a in arrays.items():
-            if not a.flags.c_contiguous:
-                raise ValueError(f"plane_sweep: {name} must be C-contiguous")
-        if not (acc.flags.writeable and n_valid.flags.writeable):
-            raise ValueError("plane_sweep: acc and n_valid must be writeable")
+        size = _check("plane_sweep", (
+            ("ref", ref, _F64, ("h", "w", "c")), ("nbr", nbr, _F64, ("h", "w", "c")),
+            ("depths", depths, _F64, ("d",)), ("acc", acc, _F64, ("h", "w", "d")),
+            ("n_valid", n_valid, _F64, ("h", "w", "d")),
+        ), ("acc", "n_valid"))
         cams = [_camera("ref_cam", ref_cam), _camera("nbr_cam", nbr_cam)]
-        d = depths.size
+        h, w, c, d = size["h"], size["w"], size["c"], size["d"]
         proj, taps, samples = np.empty(7 * d), np.empty(2 * d, np.int64), np.empty(d * c)
         fn(ref.ctypes.data, nbr.ctypes.data, h, w, c, cams[0].ctypes.data,
            cams[1].ctypes.data, depths.ctypes.data, d, acc.ctypes.data, n_valid.ctypes.data,
@@ -223,30 +235,18 @@ def _checked_sweep(fn):
 
 
 def _checked_scatter(fn):
-    """Wrap the raw C scatter-add in the signature of scatter_add_rows_np.
-
-    Every array must already be C-contiguous and of the right dtype and
-    shape, and every row inside `out`; nothing is copied, and any mismatch
-    raises before a pointer is passed.
-    """
+    """Wrap the raw C scatter-add in the signature of scatter_add_rows_np;
+    every row must also lie inside `out`."""
 
     def scatter_add_rows(out, rows, src):
-        """out[rows[j]] += src[j] for every j in order; the rows are distinct."""
-        _float64("scatter_add_rows", "out", out)
-        _float64("scatter_add_rows", "src", src)
-        if not isinstance(rows, np.ndarray) or rows.dtype != np.int64:
-            raise TypeError("scatter_add_rows: rows must be an int64 ndarray, "
-                            f"got {getattr(rows, 'dtype', type(rows).__name__)}")
-        if out.ndim != 2 or rows.ndim != 1 or src.shape != (rows.size, out.shape[1]):
-            raise ValueError(f"scatter_add_rows: out {out.shape}, rows {rows.shape} and src "
-                             f"{src.shape} must be (n, c), (m,) and (m, c)")
-        if not (out.flags.c_contiguous and rows.flags.c_contiguous and src.flags.c_contiguous):
-            raise ValueError("scatter_add_rows: out, rows and src must be C-contiguous")
-        if not out.flags.writeable:
-            raise ValueError("scatter_add_rows: out must be writeable")
-        if rows.size and not (0 <= rows.min() and rows.max() < out.shape[0]):
-            raise IndexError(f"scatter_add_rows: rows must lie in [0, {out.shape[0]})")
-        fn(out.ctypes.data, rows.ctypes.data, src.ctypes.data, rows.size, out.shape[1])
+        size = _check("scatter_add_rows", (
+            ("out", out, _F64, ("n", "c")), ("rows", rows, _I64, ("m",)),
+            ("src", src, _F64, ("m", "c")),
+        ), ("out",))
+        # as uint64 a negative row is past the end, so one max bounds both sides
+        if size["m"] and np.maximum.reduce(rows.view(_U64)) >= size["n"]:
+            raise IndexError(f"scatter_add_rows: rows must lie in [0, {size['n']})")
+        fn(out.ctypes.data, rows.ctypes.data, src.ctypes.data, size["m"], size["c"])
 
     return scatter_add_rows
 
@@ -257,10 +257,11 @@ def select():
         compiled = load()
         if compiled is not None:
             return compiled, "c"
-    return Kernels(_composite_np.composite_tile, None, scatter_add_rows_np), "numpy"
+    return NUMPY, "numpy"
 
 
 (composite_tile, plane_sweep, scatter_add_rows), BACKEND = select()
 
-__all__ = ["composite_tile", "plane_sweep", "scatter_add_rows", "scatter_add_rows_np", "BACKEND",
-           "Kernels", "ALPHA_MAX", "T_CUTOFF", "build", "load", "select"]
+__all__ = ["composite_tile", "plane_sweep", "scatter_add_rows", "plane_sweep_np",
+           "scatter_add_rows_np", "NUMPY", "BACKEND", "Kernels", "ALPHA_MAX", "T_CUTOFF", "build",
+           "load", "select"]

@@ -14,7 +14,9 @@ import numpy as np
 
 from ._kernels import plane_sweep
 from .errors import InvalidInputError
-from .geometry import CameraView, DepthMap, Intrinsics, bilinear_sample, warp_feature
+from .geometry import CameraView, DepthMap, Intrinsics, bilinear_sample
+# unused here, but perfbench/run.py:install_trace wraps features.warp_feature by name
+from .geometry import warp_feature  # noqa: F401
 
 _ALLOWED_SCALES = (1, 2, 4, 8)
 DEPTH_SPACINGS = ("linear", "inverse")
@@ -135,21 +137,11 @@ def build_cost_volume(
 ) -> CostVolume:
     """Plane-sweep dot-product matching volume for one reference view.
 
-    Cameras are (Intrinsics, Extrinsics) at feature resolution. Scores are
-    channel-normalized means over the neighbors with valid warps, summed in
-    the order the neighbors are given. `valid_cells` counts the (pixel,
-    plane) cells with at least one valid neighbor, on either backend.
-
-    With the compiled kernels (`_kernels.plane_sweep`), each neighbor is one
-    C call that never builds the warped grid. Per reference pixel it runs
-    three passes: project every plane, sort the planes into dropped, edge and
-    interior ones, then sample the interior planes over contiguous channels
-    and dot them four at a time. Each plane keeps the operations and their
-    order of a one-plane-at-a-time scalar loop, so the result is
-    byte-identical to that loop (tests/plane_sweep_scalar.c), and it agrees
-    with the numpy loop below to about 1e-15. On the numpy backend the loop
-    warps each neighbor onto each plane with `warp_feature`; it is the
-    fallback and the oracle.
+    Cameras are (Intrinsics, Extrinsics) at feature resolution. Each
+    neighbor is one `plane_sweep` call that adds its scores and valid counts
+    into the volume, in the order the neighbors are given; scores are then
+    the channel-normalized means over the neighbors with valid warps, and
+    `valid_cells` counts the (pixel, plane) cells with at least one.
     """
     if len(neighbors) == 0:
         raise InvalidInputError("need at least one neighbor view")
@@ -158,30 +150,16 @@ def build_cost_volume(
         raise InvalidInputError("depth hypotheses must be positive and finite")
     if any(nb_feat.data.shape != ref.data.shape for nb_feat, _ in neighbors):
         raise InvalidInputError("all feature maps must share shape")
-    h, w, c = ref.data.shape
-    if plane_sweep is not None:
-        acc = np.zeros((h, w, hyp.size))
-        n_valid = np.zeros((h, w, hyp.size))
-        ref_data = np.ascontiguousarray(ref.data, dtype=np.float64)
-        for nb_feat, nb_cam in neighbors:
-            plane_sweep(ref_data, np.ascontiguousarray(nb_feat.data, dtype=np.float64),
-                        ref_cam, nb_cam, hyp, acc, n_valid)
-        scores = np.divide(acc, n_valid, out=np.zeros_like(acc), where=n_valid > 0)
-        return CostVolume(scores=scores, depth_hypotheses=hyp,
-                          valid_cells=int(np.count_nonzero(n_valid)))
-    scores = np.zeros((h, w, hyp.size))
-    valid_cells = 0
-    for m, depth in enumerate(hyp):
-        acc = np.zeros((h, w))
-        n_valid = np.zeros((h, w))
-        for nb_feat, nb_cam in neighbors:
-            warped, valid = warp_feature(nb_feat.data, nb_cam, ref_cam, depth)
-            dot = np.einsum("hwc,hwc->hw", ref.data, warped) / c
-            acc += np.where(valid, dot, 0.0)
-            n_valid += valid
-        scores[:, :, m] = np.divide(acc, n_valid, out=np.zeros_like(acc), where=n_valid > 0)
-        valid_cells += int(np.count_nonzero(n_valid))
-    return CostVolume(scores=scores, depth_hypotheses=hyp, valid_cells=valid_cells)
+    h, w, _ = ref.data.shape
+    acc = np.zeros((h, w, hyp.size))
+    n_valid = np.zeros((h, w, hyp.size))
+    ref_data = np.ascontiguousarray(ref.data, dtype=np.float64)
+    for nb_feat, nb_cam in neighbors:
+        plane_sweep(ref_data, np.ascontiguousarray(nb_feat.data, dtype=np.float64),
+                    ref_cam, nb_cam, hyp, acc, n_valid)
+    scores = np.divide(acc, n_valid, out=np.zeros_like(acc), where=n_valid > 0)
+    return CostVolume(scores=scores, depth_hypotheses=hyp,
+                      valid_cells=int(np.count_nonzero(n_valid)))
 
 
 def regress_depth(cv: CostVolume, temperature: float = 0.05) -> DepthMap:

@@ -11,7 +11,6 @@ import shutil
 import pytest
 
 from volsplat import _kernels, features, renderer, sparse_unet
-from volsplat._kernels import _composite_np
 
 GATE_LINES = []
 
@@ -52,8 +51,7 @@ def c_scatter(c_kernels):
 def kernel_backend(request, monkeypatch):
     """Run the test once per kernel backend, patched into the renderer, the
     depth stage and the sparse U-Net as `_kernels.select` would set them."""
-    kernels = (_kernels.Kernels(_composite_np.composite_tile, None, _kernels.scatter_add_rows_np)
-               if request.param == "numpy" else request.getfixturevalue("c_kernels"))
+    kernels = _kernels.NUMPY if request.param == "numpy" else request.getfixturevalue("c_kernels")
     monkeypatch.setattr(renderer, "composite_tile", kernels.composite_tile)
     monkeypatch.setattr(features, "plane_sweep", kernels.plane_sweep)
     monkeypatch.setattr(sparse_unet, "scatter_add_rows", kernels.scatter_add_rows)

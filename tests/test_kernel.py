@@ -1,21 +1,26 @@
 """The compositing kernels and the projection against their references, and
-the kernel loader.
+the kernel loader and the contract every backend's kernels share.
 
 `composite_tile_sequential` below is the reference for the chunked numpy
 kernel: the per-splat recurrence that kernel replaced. They are compared on
 raw bytes. The C kernel (kernels.c) is compared with the numpy kernel to
-1e-12, since it calls libm `exp` where numpy may use its own. Each kernel's
-skip rule (a splat adds nothing where q > Q_SKIP) is checked against the
-same kernel without it: the reference run with `q_skip=inf`, and kernels.c
-rebuilt with Q_SKIP at infinity. `project_all_stacked` is the stacked-matmul
-projection that `renderer._project_all` replaced. The loader is checked to
-switch all three compiled kernels (compositing, the plane sweep, whose own
-agreement test is test_plane_sweep.py, and the U-Net's row scatter-add,
-tested in test_sparse_unet.py) to numpy together whenever the library
-cannot be built or loaded, or VOLSPLAT_FORCE_NUMPY=1 is set.
+1e-12, since it calls libm `exp` where numpy may use its own. Its checked
+wrapper takes C-contiguous float64 arrays of the tile's shapes and copies
+nothing: any other argument raises before the call and leaves rgb and
+transmit as they were. Each kernel's skip rule (a splat adds nothing where
+q > Q_SKIP) is checked against the same kernel without it: the reference
+run with `q_skip=inf`, and kernels.c rebuilt with Q_SKIP at infinity.
+`project_all_stacked` is the stacked-matmul projection that
+`renderer._project_all` replaced. The loader is checked to switch all three
+kernels (compositing, the plane sweep, whose own agreement test is
+test_plane_sweep.py, and the U-Net's row scatter-add, tested in
+test_sparse_unet.py) to their numpy twins, `_kernels.NUMPY`, together
+whenever the library cannot be built or loaded, or VOLSPLAT_FORCE_NUMPY=1 is
+set; each C kernel has the signature of its numpy twin.
 """
 
 import functools
+import inspect
 import os
 import shutil
 import subprocess
@@ -326,21 +331,6 @@ class TestCKernel:
         assert out_rgb[1].tobytes() == rgb[1].tobytes()
         assert out_t[1].tobytes() == transmit[1].tobytes()
 
-    def test_non_contiguous_inputs_and_outputs(self, c_composite):
-        rng = np.random.default_rng(9)
-        splats = random_splats(rng, 50, 0, 0, TILE, TILE)
-        rgb_a, t_a = fresh(TILE, TILE)
-        composite_tile(*splats, 0, 0, rgb_a, t_a)
-        strided = tuple(np.repeat(a, 2, axis=0)[::2] for a in splats)
-        strided = (np.asfortranarray(strided[0]),) + strided[1:]
-        assert not any(a.flags.c_contiguous for a in strided[1:])
-        rgb_big, t_big = np.zeros((TILE, 2 * TILE, 3)), np.ones((TILE, 2 * TILE))
-        rgb_b, t_b = rgb_big[:, ::2], t_big[:, ::2]
-        c_composite(*strided, 0, 0, rgb_b, t_b)
-        np.testing.assert_allclose(rgb_b, rgb_a, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(t_b, t_a, rtol=0, atol=1e-12)
-        assert not rgb_big[:, 1::2].any() and (t_big[:, 1::2] == 1.0).all()
-
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 3 * FULL_TILE_CHUNK + 2),
            th=st.integers(1, TILE), tw=st.integers(1, TILE),
@@ -357,7 +347,8 @@ class TestCKernel:
     @pytest.mark.parametrize("bad", [
         "means float32", "conics list", "means (n, 3)", "conics (n, 2)", "colors n - 1 rows",
         "opacities (n, 1)", "means 1-D", "rgb 4 channels", "rgb other tile", "transmit 1-D",
-        "transmit float32", "x0 float", "rgb read-only",
+        "transmit float32", "x0 float", "rgb read-only", "means strided",
+        "conics Fortran-ordered", "rgb strided",
     ])
     def test_wrapper_raises_on_bad_arguments(self, c_composite, bad):
         rng = np.random.default_rng(14)
@@ -373,9 +364,14 @@ class TestCKernel:
             "1-D": lambda: a.ravel(), "4 channels": lambda: np.zeros((TILE, TILE, 4)),
             "other tile": lambda: np.zeros((TILE, 8, 3)), "float": lambda: 1.5,
             "read-only": lambda: np.frombuffer(bytes(a.nbytes)).reshape(a.shape),
+            # the right shape and values, but not C-contiguous: nothing is copied
+            "strided": lambda: np.repeat(a, 2, axis=0)[::2],
+            "Fortran-ordered": lambda: np.asfortranarray(a),
         }[change]()
+        layout = change in ("strided", "Fortran-ordered")
+        assert not layout or not args[name].flags.c_contiguous
         before = [np.array(args[k], copy=True) for k in ("rgb", "transmit")]
-        with pytest.raises((TypeError, ValueError)):
+        with pytest.raises(ValueError if layout else (TypeError, ValueError)):
             c_composite(**args)
         for k, old in zip(("rgb", "transmit"), before):
             assert np.array_equal(np.asarray(args[k]), old)
@@ -439,10 +435,6 @@ class TestProjection:
             np.testing.assert_allclose(got[5], want[5], rtol=1e-9, atol=0)
 
 
-# every kernel on the numpy backend
-NUMPY = _kernels.Kernels(composite_tile, None, _kernels.scatter_add_rows_np)
-
-
 def test_build_flags_keep_ieee_rounding_and_any_host():
     # no fused multiply-adds and no reassociation, so every vector lane rounds
     # like the scalar code; no CPU-specific code in a library the per-user
@@ -451,6 +443,12 @@ def test_build_flags_keep_ieee_rounding_and_any_host():
     assert "-ffp-contract=off" in flags
     assert not {"-ffast-math", "-Ofast", "-funsafe-math-optimizations"} & set(flags)
     assert not any(f.startswith(("-march", "-mcpu")) for f in flags)
+
+
+def test_each_kernel_has_one_signature_on_both_backends(c_kernels):
+    for field in _kernels.Kernels._fields:
+        c_kernel, numpy_kernel = getattr(c_kernels, field), getattr(_kernels.NUMPY, field)
+        assert inspect.signature(c_kernel) == inspect.signature(numpy_kernel), field
 
 
 @pytest.fixture
@@ -466,7 +464,7 @@ class TestLoader:
     def test_builds_once_into_the_user_cache(self, cache, tmp_path, monkeypatch):
         kernels, backend = _kernels.select()
         assert backend == "c" and kernels.composite_tile is not composite_tile
-        assert kernels.plane_sweep is not None
+        assert kernels.plane_sweep is not _kernels.plane_sweep_np
         assert kernels.scatter_add_rows is not _kernels.scatter_add_rows_np
         built = sorted(p.name for p in cache.iterdir())
         assert len(built) == 1 and built[0].startswith("kernels-") and built[0].endswith(".so")
@@ -477,15 +475,15 @@ class TestLoader:
 
     def test_force_numpy(self, cache, monkeypatch):
         monkeypatch.setenv("VOLSPLAT_FORCE_NUMPY", "1")
-        assert _kernels.select() == (NUMPY, "numpy")
+        assert _kernels.select() == (_kernels.NUMPY, "numpy")
 
     @pytest.mark.parametrize("force,expect", [("0", "c False False"), ("1", "numpy True True")])
     def test_force_numpy_switches_both_kernels_at_import(self, cache, force, expect):
         # a fresh interpreter: the renderer and the depth stage read the kernels at import
         probe = ("import volsplat, volsplat.features as f, volsplat.renderer as r\n"
-                 "from volsplat._kernels import _composite_np as np_\n"
-                 "print(volsplat.KERNEL_BACKEND, f.plane_sweep is None,"
-                 " r.composite_tile is np_.composite_tile)")
+                 "from volsplat._kernels import NUMPY\n"
+                 "print(volsplat.KERNEL_BACKEND, f.plane_sweep is NUMPY.plane_sweep,"
+                 " r.composite_tile is NUMPY.composite_tile)")
         src = Path(_kernels.__file__).parents[2]  # the directory holding volsplat/
         env = dict(os.environ, VOLSPLAT_FORCE_NUMPY=force, PYTHONPATH=str(src))
         out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
@@ -504,7 +502,7 @@ class TestLoader:
 
     def test_falls_back_without_a_compiler(self, cache, tmp_path, monkeypatch):
         monkeypatch.setenv("PATH", str(tmp_path))  # no cc on the path
-        assert _kernels.select() == (NUMPY, "numpy")
+        assert _kernels.select() == (_kernels.NUMPY, "numpy")
         assert not cache.exists() or not any(cache.iterdir())
 
     def test_falls_back_when_the_cache_is_unwritable(self, tmp_path, monkeypatch):
@@ -512,7 +510,7 @@ class TestLoader:
         blocker.write_text("a file where the cache directory should be")
         monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
         monkeypatch.delenv("VOLSPLAT_FORCE_NUMPY", raising=False)
-        assert _kernels.select() == (NUMPY, "numpy")
+        assert _kernels.select() == (_kernels.NUMPY, "numpy")
 
     def test_falls_back_on_a_compile_error(self, tmp_path):
         bad = tmp_path / "bad.c"

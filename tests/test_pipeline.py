@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from volsplat import features
+from volsplat import _kernels, features
 from volsplat.errors import InvalidInputError, StageError
 from volsplat.features import (
     MAX_DEPTH_HYPOTHESES,
@@ -348,7 +348,7 @@ def test_estimated_depths_independent_of_view_order(monkeypatch, c_sweep):
     fspec = FeatureExtractorSpec(channels=cfg.feature.channels, scale=cfg.feature.scale)
     fmaps = [extract_features(v, fspec) for v in views]
     fractions = set()
-    for sweep in (None, c_sweep):  # the numpy and the compiled plane sweep
+    for sweep in (_kernels.plane_sweep_np, c_sweep):  # the numpy and the compiled plane sweep
         monkeypatch.setattr(features, "plane_sweep", sweep)
         depths, fraction = _estimate_depths(views, fmaps, cfg)
         want = [d.values.tobytes() for d in depths]
@@ -387,6 +387,31 @@ def test_grid_and_refined_features_independent_of_view_order():
     want = forward(range(4))
     for order in itertools.permutations(range(4)):
         assert forward(order) == want, order
+
+
+def ring_gaussian_counts(n_views: int, use_gt: bool) -> int:
+    """Gaussians from a sphere seen by n_views cameras on a ring of radius 0.3
+    around the optical axis, 64x64, voxel 0.05, U-Net off."""
+    cams = [CameraPose((0.3 * np.cos(a), 0.3 * np.sin(a), 0.0), (0.0, 0.0, 2.0))
+            for a in 2 * np.pi * np.arange(n_views) / n_views]
+    views, _ = synthesize(SceneSpec(kind="sphere", cameras=cams, image_size=(64, 64)))
+    cfg = PipelineConfig()
+    cfg.depth.use_gt = use_gt
+    cfg.voxel.size = 0.05
+    cfg.unet.enabled = False
+    return len(run_pipeline(views, cfg)[0])
+
+
+def test_voxel_aligned_gaussians_grow_slower_than_the_view_count():
+    """VolSplat's view-count property: pixel-aligned Gaussians would grow x4
+    from 4 to 16 views (8192 -> 65536 here); voxel-aligned ones merge where
+    views agree. Ground-truth depth pins the merging exactly (x1.43). With
+    estimated depth the growth may not exceed the 10502 -> 21367 (x2.035)
+    measured when this test was written, so a depth change cannot make it
+    worse unnoticed."""
+    assert [ring_gaussian_counts(n, True) for n in (2, 4, 8, 16)] == [6085, 8669, 10873, 12363]
+    four, sixteen = (ring_gaussian_counts(n, False) for n in (4, 16))
+    assert sixteen * 10502 <= 21367 * four, (four, sixteen)
 
 
 class TestEvaluate:

@@ -1,14 +1,15 @@
-"""The compiled plane sweep (kernels.c `plane_sweep`) against the numpy loop
+"""The compiled plane sweep (kernels.c `plane_sweep`) against its numpy twin
 and against the scalar C loop it replaced.
 
-`features.build_cost_volume` on the numpy backend warps each neighbour onto
-each plane with `geometry.warp_feature`; test_geometry.py keeps that loop
-byte-identical to a masked reference sampler. Here the C pass is held to it:
-every valid-neighbour count must be equal and every score within TOL (the C
-kernel sums the channel dot product and the camera transforms in its own
-order, so the two differ by about 1e-15). The C pass must also give acc and
-n_valid byte-identical to the one-plane-at-a-time scalar sweep kept in
-plane_sweep_scalar.c, built with the same flags. The checked wrapper must
+`_kernels.plane_sweep_np` warps the neighbour onto each plane with
+`geometry.warp_feature`; test_geometry.py keeps that warp byte-identical to
+a masked reference sampler. Here the C kernel is held to the numpy one
+through `features.build_cost_volume`, which runs whichever `plane_sweep` it
+is given: every valid-neighbour count must be equal and every score within
+TOL (the C kernel sums the channel dot product and the camera transforms in
+its own order, so the two differ by about 1e-15). The C kernel must also give
+acc and n_valid byte-identical to the one-plane-at-a-time scalar sweep kept
+in plane_sweep_scalar.c, built with the same flags. The checked wrapper must
 reject a wrong dtype, shape or layout before any call reaches C.
 """
 
@@ -67,7 +68,7 @@ def c_counts(c_sweep, ref, nbrs, ref_cam, hyp):
 def check(monkeypatch, c_sweep, ref, nbrs, ref_cam, hyp):
     """Scores and counts on both backends agree; returns (scores, counts)."""
     scores = []
-    for sweep in (None, c_sweep):
+    for sweep in (_kernels.plane_sweep_np, c_sweep):
         monkeypatch.setattr(features, "plane_sweep", sweep)
         cv = build_cost_volume(fmap(ref), [(fmap(d), cam) for d, cam in nbrs], ref_cam, hyp)
         scores.append(cv.scores)
@@ -193,7 +194,7 @@ def test_non_finite_features_raise_on_both_backends(monkeypatch, c_sweep, where,
     cam = grid_cam(8, 8, 8.0)
     ref, nbr = rng.normal(size=(8, 8, 3)), rng.normal(size=(8, 8, 3))
     {"ref": ref, "nbr": nbr}[where][4, 4, 1] = value
-    for sweep in (None, c_sweep):
+    for sweep in (_kernels.plane_sweep_np, c_sweep):
         monkeypatch.setattr(features, "plane_sweep", sweep)
         with pytest.raises(InvalidInputError, match="scores must be finite"), \
                 np.errstate(invalid="ignore"):
@@ -209,7 +210,7 @@ def test_non_finite_features_raise_on_both_backends(monkeypatch, c_sweep, where,
 def test_bad_inputs_raise_on_both_backends(monkeypatch, c_sweep, shape, hyp, match):
     cam = grid_cam(8, 8, 8.0)
     ref = fmap(np.ones((8, 8, 3)))
-    for sweep in (None, c_sweep):
+    for sweep in (_kernels.plane_sweep_np, c_sweep):
         monkeypatch.setattr(features, "plane_sweep", sweep)
         with pytest.raises(InvalidInputError, match=match):
             build_cost_volume(ref, [(ref, cam), (fmap(np.ones(shape)), cam)], cam, hyp)
@@ -228,12 +229,16 @@ def test_non_finite_hypotheses_raise_before_the_kernel(monkeypatch):
 
 def test_compiled_sweep_builds_no_warped_grid(monkeypatch, c_sweep):
     def no_warp(*args):
-        raise AssertionError("warp_feature called on the compiled backend")
+        raise AssertionError("warp_feature called")
 
-    monkeypatch.setattr(features, "plane_sweep", c_sweep)
-    monkeypatch.setattr(features, "warp_feature", no_warp)
+    # the warp_feature that the numpy sweep calls: patched, the numpy backend fails
+    monkeypatch.setattr(_kernels, "warp_feature", no_warp)
     cam = grid_cam(8, 8, 8.0)
     data = np.random.default_rng(5).normal(size=(8, 8, 2))
+    monkeypatch.setattr(features, "plane_sweep", _kernels.plane_sweep_np)
+    with pytest.raises(AssertionError, match="warp_feature called"):
+        build_cost_volume(fmap(data), [(fmap(data), cam)], cam, [1.0, 2.0])
+    monkeypatch.setattr(features, "plane_sweep", c_sweep)
     build_cost_volume(fmap(data), [(fmap(data), cam)], cam, [1.0, 2.0])
 
 
