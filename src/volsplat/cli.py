@@ -1,6 +1,6 @@
 """Command-line surface: scene synthesis, pipeline runs, evaluation.
 
-Exit codes: 0 success, 1 pipeline-stage failure, 2 usage/config/format error.
+Exit codes: 0 success, 1 pipeline-stage failure, 2 usage/config/format/output error.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from . import KERNEL_BACKEND, __version__
 from .errors import StageError, VolsplatError
 from .gaussians import export_ply, import_ply, write_summary
 from .pipeline import PipelineConfig, evaluate, run_pipeline
-from .renderer import MAX_THREADS, check_threads, render, write_ppm
-from .sceneio import load_scene, save_scene
+from .renderer import MAX_THREADS, check_threads, render
+from .sceneio import load_scene, save_scene, write_ppm
 from .scenes import SceneSpec, synthesize
 
 CONFIG_SCHEMA_VERSION = 1
@@ -55,7 +55,7 @@ def cmd_synth(spec_path, out_dir):
             ply = os.path.join(out_dir, "gt_gaussians.ply")
             export_ply(gt_set, ply)
             manifest.append(ply)
-    except VolsplatError as e:
+    except (VolsplatError, OSError) as e:
         raise _fail(e)
     for path in manifest:
         click.echo(path)
@@ -97,7 +97,7 @@ def cmd_run(config_path, scene_dir, out_dir, threads, overrides):
         for i, v in enumerate(views):
             out = render(gset, v.intrinsics, v.extrinsics, bg=cfg.render.bg, threads=threads)
             write_ppm(os.path.join(render_dir, f"render_{i:03d}.ppm"), out.rgb)
-    except VolsplatError as e:
+    except (VolsplatError, OSError) as e:
         raise _fail(e)
     click.echo(f"wrote {len(gset)} gaussians to {out_dir}")
 
@@ -118,7 +118,7 @@ def cmd_eval(ply_path, target_dir, report_path, threads):
         report["schema_version"] = CONFIG_SCHEMA_VERSION
         with open(report_path, "w") as f:
             json.dump(report, f, indent=2, sort_keys=True)
-    except VolsplatError as e:
+    except (VolsplatError, OSError) as e:
         raise _fail(e)
     click.echo(f"{'view':>6} {'psnr':>8} {'ssim':>8} {'mse':>10}")
     for i, m in enumerate(report["per_view"]):

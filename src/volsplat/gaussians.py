@@ -15,6 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import FormatError, InvalidInputError, WeightLoadError
+from .sceneio import Payload, read_bytes
 from .sparse_unet import SparseTensor, WeightBlob
 from .voxels import voxel_center
 
@@ -255,11 +256,7 @@ def export_ply(gset: GaussianSet, path) -> None:
 
 
 def import_ply(path) -> GaussianSet:
-    try:
-        with open(path, "rb") as f:
-            raw = f.read()
-    except OSError as e:
-        raise FormatError(f"{path}: cannot read PLY file: {e.strerror}") from e
+    raw = read_bytes(path, "PLY file")
     end = raw.find(b"end_header\n")
     if not raw.startswith(b"ply") or end < 0:
         raise FormatError(f"{path}: not a PLY file")
@@ -281,27 +278,20 @@ def import_ply(path) -> GaussianSet:
             raise FormatError(f"{path}: unsupported property type in {line!r}")
     n_rest = sum(1 for n in names if n.startswith("f_rest_"))
     sh_degree = int(round(np.sqrt(n_rest / 3 + 1))) - 1
-    if names != _ply_property_names(sh_degree):
-        raise FormatError(f"{path}: unexpected property layout")
-    start = end + len(b"end_header\n")
-    need = count * len(names) * 4
-    if count < 0 or len(raw) - start < need:
-        raise FormatError(f"{path}: payload holds {len(raw) - start} bytes, "
-                          f"header declares {need}")
-    data = np.frombuffer(raw, dtype="<f4", count=count * len(names), offset=start)
-    data = data.reshape(count, len(names))
+    if names != _ply_property_names(sh_degree) or sh_degree > MAX_SH_DEGREE:
+        raise FormatError(f"{path}: not a 3DGS property layout of SH degree 0 to {MAX_SH_DEGREE}")
+    payload = Payload(raw, path, "PLY file", end + len(b"end_header\n"))
+    data = payload.array("<f4", (count, len(names)), f"the payload of {count} vertices")
+    payload.end()
     off = 6 + n_rest
-    try:
-        return GaussianSet(
-            centers=data[:, 0:3].copy(),
-            opacity_logits=data[:, off].copy(),
-            log_scales=data[:, off + 1 : off + 4].copy(),
-            rotations=data[:, off + 4 : off + 8].copy(),
-            sh=data[:, 3:off].copy(),
-            sh_degree=sh_degree,
-        )
-    except InvalidInputError as e:  # a non-finite field
-        raise FormatError(f"{path}: {e}") from None
+    return GaussianSet(
+        centers=data[:, 0:3].copy(),
+        opacity_logits=data[:, off].copy(),
+        log_scales=data[:, off + 1 : off + 4].copy(),
+        rotations=data[:, off + 4 : off + 8].copy(),
+        sh=data[:, 3:off].copy(),
+        sh_degree=sh_degree,
+    )
 
 
 def summarize(gset: GaussianSet) -> dict:

@@ -8,14 +8,13 @@ Conventions used throughout the engine:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .errors import BehindCameraError, FormatError, InvalidInputError
+from .errors import BehindCameraError, InvalidInputError
 
 _ORTHO_TOL = 1e-9
 
@@ -248,38 +247,3 @@ def warp_feature(
     ref_K, ref_E = ref_cam
     u, v = warp_grid(ref_K, ref_E, src_K, src_E, depth_plane, src_data.shape[:2])
     return bilinear_sample(src_data, u, v)
-
-
-def load_camera_json(path) -> tuple:
-    """Read an (Intrinsics, Extrinsics) pair from the camera JSON format."""
-    try:
-        with open(path, "r") as f:
-            d = json.load(f)
-    except (OSError, ValueError) as e:  # ValueError covers bad JSON and bad UTF-8
-        raise FormatError(f"{path}: unreadable camera JSON: {e}") from e
-    try:
-        K = Intrinsics(d["fx"], d["fy"], d["cx"], d["cy"], int(d["width"]), int(d["height"]))
-        E = Extrinsics(np.array(d["R"], dtype=float).reshape(3, 3), np.array(d["T"], dtype=float))
-    except KeyError as e:
-        raise InvalidInputError(f"camera JSON missing field {e}") from e
-    except (TypeError, ValueError) as e:
-        raise FormatError(f"{path}: malformed camera field: {e}") from e
-    return K, E
-
-
-def save_camera_json(path, K: Intrinsics, E: Extrinsics) -> None:
-    with open(path, "w") as f:
-        json.dump(
-            {
-                "fx": K.fx,
-                "fy": K.fy,
-                "cx": K.cx,
-                "cy": K.cy,
-                "width": K.width,
-                "height": K.height,
-                "R": [float(x) for x in E.R.reshape(-1)],
-                "T": [float(x) for x in E.T],
-            },
-            f,
-            indent=2,
-        )

@@ -12,7 +12,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import FormatError, InvalidInputError, StageError
+from .errors import InvalidInputError, StageError
 from .features import (
     DEPTH_SPACINGS,
     MAX_DEPTH_HYPOTHESES,
@@ -37,6 +37,7 @@ from .gaussians import (
 )
 from .geometry import CameraView, DepthMap
 from .renderer import compute_image_metrics, render
+from .sceneio import read_json
 from .sparse_unet import (
     MAX_UNET_BLOCKS,
     MAX_UNET_WIDTH,
@@ -120,13 +121,7 @@ class PipelineConfig:
         become tuples. Field types are checked by `validate()`."""
         d = path_or_dict
         if isinstance(path_or_dict, (str, os.PathLike)):
-            try:
-                with open(path_or_dict) as f:
-                    d = json.load(f)
-            except OSError as e:
-                raise FormatError(f"{path_or_dict}: cannot read config: {e.strerror}") from e
-            except ValueError as e:  # invalid JSON or text
-                raise FormatError(f"{path_or_dict}: config is not valid JSON: {e}") from e
+            d = read_json(path_or_dict, "config")
         if not isinstance(d, dict):
             raise InvalidInputError(f"config must be a JSON object, got {type(d).__name__}")
         cfg = PipelineConfig()

@@ -7,7 +7,6 @@ tiles. Tiles are independent, so the worker count never changes output.
 
 from __future__ import annotations
 
-import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
@@ -15,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from ._kernels import composite_tile
-from .errors import FormatError, InvalidInputError
+from .errors import InvalidInputError
 from .gaussians import SH_C0, GaussianSet, quat_to_rotmat
 from .geometry import Extrinsics, Intrinsics
 
@@ -275,35 +274,3 @@ def combined_loss(renders: Sequence[np.ndarray], refs: Sequence[np.ndarray]) -> 
             raise InvalidInputError("render/reference shape mismatch")
         total += float(np.mean((r.astype(float) - t.astype(float)) ** 2))
     return total
-
-
-# --- PPM I/O (bit-exact comparison format) -----------------------------------
-
-def write_ppm(path, rgb: np.ndarray) -> None:
-    """P6, maxval 255, rounding half-up from [0, 1]."""
-    h, w = rgb.shape[:2]
-    data = np.floor(np.clip(rgb, 0.0, 1.0) * 255.0 + 0.5).astype(np.uint8)
-    with open(path, "wb") as f:
-        f.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        f.write(data.tobytes())
-
-
-def read_ppm(path) -> np.ndarray:
-    """Returns H x W x 3 floats in [0, 1]."""
-    try:
-        with open(path, "rb") as f:
-            raw = f.read()
-    except OSError as e:
-        raise FormatError(f"{path}: cannot read image: {e.strerror}") from e
-    # The single whitespace byte after maxval ends the header; the payload
-    # may start with a byte that is itself whitespace.
-    header = re.match(rb"P6\s+(\d+)\s+(\d+)\s+255\s", raw)
-    if header is None:
-        raise InvalidInputError(f"{path}: expected binary P6 maxval-255 PPM")
-    w, h = int(header[1]), int(header[2])
-    payload = raw[header.end():]
-    if len(payload) < h * w * 3:
-        raise FormatError(f"{path}: {len(payload)} payload bytes for a {w}x{h} image "
-                          f"(needs {h * w * 3})")
-    data = np.frombuffer(payload, dtype=np.uint8, count=h * w * 3)
-    return data.reshape(h, w, 3).astype(float) / 255.0

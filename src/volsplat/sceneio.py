@@ -1,47 +1,141 @@
-"""On-disk scene layout: per-view PPM image + camera JSON + binary depth."""
+"""The input boundary: every file is read here, whole, length-checked and finite.
+
+Scene directories (per-view PPM image, camera JSON, optional depth file) are
+read and written here; the PLY and weight-blob codecs read through the same
+`read_bytes` and `Payload`, so every format fails the same way: `FormatError`.
+"""
 
 from __future__ import annotations
 
+import json
+import math
 import os
+import re
 import struct
-from typing import List, Optional, Tuple
+from dataclasses import asdict
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import FormatError, InvalidInputError
-from .geometry import CameraView, load_camera_json, save_camera_json
-from .renderer import read_ppm, write_ppm
+from .geometry import CameraView, Extrinsics, Intrinsics
 
 DEPTH_MAGIC = b"VSDP"
 
 
+def read_bytes(path, what: str) -> bytes:
+    """The whole file; FormatError when it cannot be read."""
+    try:
+        with open(path, "rb") as f:
+            return f.read()
+    except OSError as e:
+        raise FormatError(f"{path}: cannot read {what}: {e.strerror or e}") from None
+
+
+def read_json(path, what: str):
+    """The file's UTF-8 JSON value; FormatError when it is unreadable or invalid."""
+    try:
+        return json.loads(read_bytes(path, what).decode("utf-8"))
+    except (ValueError, RecursionError) as e:  # bad UTF-8 or JSON; nesting too deep
+        raise FormatError(f"{path}: {what} is not valid JSON: {e}") from None
+
+
+class Payload:
+    """A cursor over a file's bytes, from `offset` to the end."""
+
+    def __init__(self, raw: bytes, path, what: str, offset: int = 0):
+        self.raw, self.path, self.what, self.off = raw, path, what, offset
+
+    def _take(self, size: int, name: str) -> int:
+        start, left = self.off, len(self.raw) - self.off
+        if not 0 <= size <= left:  # a size below 0 comes from a negative count
+            raise FormatError(f"{self.path}: malformed {self.what}: {name} needs {size} bytes, "
+                              f"{left} payload bytes remain")
+        self.off += size
+        return start
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack_from(fmt, self.raw, self._take(struct.calcsize(fmt), repr(fmt)))
+
+    def array(self, dtype, shape: Sequence[int], name: str) -> np.ndarray:
+        """The next `shape` elements, read-only; non-finite floats are rejected."""
+        dtype = np.dtype(dtype)
+        count = math.prod(shape)
+        start = self._take(count * dtype.itemsize, name)
+        data = np.frombuffer(self.raw, dtype, count, start).reshape(shape)
+        if dtype.kind == "f" and not np.isfinite(data).all():
+            raise FormatError(f"{self.path}: {name} has non-finite values")
+        return data
+
+    def end(self) -> None:
+        if self.off != len(self.raw):
+            raise FormatError(f"{self.path}: malformed {self.what}: "
+                              f"{len(self.raw) - self.off} trailing bytes")
+
+
+def write_ppm(path, rgb: np.ndarray) -> None:
+    """P6, maxval 255, rounding half-up from [0, 1]."""
+    h, w = rgb.shape[:2]
+    data = np.floor(np.clip(rgb, 0.0, 1.0) * 255.0 + 0.5).astype(np.uint8)
+    with open(path, "wb") as f:
+        f.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
+        f.write(data.tobytes())
+
+
+def read_ppm(path) -> np.ndarray:
+    """Returns H x W x 3 floats in [0, 1]."""
+    raw = read_bytes(path, "image")
+    # The single whitespace byte after maxval ends the header; the payload
+    # may start with a byte that is itself whitespace.
+    header = re.match(rb"P6\s+(\d+)\s+(\d+)\s+255\s", raw)
+    if header is None:
+        raise InvalidInputError(f"{path}: expected binary P6 maxval-255 PPM")
+    w, h = int(header[1]), int(header[2])
+    payload = Payload(raw, path, "image", header.end())
+    data = payload.array(np.uint8, (h, w, 3), f"a {w}x{h} image")
+    payload.end()
+    return data.astype(float) / 255.0
+
+
+def load_camera_json(path) -> tuple:
+    """Read an (Intrinsics, Extrinsics) pair from the camera JSON format."""
+    d = read_json(path, "camera JSON")
+    try:
+        K = Intrinsics(d["fx"], d["fy"], d["cx"], d["cy"], int(d["width"]), int(d["height"]))
+        E = Extrinsics(np.array(d["R"], dtype=float).reshape(3, 3), np.array(d["T"], dtype=float))
+    except KeyError as e:
+        raise InvalidInputError(f"camera JSON missing field {e}") from e
+    except (TypeError, ValueError) as e:
+        raise FormatError(f"{path}: malformed camera field: {e}") from e
+    return K, E
+
+
+def save_camera_json(path, K: Intrinsics, E: Extrinsics) -> None:
+    camera = {**asdict(K), "R": [float(x) for x in E.R.reshape(-1)], "T": [float(x) for x in E.T]}
+    with open(path, "w") as f:
+        json.dump(camera, f, indent=2)
+
+
 def write_depth(path, depth: np.ndarray, mask: Optional[np.ndarray] = None) -> None:
+    """Stores 1.0 for a non-finite depth where `mask` is false, so `read_depth` takes it."""
     h, w = depth.shape
     if mask is None:
         mask = np.ones((h, w), bool)
     with open(path, "wb") as f:
         f.write(DEPTH_MAGIC + struct.pack("<II", h, w))
-        depth.astype("<f4").tofile(f)
+        np.where(mask | np.isfinite(depth), depth, 1.0).astype("<f4").tofile(f)
         mask.astype(np.uint8).tofile(f)
 
 
 def read_depth(path) -> Tuple[np.ndarray, np.ndarray]:
-    try:
-        with open(path, "rb") as f:
-            header = f.read(12)
-            if len(header) != 12 or header[:4] != DEPTH_MAGIC:
-                raise FormatError(f"{path}: bad depth header")
-            h, w = struct.unpack("<II", header[4:])
-            depth = np.fromfile(f, dtype="<f4", count=h * w)
-            mask = np.fromfile(f, dtype=np.uint8, count=h * w)
-            trailing = f.read(1)
-    except OSError as e:
-        raise FormatError(f"{path}: cannot read depth file: {e.strerror}") from e
-    if depth.size != h * w or mask.size != h * w:
-        raise FormatError(f"{path}: truncated depth payload")
-    if trailing:
-        raise FormatError(f"{path}: depth payload is longer than its {h}x{w} header")
-    return depth.reshape(h, w).astype(float), mask.reshape(h, w).astype(bool)
+    payload = Payload(read_bytes(path, "depth file"), path, "depth file")
+    magic, h, w = payload.unpack("<4sII")
+    if magic != DEPTH_MAGIC:
+        raise FormatError(f"{path}: bad depth header")
+    depth = payload.array("<f4", (h, w), "depth")
+    mask = payload.array(np.uint8, (h, w), "depth mask")
+    payload.end()
+    return depth.astype(float), mask.astype(bool)
 
 
 def save_scene(views: List[CameraView], out_dir) -> List[str]:

@@ -7,7 +7,6 @@ regression), two-planes (occlusion), sphere (curvature), gaussian-garden
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -15,10 +14,11 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import FormatError, InvalidInputError
+from .errors import InvalidInputError
 from .gaussians import SH_C0, GaussianSet
 from .geometry import CameraView, Extrinsics, Intrinsics
 from .renderer import rasterize, render, sorted_splats
+from .sceneio import read_json
 
 DEFAULT_UP = (0.0, -1.0, 0.0)  # image-up in world coordinates (y points down)
 
@@ -68,13 +68,7 @@ class SceneSpec:
     def from_json(path_or_dict) -> "SceneSpec":
         d = path_or_dict
         if not isinstance(d, dict):
-            try:
-                with open(path_or_dict) as f:
-                    d = json.load(f)
-            except OSError as e:
-                raise FormatError(f"{path_or_dict}: cannot read scene spec: {e.strerror}") from e
-            except ValueError as e:  # invalid JSON or text
-                raise FormatError(f"{path_or_dict}: scene spec is not valid JSON: {e}") from e
+            d = read_json(path_or_dict, "scene spec")
         try:
             cams = [
                 CameraPose(tuple(c["position"]), tuple(c["look_at"]),

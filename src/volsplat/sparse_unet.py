@@ -16,6 +16,7 @@ import numpy as np
 
 from ._kernels import scatter_add_rows
 from .errors import FormatError, InvalidInputError, WeightLoadError
+from .sceneio import Payload, read_bytes
 
 WEIGHT_MAGIC = b"VSWT"
 # Widest U-Net level a config may ask for: one 27 x 512 x 512 float64 kernel
@@ -287,6 +288,7 @@ def layer_plan(spec: UNetSpec, in_channels: int) -> List[dict]:
         plan.append({"name": name, "op": op, "cin": cin, "cout": cout, "act": act})
 
     cin = in_channels
+    skips = []  # channels of each level's skip; level 0 keeps in_channels without blocks
     for lvl, width in enumerate(widths):
         if lvl > 0:
             add(f"down{lvl}", "strided", cin, width)
@@ -294,10 +296,11 @@ def layer_plan(spec: UNetSpec, in_channels: int) -> List[dict]:
         for blk in range(spec.blocks_per_level):
             add(f"enc{lvl}.block{blk}", "sub", cin, width)
             cin = width
+        skips.append(cin)
     for lvl in range(len(widths) - 2, -1, -1):
         width = widths[lvl]
         add(f"up{lvl}", "up", cin, width)
-        add(f"dec{lvl}.fuse", "point", 2 * width, width)
+        add(f"dec{lvl}.fuse", "point", width + skips[lvl], width)
         for blk in range(spec.blocks_per_level):
             add(f"dec{lvl}.block{blk}", "sub", width, width)
         cin = width
@@ -422,38 +425,22 @@ def save_weights(path, blob: WeightBlob) -> None:
 
 def load_weights(path) -> WeightBlob:
     """Read a blob written by save_weights; FormatError unless it is whole and finite."""
-    try:
-        with open(path, "rb") as f:
-            raw = f.read()
-    except OSError as e:
-        raise FormatError(f"{path}: cannot read weight blob: {e.strerror or e}") from None
+    raw = read_bytes(path, "weight blob")
     if len(raw) < 12 or raw[:4] != WEIGHT_MAGIC:
         raise FormatError(f"{path}: bad weight-blob header")
     body, crc_stored = raw[:-4], struct.unpack("<I", raw[-4:])[0]
     if zlib.crc32(body) != crc_stored:
         raise WeightLoadError(f"{path}: checksum mismatch")
+    payload = Payload(body, path, "weight blob", len(WEIGHT_MAGIC))
     blob = WeightBlob()
-    try:
-        n = struct.unpack("<I", body[4:8])[0]
-        off = 8
-        for _ in range(n):
-            (name_len,) = struct.unpack_from("<H", body, off)
-            off += 2
-            name = body[off : off + name_len].decode()
-            off += name_len
-            (rank,) = struct.unpack_from("<B", body, off)
-            off += 1
-            dims = struct.unpack_from(f"<{rank}I", body, off)
-            off += 4 * rank
-            count = int(np.prod(dims))
-            data = np.frombuffer(body, dtype="<f4", count=count, offset=off)
-            off += 4 * count
-            blob.tensors[name] = data.reshape(dims).astype(float)
-    except (struct.error, ValueError) as e:  # UnicodeDecodeError is a ValueError
-        raise FormatError(f"{path}: malformed weight blob: {e}") from None
-    if off != len(body):
-        raise FormatError(f"{path}: trailing bytes in weight blob")
-    for name, tensor in blob.tensors.items():
-        if not np.all(np.isfinite(tensor)):
-            raise FormatError(f"{path}: tensor {name!r} has non-finite values")
+    for _ in range(payload.unpack("<I")[0]):
+        (name_len,) = payload.unpack("<H")
+        try:
+            name = payload.unpack(f"<{name_len}s")[0].decode()
+        except UnicodeDecodeError as e:
+            raise FormatError(f"{path}: malformed weight blob: {e}") from None
+        (rank,) = payload.unpack("<B")
+        dims = payload.unpack(f"<{rank}I")
+        blob.tensors[name] = payload.array("<f4", dims, f"tensor {name!r}").astype(float)
+    payload.end()
     return blob

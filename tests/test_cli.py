@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import struct
 import subprocess
 import sys
 import textwrap
@@ -436,7 +437,7 @@ class TestBadSceneFiles:
         write_depth(path, depth, mask)
         res = self.run_on(runner, scene_dir, tmp_path)
         assert_one_error_line(res, 2)
-        assert "gt_depth must be finite" in res.stderr
+        assert "depth has non-finite values" in res.stderr
 
     def test_truncated_target_ppm_in_eval(self, runner, scene_dir, tmp_path):
         ply = tmp_path / "g.ply"
@@ -471,8 +472,17 @@ def depth_as_directory(path):
     path.mkdir()
 
 
-def depth_with_trailing_bytes(path):
+def with_trailing_byte(path):
     path.write_bytes(path.read_bytes() + b"\0")
+    return path
+
+
+def depth_header(h, w):
+    """A depth file change: the header declares h x w, the payload stays 24 x 24."""
+    def change(path):
+        raw = path.read_bytes()
+        path.write_bytes(raw[:4] + struct.pack("<II", h, w) + raw[12:])
+    return change
 
 
 BAD_INPUTS = {
@@ -496,7 +506,10 @@ BAD_INPUTS = {
     "feature-kind-external-file": lambda scene_dir, tmp_path: ["-o", "feature.kind=external-file"],
     "feature-path": lambda scene_dir, tmp_path: ["-o", "feature.path=x"],
     "depth-directory": depth_file(depth_as_directory),
-    "depth-trailing-bytes": depth_file(depth_with_trailing_bytes),
+    "depth-trailing-bytes": depth_file(with_trailing_byte),
+    # h * w * 4 bytes would not fit in memory; h * w overflows np.fromfile's count
+    "depth-header-huge": depth_file(depth_header(0x18000010, 24)),
+    "depth-header-overflow": depth_file(depth_header(2**32 - 1, 2**32 - 1)),
 }
 
 
@@ -552,6 +565,32 @@ def first_camera(**fields):
     return spec_file({"cameras": cams})
 
 
+def eval_on_ply_with_trailing_byte(scene_dir, tmp_path):
+    args = eval_on_small_ply(scene_dir, tmp_path)
+    with_trailing_byte(tmp_path / "g.ply")
+    return args
+
+
+def run_on_ppm_with_trailing_byte(scene_dir, tmp_path):
+    with_trailing_byte(scene_dir / "view_001.ppm")
+    return run_args(scene_dir, tmp_path / "x")
+
+
+def out_under_a_file(args_of):
+    """Case setup: the arguments `args_of` gives, with `--out` under a regular file."""
+    def setup(scene_dir, tmp_path):
+        (tmp_path / "file").write_bytes(b"")
+        args = args_of(scene_dir, tmp_path)
+        args[args.index("--out") + 1] = str(tmp_path / "file" / "x")
+        return args
+    return setup
+
+
+def eval_on_small_ply(scene_dir, tmp_path):
+    small_ply(tmp_path / "g.ply")
+    return eval_args(tmp_path / "g.ply", scene_dir, tmp_path)
+
+
 def without_depth_files(scene_dir, tmp_path):
     for p in scene_dir.glob("view_*.depth"):
         p.unlink()
@@ -591,6 +630,12 @@ MALFORMED_INPUTS = {
         scene_dir, scene_dir, tmp_path),
     "eval-targets-missing": eval_on_missing_targets,
     "eval-sh-degree-4-ply": ply_of_sh_degree_4,
+    "eval-ply-trailing-byte": eval_on_ply_with_trailing_byte,
+    "run-ppm-trailing-byte": run_on_ppm_with_trailing_byte,
+    "synth-out-under-file": out_under_a_file(spec_file({})),
+    "run-out-under-file": out_under_a_file(lambda scene_dir, tmp_path: run_args(scene_dir,
+                                                                                tmp_path / "x")),
+    "eval-out-under-file": out_under_a_file(eval_on_small_ply),
 }
 
 

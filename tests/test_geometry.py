@@ -10,12 +10,11 @@ from volsplat.geometry import (
     Extrinsics,
     Intrinsics,
     bilinear_sample,
-    load_camera_json,
     project_point,
-    save_camera_json,
     unproject_pixel,
     warp_feature,
 )
+from volsplat.sceneio import load_camera_json, save_camera_json
 
 
 def rot_y(angle):

@@ -16,11 +16,10 @@ from volsplat.renderer import (
     combined_loss,
     compute_image_metrics,
     eval_sh,
-    read_ppm,
     render,
     ssim,
-    write_ppm,
 )
+from volsplat.sceneio import read_ppm, write_ppm
 
 K = Intrinsics(fx=60, fy=60, cx=32, cy=32, width=64, height=64)
 E0 = Extrinsics.identity()

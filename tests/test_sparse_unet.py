@@ -184,6 +184,13 @@ class TestUNet:
         r = unet_forward(self.x, spec, w)
         assert r.feats.shape == self.x.feats.shape
 
+    def test_no_blocks_fuses_the_unprojected_level_0_skip(self):
+        # without blocks nothing maps the 4 input channels to level 0's width 5
+        spec = UNetSpec(levels=(5, 7), blocks_per_level=0)
+        assert {l["name"]: l["cin"] for l in layer_plan(spec, 4)}["dec0.fuse"] == 5 + 4
+        r = unet_forward(self.x, spec, random_weights(spec, 4, seed=5))
+        assert r.feats.shape == self.x.feats.shape
+
     def test_residual_refine_rejects_mismatched_coords(self):
         r = SparseTensor(self.x.coords + 1, self.x.feats)
         with pytest.raises(InvalidInputError):
