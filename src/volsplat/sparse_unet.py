@@ -7,6 +7,7 @@ field lives on exactly the input voxel set.
 
 from __future__ import annotations
 
+import itertools
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -58,9 +59,35 @@ def _encode(coords: np.ndarray) -> np.ndarray:
     return (c[:, 0] << (2 * _BITS)) | (c[:, 1] << _BITS) | c[:, 2]
 
 
-def _check_unique(sorted_codes: np.ndarray) -> None:
-    if np.any(sorted_codes[1:] == sorted_codes[:-1]):
-        raise InvalidInputError("duplicate voxel coordinates")
+def _offset_code(di: int, dj: int, dk: int) -> int:
+    """What adding (di, dj, dk) to a site adds to its code, while every field stays in range."""
+    return (di << 2 * _BITS) + (dj << _BITS) + dk
+
+
+def _check_neighbours(coords: np.ndarray) -> None:
+    """Raise unless every site coords + offset is encodable, so that its code
+    is the code of coords plus _offset_code(offset)."""
+    if coords.size:  # one column at a time: min(axis=0) of an n x 3 array is ten times slower
+        _encode(np.array([[c.min() - 1 for c in coords.T], [c.max() + 1 for c in coords.T]]))
+
+
+# Every set of axes as the mask e = 4z + 2y + x of its (z, y, x) flags, and
+# _STEP[e], the step in offset index of a unit step along those axes.
+_AXIS_SETS = list(itertools.product((0, 1), repeat=3))
+_STEP = np.array([9 * z + 3 * y + x for z, y, x in _AXIS_SETS])
+
+
+def _odd_axes(codes: np.ndarray) -> np.ndarray:
+    """Per code, the mask of the site's odd axes (its fields' lowest bits, as _BIAS is even)."""
+    return ((codes >> (2 * _BITS - 2)) & 4) | ((codes >> (_BITS - 1)) & 2) | (codes & 1)
+
+
+def _halve(codes: np.ndarray) -> np.ndarray:
+    """Per code, the code of the site floor-divided by 2. Each field u = c + _BIAS
+    becomes (u >> 1) + _BIAS / 2, as _BIAS is even; the shift moves each field's
+    lowest bit into the top bit of the next, which is cleared."""
+    low = _offset_code(1, 1, 1)  # the lowest bit of every field
+    return ((codes >> 1) & ~(low << (_BITS - 1))) + low * (_BIAS >> 1)
 
 
 class _CoordIndex:
@@ -71,16 +98,21 @@ class _CoordIndex:
     """
 
     def __init__(self, coords: np.ndarray):
-        self.codes = _encode(coords)
-        self.order = np.argsort(self.codes, kind="stable")
-        self.sorted_codes = self.codes[self.order]
-        _check_unique(self.sorted_codes)
+        codes = _encode(coords)
+        self.order = np.argsort(codes, kind="stable")
+        self.sorted_codes = codes[self.order]
+        if np.any(self.sorted_codes[1:] == self.sorted_codes[:-1]):
+            raise InvalidInputError("duplicate voxel coordinates")
+
+    def search(self, q: np.ndarray) -> np.ndarray:
+        """Position in sorted_codes of the first code >= each query code."""
+        return np.searchsorted(self.sorted_codes, q)
 
     def lookup(self, q: np.ndarray) -> np.ndarray:
         """Row index per query code (see _encode), -1 where absent."""
         if self.sorted_codes.size == 0:
             return np.full(q.shape, -1, np.int64)
-        pos = np.clip(np.searchsorted(self.sorted_codes, q), 0, self.sorted_codes.size - 1)
+        pos = np.clip(self.search(q), 0, self.sorted_codes.size - 1)
         hit = self.sorted_codes[pos] == q
         return np.where(hit, self.order[pos], -1)
 
@@ -107,40 +139,52 @@ class KernelMap:
 
     def transpose(self, coords: np.ndarray) -> "KernelMap":
         """The adjoint map, scattering back onto the input sites `coords`."""
-        return KernelMap(coords, [_swap(o, i) for o, i in self.pairs])
+        return KernelMap(coords, [_ordered(i, o) for o, i in self.pairs])
 
 
-def _swap(o: np.ndarray, i: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The pairs (i, o), ordered by i."""
-    order = np.argsort(i, kind="stable")
-    return i[order], o[order]
+def _ordered(o: np.ndarray, i: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The pairs (o, i) with their distinct output rows o ascending.
 
-
-def _map_pairs(index: _CoordIndex, query: np.ndarray,
-               offsets=_OFFSETS) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """Per offset d: the rows o of `query` whose site query[o] + d is in `index`."""
-    codes = _encode(query)
-    if query.size:  # every query + d must stay in range, so its code is codes + code(d)
-        _encode(np.stack([query.min(axis=0) - 1, query.max(axis=0) + 1]))
-    pairs = []
-    for di, dj, dk in offsets:
-        rows = index.lookup(codes + ((di << 2 * _BITS) + (dj << _BITS) + dk))
-        hit = rows >= 0
-        pairs.append((np.flatnonzero(hit), rows[hit]))
-    return pairs
+    Maps are built in code order, so on sites listed in code order, as
+    unet_forward's are, the pairs come out ordered and nothing moves.
+    """
+    if np.any(o[1:] < o[:-1]):
+        by_o = np.argsort(o)
+        return o[by_o], i[by_o]
+    return o, i
 
 
 def submanifold_map(coords: np.ndarray, index: Optional[_CoordIndex] = None) -> KernelMap:
     """Map of a submanifold conv: site u gathers the sites u + offset.
 
-    Only the offsets before the centre are looked up. Site u gathers u + d
-    exactly when site u + d gathers u through -d, so offset 26 - k holds the
-    pairs of offset k swapped, and the centre pairs every site with itself.
+    The offsets before the centre are found in code order with one search
+    per (dz, dy) row: its dx = -1, 0, 1 neighbours can only be the codes just
+    before, at and just after the first code >= the row's dx = 0 code, and the
+    (0, 0, -1) neighbour is the previous site when its code is one less. Site
+    u gathers u + d exactly when u + d gathers u through -d, so offset 26 - k
+    holds the pairs of offset k swapped, and the centre pairs every site with
+    itself.
     """
     index = _CoordIndex(coords) if index is None else index
-    first = _map_pairs(index, coords, _OFFSETS[:_CENTRE])
+    _check_neighbours(coords)
+    codes = index.sorted_codes
+    # No code equals the -1 sentinels, so a candidate one step past either end is a miss.
+    padded = np.concatenate(([-1], codes, [-1]))
+    # Per offset before the centre: the positions p, q in code order with
+    # codes[q] == codes[p] + code(offset); both ascend, as adding a code keeps order.
+    first = []
+    for dz, dy in ((-1, -1), (-1, 0), (-1, 1), (0, -1)):
+        row = codes + _offset_code(dz, dy, 0)
+        at = index.search(row) + 1  # in padded
+        for dx, cand in ((-1, at - 1), (0, at), (1, at + (padded[at] == row))):
+            hit = padded[cand] == row + dx
+            first.append((np.flatnonzero(hit), cand[hit] - 1))
+    after = np.flatnonzero(codes[1:] == codes[:-1] + 1) + 1
+    first.append((after, after - 1))
+    order = index.order
     rows = np.arange(coords.shape[0])
-    return KernelMap(coords, first + [(rows, rows)] + [_swap(o, i) for o, i in first[::-1]],
+    return KernelMap(coords, [_ordered(order[p], order[q]) for p, q in first] + [(rows, rows)]
+                     + [_ordered(order[q], order[p]) for p, q in first[::-1]],
                      identity_centre=True)
 
 
@@ -157,12 +201,39 @@ def downsample_coords(coords: np.ndarray) -> np.ndarray:
 
 def down_map(
     coords: np.ndarray, out_coords: Optional[np.ndarray] = None,
-    index: Optional[_CoordIndex] = None,
+    index: Optional[_CoordIndex] = None, out_index: Optional[_CoordIndex] = None,
 ) -> KernelMap:
-    """Map of a stride-2 conv: coarse site o gathers the fine sites 2*o + offset."""
+    """Map of a stride-2 conv: coarse site o gathers the fine sites 2*o + offset.
+
+    `index` and `out_index` are the _CoordIndex of `coords` and `out_coords`;
+    each is built when not given. The map is found from the fine side, in code
+    order: fine site f is gathered by the coarse sites (f >> 1) + e for each
+    e in {0, 1}^3 with e <= f & 1, through offset (f & 1) - 2e. Each offset
+    has one e, so a stable sort on the offset keeps its fine sites in code
+    order, and its coarse sites too.
+    """
     out_coords = downsample_coords(coords) if out_coords is None else out_coords
     index = _CoordIndex(coords) if index is None else index
-    return KernelMap(out_coords, _map_pairs(index, out_coords * 2))
+    out_index = _CoordIndex(out_coords) if out_index is None else out_index
+    _check_neighbours(2 * out_coords)  # as if every coarse site looked up its 27 children
+    codes = index.sorted_codes
+    parents, odd = _halve(codes), _odd_axes(codes)
+    offset, out_rows, in_rows = [], [], []
+    for e, (ez, ey, ex) in enumerate(_AXIS_SETS):
+        sel = np.flatnonzero((odd & e) == e)
+        rows = out_index.lookup(parents[sel] + _offset_code(ez, ey, ex))
+        hit = rows >= 0
+        sel = sel[hit]
+        offset.append(_CENTRE + _STEP[odd[sel]] - 2 * _STEP[e])
+        out_rows.append(rows[hit])
+        in_rows.append(index.order[sel])
+    offset = np.concatenate(offset)
+    by_offset = np.argsort(offset.astype(np.uint8), kind="stable")
+    out_rows = np.concatenate(out_rows)[by_offset]
+    in_rows = np.concatenate(in_rows)[by_offset]
+    ends = np.cumsum(np.bincount(offset, minlength=len(_OFFSETS))).tolist()
+    return KernelMap(out_coords, [_ordered(out_rows[a:b], in_rows[a:b])
+                                  for a, b in zip([0] + ends[:-1], ends)])
 
 
 def _apply_map(feats: np.ndarray, w: np.ndarray, b: Optional[np.ndarray],
@@ -232,7 +303,6 @@ def transposed_up(
     """
     _check_kernel(w, x.feats.shape[1])
     if kmap is None:
-        _check_unique(np.sort(_encode(x.coords)))
         kmap = down_map(target_coords, x.coords).transpose(target_coords)
     out = _apply_map(x.feats, w, b, kmap)
     return SparseTensor(coords=target_coords.copy(), feats=out, stride=max(1, x.stride // 2))
@@ -364,7 +434,7 @@ def unet_forward(x: SparseTensor, spec: UNetSpec, weights: WeightBlob) -> Sparse
     index = [_CoordIndex(c) for c in coords]
     sub_maps = [submanifold_map(c, i) if spec.blocks_per_level else None
                 for c, i in zip(coords, index)]
-    down_maps = [None] + [down_map(coords[l - 1], coords[l], index[l - 1])
+    down_maps = [None] + [down_map(coords[l - 1], coords[l], index[l - 1], index[l])
                           for l in range(1, n_levels)]
 
     skips: List[SparseTensor] = []

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from volsplat import _kernels, sparse_unet
+from volsplat import _kernels, sparse_unet, voxels
 from volsplat.errors import FormatError, InvalidInputError, WeightLoadError
 from volsplat.sparse_unet import (
     WEIGHT_MAGIC,
@@ -398,6 +398,11 @@ def coord_sets(draw, max_n=40, extent=5, bases=BASES):
     return np.array(pts, np.int64).reshape(-1, 3) + base
 
 
+def in_code_order(coords):
+    """The rows in ascending `_encode` order, the order unet_forward's sites come in."""
+    return coords[np.argsort(sparse_unet._encode(coords))]
+
+
 def same(a, b):
     assert a.coords.tobytes() == b.coords.tobytes()
     assert a.feats.tobytes() == b.feats.tobytes()
@@ -423,19 +428,22 @@ class TestKernelMapOracle:
     @settings(max_examples=120, deadline=None)
     @given(coord_sets(), st.integers(0, 2**32 - 1))
     def test_submanifold(self, coords, seed):
-        x, w, b = conv_case(np.random.default_rng(seed), coords, 3, 4)
-        same(submanifold_conv(x, w, b), oracle_submanifold(x, w, b))
-        same(submanifold_conv(x, w, b, kmap=submanifold_map(coords)), oracle_submanifold(x, w, b))
-        same_pairs(submanifold_map(coords), oracle_submanifold_rows(coords))
+        for coords in (coords, in_code_order(coords)):
+            x, w, b = conv_case(np.random.default_rng(seed), coords, 3, 4)
+            same(submanifold_conv(x, w, b), oracle_submanifold(x, w, b))
+            same(submanifold_conv(x, w, b, kmap=submanifold_map(coords)),
+                 oracle_submanifold(x, w, b))
+            same_pairs(submanifold_map(coords), oracle_submanifold_rows(coords))
 
     @settings(max_examples=120, deadline=None)
     @given(coord_sets(), st.integers(0, 2**32 - 1))
     def test_strided(self, coords, seed):
-        x, w, b = conv_case(np.random.default_rng(seed), coords, 3, 4)
-        same(strided_down(x, w, b), oracle_strided(x, w, b))
-        same(strided_down(x, w, b, kmap=down_map(coords)), oracle_strided(x, w, b))
-        kmap = down_map(coords)
-        same_pairs(kmap, oracle_strided_rows(coords, kmap.out_coords))
+        for coords in (coords, in_code_order(coords)):
+            x, w, b = conv_case(np.random.default_rng(seed), coords, 3, 4)
+            same(strided_down(x, w, b), oracle_strided(x, w, b))
+            same(strided_down(x, w, b, kmap=down_map(coords)), oracle_strided(x, w, b))
+            kmap = down_map(coords)
+            same_pairs(kmap, oracle_strided_rows(coords, kmap.out_coords))
 
     @settings(max_examples=120, deadline=None)
     @given(coord_sets(), coord_sets(extent=3, bases=[0]), st.booleans(),
@@ -450,10 +458,11 @@ class TestKernelMapOracle:
             # shift inward until every child 2 * coarse + offset is encodable
             coarse = (coarse - np.maximum(coarse.max(axis=0) - COARSE_MAX, 0)
                       + np.maximum(-COARSE_MAX - coarse.min(axis=0), 0))
-        x, w, b = conv_case(np.random.default_rng(seed), coarse, 3, 4, stride=2)
-        same(transposed_up(x, target, w, b), oracle_transposed(x, target, w, b))
-        same_pairs(down_map(target, coarse).transpose(target),
-                   oracle_transposed_rows(coarse, target))
+        for target, coarse in ((target, coarse), (in_code_order(target), in_code_order(coarse))):
+            x, w, b = conv_case(np.random.default_rng(seed), coarse, 3, 4, stride=2)
+            same(transposed_up(x, target, w, b), oracle_transposed(x, target, w, b))
+            same_pairs(down_map(target, coarse).transpose(target),
+                       oracle_transposed_rows(coarse, target))
 
     @pytest.mark.parametrize("name", sorted(NAMED_SETS))
     def test_named_sets(self, name):
@@ -519,19 +528,49 @@ class TestKernelMapOracle:
         weights = random_weights(UNetSpec(), 4, seed=12)
         same(unet_forward(x, UNetSpec(), weights), oracle_forward(x, UNetSpec(), weights))
 
-    def test_unet_forward_on_a_shell_on_both_backends(self, kernel_backend):
-        # a one-voxel-thick sphere shell, like the surfaces the pipeline voxelizes
+    @staticmethod
+    def shell():
+        """A one-voxel-thick sphere shell, like the surfaces the pipeline
+        voxelizes, in code order."""
         g = np.stack(np.meshgrid(*[np.arange(-15, 16)] * 3, indexing="ij"), -1).reshape(-1, 3)
         r = np.sqrt((g**2).sum(axis=1))
-        coords = np.random.default_rng(14).permutation(g[(r >= 13.5) & (r < 14.5)])
+        coords = g[(r >= 13.5) & (r < 14.5)] + [40, -7, 3]
         assert coords.shape[0] >= 2000
+        return coords
+
+    @staticmethod
+    def same_forward_as_oracle(coords):
         rng = np.random.default_rng(15)
-        x = SparseTensor(coords + [40, -7, 3], rng.normal(size=(coords.shape[0], 4)))
+        x = SparseTensor(coords, rng.normal(size=(coords.shape[0], 4)))
         weights = random_weights(UNetSpec(), 4, seed=16)
         for name, t in weights.tensors.items():
             if name.endswith(".bias"):
                 t[:] = rng.normal(size=t.shape)
         same(unet_forward(x, UNetSpec(), weights), oracle_forward(x, UNetSpec(), weights))
+
+    def test_unet_forward_on_a_shell_on_both_backends(self, kernel_backend):
+        self.same_forward_as_oracle(np.random.default_rng(14).permutation(self.shell()))
+
+    def test_unet_forward_on_a_code_ordered_shell_on_both_backends(self, kernel_backend):
+        # the row order voxelize gives the pipeline's U-Net
+        coords = self.shell()
+        assert coords.tobytes() == in_code_order(coords).tobytes()
+        self.same_forward_as_oracle(coords)
+
+    @pytest.mark.parametrize("order", ["drawn", "code"])
+    def test_map_pairs_on_many_voxels(self, order):
+        # Every offset pairs at least 100 sites here, so pairs listed out of
+        # order show; the convs' outputs do not depend on that order.
+        rng = np.random.default_rng(21)
+        fine = random_sparse(rng, n=3000, extent=8).coords
+        coarse = downsample_coords(fine)
+        fine, coarse = ((rng.permutation(fine), rng.permutation(coarse)) if order == "drawn"
+                        else (in_code_order(fine), in_code_order(coarse)))
+        same_pairs(submanifold_map(fine), oracle_submanifold_rows(fine))
+        kmap = down_map(fine, coarse)
+        same_pairs(kmap, oracle_strided_rows(fine, coarse))
+        same_pairs(kmap.transpose(fine), oracle_transposed_rows(coarse, fine))
+        assert min(o.size for o, _ in kmap.pairs) >= 100
 
     def test_only_submanifold_maps_have_an_identity_centre(self):
         coords = random_sparse(np.random.default_rng(17)).coords
@@ -574,6 +613,30 @@ class TestKernelMapOracle:
             unet_forward(x, spec, random_weights(spec, 4))
             assert len(built) == len(spec.widths(4))
             assert built[0] == x.coords.shape[0]
+
+    def test_coordinate_searches_and_sorts_per_forward(self, monkeypatch):
+        # On the default 3 levels a forward searches 4 times per submanifold map
+        # and 8 times per down map; a search per offset made 3 x 13 + 2 x 27 = 93.
+        # On sites in code order it sorts only to build each level's index and
+        # to group each down map's pairs by offset: no map's pairs need reordering.
+        rng = np.random.default_rng(20)
+        coords = in_code_order(random_sparse(rng, n=300, extent=6).coords)
+        feats = rng.normal(size=(coords.shape[0], 4))
+        weights = random_weights(UNetSpec(), 4)
+        calls = {"searchsorted": 0, "argsort": 0}
+        for name in calls:
+            real = getattr(np, name)
+
+            def counting(*args, _name=name, _real=real, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np, name, counting)
+        unet_forward(SparseTensor(coords, feats), UNetSpec(), weights)
+        assert calls == {"searchsorted": 3 * 4 + 2 * 8, "argsort": 3 + 2}
+        calls.update(searchsorted=0, argsort=0)
+        unet_forward(SparseTensor(coords[::-1].copy(), feats[::-1].copy()), UNetSpec(), weights)
+        assert calls["searchsorted"] == 28 and calls["argsort"] > 5
 
 
 class TestDuplicateCoordinates:
@@ -675,6 +738,36 @@ class TestScatterAddRows:
         assert len(calls) == 1 and calls[0][3:] == (3, 3)
         c_scatter(**good)
         assert good["out"].sum(axis=1).tolist() == [3.0, 0.0, 3.0, 0.0, 3.0]
+
+
+class TestCodeOrder:
+    """unet_forward builds its maps without reordering any pairs only when
+    each level's sites come in strictly ascending `_encode` order."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 400),
+           st.sampled_from([0.05, 0.3, 1.0, 1e-4]))
+    def test_voxelize_keys(self, seed, m, voxel):
+        rng = np.random.default_rng(seed)
+        positions = rng.normal(size=(m, 3)) * rng.choice([0.1, 1.0, 3.0])
+        positions[rng.random(m) < 0.2] = positions[0]  # points that share a voxel
+        cloud = voxels.FeaturedPointCloud(positions, rng.normal(size=(m, 2)))
+        codes = sparse_unet._encode(voxels.voxelize(cloud, voxel).keys)
+        assert np.all(codes[1:] > codes[:-1])
+
+    @settings(max_examples=100, deadline=None)
+    @given(coord_sets(max_n=60, extent=9))
+    def test_downsample_coords_rows(self, coords):
+        codes = sparse_unet._encode(downsample_coords(coords))
+        assert np.all(codes[1:] > codes[:-1])
+
+    @settings(max_examples=100, deadline=None)
+    @given(coord_sets(max_n=60, extent=3, bases=BASES + [2**20 - 4, -(2**20) + 3]))
+    def test_halved_codes_and_odd_axes(self, coords):
+        # the down map reads each fine site's parent and parity off its code
+        codes = sparse_unet._encode(coords)
+        assert sparse_unet._halve(codes).tobytes() == sparse_unet._encode(coords >> 1).tobytes()
+        assert sparse_unet._odd_axes(codes).tolist() == ((coords & 1) @ [4, 2, 1]).tolist()
 
 
 class TestDownsampleCoords:
