@@ -243,23 +243,20 @@ def _estimate_depths(
     cfg: PipelineConfig,
 ) -> Tuple[List[DepthMap], float]:
     """Depth per view from its plane-sweep cost volume, and the share of
-    (view, pixel, plane) cells with at least one valid neighbour. The share
-    is a ratio of integer counts, so no view order or thread count moves it."""
+    (view, pixel, plane) cells with at least one valid neighbour.
+
+    The cost volume sums neighbour scores in floating point, in list order, so
+    the depths depend on the order of `views`; `run_pipeline` passes them
+    sorted. The share is a ratio of integer counts, so no view order or thread
+    count moves it."""
     hyp = sample_depth_hypotheses(cfg.depth.near, cfg.depth.far,
                                   cfg.depth.num_hypotheses, cfg.depth.spacing)
     s = cfg.feature.scale
     cams = [(v.intrinsics.scaled(s), v.extrinsics) for v in views]
-    # The cost volume sums neighbour scores in floating point, so the
-    # neighbours are visited in an order fixed by the views themselves (pose,
-    # then image bytes): the depths do not depend on the order of `views`.
-    canonical = sorted(range(len(views)), key=lambda j: (
-        views[j].extrinsics.R.tobytes() + views[j].extrinsics.T.tobytes(),
-        np.asarray(views[j].image, dtype=float).tobytes(),
-    ))
     depths = []
     valid_cells = cells = 0
     for i, view in enumerate(views):
-        neighbors = [(fmaps[j], cams[j]) for j in canonical if j != i]
+        neighbors = [(fmaps[j], cams[j]) for j in range(len(views)) if j != i]
         cv = build_cost_volume(fmaps[i], neighbors, cams[i], hyp)
         valid_cells += cv.valid_cells
         cells += cv.scores.size
@@ -284,6 +281,17 @@ def _color_copy_raw(grid_feats: np.ndarray, cfg: HeadConfig) -> np.ndarray:
     return raw
 
 
+def _view_key(v: CameraView) -> Tuple[bytes, ...]:
+    """The bytes of a view's pose, image and ground-truth depth and mask (a
+    missing mask is all-true); intrinsics are shared by every view."""
+    key = (v.extrinsics.R.tobytes() + v.extrinsics.T.tobytes(),
+           np.asarray(v.image, dtype=float).tobytes())
+    if v.gt_depth is None:
+        return key
+    mask = np.ones(v.gt_depth.shape, bool) if v.gt_depth_mask is None else v.gt_depth_mask
+    return key + (np.asarray(v.gt_depth, dtype=float).tobytes(), mask.tobytes())
+
+
 def run_pipeline(views: Sequence[CameraView], config: PipelineConfig):
     """Full forward pass; returns (GaussianSet, diagnostics dict)."""
     config.validate()
@@ -295,6 +303,10 @@ def run_pipeline(views: Sequence[CameraView], config: PipelineConfig):
     k0 = views[0].intrinsics
     if any(v.intrinsics != k0 for v in views):
         raise InvalidInputError("all views must share intrinsics")
+    # Every stage sums over views in floating point, in list order. Sorting the
+    # views by their content fixes that order, so no output depends on the
+    # order the views came in.
+    views = sorted(views, key=_view_key)
 
     fspec = FeatureExtractorSpec(channels=config.feature.channels, scale=config.feature.scale)
 

@@ -50,18 +50,27 @@ def voxel_index(p: np.ndarray, voxel_size: float) -> np.ndarray:
     Rounding is half-away-from-zero. Quotients within a few ulps of an
     exact half-integer are snapped to it first so that tie handling does
     not depend on division rounding (e.g. 0.15/0.1 evaluating below 1.5).
+    A key that does not fit in int64 is an error.
     """
     if voxel_size <= 0:
         raise InvalidInputError("voxel size must be positive")
     p = np.asarray(p, dtype=float)
     if not np.all(np.isfinite(p)):
         raise InvalidInputError("points must be finite")
-    q = p / voxel_size
-    doubled = 2.0 * q
-    nearest = np.rint(doubled)
-    snap = np.abs(doubled - nearest) <= 8 * np.finfo(float).eps * np.maximum(1.0, np.abs(doubled))
-    q = np.where(snap, nearest / 2.0, q)
-    return np.copysign(np.floor(np.abs(q) + 0.5), q).astype(np.int64)
+    # an infinite quotient needs no warning: the range test below rejects it
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = p / voxel_size
+        doubled = 2.0 * q
+        nearest = np.rint(doubled)
+        snap = np.abs(doubled - nearest) <= 8 * np.finfo(float).eps * np.maximum(1.0, np.abs(doubled))
+        q = np.where(snap, nearest / 2.0, q)
+        # the fraction q - trunc(q) is exact, where |q| + 0.5 rounds from 2^52 up
+        whole = np.trunc(q)
+        key = whole + np.copysign(np.abs(q - whole) >= 0.5, q)
+    if not np.all((key >= -2.0**63) & (key < 2.0**63)):
+        raise InvalidInputError(
+            f"voxel keys do not fit in int64: points too far for voxel size {voxel_size}")
+    return key.astype(np.int64)
 
 
 def voxel_center(key, voxel_size: float) -> np.ndarray:
@@ -111,36 +120,13 @@ def lift_views(
     )
 
 
-def pooling_order(positions: np.ndarray, features: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """The row order in which `voxelize` sums points: by voxel key, then
-    position, then features (channel 0 first).
-
-    Features only order points at exactly the same position, so they are
-    sorted on only inside runs of such points. This is the permutation of one
-    full lexsort on all these keys.
-    """
-    order = np.lexsort((positions[:, 2], positions[:, 1], positions[:, 0],
-                        keys[:, 2], keys[:, 1], keys[:, 0]))
-    sorted_pos = positions[order]
-    same_pos = np.all(sorted_pos[1:] == sorted_pos[:-1], axis=1)
-    if same_pos.any():
-        # Equal positions have equal keys, so each run of them is already
-        # contiguous. Only the rows of runs longer than one are reordered, by
-        # a stable sort on (run, features), so the runs keep their places.
-        tied = np.flatnonzero(np.append(same_pos, False) | np.append(False, same_pos))
-        run = np.cumsum(np.append(True, ~same_pos))[tied]
-        feats = features[order[tied]]
-        by_features = tuple(feats[:, j] for j in range(feats.shape[1] - 1, -1, -1))
-        order[tied] = order[tied][np.lexsort(by_features + (run,))]
-    return order
-
-
 def voxelize(cloud: FeaturedPointCloud, voxel_size: float) -> SparseVoxelGrid:
     """Average-pool point features into their voxels.
 
-    Points are summed in `pooling_order`, which is fixed by the points
-    themselves, so the result is bit-identical for any order of the points,
-    and for any order of the views they were lifted from.
+    Each voxel sums its points in list order (a stable sort by key), so the
+    means depend on the order of the points. `run_pipeline` sorts its views
+    before lifting them, which makes that order independent of the input
+    order.
     """
     if voxel_size <= 0:
         raise InvalidInputError("voxel size must be positive")
@@ -149,7 +135,7 @@ def voxelize(cloud: FeaturedPointCloud, voxel_size: float) -> SparseVoxelGrid:
     if m == 0:
         return SparseVoxelGrid(voxel_size, np.zeros((0, 3), np.int64), np.zeros((0, c)), np.zeros(0, np.int64))
     keys = voxel_index(cloud.positions, voxel_size)
-    order = pooling_order(cloud.positions, cloud.features, keys)
+    order = np.lexsort((keys[:, 2], keys[:, 1], keys[:, 0]))
     keys = keys[order]
     feats = cloud.features[order]
     new_group = np.empty(m, dtype=bool)

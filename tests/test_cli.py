@@ -246,6 +246,21 @@ class TestRun:
         assert_one_error_line(res, 1)
         assert "stage 'refine' failed" in res.stderr
 
+    @pytest.mark.parametrize("unet", ["false", "true"])
+    def test_far_gt_depth_fails_in_voxelize(self, runner, tmp_path, unet):
+        # a 1e30 depth at voxel 0.05 puts a key beyond int64, which the cast
+        # to int64 once turned into INT64_MIN on all three axes
+        scene = tmp_path / "scene"
+        save_scene(synthesize(SceneSpec.from_json(wall_spec_dict(size=16)))[0], scene)
+        path = scene / "view_000.depth"
+        depth, mask = read_depth(path)
+        depth[0, 0] = 1e30
+        write_depth(path, depth, mask)
+        res = runner.invoke(main, run_args(scene, tmp_path / "x", "-o", f"unet.enabled={unet}",
+                                           "-o", "voxel.size=0.05"))
+        assert_one_error_line(res, 1)
+        assert "stage 'voxelize' failed: voxel keys do not fit in int64" in res.stderr
+
     def test_empty_scene_dir_exits_2(self, runner, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()

@@ -7,26 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from volsplat import _kernels, features
+from volsplat import _kernels, features, pipeline, sparse_unet
 from volsplat.errors import InvalidInputError, StageError
-from volsplat.features import (
-    MAX_DEPTH_HYPOTHESES,
-    MAX_FEATURE_CHANNELS,
-    FeatureExtractorSpec,
-    extract_features,
-)
-from volsplat.geometry import DepthMap
-from volsplat.pipeline import PipelineConfig, _estimate_depths, evaluate, run_pipeline
+from volsplat.features import MAX_DEPTH_HYPOTHESES, MAX_FEATURE_CHANNELS
+from volsplat.pipeline import PipelineConfig, evaluate, run_pipeline
 from volsplat.scenes import CameraPose, SceneSpec, hold_out, synthesize
-from volsplat.sparse_unet import (
-    MAX_UNET_BLOCKS,
-    MAX_UNET_WIDTH,
-    SparseTensor,
-    UNetSpec,
-    random_weights,
-    unet_forward,
-)
-from volsplat.voxels import lift_views, voxelize
+from volsplat.sparse_unet import MAX_UNET_BLOCKS, MAX_UNET_WIDTH, UNetSpec
 
 
 def wall_views(n_cams=3, size=24, use_gt=True):
@@ -334,59 +320,65 @@ class TestRunPipeline:
             run_pipeline(views[:1], cfg)
 
 
-def sphere_ring_views():
-    """Four views of the sphere scene from a ring around it, 32x32."""
+def twin_ring_views():
+    """Four 32x32 views of the sphere scene from a ring around it. View 3 is
+    moved onto view 0's camera and depth but keeps its own image: every point
+    of view 0 has a twin at the same position with other features, so only
+    the order of the views orders the pair's addition."""
     cams = [CameraPose((0.3 * np.cos(a), 0.1 * i, 0.3 * np.sin(a)), (0.0, 0.0, 2.0))
             for i, a in enumerate(np.linspace(0, 1.5 * np.pi, 4))]
-    spec = SceneSpec(kind="sphere", cameras=cams, image_size=(32, 32), seed=2)
-    return synthesize(spec)[0]
+    views = synthesize(SceneSpec(kind="sphere", cameras=cams, image_size=(32, 32), seed=2))[0]
+    views[3] = dataclasses.replace(views[0], image=views[3].image)
+    return views
 
 
-def test_estimated_depths_independent_of_view_order(monkeypatch, c_sweep):
-    views = sphere_ring_views()
-    cfg = base_config(depth={"use_gt": False, "num_hypotheses": 6})
-    fspec = FeatureExtractorSpec(channels=cfg.feature.channels, scale=cfg.feature.scale)
-    fmaps = [extract_features(v, fspec) for v in views]
+def assert_stages_independent_of_view_order(monkeypatch, c_kernels, cfg):
+    """Run the pipeline on all 24 orders of the 4 twin-ring views, on each
+    backend, and compare the bytes of the float64 depths, the pooled grid, the
+    refined features and the Gaussian set with those of the first order.
+    Returns the cost-volume valid fractions seen."""
+    got = {}
+
+    def capture(name, fn, keep):
+        def wrapper(*args):
+            out = fn(*args)
+            got[name] = keep(args, out)
+            return out
+        monkeypatch.setattr(pipeline, name, wrapper)
+
+    capture("lift_views", pipeline.lift_views,
+            lambda args, out: b"".join(d.values.tobytes() for d in args[2]))
+    capture("voxelize", pipeline.voxelize,
+            lambda args, out: out.keys.tobytes() + out.counts.tobytes() + out.features.tobytes())
+    capture("residual_refine", pipeline.residual_refine, lambda args, out: out.feats.tobytes())
+    views = twin_ring_views()
     fractions = set()
-    for sweep in (_kernels.plane_sweep_np, c_sweep):  # the numpy and the compiled plane sweep
-        monkeypatch.setattr(features, "plane_sweep", sweep)
-        depths, fraction = _estimate_depths(views, fmaps, cfg)
-        want = [d.values.tobytes() for d in depths]
-        fractions.add(fraction)
+    for kernels in (_kernels.NUMPY, c_kernels):
+        monkeypatch.setattr(features, "plane_sweep", kernels.plane_sweep)
+        monkeypatch.setattr(sparse_unet, "scatter_add_rows", kernels.scatter_add_rows)
+        want = None
         for order in itertools.permutations(range(4)):
-            depths, fraction = _estimate_depths([views[i] for i in order],
-                                                [fmaps[i] for i in order], cfg)
-            got = {i: d.values.tobytes() for i, d in zip(order, depths)}
-            assert [got[i] for i in range(4)] == want, (sweep, order)
-            fractions.add(fraction)
+            gset, diag = run_pipeline([views[i] for i in order], cfg)
+            fractions.add(diag["cost_volume_valid_fraction"])
+            got["gaussians"] = b"".join(getattr(gset, name).tobytes() for name in (
+                "centers", "opacity_logits", "log_scales", "rotations", "sh", "voxel_keys"))
+            want = want or dict(got)
+            assert got == want, (kernels, order)
+    return fractions
+
+
+def test_estimated_depths_independent_of_view_order(monkeypatch, c_kernels):
+    cfg = base_config(depth={"use_gt": False, "num_hypotheses": 6})
+    fractions = assert_stages_independent_of_view_order(monkeypatch, c_kernels, cfg)
     # counts of cells with a valid neighbour: the same on both backends, in any order
     assert len(fractions) == 1 and 0 < fractions.pop() < 1
 
 
-def test_grid_and_refined_features_independent_of_view_order():
-    """Voxel means sum in float64, so the points of a voxel must be added in
-    an order that does not come from the order of the views. Views 0 and 3
-    share a camera and depth but not features, so every point of view 0 has
-    a twin at the same position and only the features can order the pair."""
-    views = sphere_ring_views()
-    fmaps = [extract_features(v, FeatureExtractorSpec(channels=6)) for v in views]
-    views[3] = views[0]
-    depths = [DepthMap(v.gt_depth) for v in views]
-    spec = UNetSpec()
-    weights = random_weights(spec, 6, seed=0)
-
-    def forward(order):
-        cloud = lift_views(*([seq[i] for i in order] for seq in (views, fmaps, depths)))
-        rows = np.concatenate([cloud.positions, cloud.features], axis=1)
-        rows = rows[np.lexsort(rows.T[::-1])]  # the cloud as a multiset of points
-        grid = voxelize(cloud, 0.1)
-        refined = unet_forward(SparseTensor(grid.keys, grid.features), spec, weights)
-        return (rows.tobytes(), grid.keys.tobytes(), grid.counts.tobytes(),
-                grid.features.tobytes(), refined.feats.tobytes())
-
-    want = forward(range(4))
-    for order in itertools.permutations(range(4)):
-        assert forward(order) == want, order
+def test_grid_and_refined_features_independent_of_view_order(monkeypatch, c_kernels):
+    """Voxel means sum in float64, and a voxel sums its points in the order of
+    the views they were lifted from."""
+    fractions = assert_stages_independent_of_view_order(monkeypatch, c_kernels, base_config())
+    assert fractions == {None}
 
 
 def ring_gaussian_counts(n_views: int, use_gt: bool) -> int:

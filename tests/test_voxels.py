@@ -9,7 +9,6 @@ from volsplat.geometry import CameraView, DepthMap, Extrinsics, Intrinsics
 from volsplat.voxels import (
     FeaturedPointCloud,
     lift_views,
-    pooling_order,
     voxel_center,
     voxel_index,
     voxelize,
@@ -25,39 +24,20 @@ def brute_force_voxelize(positions, features, v_s):
     return {k: (np.mean(v, axis=0), len(v)) for k, v in groups.items()}
 
 
-def full_lexsort_order(positions, features, keys):
-    """Reference for `pooling_order`: one lexsort over voxel key, then
-    position, then every feature channel (channel 0 first)."""
-    minor = [features[:, j] for j in range(features.shape[1] - 1, -1, -1)]
-    minor += [positions[:, 2], positions[:, 1], positions[:, 0]]
-    return np.lexsort(tuple(minor) + (keys[:, 2], keys[:, 1], keys[:, 0]))
-
-
-def full_lexsort_voxelize(positions, features, v_s):
-    """Reference pooling for `voxelize`, in `full_lexsort_order`. `voxelize`
-    sorts on features only inside runs of equal positions and must match
-    this bit for bit."""
-    keys = voxel_index(positions, v_s)
-    order = full_lexsort_order(positions, features, keys)
-    keys, feats = keys[order], features[order]
-    new_group = np.append(True, np.any(keys[1:] != keys[:-1], axis=1))
-    starts = np.nonzero(new_group)[0]
-    counts = np.diff(np.append(starts, len(keys)))
-    sums = np.add.reduceat(feats, starts, axis=0)
-    return keys[starts], sums / counts[:, None], counts.astype(np.int64)
-
-
 def assert_bit_equal_to_full_lexsort(cloud, v_s):
-    # the orders are compared too: how np.add.reduceat brackets a voxel's sum
-    # can hide a swap of two rows from the pooled features
+    """`voxelize` against one reference: each voxel's points summed with
+    np.add.reduceat in list order. The reference lexsort takes the row index
+    as its last key, so no tie is left to the stability of the sort."""
     keys = voxel_index(cloud.positions, v_s)
-    order = pooling_order(cloud.positions, cloud.features, keys)
-    assert order.tobytes() == full_lexsort_order(cloud.positions, cloud.features, keys).tobytes()
+    order = np.lexsort((np.arange(len(keys)), keys[:, 2], keys[:, 1], keys[:, 0]))
+    keys, feats = keys[order], cloud.features[order]
+    starts = np.flatnonzero(np.append(True, np.any(keys[1:] != keys[:-1], axis=1)))
+    counts = np.diff(np.append(starts, len(keys)))
+    means = np.add.reduceat(feats, starts, axis=0) / counts[:, None]
     grid = voxelize(cloud, v_s)
-    keys, feats, counts = full_lexsort_voxelize(cloud.positions, cloud.features, v_s)
-    assert grid.keys.tobytes() == keys.tobytes()
-    assert grid.features.tobytes() == feats.tobytes()
-    assert grid.counts.tobytes() == counts.tobytes()
+    assert grid.keys.tobytes() == keys[starts].tobytes()
+    assert grid.features.tobytes() == means.tobytes()
+    assert grid.counts.tobytes() == counts.astype(np.int64).tobytes()
 
 
 class TestVoxelIndex:
@@ -81,6 +61,24 @@ class TestVoxelIndex:
             voxel_index(np.zeros(3), 0.0)
         with pytest.raises(InvalidInputError):
             voxel_index(np.array([np.nan, 0, 0]), 0.1)
+
+    @pytest.mark.parametrize("p,v_s", [(1e30, 1.0), (-1e30, 1.0), (2.0**63, 1.0),
+                                       (-2.0**63 - 2048, 1.0), (1e300, 1e-10)],
+                             ids=["1e30", "-1e30", "2^63", "below-2^63", "infinite-quotient"])
+    def test_rejects_keys_beyond_int64(self, p, v_s):
+        with pytest.raises(InvalidInputError, match="do not fit in int64"):
+            voxel_index(np.array([0.0, p, 0.0]), v_s)
+
+    def test_exact_above_2_to_the_52(self):
+        # an odd integer quotient from 2^52 to 2^53 is its own key, not the next one
+        p = np.array([2.0**52 + 1, -(2.0**52 + 3), 2.0**53 - 1])
+        np.testing.assert_array_equal(voxel_index(p, 1.0), [2**52 + 1, -(2**52 + 3), 2**53 - 1])
+
+    def test_largest_keys_that_fit(self):
+        # the float64 just below 2^63 is 2^63 - 1024; -2^63 is INT64_MIN itself
+        top = np.nextafter(2.0**63, 0)
+        np.testing.assert_array_equal(voxel_index(np.array([top, -2.0**63, 0.0]), 1.0),
+                                      [2**63 - 1024, -2**63, 0])
 
 
 class TestVoxelCenter:
@@ -156,17 +154,6 @@ class TestVoxelize:
         grid = voxelize(cloud, 0.2)
         assert grid.counts.sum() == len(cloud)
 
-    def test_permutation_invariance_bit_exact(self):
-        rng = np.random.default_rng(3)
-        cloud = make_cloud(rng, m=2000)
-        perm = rng.permutation(len(cloud))
-        shuffled = FeaturedPointCloud(cloud.positions[perm], cloud.features[perm])
-        a = voxelize(cloud, 0.1)
-        b = voxelize(shuffled, 0.1)
-        np.testing.assert_array_equal(a.keys, b.keys)
-        np.testing.assert_array_equal(a.features, b.features)
-        np.testing.assert_array_equal(a.counts, b.counts)
-
     def test_mean_times_count_recovers_sums(self):
         rng = np.random.default_rng(4)
         cloud = make_cloud(rng, m=3000)
@@ -187,7 +174,7 @@ class TestVoxelize:
 
     def test_bit_equal_to_full_lexsort_with_coincident_points(self):
         # two views from one camera and depth: every position comes twice,
-        # with different features, and only the features can order the pair
+        # with different features, and the pair is summed in list order
         v = flat_view()
         d = DepthMap(v.gt_depth)
         rng = np.random.default_rng(8)
@@ -200,23 +187,8 @@ class TestVoxelize:
             for v_s in (0.2, 0.5, 2.0):  # 1, 4 to 9 and all 64 positions per voxel
                 assert_bit_equal_to_full_lexsort(c, v_s)
 
-    @pytest.mark.parametrize("twin", [0, 7_000, 16_383])
-    @pytest.mark.parametrize("shift", [-1.0, 1.0])
-    def test_bit_equal_to_full_lexsort_with_one_duplicate(self, twin, shift):
-        # one point at the position of another, in a large cloud, put in
-        # before, at and after its twin's row: only that pair is ordered by
-        # features, on channel 1 after a tie on channel 0
-        rng = np.random.default_rng(10)
-        cloud = make_cloud(rng, m=16_384, c=12)
-        extra = cloud.features[twin] + np.r_[0.0, shift, np.zeros(10)]
-        for at in (0, twin, 16_384):
-            dup = FeaturedPointCloud(np.insert(cloud.positions, at, cloud.positions[twin], axis=0),
-                                     np.insert(cloud.features, at, extra, axis=0))
-            assert len(np.unique(dup.positions, axis=0)) == len(dup) - 1
-            assert_bit_equal_to_full_lexsort(dup, 0.1)
-
     def test_bit_equal_to_full_lexsort_with_signed_zeros(self):
-        # -0.0 and +0.0 compare equal, so they share a voxel and a position run
+        # -0.0 and +0.0 compare equal, so they share a voxel
         rng = np.random.default_rng(9)
         positions = rng.choice([-0.0, 0.0, 0.04, -0.04], size=(400, 3))
         assert np.any(np.signbit(positions) & (positions == 0))
