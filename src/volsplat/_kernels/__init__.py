@@ -27,6 +27,14 @@ e^-40 < 2^-57, so 1 - alpha rounds to exactly 1: transmittance is
 bit-identical to the recurrence without the rule, and colour differs by less
 than 4.3e-18 per skipped (splat, pixel) pair.
 
+The C compositing kernel copies the tile's splats into five columns (mean x
+and y, the three conic entries), then tests COMPOSITE_BLOCK splats per step:
+their q values and a skip mask with no branch, then the recurrence on the
+splats that pass, in order, leaving the pixel as soon as T < T_CUTOFF. Each
+q is the one-splat-at-a-time loop's expression, rounded the same way in each
+vector lane, and a NaN q is not skipped there either, so rgb and transmit
+are byte-identical to that loop, which tests/composite_scalar.c keeps.
+
 Neither of the first two C kernels is bit-identical to its numpy twin,
 though both do the same operations in the same order. The compositing
 kernel agrees to about 1e-16: it calls libm `exp`, and numpy may dispatch its
@@ -41,8 +49,9 @@ plane, sorts the planes into dropped, edge and interior ones, then samples
 the interior planes over contiguous channels and takes their dot products
 four at a time. Each (pixel, plane) keeps the operations and the order of
 the one-plane-at-a-time scalar loop, which tests/plane_sweep_scalar.c keeps,
-so acc and n_valid are byte-identical to that loop's. The wrapper allocates
-the three passes' scratch arrays; the C file holds no buffer of its own.
+so acc and n_valid are byte-identical to that loop's. The wrappers allocate
+every kernel's scratch, the compositing columns and the three passes'
+arrays; the C file holds no buffer of its own.
 """
 
 from __future__ import annotations
@@ -71,6 +80,7 @@ SOURCE = Path(__file__).with_name("kernels.c")
 # another host that shares it.
 FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
 BUILD_TIMEOUT_S = 120
+COMPOSITE_BLOCK = 8  # kernels.c BLOCK: splats composite_tile tests per step
 
 
 class Kernels(NamedTuple):
@@ -142,7 +152,7 @@ def load(out_dir: Path | None = None, source: Path = SOURCE) -> Optional[Kernels
     except (OSError, AttributeError, subprocess.SubprocessError):
         return None
     ptr, size = ctypes.c_void_p, ctypes.c_long
-    composite.argtypes = [ptr, ptr, ptr, ptr, size, size, size, size, size, ptr, ptr]
+    composite.argtypes = [ptr, ptr, ptr, ptr, size, size, size, size, size, ptr, ptr, ptr]
     sweep.argtypes = [ptr, ptr, size, size, size, ptr, ptr, ptr, size, ptr, ptr, ptr, ptr, ptr]
     scatter.argtypes = [ptr, ptr, ptr, size, size]
     composite.restype = sweep.restype = scatter.restype = None
@@ -184,7 +194,11 @@ def _check(kernel: str, args, outputs) -> dict:
 
 
 def _checked_composite(fn):
-    """Wrap the raw C compositing kernel in the signature of the numpy one."""
+    """Wrap the raw C compositing kernel in the signature of the numpy one.
+
+    The kernel's scratch, five columns of n splats padded to a whole number
+    of COMPOSITE_BLOCKs, is allocated here from the checked n.
+    """
 
     def composite_tile(means, conics, colors, opacities, x0, y0, rgb, transmit):
         x0, y0 = operator.index(x0), operator.index(y0)
@@ -193,8 +207,11 @@ def _checked_composite(fn):
             ("colors", colors, _F64, ("n", 3)), ("opacities", opacities, _F64, ("n",)),
             ("rgb", rgb, _F64, ("th", "tw", 3)), ("transmit", transmit, _F64, ("th", "tw")),
         ), ("rgb", "transmit"))
+        n = size["n"]
+        splats = np.empty(5 * -(-n // COMPOSITE_BLOCK) * COMPOSITE_BLOCK)
         fn(means.ctypes.data, conics.ctypes.data, colors.ctypes.data, opacities.ctypes.data,
-           size["n"], x0, y0, size["th"], size["tw"], rgb.ctypes.data, transmit.ctypes.data)
+           n, x0, y0, size["th"], size["tw"], rgb.ctypes.data, transmit.ctypes.data,
+           splats.ctypes.data)
 
     return composite_tile
 

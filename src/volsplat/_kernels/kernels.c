@@ -9,12 +9,16 @@
  * out + src, and no sum is reordered. Compositing skips a (splat, pixel)
  * pair whose q exceeds Q_SKIP before its exp: there alpha <= e^-40 < 2^-57
  * would leave transmittance unchanged to the bit, so only rgb moves, by less
- * than 4.3e-18 per skipped pair. The plane sweep runs in three passes per
- * pixel (project, classify, sample and dot) whose vectorised loops keep each
- * plane's operations and their order, so its output is byte-identical to
- * the one-plane-at-a-time scalar loop kept in tests/plane_sweep_scalar.c.
- * Built with -ffp-contract=off and without fast-math, no a * b + c is fused
- * and no sum is reassociated.
+ * than 4.3e-18 per skipped pair. It tests BLOCK splats per step, q and
+ * the skip test with no branch, then runs the recurrence on the splats that
+ * pass, in order, so its output is byte-identical to the one-splat-at-a-time
+ * loop kept in tests/composite_scalar.c. The plane sweep runs in three
+ * passes per pixel (project, classify, sample and dot) whose vectorised
+ * loops keep each plane's operations and their order, so its output is
+ * byte-identical to the one-plane-at-a-time scalar loop kept in
+ * tests/plane_sweep_scalar.c. Built with -ffp-contract=off and without
+ * fast-math, no a * b + c is fused and no sum is reassociated. The wrappers
+ * allocate every scratch array; this file holds no buffer of its own.
  */
 #include <math.h>
 #include <stdint.h>
@@ -23,40 +27,77 @@
 #define T_CUTOFF 1e-4
 #define Q_SKIP 80.0
 #define SNAP_TOL 1e-9
+#define BLOCK 8 /* splats tested per step in composite_tile */
 
 /* Front-to-back compositing of pre-sorted 2D splats into one tile: the
  * per-pixel loop of _composite_np.py. means (n, 2), conics (n, 3),
  * colors (n, 3), opacities (n), rgb (th, tw, 3) and transmit (th, tw); rgb
  * and transmit are updated in place. ALPHA_MAX, T_CUTOFF and Q_SKIP match
  * _composite_np.py; a splat adds nothing at a pixel where q > Q_SKIP.
+ *
+ * The splats are first copied into five columns (mx, my, c0, c1, c2) of
+ * `splats`, the caller's scratch of 5 m doubles, m being n rounded up to a
+ * multiple of BLOCK. A live pixel then tests BLOCK splats per step: it
+ * computes their q with no branch, into q[] and a bit mask, and runs the
+ * recurrence on the set bits in splat order. A lane at or past n is masked
+ * off by its index, so it counts for nothing whatever Q_SKIP is. Each q is
+ * the scalar loop's expression on the same doubles, and with
+ * -ffp-contract=off and no fast-math every vector lane rounds as that loop
+ * does; the mask is !(q > Q_SKIP), so a NaN q is not skipped, as there. A
+ * set bit takes the scalar loop's steps in its order, and T < T_CUTOFF
+ * leaves the pixel at once, mid-block or not. So rgb and transmit are
+ * byte-identical to the one-splat-at-a-time loop kept in
+ * tests/composite_scalar.c.
  */
 void composite_tile(const double *means, const double *conics, const double *colors,
                     const double *opacities, long n, long x0, long y0, long th, long tw,
-                    double *rgb, double *transmit)
+                    double *rgb, double *transmit, double *splats)
 {
+    const long m = (n + BLOCK - 1) / BLOCK * BLOCK;
+    double *mx = splats, *my = mx + m, *c0 = my + m, *c1 = c0 + m, *c2 = c1 + m;
+    for (long i = 0; i < n; i++) {
+        mx[i] = means[2 * i];
+        my[i] = means[2 * i + 1];
+        c0[i] = conics[3 * i];
+        c1[i] = conics[3 * i + 1];
+        c2[i] = conics[3 * i + 2];
+    }
+    for (long i = n; i < m; i++) /* padded lanes: their bits are masked off */
+        mx[i] = my[i] = c0[i] = c1[i] = c2[i] = 0.0;
     for (long p = 0; p < th * tw; p++) {
         double t = transmit[p];
         if (t < T_CUTOFF)
             continue;
         double px = (double)(x0 + p % tw), py = (double)(y0 + p / tw);
         double r = rgb[3 * p], g = rgb[3 * p + 1], b = rgb[3 * p + 2];
-        for (long i = 0; i < n; i++) {
-            const double *c = conics + 3 * i, *col = colors + 3 * i;
-            double dx = px - means[2 * i], dy = py - means[2 * i + 1];
-            double q = c[0] * dx * dx + 2.0 * c[1] * dx * dy + c[2] * dy * dy;
-            if (q > Q_SKIP)
-                continue;
-            double alpha = opacities[i] * exp(-0.5 * q);
-            if (alpha > ALPHA_MAX)
-                alpha = ALPHA_MAX;
-            double w = alpha * t;
-            r += w * col[0];
-            g += w * col[1];
-            b += w * col[2];
-            t *= 1.0 - alpha;
-            if (t < T_CUTOFF)
-                break;
+        for (long i = 0; i < n; i += BLOCK) {
+            double q[BLOCK];
+            unsigned live = 0;
+            for (int j = 0; j < BLOCK; j++) {
+                double dx = px - mx[i + j], dy = py - my[i + j];
+                q[j] = c0[i + j] * dx * dx + 2.0 * c1[i + j] * dx * dy + c2[i + j] * dy * dy;
+            }
+            for (int j = 0; j < BLOCK; j++)
+                live |= (unsigned)!(q[j] > Q_SKIP) << j;
+            if (n - i < BLOCK)
+                live &= (1u << (n - i)) - 1u;
+            while (live) {
+                int j = __builtin_ctz(live);
+                live &= live - 1u;
+                const double *col = colors + 3 * (i + j);
+                double alpha = opacities[i + j] * exp(-0.5 * q[j]);
+                if (alpha > ALPHA_MAX)
+                    alpha = ALPHA_MAX;
+                double w = alpha * t;
+                r += w * col[0];
+                g += w * col[1];
+                b += w * col[2];
+                t *= 1.0 - alpha;
+                if (t < T_CUTOFF)
+                    goto done;
+            }
         }
+    done:
         rgb[3 * p] = r;
         rgb[3 * p + 1] = g;
         rgb[3 * p + 2] = b;

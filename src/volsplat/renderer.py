@@ -7,7 +7,8 @@ tiles. Tiles are independent, so the worker count never changes output.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import os
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -22,7 +23,7 @@ TILE = 16
 NEAR_PLANE = 0.01
 COV2D_DILATION = 0.3
 PSNR_CAP = 99.0
-MAX_THREADS = 64  # render workers; 0 asks for the executor's default
+MAX_THREADS = 64  # render workers; 0 asks for one per CPU
 
 SH_C1 = 0.4886025119029199
 SH_C2 = (1.0925484305920792, -1.0925484305920792, 0.31539156525252005,
@@ -44,7 +45,7 @@ def eval_sh(sh: np.ndarray, degree: int, dirs: np.ndarray) -> np.ndarray:
     sh is (N, 3 (L+1)^2) laid out channel-fastest per coefficient;
     dirs are unit view directions (N, 3).
     """
-    coeff = sh.reshape(sh.shape[0], -1, 3).astype(float)
+    coeff = sh.reshape(sh.shape[0], sh.shape[1] // 3, 3).astype(float)
     c = 0.5 + SH_C0 * coeff[:, 0]
     if degree >= 1:
         x, y, z = dirs[:, 0:1], dirs[:, 1:2], dirs[:, 2:3]
@@ -67,19 +68,23 @@ def eval_sh(sh: np.ndarray, degree: int, dirs: np.ndarray) -> np.ndarray:
 
 
 def _project_all(gset: GaussianSet, K: Intrinsics, E: Extrinsics):
-    """Vectorized EWA projection of a whole set; returns per-splat arrays
-    plus the surviving-index array (culled splats removed)."""
+    """Vectorized EWA projection of a whole set: (mean2d, conics, z, colors,
+    opacities, radius, idx) of the splats in front of the near plane whose
+    3-sigma footprint touches the image, in front-to-back order with the
+    index in the set, idx, as the tiebreak.
+
+    Per-splat inputs are gathered only when some splat is behind the near
+    plane, and each output is gathered once, by the one index that both
+    culls and sorts.
+    """
     centers = gset.centers.astype(float)
     p_cam = E.world_to_cam(centers)
-    z = p_cam[:, 2]
-    keep = z > NEAR_PLANE
-    idx = np.nonzero(keep)[0]
-    if idx.size == 0:
-        return (np.zeros((0, 2)), np.zeros((0, 3)), np.zeros(0), np.zeros((0, 3)),
-                np.zeros(0), np.zeros(0), idx)
-    p_cam = p_cam[idx]
-    z = z[idx]
-    x, y = p_cam[:, 0], p_cam[:, 1]
+    near = np.flatnonzero(p_cam[:, 2] > NEAR_PLANE)
+    rotations, scales, sh, opacities = gset.rotations, gset.scales, gset.sh, gset.opacities
+    if near.size < len(gset):
+        centers, p_cam, rotations, scales, sh, opacities = (
+            np.take(a, near, axis=0) for a in (centers, p_cam, rotations, scales, sh, opacities))
+    x, y, z = p_cam[:, 0], p_cam[:, 1], p_cam[:, 2]
     mean2d = np.stack([K.fx * x / z + K.cx, K.fy * y / z + K.cy], axis=1)
 
     # cov2d = J W Sigma W^T J^T = (J W Rq S)(J W Rq S)^T, with J the 2x3
@@ -91,9 +96,8 @@ def _project_all(gset: GaussianSet, K: Intrinsics, E: Extrinsics):
     j11, j12 = K.fy / z, -K.fy * y / (z * z)
     jw = ([j00 * W[0, k] + j02 * W[2, k] for k in range(3)],
           [j11 * W[1, k] + j12 * W[2, k] for k in range(3)])
-    Rq = quat_to_rotmat(gset.rotations[idx].astype(float))
-    S = gset.scales[idx]
-    u, v = ([(r[0] * Rq[:, 0, k] + r[1] * Rq[:, 1, k] + r[2] * Rq[:, 2, k]) * S[:, k]
+    Rq = quat_to_rotmat(rotations.astype(float))
+    u, v = ([(r[0] * Rq[:, 0, k] + r[1] * Rq[:, 1, k] + r[2] * Rq[:, 2, k]) * scales[:, k]
              for k in range(3)] for r in jw)
     a = u[0] * u[0] + u[1] * u[1] + u[2] * u[2] + COV2D_DILATION
     b = u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
@@ -102,20 +106,20 @@ def _project_all(gset: GaussianSet, K: Intrinsics, E: Extrinsics):
     disc = np.sqrt(np.maximum(mid * mid - (a * c - b * b), 0.0))
     radius = 3.0 * np.sqrt(np.maximum(mid + disc, 0.0))
 
-    cam_pos = E.T
-    dirs = centers[idx] - cam_pos
+    dirs = centers - E.T
     norms = np.linalg.norm(dirs, axis=1, keepdims=True)
     dirs = np.divide(dirs, norms, out=np.zeros_like(dirs), where=norms > 0)
-    colors = eval_sh(gset.sh[idx], gset.sh_degree, dirs)
-
-    # drop splats whose 3-sigma footprint misses the image
-    inside = (
-        (mean2d[:, 0] + radius >= -0.5) & (mean2d[:, 0] - radius <= K.width - 0.5)
-        & (mean2d[:, 1] + radius >= -0.5) & (mean2d[:, 1] - radius <= K.height - 0.5)
-    )
+    colors = eval_sh(sh, gset.sh_degree, dirs)
     conics = np.stack([c, -b, a], axis=1) / (a * c - b * b)[:, None]
-    return (mean2d[inside], conics[inside], z[inside], colors[inside],
-            gset.opacities[idx][inside], radius[inside], idx[inside])
+
+    # keep splats whose 3-sigma footprint meets the image, then sort them by
+    # depth; near is ascending, so a stable sort breaks ties by set index
+    rows = np.flatnonzero(
+        (mean2d[:, 0] + radius >= -0.5) & (mean2d[:, 0] - radius <= K.width - 0.5)
+        & (mean2d[:, 1] + radius >= -0.5) & (mean2d[:, 1] - radius <= K.height - 0.5))
+    rows = rows[np.argsort(z[rows], kind="stable")]
+    return tuple(np.take(a, rows, axis=0) for a in (mean2d, conics, z, colors, opacities,
+                                                    radius, near))
 
 
 def bin_tiles(tx0, tx1, ty0, ty1, nx: int, ny: int):
@@ -139,18 +143,16 @@ def bin_tiles(tx0, tx1, ty0, ty1, nx: int, ny: int):
 def sorted_splats(gset: GaussianSet, K: Intrinsics, E: Extrinsics):
     """Projected splats in global front-to-back order, with the original
     index as the tiebreak: (mean2d, conics, z, colors, opacities, radius)."""
-    mean2d, conics, z, colors, ops, radius, idx = _project_all(gset, K, E)
-    order = np.lexsort((idx, z))
-    return (mean2d[order], conics[order], z[order], colors[order], ops[order],
-            radius[order])
+    return _project_all(gset, K, E)[:6]
 
 
 def rasterize(mean2d, conics, colors, ops, radius, h: int, w: int, threads: int = 1):
     """Composite depth-sorted 2D splats front to back into an h x w image.
 
     Each splat goes to every tile its radius touches, and each non-empty tile
-    is one `composite_tile` call over its splats in input order. Returns
-    (rgb, transmit): the accumulated colour and the remaining transmittance.
+    is one `composite_tile` call over its splats in input order, on `threads`
+    workers (0 = one per CPU). Returns (rgb, transmit): the accumulated
+    colour and the remaining transmittance.
     """
     rgb = np.zeros((h, w, 3))
     transmit = np.ones((h, w))
@@ -176,14 +178,39 @@ def rasterize(mean2d, conics, colors, ops, radius, h: int, w: int, threads: int 
         transmit[y0 : y0 + th, x0 : x0 + tw] = tile_T
 
     tiles = np.flatnonzero(np.diff(bounds)).tolist()
-    if threads == 1:
-        for t in tiles:
-            do_tile(t)
-    else:
-        workers = threads if threads > 0 else None
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(do_tile, tiles))
+    workers = min(threads or os.cpu_count() or 1, len(tiles))
+    _on_threads(do_tile, tiles, workers)
     return rgb, transmit
+
+
+_DONE = object()
+
+
+def _on_threads(fn, items: list, workers: int) -> None:
+    """Call fn on every item: the caller and workers - 1 threads take items
+    in turn from one shared iterator, and the first exception is re-raised
+    once all have stopped."""
+    shared, lock, errors = iter(items), threading.Lock(), []
+
+    def work():
+        try:
+            while True:
+                with lock:
+                    item = next(shared, _DONE)
+                if item is _DONE:
+                    return
+                fn(item)
+        except BaseException as e:  # re-raised in the caller below
+            errors.append(e)
+
+    helpers = [threading.Thread(target=work) for _ in range(workers - 1)]
+    for h in helpers:
+        h.start()
+    work()
+    for h in helpers:
+        h.join()
+    if errors:
+        raise errors[0]
 
 
 def check_threads(threads: int) -> None:
@@ -200,7 +227,8 @@ def render(
     threads: int = 1,
 ) -> RenderedImage:
     """Rasterize a Gaussian set into an RGB + alpha image on `threads`
-    workers (0 = the executor's default)."""
+    workers, the calling thread among them (0 = os.cpu_count()); no more
+    workers start than there are non-empty tiles."""
     check_threads(threads)
     mean2d, conics, _, colors, ops, radius = sorted_splats(gset, K, E)
     rgb, transmit = rasterize(mean2d, conics, colors, ops, radius, K.height, K.width, threads)

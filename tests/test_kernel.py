@@ -4,7 +4,9 @@ the kernel loader and the contract every backend's kernels share.
 `composite_tile_sequential` below is the reference for the chunked numpy
 kernel: the per-splat recurrence that kernel replaced. They are compared on
 raw bytes. The C kernel (kernels.c) is compared with the numpy kernel to
-1e-12, since it calls libm `exp` where numpy may use its own. Its checked
+1e-12, since it calls libm `exp` where numpy may use its own, and on raw
+bytes with the one-splat-at-a-time C loop it replaced, kept in
+composite_scalar.c and built with the same flags. Its checked
 wrapper takes C-contiguous float64 arrays of the tile's shapes and copies
 nothing: any other argument raises before the call and leaves rgb and
 transmit as they were. Each kernel's skip rule (a splat adds nothing where
@@ -16,9 +18,11 @@ kernels (compositing, the plane sweep, whose own agreement test is
 test_plane_sweep.py, and the U-Net's row scatter-add, tested in
 test_sparse_unet.py) to their numpy twins, `_kernels.NUMPY`, together
 whenever the library cannot be built or loaded, or VOLSPLAT_FORCE_NUMPY=1 is
-set; each C kernel has the signature of its numpy twin.
+set; each C kernel has the signature of its numpy twin. Every C source
+compiles without a warning at -Wall -Wextra.
 """
 
+import ctypes
 import functools
 import inspect
 import os
@@ -377,9 +381,158 @@ class TestCKernel:
             assert np.array_equal(np.asarray(args[k]), old)
 
 
+SCALAR_SOURCE = Path(__file__).with_name("composite_scalar.c")
+BLOCK = _kernels.COMPOSITE_BLOCK
+
+
+@pytest.fixture(scope="session")
+def scalar_composite(tmp_path_factory):
+    """The one-splat-at-a-time loop of composite_scalar.c, built with the
+    shipped flags, behind the shipped wrapper's signature."""
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler")
+    fn = ctypes.CDLL(str(_kernels.build(tmp_path_factory.mktemp("scalar"),
+                                        SCALAR_SOURCE))).composite_tile
+    ptr, size = ctypes.c_void_p, ctypes.c_long
+    fn.argtypes = [ptr, ptr, ptr, ptr, size, size, size, size, size, ptr, ptr]
+    fn.restype = None
+
+    def composite_tile(means, conics, colors, opacities, x0, y0, rgb, transmit):
+        for a in (means, conics, colors, opacities, rgb, transmit):
+            assert a.dtype == np.float64 and a.flags.c_contiguous
+        n = means.shape[0]
+        assert means.shape == (n, 2) and conics.shape == colors.shape == (n, 3)
+        assert opacities.shape == (n,) and rgb.shape == transmit.shape + (3,)
+        fn(means.ctypes.data, conics.ctypes.data, colors.ctypes.data, opacities.ctypes.data, n,
+           x0, y0, *transmit.shape, rgb.ctypes.data, transmit.ctypes.data)
+
+    return composite_tile
+
+
+def assert_matches_scalar(c_composite, scalar_composite, splats, x0, y0, rgb, transmit):
+    """Both kernels composite the same splats onto copies of rgb and transmit;
+    the raw bytes must agree. Returns the shipped kernel's (rgb, transmit)."""
+    out = []
+    for kernel in (scalar_composite, c_composite):
+        rgb_k, t_k = rgb.copy(), transmit.copy()
+        kernel(*splats, x0, y0, rgb_k, t_k)
+        out.append((rgb_k, t_k))
+    assert out[1][0].tobytes() == out[0][0].tobytes(), "rgb differs from the scalar loop"
+    assert out[1][1].tobytes() == out[0][1].tobytes(), "transmit differs from the scalar loop"
+    return out[1]
+
+
+def one_pixel_splats(q_conic, opacities, colors=None):
+    """Splats one pixel right of pixel (0, 0), whose q there is their c0."""
+    n = len(q_conic)
+    conics = np.zeros((n, 3))
+    conics[:, 0] = q_conic
+    colors = np.linspace(0.1, 1.0, 3 * n).reshape(n, 3) if colors is None else colors
+    return np.tile([1.0, 0.0], (n, 1)), conics, colors, np.asarray(opacities, dtype=float)
+
+
+class TestBlockedKernel:
+    """The shipped kernel tests BLOCK splats per step; it must equal the
+    scalar loop it replaced on raw bytes."""
+
+    def test_block_matches_the_wrapper(self):
+        assert f"#define BLOCK {BLOCK} " in _kernels.SOURCE.read_text()
+
+    @pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, 1000])
+    @pytest.mark.parametrize("max_opacity", [0.05, 1.0])
+    def test_full_tile(self, c_composite, scalar_composite, n, max_opacity):
+        rng = np.random.default_rng(n)
+        splats = random_splats(rng, n, 0, 0, TILE, TILE, max_opacity)
+        assert_matches_scalar(c_composite, scalar_composite, splats, 0, 0, *fresh(TILE, TILE))
+
+    @pytest.mark.parametrize("th,tw,x0,y0", [(16, 5, 48, 0), (7, 16, 16, 32),
+                                             (3, 2, 112, 80), (1, 1, 5, 9)])
+    def test_partial_tile_with_offset_and_saturated_pixels(self, c_composite, scalar_composite,
+                                                           th, tw, x0, y0):
+        rng = np.random.default_rng(th * 100 + tw)
+        for n in (0, 1, BLOCK + 1, 300):
+            splats = random_splats(rng, n, x0, y0, th, tw)
+            assert_matches_scalar(c_composite, scalar_composite, splats, x0, y0, *fresh(th, tw))
+            rgb, transmit = rng.uniform(0, 1, (th, tw, 3)), rng.uniform(0, 1, (th, tw))
+            transmit[rng.uniform(size=(th, tw)) < 0.4] = np.nextafter(T_CUTOFF, 0.0)
+            transmit.flat[0] = T_CUTOFF  # exactly at the cutoff is still live
+            assert_matches_scalar(c_composite, scalar_composite, splats, x0, y0, rgb, transmit)
+
+    @pytest.mark.parametrize("last", [2, 5, BLOCK - 1, BLOCK, BLOCK + 2, 2 * BLOCK - 1])
+    def test_pixel_leaves_in_the_middle_of_a_block(self, c_composite, scalar_composite, last):
+        # clear splats, then three clamped at ALPHA_MAX ending at splat `last`:
+        # T = (1 - ALPHA_MAX)^3 < T_CUTOFF, so later splats must add nothing
+        n = 3 * BLOCK
+        ops = np.zeros(n)
+        ops[last - 2 : last + 1] = 1.0
+        ops[last + 1 :] = 0.5
+        rgb, transmit = assert_matches_scalar(c_composite, scalar_composite,
+                                              one_pixel_splats(np.zeros(n), ops), 0, 0,
+                                              *fresh(1, 1))
+        left = 1.0 - ALPHA_MAX
+        assert transmit[0, 0] == left * left * left < T_CUTOFF
+
+    def test_q_within_an_ulp_of_q_skip_and_the_alpha_clamp(self, c_composite, scalar_composite):
+        # q is c0 exactly: just below, at and just above Q_SKIP, then q = 0,
+        # where opacities above ALPHA_MAX are clamped, between them
+        below, above = np.nextafter(Q_SKIP, 0.0), np.nextafter(Q_SKIP, np.inf)
+        q = np.array([below, Q_SKIP, above, 0.0, above, Q_SKIP, 0.0, below, above, 0.0, 0.0])
+        ops = np.array([1.0, 1.0, 1.0, 0.995, 1.0, 1.0, 1.0, 1.0, 1.0, 0.3, 0.2])
+        splats = one_pixel_splats(q, ops)
+        rgb, transmit = fresh(1, 1)
+        rgb_c, t_c = assert_matches_scalar(c_composite, scalar_composite, splats, 0, 0, rgb,
+                                           transmit)
+        # the three above Q_SKIP add nothing: drop them and nothing changes
+        kept = tuple(a[q <= Q_SKIP] for a in splats)
+        rgb_k, t_k = fresh(1, 1)
+        c_composite(*kept, 0, 0, rgb_k, t_k)
+        assert rgb_k.tobytes() == rgb_c.tobytes() and t_k.tobytes() == t_c.tobytes()
+        # on their own, the splats at Q_SKIP and one ulp below it add e^-40
+        for at in (0, 1):
+            alone = assert_matches_scalar(c_composite, scalar_composite,
+                                          tuple(a[at : at + 1] for a in splats), 0, 0,
+                                          *fresh(1, 1))[0]
+            assert (0 < alone).all() and (alone < 4.3e-18).all()
+
+    @pytest.mark.parametrize("lane", [0, 3, BLOCK - 1, BLOCK + 1])
+    def test_nan_q_is_composited_not_skipped(self, c_composite, scalar_composite, lane):
+        # c2 < 0 and a splat 1e200 px away: q = inf + 0 - inf = NaN at every pixel
+        rng = np.random.default_rng(lane)
+        means, conics, colors, ops = random_splats(rng, 2 * BLOCK, 0, 0, 2, 3)
+        means[lane] = 1e200
+        conics[lane] = [1.0, 0.0, -1.0]
+        rgb, transmit = assert_matches_scalar(c_composite, scalar_composite,
+                                              (means, conics, colors, ops), 0, 0, *fresh(2, 3))
+        assert np.isnan(transmit).all() and np.isnan(rgb).all()
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 5 * BLOCK),
+           th=st.integers(1, TILE), tw=st.integers(1, TILE),
+           x0=st.integers(0, 200), y0=st.integers(0, 200),
+           max_opacity=st.sampled_from([0.02, 0.5, 1.0]), saturated=st.floats(0.0, 1.0))
+    def test_random_tiles(self, c_composite, scalar_composite, seed, n, th, tw, x0, y0,
+                          max_opacity, saturated):
+        rng = np.random.default_rng(seed)
+        splats = random_splats(rng, n, x0, y0, th, tw, max_opacity)
+        rgb = rng.uniform(0, 1, (th, tw, 3))
+        transmit = rng.uniform(0, 1, (th, tw))
+        transmit[rng.uniform(size=(th, tw)) < saturated] = T_CUTOFF * 0.999
+        assert_matches_scalar(c_composite, scalar_composite, splats, x0, y0, rgb, transmit)
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+@pytest.mark.parametrize("source", [_kernels.SOURCE, SCALAR_SOURCE,
+                                    Path(__file__).with_name("plane_sweep_scalar.c")],
+                         ids=lambda p: p.name)
+def test_c_source_compiles_without_warnings(source):
+    subprocess.run(["cc", "-ffp-contract=off", "-Wall", "-Wextra", "-Werror", "-fsyntax-only",
+                    str(source)], check=True, capture_output=True, stdin=subprocess.DEVNULL)
+
+
 def project_all_stacked(gset, K, E):
     """Reference for `renderer._project_all`: the same projection with the 3D
-    and 2D covariances built as stacked (N, 3, 3) matrix products."""
+    and 2D covariances built as stacked (N, 3, 3) matrix products, culled
+    and sorted in separate steps."""
     centers = gset.centers.astype(float)
     p_cam = E.world_to_cam(centers)
     idx = np.nonzero(p_cam[:, 2] > renderer.NEAR_PLANE)[0]
@@ -407,8 +560,10 @@ def project_all_stacked(gset, K, E):
     inside = ((mean2d[:, 0] + radius >= -0.5) & (mean2d[:, 0] - radius <= K.width - 0.5)
               & (mean2d[:, 1] + radius >= -0.5) & (mean2d[:, 1] - radius <= K.height - 0.5))
     conics = np.stack([c, -b, a], axis=1) / (a * c - b * b)[:, None]
-    return (mean2d[inside], conics[inside], z[inside], colors[inside],
-            gset.opacities[idx][inside], radius[inside], idx[inside])
+    out = (mean2d[inside], conics[inside], z[inside], colors[inside],
+           gset.opacities[idx][inside], radius[inside], idx[inside])
+    order = np.lexsort((out[6], out[2]))  # front to back, set index as the tiebreak
+    return tuple(a[order] for a in out)
 
 
 class TestProjection:

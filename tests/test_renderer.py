@@ -1,3 +1,5 @@
+import sys
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -182,13 +184,57 @@ class TestRender:
     @pytest.mark.parametrize("threads", [-1, MAX_THREADS + 1])
     def test_thread_count_out_of_range_raises_before_rendering(self, monkeypatch, threads):
         def no_pool(*args, **kwargs):
-            raise AssertionError("a thread pool was started")
+            raise AssertionError("rendering was started")
 
-        monkeypatch.setattr(renderer, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(renderer, "rasterize", no_pool)
         monkeypatch.setattr(renderer, "sorted_splats", no_pool)
         gset = make_set([0, 0, 2.0], [1, 0, 0], [0.5], [[0.02] * 3])
         with pytest.raises(InvalidInputError, match="threads must be 0"):
             render(gset, K, E0, threads=threads)
+
+    @pytest.mark.parametrize("threads,cpus,expect", [(1, 8, 1), (2, 8, 2), (8, 8, 4),
+                                                     (0, 3, 3), (0, 8, 4), (0, None, 1)])
+    def test_workers_are_capped_by_the_non_empty_tiles(self, monkeypatch, threads, cpus,
+                                                        expect):
+        # one small splat at the meeting point of four tiles: 4 non-empty tiles
+        gset = make_set([0, 0, 2.0], [1, 0, 0], [0.5], [[0.02] * 3])
+        seen = []
+        on_threads = renderer._on_threads
+        monkeypatch.setattr(renderer, "_on_threads", lambda fn, items, workers: (
+            seen.append((len(items), workers)), on_threads(fn, items, workers)))
+        monkeypatch.setattr(renderer.os, "cpu_count", lambda: cpus)
+        out = render(gset, K, E0, threads=threads)
+        assert seen == [(4, expect)]
+        assert out.rgb.tobytes() == render(gset, K, E0).rgb.tobytes()
+
+    def test_worker_threads_take_every_tile_once_and_raise_the_first_error(self):
+        # more workers than cores and a short switch interval, so the threads
+        # interleave inside the shared iterator as often as they can
+        taken, raised = [], []
+
+        def fail_on_seven(item):
+            if item == 7:
+                raise ValueError("tile 7")
+            taken.append(item)
+
+        def calls():
+            renderer._on_threads(taken.append, list(range(2000)), 8)
+            assert sorted(taken) == list(range(2000))
+            taken.clear()
+            with pytest.raises(ValueError, match="tile 7"):
+                renderer._on_threads(fail_on_seven, list(range(500)), 8)
+            raised.append(True)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            caller = threading.Thread(target=calls)
+            caller.start()
+            caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not caller.is_alive() and raised == [True]
+        assert sorted(taken) == [i for i in range(500) if i != 7]
 
     def test_background_composited_with_residual_transmittance(self):
         gset = make_set([0, 0, 2.0], [1, 0, 0], [0.5], [[0.02] * 3])
