@@ -61,8 +61,8 @@ class CostVolume:
 
 @dataclass(frozen=True)
 class FeatureExtractorSpec:
-    channels: int = 32
-    scale: int = 4
+    channels: int
+    scale: int
 
     def __post_init__(self):
         if not 1 <= self.channels <= MAX_FEATURE_CHANNELS:

@@ -301,8 +301,8 @@ def _expected_depth(gset: GaussianSet, K: Intrinsics, E: Extrinsics):
 
 def hold_out(views: Sequence, m: int):
     """Deterministic split: the last m views become render targets."""
+    if m < 0:
+        raise InvalidInputError(f"cannot hold out a negative number of views, got {m}")
     if m >= len(views):
         raise InvalidInputError("cannot hold out every view")
-    if m == 0:
-        return list(views), []
-    return list(views[:-m]), list(views[-m:])
+    return list(views[:len(views) - m]), list(views[len(views) - m:])

@@ -37,7 +37,11 @@ _CENTRE = len(_OFFSETS) // 2
 
 @dataclass
 class SparseTensor:
-    coords: np.ndarray  # V x 3 int64, unique, in units of the current stride
+    """Features on voxel sites. The 3x3x3 convs take the sites only unique and
+    in ascending (z, y, x) order, as `voxelize` and `downsample_coords` list
+    them; any other order raises InvalidInputError."""
+
+    coords: np.ndarray  # V x 3 int64, in units of the current stride
     feats: np.ndarray  # V x C
     stride: int = 1
 
@@ -91,30 +95,32 @@ def _halve(codes: np.ndarray) -> np.ndarray:
 
 
 class _CoordIndex:
-    """Sorted-key lookup table from voxel coordinate to row index.
+    """Lookup table from voxel code to row index, over sites in code order.
 
-    Raises InvalidInputError when two rows share a coordinate: a lookup
-    finds only one of them, so the other would never be gathered.
+    The sites must come in strictly ascending `_encode` order, as `voxelize`
+    and `downsample_coords` give them, so a code's position is its row. A
+    repeated site, which a lookup would find only once, or a site out of
+    order raises InvalidInputError.
     """
 
     def __init__(self, coords: np.ndarray):
-        codes = _encode(coords)
-        self.order = np.argsort(codes, kind="stable")
-        self.sorted_codes = codes[self.order]
-        if np.any(self.sorted_codes[1:] == self.sorted_codes[:-1]):
-            raise InvalidInputError("duplicate voxel coordinates")
+        self.codes = _encode(coords)
+        bad = np.flatnonzero(self.codes[1:] <= self.codes[:-1]) + 1
+        if bad.size:
+            raise InvalidInputError(
+                f"voxel sites must be unique and in (z, y, x) order: site "
+                f"{coords[bad[0]].tolist()} at row {bad[0]} is repeated or out of order")
 
     def search(self, q: np.ndarray) -> np.ndarray:
-        """Position in sorted_codes of the first code >= each query code."""
-        return np.searchsorted(self.sorted_codes, q)
+        """Position in codes of the first code >= each query code."""
+        return np.searchsorted(self.codes, q)
 
     def lookup(self, q: np.ndarray) -> np.ndarray:
         """Row index per query code (see _encode), -1 where absent."""
-        if self.sorted_codes.size == 0:
+        if self.codes.size == 0:
             return np.full(q.shape, -1, np.int64)
-        pos = np.clip(self.search(q), 0, self.sorted_codes.size - 1)
-        hit = self.sorted_codes[pos] == q
-        return np.where(hit, self.order[pos], -1)
+        pos = np.clip(self.search(q), 0, self.codes.size - 1)
+        return np.where(self.codes[pos] == q, pos, -1)
 
 
 def _check_kernel(w: np.ndarray, cin: int) -> None:
@@ -128,9 +134,10 @@ class KernelMap:
 
     pairs[k] = (out_rows, in_rows) for offset k in _OFFSETS order: output
     row out_rows[j] gathers input row in_rows[j] through weight[offset k].
-    Within one offset the output rows are ascending and distinct, and the
-    input rows are distinct. `identity_centre` marks a map whose centre pairs
-    are (arange(n), arange(n)) over the same n sites, as in a submanifold map.
+    The maps are built on sites in code order, so within one offset both the
+    output rows and the input rows strictly ascend. `identity_centre` marks a
+    map whose centre pairs are (arange(n), arange(n)) over the same n sites,
+    as in a submanifold map.
     """
 
     out_coords: np.ndarray
@@ -139,19 +146,7 @@ class KernelMap:
 
     def transpose(self, coords: np.ndarray) -> "KernelMap":
         """The adjoint map, scattering back onto the input sites `coords`."""
-        return KernelMap(coords, [_ordered(i, o) for o, i in self.pairs])
-
-
-def _ordered(o: np.ndarray, i: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The pairs (o, i) with their distinct output rows o ascending.
-
-    Maps are built in code order, so on sites listed in code order, as
-    unet_forward's are, the pairs come out ordered and nothing moves.
-    """
-    if np.any(o[1:] < o[:-1]):
-        by_o = np.argsort(o)
-        return o[by_o], i[by_o]
-    return o, i
+        return KernelMap(coords, [(i, o) for o, i in self.pairs])
 
 
 def submanifold_map(coords: np.ndarray, index: Optional[_CoordIndex] = None) -> KernelMap:
@@ -167,11 +162,11 @@ def submanifold_map(coords: np.ndarray, index: Optional[_CoordIndex] = None) -> 
     """
     index = _CoordIndex(coords) if index is None else index
     _check_neighbours(coords)
-    codes = index.sorted_codes
+    codes = index.codes
     # No code equals the -1 sentinels, so a candidate one step past either end is a miss.
     padded = np.concatenate(([-1], codes, [-1]))
-    # Per offset before the centre: the positions p, q in code order with
-    # codes[q] == codes[p] + code(offset); both ascend, as adding a code keeps order.
+    # Per offset before the centre: the rows p, q with codes[q] == codes[p] +
+    # code(offset); both ascend, as adding a code keeps order.
     first = []
     for dz, dy in ((-1, -1), (-1, 0), (-1, 1), (0, -1)):
         row = codes + _offset_code(dz, dy, 0)
@@ -181,10 +176,8 @@ def submanifold_map(coords: np.ndarray, index: Optional[_CoordIndex] = None) -> 
             first.append((np.flatnonzero(hit), cand[hit] - 1))
     after = np.flatnonzero(codes[1:] == codes[:-1] + 1) + 1
     first.append((after, after - 1))
-    order = index.order
     rows = np.arange(coords.shape[0])
-    return KernelMap(coords, [_ordered(order[p], order[q]) for p, q in first] + [(rows, rows)]
-                     + [_ordered(order[q], order[p]) for p, q in first[::-1]],
+    return KernelMap(coords, first + [(rows, rows)] + [(q, p) for p, q in first[::-1]],
                      identity_centre=True)
 
 
@@ -216,7 +209,7 @@ def down_map(
     index = _CoordIndex(coords) if index is None else index
     out_index = _CoordIndex(out_coords) if out_index is None else out_index
     _check_neighbours(2 * out_coords)  # as if every coarse site looked up its 27 children
-    codes = index.sorted_codes
+    codes = index.codes
     parents, odd = _halve(codes), _odd_axes(codes)
     offset, out_rows, in_rows = [], [], []
     for e, (ez, ey, ex) in enumerate(_AXIS_SETS):
@@ -226,13 +219,13 @@ def down_map(
         sel = sel[hit]
         offset.append(_CENTRE + _STEP[odd[sel]] - 2 * _STEP[e])
         out_rows.append(rows[hit])
-        in_rows.append(index.order[sel])
+        in_rows.append(sel)
     offset = np.concatenate(offset)
     by_offset = np.argsort(offset.astype(np.uint8), kind="stable")
     out_rows = np.concatenate(out_rows)[by_offset]
     in_rows = np.concatenate(in_rows)[by_offset]
     ends = np.cumsum(np.bincount(offset, minlength=len(_OFFSETS))).tolist()
-    return KernelMap(out_coords, [_ordered(out_rows[a:b], in_rows[a:b])
+    return KernelMap(out_coords, [(out_rows[a:b], in_rows[a:b])
                                   for a, b in zip([0] + ends[:-1], ends)])
 
 
@@ -350,7 +343,10 @@ class WeightBlob:
 
 
 def layer_plan(spec: UNetSpec, in_channels: int) -> List[dict]:
-    """Ordered layer descriptors: name, op, in/out channels, activation."""
+    """Layer descriptors in the order unet_forward runs them: name, op ("sub",
+    "strided", "up", "fuse" or "point"), in/out channels, activation. A "fuse"
+    layer is a pointwise conv over the up layer's output concatenated with the
+    skip that the matching "strided" layer saved."""
     widths = spec.widths(in_channels)
     plan: List[dict] = []
 
@@ -370,7 +366,7 @@ def layer_plan(spec: UNetSpec, in_channels: int) -> List[dict]:
     for lvl in range(len(widths) - 2, -1, -1):
         width = widths[lvl]
         add(f"up{lvl}", "up", cin, width)
-        add(f"dec{lvl}.fuse", "point", width + skips[lvl], width)
+        add(f"dec{lvl}.fuse", "fuse", width + skips[lvl], width)
         for blk in range(spec.blocks_per_level):
             add(f"dec{lvl}.block{blk}", "sub", width, width)
         cin = width
@@ -419,7 +415,12 @@ def check_weights(blob: WeightBlob, plan: Sequence[dict]) -> None:
 
 
 def unet_forward(x: SparseTensor, spec: UNetSpec, weights: WeightBlob) -> SparseTensor:
-    """Residual field on exactly the input voxel set."""
+    """Residual field on exactly the input voxel set.
+
+    The sites of x must be unique and in (z, y, x) order (see _CoordIndex);
+    otherwise this raises InvalidInputError before any layer runs. The layers
+    run in layer_plan's order.
+    """
     if x.stride != 1:
         raise InvalidInputError("unet_forward expects a stride-1 tensor")
     plan = layer_plan(spec, x.feats.shape[1])
@@ -437,39 +438,30 @@ def unet_forward(x: SparseTensor, spec: UNetSpec, weights: WeightBlob) -> Sparse
     down_maps = [None] + [down_map(coords[l - 1], coords[l], index[l - 1], index[l])
                           for l in range(1, n_levels)]
 
+    # A strided layer leaves a level and saves its tensor as the skip that
+    # the fuse layer after the matching up layer concatenates.
     skips: List[SparseTensor] = []
-    cur = x
-    by_name = {l["name"]: l for l in plan}
-
-    def run(layer, tensor, kmap=None):
-        w = weights[layer["name"] + ".weight"]
-        b = weights[layer["name"] + ".bias"]
-        if layer["op"] == "sub":
-            out = submanifold_conv(tensor, w, b, kmap=kmap)
-        elif layer["op"] == "strided":
-            out = strided_down(tensor, w, b, kmap=kmap)
-        elif layer["op"] == "up":
-            out = transposed_up(tensor, kmap.out_coords, w, b, kmap=kmap)
+    cur, lvl = x, 0
+    for layer in plan:
+        w, b, op = weights[layer["name"] + ".weight"], weights[layer["name"] + ".bias"], layer["op"]
+        if op == "sub":
+            cur = submanifold_conv(cur, w, b, kmap=sub_maps[lvl])
+        elif op == "strided":
+            skips.append(cur)
+            lvl += 1
+            cur = strided_down(cur, w, b, kmap=down_maps[lvl])
+        elif op == "up":
+            kmap = down_maps[lvl].transpose(coords[lvl - 1])
+            lvl -= 1
+            cur = transposed_up(cur, kmap.out_coords, w, b, kmap=kmap)
+        elif op == "fuse":
+            feats = np.concatenate([cur.feats, skips.pop().feats], axis=1)
+            cur = pointwise_conv(SparseTensor(cur.coords, feats, cur.stride), w, b)
         else:
-            out = pointwise_conv(tensor, w, b)
+            cur = pointwise_conv(cur, w, b)
         if layer["act"] == "relu":
-            out.feats = np.maximum(out.feats, 0.0)
-        return out
-
-    for lvl in range(n_levels):
-        if lvl > 0:
-            cur = run(by_name[f"down{lvl}"], cur, down_maps[lvl])
-        for blk in range(spec.blocks_per_level):
-            cur = run(by_name[f"enc{lvl}.block{blk}"], cur, sub_maps[lvl])
-        skips.append(cur)
-    for lvl in range(n_levels - 2, -1, -1):
-        skip = skips[lvl]
-        cur = run(by_name[f"up{lvl}"], cur, down_maps[lvl + 1].transpose(coords[lvl]))
-        cur = SparseTensor(cur.coords, np.concatenate([cur.feats, skip.feats], axis=1), cur.stride)
-        cur = run(by_name[f"dec{lvl}.fuse"], cur)
-        for blk in range(spec.blocks_per_level):
-            cur = run(by_name[f"dec{lvl}.block{blk}"], cur, sub_maps[lvl])
-    return run(by_name["head"], cur)
+            cur.feats = np.maximum(cur.feats, 0.0)
+    return cur
 
 
 def residual_refine(v: SparseTensor, r: SparseTensor) -> SparseTensor:

@@ -50,9 +50,9 @@ class TestExtractors:
 
     def test_invalid_spec(self):
         with pytest.raises(InvalidInputError):
-            FeatureExtractorSpec(channels=0)
+            FeatureExtractorSpec(channels=0, scale=1)
         with pytest.raises(InvalidInputError):
-            FeatureExtractorSpec(scale=3)
+            FeatureExtractorSpec(channels=12, scale=3)
 
 
 class TestHypotheses:

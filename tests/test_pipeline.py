@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,6 +42,14 @@ class TestConfig:
         assert cfg.head.offset_radius_multiplier == 3.0
         assert cfg.depth.num_hypotheses == 32
         assert cfg.depth.temperature == 0.05
+
+    def test_readme_config_table_lists_every_field(self):
+        lines = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+        start = lines.index("| key | type | default | allowed |") + 2
+        rows = itertools.takewhile(lambda line: line.startswith("|"), lines[start:])
+        keys = {k for row in rows for k in re.findall(r"`(\w+\.\w+)`", row.split("|")[1])}
+        assert keys == {f"{sec}.{attr}" for sec, types in pipeline._FIELD_TYPES.items()
+                        for attr in types}
 
     def test_from_json_sets_fields(self):
         cfg = PipelineConfig.from_json({"loss": {"lam": 0.2}, "voxel": {"size": 0.05}})

@@ -234,3 +234,7 @@ class TestHoldOut:
     def test_cannot_hold_out_everything(self):
         with pytest.raises(InvalidInputError):
             hold_out([1, 2], 2)
+
+    def test_negative_count_raises(self):
+        with pytest.raises(InvalidInputError, match="negative"):
+            hold_out(list(range(6)), -1)

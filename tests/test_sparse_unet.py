@@ -33,6 +33,7 @@ OFFSETS = [(di, dj, dk) for di in (-1, 0, 1) for dj in (-1, 0, 1) for dk in (-1,
 
 
 def random_sparse(rng, n=60, cin=3, extent=8):
+    # np.unique sorts the rows, which puts them in code order
     coords = np.unique(rng.integers(-extent, extent, (n, 3)), axis=0)
     feats = rng.normal(size=(coords.shape[0], cin))
     return SparseTensor(coords=coords, feats=feats)
@@ -169,14 +170,6 @@ class TestUNet:
         a = unet_forward(self.x, self.spec, w)
         b = unet_forward(self.x, self.spec, w)
         np.testing.assert_array_equal(a.feats, b.feats)
-
-    def test_row_permutation_equivariance(self):
-        w = random_weights(self.spec, 4, seed=4)
-        perm = self.rng.permutation(self.x.coords.shape[0])
-        shuffled = SparseTensor(self.x.coords[perm], self.x.feats[perm])
-        a = unet_forward(self.x, self.spec, w)
-        b = unet_forward(shuffled, self.spec, w)
-        np.testing.assert_allclose(b.feats, a.feats[perm], atol=1e-12)
 
     def test_explicit_levels(self):
         spec = UNetSpec(levels=(5, 7))
@@ -362,7 +355,7 @@ def oracle_forward(x, spec, weights):
         layer = plan[name]
         w, b = weights[name + ".weight"], weights[name + ".bias"]
         op = {"sub": oracle_submanifold, "strided": oracle_strided,
-              "point": pointwise_conv}.get(layer["op"])
+              "fuse": pointwise_conv, "point": pointwise_conv}.get(layer["op"])
         out = oracle_transposed(tensor, *target, w, b) if layer["op"] == "up" else op(tensor, w, b)
         out.feats = np.maximum(out.feats, 0.0) if layer["act"] == "relu" else out.feats
         return out
@@ -399,8 +392,23 @@ def coord_sets(draw, max_n=40, extent=5, bases=BASES):
 
 
 def in_code_order(coords):
-    """The rows in ascending `_encode` order, the order unet_forward's sites come in."""
+    """The rows in ascending `_encode` order, the only order the convs take."""
     return coords[np.argsort(sparse_unet._encode(coords))]
+
+
+def site_sets(**kwargs):
+    """coord_sets in code order."""
+    return coord_sets(**kwargs).map(in_code_order)
+
+
+def coarse_near(coarse, target):
+    """`coarse` moved next to the parents of `target`, then inward until every
+    child 2 * coarse + offset is encodable; a shift keeps the code order."""
+    if not (target.size and coarse.size):
+        return coarse
+    coarse = coarse - coarse[:1] + (target[0] >> 1)
+    return (coarse - np.maximum(coarse.max(axis=0) - COARSE_MAX, 0)
+            + np.maximum(-COARSE_MAX - coarse.min(axis=0), 0))
 
 
 def same(a, b):
@@ -426,52 +434,53 @@ NAMED_SETS = {
 
 class TestKernelMapOracle:
     @settings(max_examples=120, deadline=None)
-    @given(coord_sets(), st.integers(0, 2**32 - 1))
+    @given(site_sets(), st.integers(0, 2**32 - 1))
     def test_submanifold(self, coords, seed):
-        for coords in (coords, in_code_order(coords)):
-            x, w, b = conv_case(np.random.default_rng(seed), coords, 3, 4)
-            same(submanifold_conv(x, w, b), oracle_submanifold(x, w, b))
-            same(submanifold_conv(x, w, b, kmap=submanifold_map(coords)),
-                 oracle_submanifold(x, w, b))
-            same_pairs(submanifold_map(coords), oracle_submanifold_rows(coords))
+        x, w, b = conv_case(np.random.default_rng(seed), coords, 3, 4)
+        same(submanifold_conv(x, w, b), oracle_submanifold(x, w, b))
+        same(submanifold_conv(x, w, b, kmap=submanifold_map(coords)),
+             oracle_submanifold(x, w, b))
+        same_pairs(submanifold_map(coords), oracle_submanifold_rows(coords))
 
     @settings(max_examples=120, deadline=None)
-    @given(coord_sets(), st.integers(0, 2**32 - 1))
+    @given(site_sets(), st.integers(0, 2**32 - 1))
     def test_strided(self, coords, seed):
-        for coords in (coords, in_code_order(coords)):
-            x, w, b = conv_case(np.random.default_rng(seed), coords, 3, 4)
-            same(strided_down(x, w, b), oracle_strided(x, w, b))
-            same(strided_down(x, w, b, kmap=down_map(coords)), oracle_strided(x, w, b))
-            kmap = down_map(coords)
-            same_pairs(kmap, oracle_strided_rows(coords, kmap.out_coords))
+        x, w, b = conv_case(np.random.default_rng(seed), coords, 3, 4)
+        same(strided_down(x, w, b), oracle_strided(x, w, b))
+        same(strided_down(x, w, b, kmap=down_map(coords)), oracle_strided(x, w, b))
+        kmap = down_map(coords)
+        same_pairs(kmap, oracle_strided_rows(coords, kmap.out_coords))
 
     @settings(max_examples=120, deadline=None)
-    @given(coord_sets(), coord_sets(extent=3, bases=[0]), st.booleans(),
+    @given(site_sets(), site_sets(extent=3, bases=[0]), st.booleans(),
            st.integers(0, 2**32 - 1))
     def test_transposed(self, target, coarse, from_target, seed):
         # the coarse set is either the downsampled target or an unrelated set
         # that leaves some targets without parents and some parents without children
-        if from_target:
-            coarse = np.random.default_rng(seed).permutation(downsample_coords(target))
-        elif target.size and coarse.size:
-            coarse = coarse - coarse[:1] + (target[0] >> 1)
-            # shift inward until every child 2 * coarse + offset is encodable
-            coarse = (coarse - np.maximum(coarse.max(axis=0) - COARSE_MAX, 0)
-                      + np.maximum(-COARSE_MAX - coarse.min(axis=0), 0))
-        for target, coarse in ((target, coarse), (in_code_order(target), in_code_order(coarse))):
-            x, w, b = conv_case(np.random.default_rng(seed), coarse, 3, 4, stride=2)
-            same(transposed_up(x, target, w, b), oracle_transposed(x, target, w, b))
-            same_pairs(down_map(target, coarse).transpose(target),
-                       oracle_transposed_rows(coarse, target))
+        coarse = downsample_coords(target) if from_target else coarse_near(coarse, target)
+        x, w, b = conv_case(np.random.default_rng(seed), coarse, 3, 4, stride=2)
+        same(transposed_up(x, target, w, b), oracle_transposed(x, target, w, b))
+        same_pairs(down_map(target, coarse).transpose(target),
+                   oracle_transposed_rows(coarse, target))
+
+    @settings(max_examples=100, deadline=None)
+    @given(site_sets(), site_sets(extent=3, bases=[0]), st.booleans())
+    def test_pairs_ascend_within_each_offset(self, fine, coarse, from_fine):
+        # what the gathers and the C scatter-add read in row order
+        coarse = downsample_coords(fine) if from_fine else coarse_near(coarse, fine)
+        kmap = down_map(fine, coarse)
+        for m in (submanifold_map(fine), kmap, kmap.transpose(fine)):
+            for o, i in m.pairs:
+                assert np.all(o[1:] > o[:-1]) and np.all(i[1:] > i[:-1])
 
     @pytest.mark.parametrize("name", sorted(NAMED_SETS))
     def test_named_sets(self, name):
         rng = np.random.default_rng(9)
-        coords = NAMED_SETS[name]
+        coords = in_code_order(NAMED_SETS[name])
         x, w, b = conv_case(rng, coords, 2, 3)
         same(submanifold_conv(x, w, b), oracle_submanifold(x, w, b))
         same(strided_down(x, w, b), oracle_strided(x, w, b))
-        coarse, _, _ = conv_case(rng, downsample_coords(coords)[::-1], 2, 3, stride=2)
+        coarse, _, _ = conv_case(rng, downsample_coords(coords), 2, 3, stride=2)
         same(transposed_up(coarse, coords, w, b), oracle_transposed(coarse, coords, w, b))
 
     @pytest.mark.parametrize("layout", ["fortran", "strided"])
@@ -487,9 +496,9 @@ class TestKernelMapOracle:
 
     def test_transposed_onto_set_it_was_not_downsampled_from(self):
         rng = np.random.default_rng(10)
-        coarse = SparseTensor(np.array([[0, 0, 0], [5, 5, 5], [-1, 2, 0]]),
+        coarse = SparseTensor(np.array([[-1, 2, 0], [0, 0, 0], [5, 5, 5]]),
                               rng.normal(size=(3, 2)), stride=2)
-        target = np.array([[1, 1, 1], [-2, 4, -1], [10, 10, 11], [0, 0, 0], [40, 0, 0]])
+        target = np.array([[-2, 4, -1], [0, 0, 0], [1, 1, 1], [10, 10, 11], [40, 0, 0]])
         w = rng.normal(size=(3, 3, 3, 2, 3))
         same(transposed_up(coarse, target, w), oracle_transposed(coarse, target, w))
 
@@ -499,7 +508,7 @@ class TestKernelMapOracle:
         # a neighbour one step past the edge would carry into the next field of its code
         coords = np.zeros((2, 3), np.int64)
         coords[1, axis] = edge
-        x = SparseTensor(coords, np.ones((2, 1)))
+        x = SparseTensor(in_code_order(coords), np.ones((2, 1)))
         with pytest.raises(InvalidInputError, match="out of supported range"):
             submanifold_conv(x, np.ones((3, 3, 3, 1, 1)))
 
@@ -511,7 +520,7 @@ class TestKernelMapOracle:
 
     @pytest.mark.parametrize("levels,blocks", [((), 2), ((), 0), ((5, 7), 1), ((3, 4, 5, 6), 2)])
     @settings(max_examples=15, deadline=None)
-    @given(coords=coord_sets(max_n=60), seed=st.integers(0, 2**32 - 1))
+    @given(coords=site_sets(max_n=60), seed=st.integers(0, 2**32 - 1))
     def test_unet_forward(self, levels, blocks, coords, seed):
         rng = np.random.default_rng(seed)
         spec = UNetSpec(levels=levels, blocks_per_level=blocks)
@@ -549,23 +558,15 @@ class TestKernelMapOracle:
         same(unet_forward(x, UNetSpec(), weights), oracle_forward(x, UNetSpec(), weights))
 
     def test_unet_forward_on_a_shell_on_both_backends(self, kernel_backend):
-        self.same_forward_as_oracle(np.random.default_rng(14).permutation(self.shell()))
-
-    def test_unet_forward_on_a_code_ordered_shell_on_both_backends(self, kernel_backend):
-        # the row order voxelize gives the pipeline's U-Net
         coords = self.shell()
         assert coords.tobytes() == in_code_order(coords).tobytes()
         self.same_forward_as_oracle(coords)
 
-    @pytest.mark.parametrize("order", ["drawn", "code"])
-    def test_map_pairs_on_many_voxels(self, order):
-        # Every offset pairs at least 100 sites here, so pairs listed out of
-        # order show; the convs' outputs do not depend on that order.
+    def test_map_pairs_on_many_voxels(self):
+        # every offset pairs at least 100 sites here, so pairs listed out of order show
         rng = np.random.default_rng(21)
         fine = random_sparse(rng, n=3000, extent=8).coords
         coarse = downsample_coords(fine)
-        fine, coarse = ((rng.permutation(fine), rng.permutation(coarse)) if order == "drawn"
-                        else (in_code_order(fine), in_code_order(coarse)))
         same_pairs(submanifold_map(fine), oracle_submanifold_rows(fine))
         kmap = down_map(fine, coarse)
         same_pairs(kmap, oracle_strided_rows(fine, coarse))
@@ -580,21 +581,22 @@ class TestKernelMapOracle:
 
     @pytest.mark.parametrize("seed", [18, 19])
     def test_full_size_centre_that_is_not_the_identity(self, seed):
-        # every fine site 2 * c is its coarse site's centre child, listed in another
-        # row order: the centre offset pairs all n rows, but not row j with row j
+        # every coarse site c has its centre child 2 * c, and some an odd child
+        # listed between them: the centre offset pairs all n coarse rows, but
+        # not row j with row j
         rng = np.random.default_rng(seed)
         coarse = np.unique(rng.integers(-6, 6, (40, 3)), axis=0)
-        fine = rng.permutation(2 * coarse)
+        fine = in_code_order(np.concatenate([2 * coarse, 2 * coarse[::3] + [0, 1, 1]]))
         n = coarse.shape[0]
         x, w, b = conv_case(rng, fine, 3, 4)
         kmap = down_map(fine)
         o, i = kmap.pairs[13]
-        assert o.size == i.size == n and (i != np.arange(n)).any()
+        assert o.tolist() == list(range(n)) and (i != np.arange(n)).any()
         same(strided_down(x, w, b), oracle_strided(x, w, b))
-        y, w, b = conv_case(rng, coarse[::-1].copy(), 3, 4, stride=2)
+        y, w, b = conv_case(rng, coarse, 3, 4, stride=2)
         kmap = down_map(fine, y.coords).transpose(fine)
         o, i = kmap.pairs[13]
-        assert o.size == i.size == n and (i != np.arange(n)).any()
+        assert i.tolist() == list(range(n)) and (o != np.arange(n)).any()
         same(transposed_up(y, fine, w, b), oracle_transposed(y, fine, w, b))
 
     def test_one_coordinate_index_per_level(self, monkeypatch):
@@ -617,8 +619,7 @@ class TestKernelMapOracle:
     def test_coordinate_searches_and_sorts_per_forward(self, monkeypatch):
         # On the default 3 levels a forward searches 4 times per submanifold map
         # and 8 times per down map; a search per offset made 3 x 13 + 2 x 27 = 93.
-        # On sites in code order it sorts only to build each level's index and
-        # to group each down map's pairs by offset: no map's pairs need reordering.
+        # It sorts only to group each down map's pairs by offset.
         rng = np.random.default_rng(20)
         coords = in_code_order(random_sparse(rng, n=300, extent=6).coords)
         feats = rng.normal(size=(coords.shape[0], 4))
@@ -633,36 +634,88 @@ class TestKernelMapOracle:
 
             monkeypatch.setattr(np, name, counting)
         unet_forward(SparseTensor(coords, feats), UNetSpec(), weights)
-        assert calls == {"searchsorted": 3 * 4 + 2 * 8, "argsort": 3 + 2}
-        calls.update(searchsorted=0, argsort=0)
-        unet_forward(SparseTensor(coords[::-1].copy(), feats[::-1].copy()), UNetSpec(), weights)
-        assert calls["searchsorted"] == 28 and calls["argsort"] > 5
+        assert calls == {"searchsorted": 3 * 4 + 2 * 8, "argsort": 2}
 
 
+@pytest.fixture
+def no_conv_runs(monkeypatch):
+    def ran(*args):
+        raise AssertionError("a conv ran before the sites were checked")
+
+    monkeypatch.setattr(sparse_unet, "_apply_map", ran)
+
+
+def unet_case(coords):
+    spec = UNetSpec(levels=(2, 3))
+    return SparseTensor(coords, np.ones((coords.shape[0], 2))), spec, random_weights(spec, 2)
+
+
+@pytest.mark.usefixtures("no_conv_runs")
 class TestDuplicateCoordinates:
     # a lookup finds only one of two rows at one site, so the other would be
     # silently left out of every conv that gathers it
     DUPLICATE = np.array([[0, 0, 0], [0, 0, 1], [0, 0, 1]])
+    MATCH = r"site \[0, 0, 1\] at row 2 is repeated or out of order"
 
     def test_submanifold(self):
         x = SparseTensor(self.DUPLICATE, np.array([[1.0], [10.0], [100.0]]))
-        with pytest.raises(InvalidInputError, match="duplicate voxel coordinates"):
+        with pytest.raises(InvalidInputError, match=self.MATCH):
             submanifold_conv(x, np.ones((3, 3, 3, 1, 1)))
 
     def test_strided(self):
         x = SparseTensor(self.DUPLICATE, np.ones((3, 2)))
-        with pytest.raises(InvalidInputError, match="duplicate voxel coordinates"):
+        with pytest.raises(InvalidInputError, match=self.MATCH):
             strided_down(x, np.ones((3, 3, 3, 2, 2)))
 
     def test_transposed_target(self):
         x = SparseTensor(np.array([[0, 0, 0]]), np.ones((1, 2)), stride=2)
-        with pytest.raises(InvalidInputError, match="duplicate voxel coordinates"):
+        with pytest.raises(InvalidInputError, match=self.MATCH):
             transposed_up(x, self.DUPLICATE, np.ones((3, 3, 3, 2, 2)))
 
     def test_transposed_coarse(self):
         x = SparseTensor(np.array([[0, 0, 0], [0, 0, 0]]), np.ones((2, 2)), stride=2)
-        with pytest.raises(InvalidInputError, match="duplicate voxel coordinates"):
+        with pytest.raises(InvalidInputError, match=r"site \[0, 0, 0\] at row 1 is repeated"):
             transposed_up(x, np.array([[0, 0, 0], [1, 0, 0]]), np.ones((3, 3, 3, 2, 2)))
+
+    def test_unet_forward(self):
+        with pytest.raises(InvalidInputError, match=self.MATCH):
+            unet_forward(*unet_case(self.DUPLICATE))
+
+
+@pytest.mark.usefixtures("no_conv_runs")
+class TestSitesOutOfCodeOrder:
+    # the maps list each offset's pairs in the sites' row order, which must be code order
+    SWAPPED = np.array([[0, 0, 0], [1, -1, 0], [0, 5, 0]])  # rows 1 and 2 swapped
+    MATCH = r"site \[0, 5, 0\] at row 2 is repeated or out of order"
+
+    def test_submanifold(self):
+        x = SparseTensor(self.SWAPPED, np.ones((3, 1)))
+        with pytest.raises(InvalidInputError, match=self.MATCH):
+            submanifold_conv(x, np.ones((3, 3, 3, 1, 1)))
+
+    def test_strided(self):
+        x = SparseTensor(self.SWAPPED, np.ones((3, 2)))
+        with pytest.raises(InvalidInputError, match=self.MATCH):
+            strided_down(x, np.ones((3, 3, 3, 2, 2)))
+
+    def test_transposed_target(self):
+        x = SparseTensor(np.array([[0, 0, 0]]), np.ones((1, 2)), stride=2)
+        with pytest.raises(InvalidInputError, match=self.MATCH):
+            transposed_up(x, self.SWAPPED, np.ones((3, 3, 3, 2, 2)))
+
+    def test_transposed_coarse(self):
+        x = SparseTensor(self.SWAPPED, np.ones((3, 2)), stride=2)
+        with pytest.raises(InvalidInputError, match=self.MATCH):
+            transposed_up(x, np.array([[0, 0, 0], [1, 0, 0]]), np.ones((3, 3, 3, 2, 2)))
+
+    def test_unet_forward(self):
+        with pytest.raises(InvalidInputError, match=self.MATCH):
+            unet_forward(*unet_case(self.SWAPPED))
+
+    def test_reversed_unet_forward(self):
+        x = random_sparse(np.random.default_rng(22), n=50, cin=2)
+        with pytest.raises(InvalidInputError, match="at row 1 is repeated or out of order"):
+            unet_forward(*unet_case(x.coords[::-1].copy()))
 
 
 def scatter_case(rng, n, m, c, special=False):
@@ -741,8 +794,8 @@ class TestScatterAddRows:
 
 
 class TestCodeOrder:
-    """unet_forward builds its maps without reordering any pairs only when
-    each level's sites come in strictly ascending `_encode` order."""
+    """The convs take each level's sites only in strictly ascending `_encode`
+    order, which voxelize and downsample_coords give."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 400),
