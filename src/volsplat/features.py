@@ -8,13 +8,13 @@ feature grid at 1/s resolution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from ._kernels import plane_sweep
 from .errors import InvalidInputError
-from .geometry import CameraView, DepthMap, Intrinsics, bilinear_sample
+from .geometry import CameraView, DepthMap, bilinear_sample
 # unused here, but perfbench/run.py:install_trace wraps features.warp_feature by name
 from .geometry import warp_feature  # noqa: F401
 
@@ -24,19 +24,6 @@ DEPTH_SPACINGS = ("linear", "inverse")
 # size that can be allocated; larger values are config errors.
 MAX_FEATURE_CHANNELS = 128
 MAX_DEPTH_HYPOTHESES = 256
-
-
-@dataclass
-class FeatureMap:
-    data: np.ndarray  # (H/s) x (W/s) x C
-    scale_factor: int
-    channels: int
-
-    def __post_init__(self):
-        if self.data.ndim != 3 or self.data.shape[2] != self.channels:
-            raise InvalidInputError("feature data must be (H/s, W/s, C)")
-        if self.scale_factor < 1:
-            raise InvalidInputError("scale factor must be positive")
 
 
 @dataclass
@@ -101,14 +88,14 @@ def _gradient_descriptor(img: np.ndarray, spec: FeatureExtractorSpec) -> np.ndar
     return _block_mean(feat, spec.scale)
 
 
-def extract_features(view: CameraView, spec: FeatureExtractorSpec) -> FeatureMap:
-    """Turn a view into its deterministic (H/s, W/s, C) feature grid."""
+def extract_features(view: CameraView, spec: FeatureExtractorSpec) -> np.ndarray:
+    """A view's deterministic feature grid, an (H/s, W/s, C) array with
+    C = `spec.channels` and s = `spec.scale`."""
     img = np.asarray(view.image, dtype=float)
     h, w = img.shape[:2]
     if h % spec.scale or w % spec.scale:
         raise InvalidInputError("image size must be divisible by the feature scale")
-    return FeatureMap(data=_gradient_descriptor(img, spec), scale_factor=spec.scale,
-                      channels=spec.channels)
+    return _gradient_descriptor(img, spec)
 
 
 def sample_depth_hypotheses(near: float, far: float, count: int, spacing: str = "inverse"):
@@ -130,14 +117,15 @@ def sample_depth_hypotheses(near: float, far: float, count: int, spacing: str = 
 
 
 def build_cost_volume(
-    ref: FeatureMap,
-    neighbors: Sequence[Tuple[FeatureMap, tuple]],
+    ref: np.ndarray,
+    neighbors: Sequence[Tuple[np.ndarray, tuple]],
     ref_cam: tuple,
     hypotheses,
 ) -> CostVolume:
     """Plane-sweep dot-product matching volume for one reference view.
 
-    Cameras are (Intrinsics, Extrinsics) at feature resolution. Each
+    Feature maps are (H/s, W/s, C) arrays, all of one shape, and cameras
+    are (Intrinsics, Extrinsics) at feature resolution. Each
     neighbor is one `plane_sweep` call that adds its scores and valid counts
     into the volume, in the order the neighbors are given; scores are then
     the channel-normalized means over the neighbors with valid warps, and
@@ -148,14 +136,14 @@ def build_cost_volume(
     hyp = np.asarray(hypotheses, dtype=float)
     if not np.all((hyp > 0) & np.isfinite(hyp)):
         raise InvalidInputError("depth hypotheses must be positive and finite")
-    if any(nb_feat.data.shape != ref.data.shape for nb_feat, _ in neighbors):
-        raise InvalidInputError("all feature maps must share shape")
-    h, w, _ = ref.data.shape
+    if ref.ndim != 3 or any(nb_feat.shape != ref.shape for nb_feat, _ in neighbors):
+        raise InvalidInputError("feature maps must be (H/s, W/s, C) arrays that share shape")
+    h, w, _ = ref.shape
     acc = np.zeros((h, w, hyp.size))
     n_valid = np.zeros((h, w, hyp.size))
-    ref_data = np.ascontiguousarray(ref.data, dtype=np.float64)
+    ref_data = np.ascontiguousarray(ref, dtype=np.float64)
     for nb_feat, nb_cam in neighbors:
-        plane_sweep(ref_data, np.ascontiguousarray(nb_feat.data, dtype=np.float64),
+        plane_sweep(ref_data, np.ascontiguousarray(nb_feat, dtype=np.float64),
                     ref_cam, nb_cam, hyp, acc, n_valid)
     scores = np.divide(acc, n_valid, out=np.zeros_like(acc), where=n_valid > 0)
     return CostVolume(scores=scores, depth_hypotheses=hyp,
@@ -196,13 +184,3 @@ def bilinear_upsample(src: np.ndarray, target: tuple) -> np.ndarray:
         return out[..., 0]
     out, _ = bilinear_sample(src, u, v)
     return out
-
-
-def upsample_depth(d: DepthMap, target: tuple) -> DepthMap:
-    """Bilinear depth upsampling with conservative validity propagation."""
-    values = bilinear_upsample(d.values, target)
-    # A target pixel stays valid only if every contributing source pixel is.
-    inv = bilinear_upsample((~d.valid_mask).astype(float), target)
-    mask = inv == 0.0
-    values = np.where(mask, values, 1.0)  # placeholder on invalid cells
-    return DepthMap(values=values, valid_mask=mask)

@@ -86,13 +86,16 @@ class Extrinsics:
 
 @dataclass
 class CameraView:
-    """One input image with its calibrated camera and optional true depth."""
+    """One input image with its calibrated camera and optional true depth.
+
+    A true depth given without a mask is valid at every pixel: the view
+    then stores an all-true mask."""
 
     image: np.ndarray  # H x W x 3, values in [0, 1]
     intrinsics: Intrinsics
     extrinsics: Extrinsics
     gt_depth: Optional[np.ndarray] = None
-    gt_depth_mask: Optional[np.ndarray] = None
+    gt_depth_mask: Optional[np.ndarray] = None  # H x W bool, where gt_depth is valid
 
     def __post_init__(self):
         h, w = self.image.shape[:2]
@@ -104,9 +107,13 @@ class CameraView:
         if self.gt_depth is not None:
             if self.gt_depth.shape != (h, w):
                 raise InvalidInputError("gt_depth shape mismatch")
+            if self.gt_depth_mask is None:
+                self.gt_depth_mask = np.ones((h, w), bool)
             mask = self.gt_depth_mask
-            valid = np.ones((h, w), bool) if mask is None else mask
-            depth = self.gt_depth[valid]
+            if not isinstance(mask, np.ndarray) or mask.dtype != bool or mask.shape != (h, w):
+                raise InvalidInputError(
+                    f"gt_depth_mask must be a boolean array of shape ({h}, {w})")
+            depth = self.gt_depth[mask]
             if not np.all(np.isfinite(depth)) or np.any(depth <= 0):
                 raise InvalidInputError("gt_depth must be finite and strictly positive where valid")
 

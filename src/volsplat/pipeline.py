@@ -17,12 +17,11 @@ from .features import (
     DEPTH_SPACINGS,
     MAX_DEPTH_HYPOTHESES,
     FeatureExtractorSpec,
-    FeatureMap,
+    bilinear_upsample,
     build_cost_volume,
     extract_features,
     regress_depth,
     sample_depth_hypotheses,
-    upsample_depth,
 )
 from .gaussians import (
     MAX_SH_DEGREE,
@@ -228,27 +227,39 @@ def _fits(value, kind: type) -> bool:
     return isinstance(value, bool) == (kind is bool) and isinstance(value, _ACCEPTED[kind])
 
 
-def _stage(name, fn, *args, **kwargs):
+def _stage(name: str, timings: dict, fn, *args):
+    """`fn(*args)` as the stage `name`: its seconds go to `timings[name]`,
+    and any error it raises becomes a `StageError` naming the stage."""
+    t0 = time.perf_counter()
     try:
-        return fn(*args, **kwargs)
+        result = fn(*args)
     except StageError:
         raise
     except Exception as e:  # noqa: BLE001 - every stage error gets tagged
         raise StageError(name, e) from e
+    timings[name] = time.perf_counter() - t0
+    return result
 
 
-def _estimate_depths(
+def _features(views: Sequence[CameraView], spec: FeatureExtractorSpec) -> List[np.ndarray]:
+    return [extract_features(v, spec) for v in views]
+
+
+def _depths(
     views: Sequence[CameraView],
-    fmaps: Sequence[FeatureMap],
+    fmaps: Sequence[np.ndarray],
     cfg: PipelineConfig,
-) -> Tuple[List[DepthMap], float]:
-    """Depth per view from its plane-sweep cost volume, and the share of
-    (view, pixel, plane) cells with at least one valid neighbour.
+) -> Tuple[List[DepthMap], Optional[float]]:
+    """Depth per view, and the share of (view, pixel, plane) cells with at
+    least one valid neighbour (None with ground-truth depth).
 
-    The cost volume sums neighbour scores in floating point, in list order, so
-    the depths depend on the order of `views`; `run_pipeline` passes them
-    sorted. The share is a ratio of integer counts, so no view order or thread
-    count moves it."""
+    Estimated depth comes from each view's plane-sweep cost volume. The cost
+    volume sums neighbour scores in floating point, in list order, so the
+    depths depend on the order of `views`; `run_pipeline` passes them
+    sorted. The share is a ratio of integer counts, so no view order or
+    thread count moves it."""
+    if cfg.depth.use_gt:
+        return [DepthMap(v.gt_depth, v.gt_depth_mask) for v in views], None
     hyp = sample_depth_hypotheses(cfg.depth.near, cfg.depth.far,
                                   cfg.depth.num_hypotheses, cfg.depth.spacing)
     s = cfg.feature.scale
@@ -261,9 +272,31 @@ def _estimate_depths(
         valid_cells += cv.valid_cells
         cells += cv.scores.size
         d = regress_depth(cv, cfg.depth.temperature)
-        h, w = view.image.shape[:2]
-        depths.append(upsample_depth(d, (h, w)) if s > 1 else d)
+        if s > 1:
+            d = DepthMap(bilinear_upsample(d.values, view.image.shape[:2]))
+        depths.append(d)
     return depths, valid_cells / cells
+
+
+def _refine(x: SparseTensor, spec: UNetSpec, weights, seed: int) -> SparseTensor:
+    """The U-Net's residual refinement of `x`, with random weights drawn
+    from `seed` when `weights` is None."""
+    if weights is None:
+        weights = random_weights(spec, x.feats.shape[1], seed)
+    return residual_refine(x, unet_forward(x, spec, weights))
+
+
+def _decode(x: SparseTensor, keys: np.ndarray, cfg: HeadConfig, head_weights,
+            voxel_size: float) -> GaussianSet:
+    """One Gaussian per voxel from its features, through the `cfg.kind`
+    head; a linear head without weights draws them from `cfg.seed`."""
+    if cfg.kind == "color-copy":
+        raw = RawGaussianParams(_color_copy_raw(x.feats, cfg), cfg.sh_degree)
+    else:  # "linear"; validate() admits only HEAD_KINDS
+        if head_weights is None:
+            head_weights = random_head_weights(x.feats.shape[1], cfg.sh_degree, cfg.seed)
+        raw = decode_raw(x, head_weights, cfg.sh_degree)
+    return activate_set(raw, keys, voxel_size, cfg.offset_radius_multiplier * voxel_size)
 
 
 def _color_copy_raw(grid_feats: np.ndarray, cfg: HeadConfig) -> np.ndarray:
@@ -282,18 +315,19 @@ def _color_copy_raw(grid_feats: np.ndarray, cfg: HeadConfig) -> np.ndarray:
 
 
 def _view_key(v: CameraView) -> Tuple[bytes, ...]:
-    """The bytes of a view's pose, image and ground-truth depth and mask (a
-    missing mask is all-true); intrinsics are shared by every view."""
+    """The bytes of a view's pose, image and ground-truth depth and mask;
+    intrinsics are shared by every view."""
     key = (v.extrinsics.R.tobytes() + v.extrinsics.T.tobytes(),
            np.asarray(v.image, dtype=float).tobytes())
     if v.gt_depth is None:
         return key
-    mask = np.ones(v.gt_depth.shape, bool) if v.gt_depth_mask is None else v.gt_depth_mask
-    return key + (np.asarray(v.gt_depth, dtype=float).tobytes(), mask.tobytes())
+    return key + (np.asarray(v.gt_depth, dtype=float).tobytes(), v.gt_depth_mask.tobytes())
 
 
 def run_pipeline(views: Sequence[CameraView], config: PipelineConfig):
-    """Full forward pass; returns (GaussianSet, diagnostics dict)."""
+    """Full forward pass; returns (GaussianSet, diagnostics dict).
+
+    `diagnostics["stages"]` holds the seconds of each stage that ran."""
     config.validate()
     use_gt = config.depth.use_gt
     if use_gt and any(v.gt_depth is None for v in views):
@@ -322,76 +356,29 @@ def run_pipeline(views: Sequence[CameraView], config: PipelineConfig):
         head_weights = load_weights(config.head.weights_path)
         check_head_weights(head_weights, channels, config.head.sh_degree)
 
-    diagnostics: dict = {"stages": {}}
-    t0 = time.perf_counter()
-
-    def tick(name):
-        nonlocal t0
-        t1 = time.perf_counter()
-        diagnostics["stages"][name] = t1 - t0
-        t0 = t1
-
-    fmaps = _stage("features", lambda: [extract_features(v, fspec) for v in views])
-    tick("features")
-
-    if use_gt:
-        depths = [DepthMap(values=v.gt_depth if v.gt_depth_mask is None
-                           else np.where(v.gt_depth_mask, v.gt_depth, 1.0),
-                           valid_mask=v.gt_depth_mask)  # None: every pixel valid
-                  for v in views]
-        valid_fraction = None
-    else:
-        depths, valid_fraction = _stage("depth", _estimate_depths, views, fmaps, config)
-    tick("depth")
-
-    cloud = _stage("lift", lift_views, views, fmaps, depths)
-    tick("lift")
-    grid = _stage("voxelize", voxelize, cloud, config.voxel.size)
-    tick("voxelize")
-
-    v_tensor = SparseTensor(coords=grid.keys.copy(), feats=grid.features.copy(), stride=1)
+    timings: dict = {}
+    fmaps = _stage("features", timings, _features, views, fspec)
+    depths, valid_fraction = _stage("depth", timings, _depths, views, fmaps, config)
+    cloud = _stage("lift", timings, lift_views, views, fmaps, depths)
+    grid = _stage("voxelize", timings, voxelize, cloud, config.voxel.size)
+    x = SparseTensor(coords=grid.keys.copy(), feats=grid.features.copy(), stride=1)
     if config.unet.enabled:
-        def refine():
-            weights = unet_weights
-            if weights is None:
-                weights = random_weights(spec, v_tensor.feats.shape[1], config.unet.seed)
-            r = unet_forward(v_tensor, spec, weights)
-            return residual_refine(v_tensor, r)
-
-        refined = _stage("refine", refine)
-    else:
-        refined = v_tensor
-    tick("refine")
-
-    def decode():
-        if config.head.kind == "color-copy":
-            raw = RawGaussianParams(_color_copy_raw(refined.feats, config.head),
-                                    config.head.sh_degree)
-        else:  # "linear"; validate() admits only HEAD_KINDS
-            head_w = head_weights
-            if head_w is None:
-                head_w = random_head_weights(refined.feats.shape[1],
-                                             config.head.sh_degree, config.head.seed)
-            raw = decode_raw(refined, head_w, config.head.sh_degree)
-        radius = config.head.offset_radius_multiplier * config.voxel.size
-        return activate_set(raw, grid.keys, config.voxel.size, radius)
-
-    gset = _stage("decode", decode)
-    tick("decode")
+        x = _stage("refine", timings, _refine, x, spec, unet_weights, config.unet.seed)
+    gset = _stage("decode", timings, _decode, x, grid.keys, config.head, head_weights,
+                  config.voxel.size)
 
     n = len(views)
-    diagnostics.update(
-        {
-            "num_views": n,
-            "point_count": len(cloud),
-            "occupied_voxels": len(grid),
-            "gaussian_count": len(gset),
-            "pgs": len(gset) / n,
-            "voxel_size": config.voxel.size,
-            "unet_enabled": bool(config.unet.enabled),
-            "cost_volume_valid_fraction": valid_fraction,
-        }
-    )
+    diagnostics = {
+        "stages": timings,
+        "num_views": n,
+        "point_count": len(cloud),
+        "occupied_voxels": len(grid),
+        "gaussian_count": len(gset),
+        "pgs": len(gset) / n,
+        "voxel_size": config.voxel.size,
+        "unet_enabled": bool(config.unet.enabled),
+        "cost_volume_valid_fraction": valid_fraction,
+    }
     return gset, diagnostics
 
 

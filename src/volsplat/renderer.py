@@ -140,12 +140,6 @@ def bin_tiles(tx0, tx1, ty0, ty1, nx: int, ny: int):
     return rows[by_tile], bounds
 
 
-def sorted_splats(gset: GaussianSet, K: Intrinsics, E: Extrinsics):
-    """Projected splats in global front-to-back order, with the original
-    index as the tiebreak: (mean2d, conics, z, colors, opacities, radius)."""
-    return _project_all(gset, K, E)[:6]
-
-
 def rasterize(mean2d, conics, colors, ops, radius, h: int, w: int, threads: int = 1):
     """Composite depth-sorted 2D splats front to back into an h x w image.
 
@@ -230,7 +224,7 @@ def render(
     workers, the calling thread among them (0 = os.cpu_count()); no more
     workers start than there are non-empty tiles."""
     check_threads(threads)
-    mean2d, conics, _, colors, ops, radius = sorted_splats(gset, K, E)
+    mean2d, conics, _, colors, ops, radius, _ = _project_all(gset, K, E)
     rgb, transmit = rasterize(mean2d, conics, colors, ops, radius, K.height, K.width, threads)
     rgb = rgb + transmit[..., None] * np.asarray(bg, dtype=float)
     return RenderedImage(rgb=np.clip(rgb, 0.0, 1.0), alpha=1.0 - transmit)

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import InvalidInputError
 from .gaussians import SH_C0, GaussianSet
 from .geometry import CameraView, Extrinsics, Intrinsics
-from .renderer import rasterize, render, sorted_splats
+from .renderer import _project_all, rasterize, render
 from .sceneio import read_json
 
 DEFAULT_UP = (0.0, -1.0, 0.0)  # image-up in world coordinates (y points down)
@@ -291,7 +291,7 @@ def _expected_depth(gset: GaussianSet, K: Intrinsics, E: Extrinsics):
     The splats are composited through the renderer's tile path with colour
     [z, 1, 0]: channel 0 accumulates sum(alpha T z) and channel 1 sum(alpha T).
     """
-    mean2d, conics, z, _, ops, radius = sorted_splats(gset, K, E)
+    mean2d, conics, z, _, ops, radius, _ = _project_all(gset, K, E)
     colors = np.stack([z, np.ones_like(z), np.zeros_like(z)], axis=1)
     rgb, _ = rasterize(mean2d, conics, colors, ops, radius, K.height, K.width)
     acc_d, acc_a = rgb[..., 0], rgb[..., 1]

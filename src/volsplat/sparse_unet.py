@@ -328,13 +328,6 @@ class UNetSpec:
 class WeightBlob:
     tensors: "Dict[str, np.ndarray]" = field(default_factory=dict)
 
-    def checksum(self) -> int:
-        crc = 0
-        for name in self.tensors:
-            crc = zlib.crc32(name.encode(), crc)
-            crc = zlib.crc32(np.ascontiguousarray(self.tensors[name], "<f4").tobytes(), crc)
-        return crc
-
     def __getitem__(self, name: str) -> np.ndarray:
         try:
             return self.tensors[name]

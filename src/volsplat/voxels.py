@@ -8,7 +8,7 @@ from typing import List, Sequence
 import numpy as np
 
 from .errors import InvalidInputError
-from .features import FeatureMap, bilinear_upsample
+from .features import bilinear_upsample
 from .geometry import CameraView, DepthMap, unproject_pixel
 
 
@@ -82,23 +82,22 @@ def voxel_center(key, voxel_size: float) -> np.ndarray:
 
 def lift_views(
     views: Sequence[CameraView],
-    features: Sequence[FeatureMap],
+    features: Sequence[np.ndarray],
     depths: Sequence[DepthMap],
 ) -> FeaturedPointCloud:
     """Unproject every valid pixel of every view, carrying its feature.
 
-    Feature maps below full resolution are bilinearly upsampled so each
-    pixel owns a feature vector.
+    Each view's features are an (H/s, W/s, C) array; below full resolution
+    they are bilinearly upsampled so each pixel owns a feature vector.
     """
     if not (len(views) == len(features) == len(depths)):
         raise InvalidInputError("views/features/depths lists must align")
     pos_chunks: List[np.ndarray] = []
     feat_chunks: List[np.ndarray] = []
-    for view, fmap, depth in zip(views, features, depths):
+    for view, feat, depth in zip(views, features, depths):
         h, w = view.image.shape[:2]
         if depth.values.shape != (h, w):
             raise InvalidInputError("depth map must be at full image resolution")
-        feat = fmap.data
         if feat.shape[:2] != (h, w):
             feat = bilinear_upsample(feat, (h, w))
         mask = depth.valid_mask
@@ -112,7 +111,7 @@ def lift_views(
         pos_chunks.append(pts)
         feat_chunks.append(feat[vs, us])
     if not pos_chunks:
-        c = features[0].channels if features else 0
+        c = features[0].shape[2] if features else 0
         return FeaturedPointCloud(np.zeros((0, 3)), np.zeros((0, c)))
     return FeaturedPointCloud(
         positions=np.concatenate(pos_chunks),

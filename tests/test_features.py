@@ -5,15 +5,13 @@ from volsplat.errors import InvalidInputError
 from volsplat.features import (
     CostVolume,
     FeatureExtractorSpec,
-    FeatureMap,
     bilinear_upsample,
     build_cost_volume,
     extract_features,
     regress_depth,
     sample_depth_hypotheses,
-    upsample_depth,
 )
-from volsplat.geometry import CameraView, DepthMap, Extrinsics, Intrinsics
+from volsplat.geometry import CameraView, Extrinsics, Intrinsics
 
 
 def make_view(img):
@@ -27,8 +25,8 @@ class TestExtractors:
         view = make_view(np.full((16, 16, 3), 0.5))
         fm = extract_features(view, FeatureExtractorSpec(channels=6, scale=1))
         # channels: R G B luma (all centered at 0.5) then gx gy
-        assert np.all(fm.data[..., 4:6] == 0)
-        assert np.all(fm.data[..., 0:3] == 0.0)
+        assert np.all(fm[..., 4:6] == 0)
+        assert np.all(fm[..., 0:3] == 0.0)
 
     def test_determinism(self):
         rng = np.random.default_rng(5)
@@ -36,14 +34,14 @@ class TestExtractors:
         spec = FeatureExtractorSpec(channels=8, scale=2)
         a = extract_features(make_view(img), spec)
         b = extract_features(make_view(img), spec)
-        np.testing.assert_array_equal(a.data, b.data)
+        np.testing.assert_array_equal(a, b)
 
     def test_checkerboard_gradients_on_boundaries(self):
         # 8x8 board of 2px squares; forward differences fire exactly on edges
         tile = np.kron(np.indices((8, 8)).sum(axis=0) % 2, np.ones((2, 2)))
         img = np.repeat(tile[..., None], 3, axis=2).astype(float)
         fm = extract_features(make_view(img), FeatureExtractorSpec(channels=6, scale=1))
-        gx = fm.data[..., 4]
+        gx = fm[..., 4]
         expect_gx = np.zeros((16, 16))
         expect_gx[:, :-1] = tile[:, 1:] - tile[:, :-1]
         np.testing.assert_allclose(np.abs(gx) > 0, np.abs(expect_gx) > 0)
@@ -89,21 +87,20 @@ class TestCostVolume:
     def test_identity_neighbor_gives_self_similarity(self):
         rng = np.random.default_rng(8)
         data = rng.normal(size=(8, 8, 4))
-        fm = FeatureMap(data, 1, 4)
         cam = feature_cam(8, 8)
-        cv = build_cost_volume(fm, [(fm, cam)], cam, [1.0, 2.0, 4.0])
+        cv = build_cost_volume(data, [(data, cam)], cam, [1.0, 2.0, 4.0])
         expect = np.sum(data * data, axis=-1) / 4
         for m in range(3):
             np.testing.assert_allclose(cv.scores[:, :, m], expect, atol=1e-12)
 
     def test_zero_features_zero_scores(self):
-        fm = FeatureMap(np.zeros((8, 8, 4)), 1, 4)
+        fm = np.zeros((8, 8, 4))
         cam = feature_cam(8, 8)
         cv = build_cost_volume(fm, [(fm, cam)], cam, [1.0, 2.0])
         assert np.all(cv.scores == 0)
 
     def test_rejects_empty_neighbors(self):
-        fm = FeatureMap(np.zeros((8, 8, 4)), 1, 4)
+        fm = np.zeros((8, 8, 4))
         with pytest.raises(InvalidInputError):
             build_cost_volume(fm, [], feature_cam(8, 8), [1.0, 2.0])
 
@@ -117,18 +114,18 @@ class TestCostVolume:
         # valid warp; at depth 1e12 the shift snaps to 0 and every pixel has
         cam = feature_cam(8, 8)
         shifted = (cam[0], Extrinsics(np.eye(3), np.array([1.0 / 8, 0, 0])))
-        fm = FeatureMap(np.ones((8, 8, 2)), 1, 2)
+        fm = np.ones((8, 8, 2))
         cv = build_cost_volume(fm, [(fm, shifted), (fm, shifted)], cam, [1.0, 1e12])
         assert cv.valid_cells == 8 * 7 + 8 * 8
         assert CostVolume(np.zeros((2, 2, 2)), np.array([1.0, 2.0])).valid_cells is None
 
     def test_permutation_invariant_over_neighbors(self):
         rng = np.random.default_rng(9)
-        ref = FeatureMap(rng.normal(size=(8, 8, 3)), 1, 3)
+        ref = rng.normal(size=(8, 8, 3))
         cam = feature_cam(8, 8)
-        n1 = (FeatureMap(rng.normal(size=(8, 8, 3)), 1, 3),
+        n1 = (rng.normal(size=(8, 8, 3)),
               (cam[0], Extrinsics(np.eye(3), np.array([0.05, 0, 0]))))
-        n2 = (FeatureMap(rng.normal(size=(8, 8, 3)), 1, 3),
+        n2 = (rng.normal(size=(8, 8, 3)),
               (cam[0], Extrinsics(np.eye(3), np.array([-0.05, 0, 0]))))
         a = build_cost_volume(ref, [n1, n2], cam, [1.0, 2.0])
         b = build_cost_volume(ref, [n2, n1], cam, [1.0, 2.0])
@@ -163,14 +160,11 @@ class TestRegressDepth:
 
 class TestUpsample:
     def test_same_size_identity(self):
-        d = DepthMap(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        out = upsample_depth(d, (2, 2))
-        np.testing.assert_array_equal(out.values, d.values)
+        src = np.array([[1.0, 2.0], [3.0, 4.0]])
+        np.testing.assert_array_equal(bilinear_upsample(src, (2, 2)), src)
 
     def test_constant_stays_constant(self):
-        d = DepthMap(np.full((4, 4), 2.5))
-        out = upsample_depth(d, (16, 16))
-        np.testing.assert_allclose(out.values, 2.5)
+        np.testing.assert_allclose(bilinear_upsample(np.full((4, 4), 2.5), (16, 16)), 2.5)
 
     def test_2x2_to_4x4_matches_bilinear_formula(self):
         src = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -189,15 +183,6 @@ class TestUpsample:
                                 + src[y1, x1] * fy * fx)
         np.testing.assert_allclose(out, expect, atol=1e-12)
 
-    def test_conservative_mask(self):
-        mask = np.ones((2, 2), bool)
-        mask[0, 0] = False
-        d = DepthMap(np.ones((2, 2)), mask)
-        out = upsample_depth(d, (4, 4))
-        # anything touched by the invalid source pixel must be invalid
-        assert not out.valid_mask[0, 0]
-        assert out.valid_mask[3, 3]
-
     def test_rejects_non_integer_ratio(self):
         with pytest.raises(InvalidInputError):
-            upsample_depth(DepthMap(np.ones((2, 2))), (5, 5))
+            bilinear_upsample(np.ones((2, 2)), (5, 5))

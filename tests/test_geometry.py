@@ -343,3 +343,19 @@ def test_camera_view_rejects_bad_gt_depth_where_valid(value):
     mask = np.ones((4, 4), bool)
     mask[1, 2] = False  # an invalid pixel may hold anything
     CameraView(np.zeros((4, 4, 3)), K4, Extrinsics.identity(), gt_depth=depth, gt_depth_mask=mask)
+
+
+def test_camera_view_depth_without_mask_is_valid_everywhere():
+    K4 = Intrinsics(fx=4, fy=4, cx=2, cy=2, width=4, height=4)
+    v = CameraView(np.zeros((4, 4, 3)), K4, Extrinsics.identity(), gt_depth=np.full((4, 4), 2.0))
+    assert v.gt_depth_mask.dtype == bool and v.gt_depth_mask.shape == (4, 4)
+    assert v.gt_depth_mask.all()
+
+
+@pytest.mark.parametrize("mask", [np.ones((8, 9), bool), np.ones((8, 8))],
+                         ids=["wrong-shape", "float"])
+def test_camera_view_rejects_a_mask_it_cannot_index_with(mask):
+    K8 = Intrinsics(fx=8, fy=8, cx=4, cy=4, width=8, height=8)
+    with pytest.raises(InvalidInputError, match=r"must be a boolean array of shape \(8, 8\)"):
+        CameraView(np.zeros((8, 8, 3)), K8, Extrinsics.identity(),
+                   gt_depth=np.full((8, 8), 2.0), gt_depth_mask=mask)

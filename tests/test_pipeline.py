@@ -231,7 +231,12 @@ class TestRunPipeline:
         assert diag["point_count"] == 3 * 24 * 24
         assert diag["occupied_voxels"] == len(gset)
         assert diag["pgs"] == pytest.approx(len(gset) / 3)
-        assert set(diag["stages"]) >= {"features", "depth", "lift", "voxelize", "refine", "decode"}
+        assert set(diag["stages"]) == {"features", "depth", "lift", "voxelize", "refine", "decode"}
+        assert all(t >= 0 for t in diag["stages"].values())
+
+    def test_no_refine_time_without_the_unet(self):
+        _, diag = run_pipeline(wall_views(), base_config(unet={"enabled": False}))
+        assert set(diag["stages"]) == {"features", "depth", "lift", "voxelize", "decode"}
 
     def test_gt_depth_path_needs_depth_for_every_view(self):
         views = wall_views()

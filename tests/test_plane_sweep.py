@@ -29,7 +29,6 @@ from volsplat.features import (
     MAX_DEPTH_HYPOTHESES,
     MAX_FEATURE_CHANNELS,
     FeatureExtractorSpec,
-    FeatureMap,
     build_cost_volume,
     extract_features,
     sample_depth_hypotheses,
@@ -45,10 +44,6 @@ def rot(ax, ay):
     cx, sx, cy, sy = np.cos(ax), np.sin(ax), np.cos(ay), np.sin(ay)
     return np.array([[cy, 0, sy], [0, 1, 0], [-sy, 0, cy]]) @ np.array(
         [[1, 0, 0], [0, cx, -sx], [0, sx, cx]])
-
-
-def fmap(data):
-    return FeatureMap(data, 1, data.shape[2])
 
 
 def numpy_counts(nbrs, ref_cam, hyp, shape):
@@ -70,7 +65,7 @@ def check(monkeypatch, c_sweep, ref, nbrs, ref_cam, hyp):
     scores = []
     for sweep in (_kernels.plane_sweep_np, c_sweep):
         monkeypatch.setattr(features, "plane_sweep", sweep)
-        cv = build_cost_volume(fmap(ref), [(fmap(d), cam) for d, cam in nbrs], ref_cam, hyp)
+        cv = build_cost_volume(ref, nbrs, ref_cam, hyp)
         scores.append(cv.scores)
     want, got = scores
     assert got.shape == want.shape
@@ -94,7 +89,7 @@ def test_acceptance_09_wall(monkeypatch, c_sweep):
     fmaps = [extract_features(v, FeatureExtractorSpec(channels=6, scale=1)) for v in views]
     cams = [(v.intrinsics, v.extrinsics) for v in views]
     hyp = sample_depth_hypotheses(1.0, 4.0, 32, "inverse")
-    check(monkeypatch, c_sweep, fmaps[0].data, [(fmaps[j].data, cams[j]) for j in (1, 2)],
+    check(monkeypatch, c_sweep, fmaps[0], [(fmaps[j], cams[j]) for j in (1, 2)],
           cams[0], hyp)
 
 
@@ -107,8 +102,8 @@ def test_six_camera_sweep_ring(monkeypatch, c_sweep):
     cams = [(v.intrinsics, v.extrinsics) for v in views]
     hyp = sample_depth_hypotheses(0.5, 10.0, 32, "inverse")
     for i in (0, 3):  # opposite sides of the ring, five neighbours each
-        nbrs = [(fmaps[j].data, cams[j]) for j in range(6) if j != i]
-        _, counts = check(monkeypatch, c_sweep, fmaps[i].data, nbrs, cams[i], hyp)
+        nbrs = [(fmaps[j], cams[j]) for j in range(6) if j != i]
+        _, counts = check(monkeypatch, c_sweep, fmaps[i], nbrs, cams[i], hyp)
         assert counts.max() == 5 and counts.min() < 5
 
 
@@ -198,7 +193,7 @@ def test_non_finite_features_raise_on_both_backends(monkeypatch, c_sweep, where,
         monkeypatch.setattr(features, "plane_sweep", sweep)
         with pytest.raises(InvalidInputError, match="scores must be finite"), \
                 np.errstate(invalid="ignore"):
-            build_cost_volume(fmap(ref), [(fmap(nbr), cam)], cam, [1.0, 2.0])
+            build_cost_volume(ref, [(nbr, cam)], cam, [1.0, 2.0])
 
 
 @pytest.mark.parametrize("shape,hyp,match", [
@@ -209,11 +204,11 @@ def test_non_finite_features_raise_on_both_backends(monkeypatch, c_sweep, where,
 ])
 def test_bad_inputs_raise_on_both_backends(monkeypatch, c_sweep, shape, hyp, match):
     cam = grid_cam(8, 8, 8.0)
-    ref = fmap(np.ones((8, 8, 3)))
+    ref = np.ones((8, 8, 3))
     for sweep in (_kernels.plane_sweep_np, c_sweep):
         monkeypatch.setattr(features, "plane_sweep", sweep)
         with pytest.raises(InvalidInputError, match=match):
-            build_cost_volume(ref, [(ref, cam), (fmap(np.ones(shape)), cam)], cam, hyp)
+            build_cost_volume(ref, [(ref, cam), (np.ones(shape), cam)], cam, hyp)
 
 
 def test_non_finite_hypotheses_raise_before_the_kernel(monkeypatch):
@@ -222,7 +217,7 @@ def test_non_finite_hypotheses_raise_before_the_kernel(monkeypatch):
 
     monkeypatch.setattr(features, "plane_sweep", no_sweep)
     cam = grid_cam(8, 8, 8.0)
-    ref = fmap(np.ones((8, 8, 3)))
+    ref = np.ones((8, 8, 3))
     with pytest.raises(InvalidInputError, match="finite"):
         build_cost_volume(ref, [(ref, cam)], cam, [1.0, np.inf])
 
@@ -237,9 +232,9 @@ def test_compiled_sweep_builds_no_warped_grid(monkeypatch, c_sweep):
     data = np.random.default_rng(5).normal(size=(8, 8, 2))
     monkeypatch.setattr(features, "plane_sweep", _kernels.plane_sweep_np)
     with pytest.raises(AssertionError, match="warp_feature called"):
-        build_cost_volume(fmap(data), [(fmap(data), cam)], cam, [1.0, 2.0])
+        build_cost_volume(data, [(data, cam)], cam, [1.0, 2.0])
     monkeypatch.setattr(features, "plane_sweep", c_sweep)
-    build_cost_volume(fmap(data), [(fmap(data), cam)], cam, [1.0, 2.0])
+    build_cost_volume(data, [(data, cam)], cam, [1.0, 2.0])
 
 
 @settings(max_examples=40, deadline=None)
@@ -392,7 +387,7 @@ def test_bit_identical_on_the_sweep_workload(c_sweep, scalar_sweep):
     cams_spec = [CameraPose((0.3 * np.cos(a), 0.3 * np.sin(a), 0.0), (0.0, 0.0, 2.0))
                  for a in 2 * np.pi * np.array([0, 1, 3, 4]) / 6]
     views, _ = synthesize(SceneSpec(kind="sphere", cameras=cams_spec, image_size=(64, 64)))
-    fmaps = [extract_features(v, FeatureExtractorSpec(channels=12, scale=1)).data for v in views]
+    fmaps = [extract_features(v, FeatureExtractorSpec(channels=12, scale=1)) for v in views]
     cams = [(v.intrinsics, v.extrinsics) for v in views]
     hyp = sample_depth_hypotheses(0.5, 10.0, 32, "inverse")
     for i in range(4):

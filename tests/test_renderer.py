@@ -187,7 +187,7 @@ class TestRender:
             raise AssertionError("rendering was started")
 
         monkeypatch.setattr(renderer, "rasterize", no_pool)
-        monkeypatch.setattr(renderer, "sorted_splats", no_pool)
+        monkeypatch.setattr(renderer, "_project_all", no_pool)
         gset = make_set([0, 0, 2.0], [1, 0, 0], [0.5], [[0.02] * 3])
         with pytest.raises(InvalidInputError, match="threads must be 0"):
             render(gset, K, E0, threads=threads)

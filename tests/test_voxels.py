@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from volsplat.errors import InvalidInputError
-from volsplat.features import FeatureMap
 from volsplat.geometry import CameraView, DepthMap, Extrinsics, Intrinsics
 from volsplat.voxels import (
     FeaturedPointCloud,
@@ -178,7 +177,7 @@ class TestVoxelize:
         v = flat_view()
         d = DepthMap(v.gt_depth)
         rng = np.random.default_rng(8)
-        fmaps = [FeatureMap(rng.normal(size=(8, 8, 3)), 1, 3) for _ in range(2)]
+        fmaps = [rng.normal(size=(8, 8, 3)) for _ in range(2)]
         cloud = lift_views([v, v], fmaps, [d, d])
         perm = rng.permutation(len(cloud))
         shuffled = FeaturedPointCloud(cloud.positions[perm], cloud.features[perm])
@@ -199,7 +198,7 @@ class TestVoxelize:
 
 class TestLiftViews:
     def _fmap(self, h=8, w=8, c=3):
-        return FeatureMap(np.random.default_rng(0).normal(size=(h, w, c)), 1, c)
+        return np.random.default_rng(0).normal(size=(h, w, c))
 
     def test_single_view_point_count(self):
         v = flat_view()
