@@ -4,7 +4,6 @@ refinement -> Gaussians, plus evaluation against held-out views."""
 from __future__ import annotations
 
 import json
-import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -36,7 +35,7 @@ from .gaussians import (
 )
 from .geometry import CameraView, DepthMap
 from .renderer import compute_image_metrics, render
-from .sceneio import read_json
+from .sceneio import finite_number, read_json
 from .sparse_unet import (
     MAX_UNET_BLOCKS,
     MAX_UNET_WIDTH,
@@ -178,7 +177,7 @@ class PipelineConfig:
                             ("depth.temperature", d.temperature),
                             ("voxel.size", self.voxel.size),
                             ("head.offset_radius_multiplier", h.offset_radius_multiplier)):
-            if not 0 < value < math.inf:
+            if not (finite_number(value) and value > 0):
                 raise InvalidInputError(f"{name} must be a positive finite number, got {value!r}")
         if not d.near < d.far:
             raise InvalidInputError(f"need depth.near < depth.far, got ({d.near}, {d.far})")
@@ -207,7 +206,7 @@ class PipelineConfig:
             raise InvalidInputError(
                 f"head.kind=color-copy needs feature.channels >= 3, got {f.channels}")
         bg = self.render.bg
-        if len(bg) != 3 or not all(_fits(c, float) and -math.inf < c < math.inf for c in bg):
+        if len(bg) != 3 or not all(map(finite_number, bg)):
             raise InvalidInputError(f"render.bg must be 3 finite numbers, got {bg!r}")
 
 
@@ -337,6 +336,8 @@ def run_pipeline(views: Sequence[CameraView], config: PipelineConfig):
     k0 = views[0].intrinsics
     if any(v.intrinsics != k0 for v in views):
         raise InvalidInputError("all views must share intrinsics")
+    if k0.width % config.feature.scale or k0.height % config.feature.scale:
+        raise InvalidInputError("the image size must be divisible by feature.scale")
     # Every stage sums over views in floating point, in list order. Sorting the
     # views by their content fixes that order, so no output depends on the
     # order the views came in.

@@ -13,7 +13,7 @@ import os
 import re
 import struct
 from dataclasses import asdict
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -21,6 +21,14 @@ from .errors import FormatError, InvalidInputError
 from .geometry import CameraView, Extrinsics, Intrinsics
 
 DEPTH_MAGIC = b"VSDP"
+
+
+def finite_number(value) -> bool:
+    """Whether `value` is a number, not a bool, that converts to a finite float."""
+    try:
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):  # not a number; an int too large for a float
+        return False
 
 
 def read_bytes(path, what: str) -> bytes:
@@ -101,11 +109,13 @@ def load_camera_json(path) -> tuple:
     """Read an (Intrinsics, Extrinsics) pair from the camera JSON format."""
     d = read_json(path, "camera JSON")
     try:
-        K = Intrinsics(d["fx"], d["fy"], d["cx"], d["cy"], int(d["width"]), int(d["height"]))
+        if not all(type(d[k]) is int for k in ("width", "height")):
+            raise FormatError(f"{path}: camera width and height must be integers")
+        K = Intrinsics(d["fx"], d["fy"], d["cx"], d["cy"], d["width"], d["height"])
         E = Extrinsics(np.array(d["R"], dtype=float).reshape(3, 3), np.array(d["T"], dtype=float))
     except KeyError as e:
         raise InvalidInputError(f"camera JSON missing field {e}") from e
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:  # OverflowError: an int beyond float
         raise FormatError(f"{path}: malformed camera field: {e}") from e
     return K, E
 
@@ -116,11 +126,9 @@ def save_camera_json(path, K: Intrinsics, E: Extrinsics) -> None:
         json.dump(camera, f, indent=2)
 
 
-def write_depth(path, depth: np.ndarray, mask: Optional[np.ndarray] = None) -> None:
+def write_depth(path, depth: np.ndarray, mask: np.ndarray) -> None:
     """Stores 1.0 for a non-finite depth where `mask` is false, so `read_depth` takes it."""
     h, w = depth.shape
-    if mask is None:
-        mask = np.ones((h, w), bool)
     with open(path, "wb") as f:
         f.write(DEPTH_MAGIC + struct.pack("<II", h, w))
         np.where(mask | np.isfinite(depth), depth, 1.0).astype("<f4").tofile(f)

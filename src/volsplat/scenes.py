@@ -7,10 +7,8 @@ regression), two-planes (occlusion), sphere (curvature), gaussian-garden
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -18,11 +16,26 @@ from .errors import InvalidInputError
 from .gaussians import SH_C0, GaussianSet
 from .geometry import CameraView, Extrinsics, Intrinsics
 from .renderer import _project_all, rasterize, render
-from .sceneio import read_json
+from .sceneio import finite_number, read_json
 
 DEFAULT_UP = (0.0, -1.0, 0.0)  # image-up in world coordinates (y points down)
 
-_KINDS = ("textured-wall", "two-planes", "sphere", "gaussian-garden")
+# The parameters each scene kind reads, with their defaults: a float, a tuple
+# of floats for a point, or the garden's int `side` (splats per grid row).
+_PARAMS = {
+    "textured-wall": {"wall_z": 2.0, "texture_scale": 2.0},
+    "two-planes": {"near_z": 1.5, "far_z": 3.0, "half_extent": 0.5, "texture_scale": 2.0},
+    "sphere": {"center": (0.0, 0.0, 2.0), "radius": 0.6, "far_z": 4.0, "texture_scale": 2.0},
+    "gaussian-garden": {"side": 48, "half_extent": 1.6, "z_base": 2.0, "z_amp": 0.15,
+                        "splat_scale": 0.07},
+}
+# Every view holds several (H, W, 3) float arrays (rays, hits, texture taps),
+# about 100 MB each at 2048 x 2048; a larger image side is a spec error.
+MAX_IMAGE_SIDE = 2048
+# A garden of side n holds n^2 splats, each rendered and depth-composited per
+# camera: 512 (262,144 splats) draws two 64 x 64 views in about 3 s and 190 MB
+# on a 2-vCPU host, while 10^7 would ask numpy for hundreds of TiB.
+MAX_GARDEN_SIDE = 512
 
 
 @dataclass
@@ -33,10 +46,10 @@ class CameraPose:
 
     def __post_init__(self):
         for name in ("position", "look_at", "up"):
-            v = getattr(self, name)
-            if len(v) != 3 or not all(isinstance(c, numbers.Real) and not isinstance(c, bool)
-                                      and math.isfinite(c) for c in v):
+            v = tuple(getattr(self, name))
+            if len(v) != 3 or not all(map(finite_number, v)):
                 raise InvalidInputError(f"camera {name} must be 3 finite numbers, got {v!r}")
+            setattr(self, name, v)
 
 
 @dataclass
@@ -45,59 +58,65 @@ class SceneSpec:
     cameras: List[CameraPose]
     image_size: Tuple[int, int] = (64, 64)  # (W, H)
     seed: int = 0
-    near: float = 0.5
-    far: float = 10.0
     fov_deg: float = 60.0
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in _PARAMS:
             raise InvalidInputError(f"unknown scene kind {self.kind!r}")
         if len(self.cameras) < 2:
             raise InvalidInputError("a scene needs at least two cameras")
-        if not 0 < self.near < self.far:
-            raise InvalidInputError("need 0 < near < far")
         if type(self.seed) is not int or self.seed < 0:
             raise InvalidInputError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if len(self.image_size) != 2 or not all(type(v) is int and v > 0 for v in self.image_size):
-            raise InvalidInputError(f"image_size must be 2 positive integers, got {self.image_size}")
+        self.image_size = tuple(self.image_size)
+        if len(self.image_size) != 2 or not all(
+                type(v) is int and 0 < v <= MAX_IMAGE_SIDE for v in self.image_size):
+            raise InvalidInputError(f"image_size must be 2 integers from 1 to {MAX_IMAGE_SIDE}, "
+                                    f"got {self.image_size}")
+        if not (finite_number(self.fov_deg) and 0 < self.fov_deg < 180):
+            raise InvalidInputError(f"fov_deg must be a number in (0, 180), got {self.fov_deg!r}")
         if not isinstance(self.params, dict):
             raise InvalidInputError(f"params must be an object, got {self.params!r}")
+        table = _PARAMS[self.kind]
+        for key, value in self.params.items():
+            if key not in table:
+                raise InvalidInputError(f"unknown {self.kind} scene param {key!r}; "
+                                        f"it takes {', '.join(table)}")
+            if isinstance(table[key], int):  # the garden's `side`
+                if type(value) is not int or not 2 <= value <= MAX_GARDEN_SIDE:
+                    raise InvalidInputError(f"scene param {key!r} must be an integer from 2 to "
+                                            f"{MAX_GARDEN_SIDE}, got {value!r}")
+            elif not _like(value, table[key]):
+                raise InvalidInputError(f"scene param {key!r} must be finite and shaped like "
+                                        f"{table[key]}, got {value!r}")
 
     @staticmethod
     def from_json(path_or_dict) -> "SceneSpec":
+        """A spec from a dict or a JSON file of one; an unknown key is a spec error."""
         d = path_or_dict
         if not isinstance(d, dict):
             d = read_json(path_or_dict, "scene spec")
         try:
-            cams = [
-                CameraPose(tuple(c["position"]), tuple(c["look_at"]),
-                           tuple(c.get("up", DEFAULT_UP)))
-                for c in d["cameras"]
-            ]
-            return SceneSpec(
-                kind=d["kind"], cameras=cams,
-                image_size=tuple(d.get("image_size", (64, 64))),
-                seed=d.get("seed", 0),
-                near=float(d.get("near", 0.5)), far=float(d.get("far", 10.0)),
-                fov_deg=float(d.get("fov_deg", 60.0)),
-                params=d.get("params", {}),
-            )
-        except (KeyError, TypeError, ValueError) as e:
+            cameras = [CameraPose(**c) for c in d["cameras"]]
+            return SceneSpec(**{**d, "cameras": cameras})
+        except (KeyError, TypeError) as e:
             raise InvalidInputError(f"bad scene spec: {e}") from e
 
 
-def _param(spec: SceneSpec, key: str, default):
-    """`spec.params[key]` (or `default`) as finite floats shaped like `default`."""
-    value = spec.params.get(key, default)
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        arr = np.array(np.nan)  # not numbers: rejected below
-    if arr.shape != np.shape(default) or not np.all(np.isfinite(arr)):
-        raise InvalidInputError(
-            f"scene param {key!r} must be finite and shaped like {default}, got {value!r}")
-    return arr if arr.ndim else float(arr)
+def _like(value, default) -> bool:
+    """Whether `value` is finite and shaped like `default`, a float or a tuple of floats."""
+    if isinstance(default, tuple):
+        return (isinstance(value, (list, tuple)) and len(value) == len(default)
+                and all(map(finite_number, value)))
+    return finite_number(value)
+
+
+def _params(spec: SceneSpec) -> dict:
+    """Every parameter of the spec's kind, its default where the spec sets
+    none, in its default's type; points as float arrays."""
+    table = _PARAMS[spec.kind]
+    return {k: np.asarray(v, float) if isinstance(table[k], tuple) else type(table[k])(v)
+            for k, v in {**table, **spec.params}.items()}
 
 
 def look_at_extrinsics(position, target, up=DEFAULT_UP) -> Extrinsics:
@@ -151,17 +170,11 @@ def _ray_grid(K: Intrinsics, E: Extrinsics):
     return m @ E.R.T
 
 
-def _plane_depth(E: Extrinsics, dirs: np.ndarray, plane_z: float):
-    """Per-pixel z-depth lambda with origin + lambda * dirs hitting z = plane_z."""
-    dz = dirs[..., 2]
+def _plane_hit(E: Extrinsics, dirs: np.ndarray, plane_z: float):
+    """Per-pixel z-depth lambda with origin + lambda * dirs on z = plane_z, and those points."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        lam = (plane_z - E.T[2]) / dz
-    return lam
-
-
-def _shade_wall(spec: SceneSpec, E: Extrinsics, dirs, lam, tex, tex_scale):
-    hit = E.T + lam[..., None] * dirs
-    return tex(hit[..., 0] / tex_scale, hit[..., 1] / tex_scale)
+        lam = (plane_z - E.T[2]) / dirs[..., 2]
+        return lam, E.T + lam[..., None] * dirs
 
 
 def synthesize(spec: SceneSpec):
@@ -172,80 +185,58 @@ def synthesize(spec: SceneSpec):
     """
     K = _intrinsics(spec)
     tex = _value_noise(spec.seed)
+    p = _params(spec)
+    gt_set = _garden_gaussians(spec) if spec.kind == "gaussian-garden" else None
     views: List[CameraView] = []
-    gt_set: Optional[GaussianSet] = None
-
-    if spec.kind == "gaussian-garden":
-        gt_set = _garden_gaussians(spec)
-
     for pose in spec.cameras:
         E = look_at_extrinsics(pose.position, pose.look_at, pose.up)
-        dirs = _ray_grid(K, E)
-        if spec.kind == "textured-wall":
-            wall_z = _param(spec, "wall_z", 2.0)
-            scale = _param(spec, "texture_scale", 2.0)
-            lam = _plane_depth(E, dirs, wall_z)
-            if np.any(lam <= 0):
-                raise InvalidInputError("wall is not fully in front of a camera")
-            img = _shade_wall(spec, E, dirs, lam, tex, scale)
-            depth, mask = lam, np.ones(lam.shape, bool)
-        elif spec.kind == "two-planes":
-            z1 = _param(spec, "near_z", 1.5)
-            z2 = _param(spec, "far_z", 3.0)
-            half = _param(spec, "half_extent", 0.5)
-            scale = _param(spec, "texture_scale", 2.0)
-            lam2 = _plane_depth(E, dirs, z2)
-            if np.any(lam2 <= 0):
-                raise InvalidInputError("far plane is not fully in front of a camera")
-            img = _shade_wall(spec, E, dirs, lam2, tex, scale)
-            depth = lam2.copy()
-            lam1 = _plane_depth(E, dirs, z1)
-            hit1 = E.T + lam1[..., None] * dirs
-            on_sq = (lam1 > 0) & (np.abs(hit1[..., 0]) <= half) & (np.abs(hit1[..., 1]) <= half)
-            front = tex(hit1[..., 0] / scale + 0.5, hit1[..., 1] / scale + 0.5)
-            img = np.where(on_sq[..., None], front, img)
-            depth = np.where(on_sq, lam1, depth)
-            mask = np.ones(depth.shape, bool)
-        elif spec.kind == "sphere":
-            center = _param(spec, "center", (0.0, 0.0, 2.0))
-            radius = _param(spec, "radius", 0.6)
-            z2 = _param(spec, "far_z", 4.0)
-            scale = _param(spec, "texture_scale", 2.0)
-            lam2 = _plane_depth(E, dirs, z2)
-            if np.any(lam2 <= 0):
-                raise InvalidInputError("backdrop is not fully in front of a camera")
-            img = _shade_wall(spec, E, dirs, lam2, tex, scale)
-            depth = lam2.copy()
-            # |o + lam d - c|^2 = r^2 with non-unit d: solve the quadratic
-            oc = E.T - center
-            a = np.sum(dirs * dirs, axis=-1)
-            b = 2 * np.sum(dirs * oc, axis=-1)
-            c = float(oc @ oc) - radius * radius
-            disc = b * b - 4 * a * c
-            hit = disc > 0
-            sq = np.sqrt(np.where(hit, disc, 0.0))
-            lam_s = (-b - sq) / (2 * a)
-            hit &= lam_s > 0
-            p = E.T + lam_s[..., None] * dirs
-            n = (p - center) / radius
-            light = np.asarray((0.4, -0.5, -0.75))
-            light = light / np.linalg.norm(light)
-            lambert = np.clip(np.sum(n * -light, axis=-1), 0.0, 1.0)
-            albedo = tex(np.arctan2(n[..., 1], n[..., 0]) / (2 * np.pi),
-                         np.arccos(np.clip(n[..., 2], -1, 1)) / np.pi)
-            sph = albedo * (0.25 + 0.75 * lambert[..., None])
-            img = np.where(hit[..., None], sph, img)
-            depth = np.where(hit, lam_s, depth)
-            mask = np.ones(depth.shape, bool)
-        else:  # gaussian-garden
-            out = render(gt_set, K, E, bg=(0.0, 0.0, 0.0))
-            img = out.rgb
+        if gt_set is not None:
+            img = render(gt_set, K, E, bg=(0.0, 0.0, 0.0)).rgb
             depth, mask = _expected_depth(gt_set, K, E)
+        else:
+            img, depth = _draw(spec.kind, p, tex, E, _ray_grid(K, E))
+            mask = np.ones(depth.shape, bool)
         views.append(
             CameraView(image=np.clip(img, 0.0, 1.0), intrinsics=K, extrinsics=E,
                        gt_depth=np.where(mask, depth, 1.0), gt_depth_mask=mask)
         )
     return views, gt_set
+
+
+def _draw(kind: str, p: dict, tex, E: Extrinsics, dirs):
+    """(image, depth) of an analytic kind: its occluder over a textured backdrop plane."""
+    depth, hit = _plane_hit(E, dirs, p["wall_z"] if kind == "textured-wall" else p["far_z"])
+    if np.any(depth <= 0):
+        raise InvalidInputError(f"the {kind} backdrop is not fully in front of a camera")
+    scale = p["texture_scale"]
+    img = tex(hit[..., 0] / scale, hit[..., 1] / scale)
+    if kind == "two-planes":
+        lam, hit = _plane_hit(E, dirs, p["near_z"])
+        half = p["half_extent"]
+        on_sq = (lam > 0) & (np.abs(hit[..., 0]) <= half) & (np.abs(hit[..., 1]) <= half)
+        front = tex(hit[..., 0] / scale + 0.5, hit[..., 1] / scale + 0.5)
+        return np.where(on_sq[..., None], front, img), np.where(on_sq, lam, depth)
+    if kind == "sphere":
+        center, radius = p["center"], p["radius"]
+        # |o + lam d - c|^2 = r^2 with non-unit d: solve the quadratic
+        oc = E.T - center
+        a = np.sum(dirs * dirs, axis=-1)
+        b = 2 * np.sum(dirs * oc, axis=-1)
+        c = float(oc @ oc) - radius * radius
+        disc = b * b - 4 * a * c
+        hit = disc > 0
+        sq = np.sqrt(np.where(hit, disc, 0.0))
+        lam_s = (-b - sq) / (2 * a)
+        hit &= lam_s > 0
+        n = (E.T + lam_s[..., None] * dirs - center) / radius
+        light = np.asarray((0.4, -0.5, -0.75))
+        light = light / np.linalg.norm(light)
+        lambert = np.clip(np.sum(n * -light, axis=-1), 0.0, 1.0)
+        albedo = tex(np.arctan2(n[..., 1], n[..., 0]) / (2 * np.pi),
+                     np.arccos(np.clip(n[..., 2], -1, 1)) / np.pi)
+        sph = albedo * (0.25 + 0.75 * lambert[..., None])
+        return np.where(hit[..., None], sph, img), np.where(hit, lam_s, depth)
+    return img, depth
 
 
 def _garden_gaussians(spec: SceneSpec) -> GaussianSet:
@@ -254,14 +245,10 @@ def _garden_gaussians(spec: SceneSpec) -> GaussianSet:
     The surface fully covers the camera frustums, so accumulated alpha
     saturates and the expected-depth map is well defined everywhere.
     """
+    p = _params(spec)
     rng = np.random.default_rng(spec.seed)
-    n_side = spec.params.get("side", 48)
-    if type(n_side) is not int or n_side < 2:
-        raise InvalidInputError(f"scene param 'side' must be an integer >= 2, got {n_side!r}")
-    ext = _param(spec, "half_extent", 1.6)
-    z0 = _param(spec, "z_base", 2.0)
-    amp = _param(spec, "z_amp", 0.15)
-    size = _param(spec, "splat_scale", 0.07)
+    n_side, ext = p["side"], p["half_extent"]
+    z0, amp, size = p["z_base"], p["z_amp"], p["splat_scale"]
     tex = _value_noise(spec.seed + 1)
     height = _value_noise(spec.seed + 2)
     xs = np.linspace(-ext, ext, n_side)

@@ -246,6 +246,14 @@ class TestRun:
         assert_one_error_line(res, 1)
         assert "stage 'refine' failed" in res.stderr
 
+    def test_feature_scale_not_dividing_the_image_exits_2(self, runner, tmp_path):
+        scene = tmp_path / "scene"
+        save_scene(synthesize(SceneSpec.from_json(wall_spec_dict(size=20)))[0], scene)
+        res = runner.invoke(main, run_args(scene, tmp_path / "x", "-o", "feature.scale=8"))
+        assert_one_error_line(res, 2)
+        assert "image size must be divisible by feature.scale" in res.stderr
+        assert "stage" not in res.stderr
+
     @pytest.mark.parametrize("unet", ["false", "true"])
     def test_far_gt_depth_fails_in_voxelize(self, runner, tmp_path, unet):
         # a 1e30 depth at voxel 0.05 puts a key beyond int64, which the cast
@@ -573,6 +581,15 @@ def eval_on_missing_targets(scene_dir, tmp_path):
     return eval_args(tmp_path / "g.ply", tmp_path / "none", tmp_path)
 
 
+def camera_field(**fields):
+    """Case setup: `run` on the scene with `view_000.json` updated."""
+    def setup(scene_dir, tmp_path):
+        path = scene_dir / "view_000.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), **fields}))
+        return run_args(scene_dir, tmp_path / "x")
+    return setup
+
+
 def first_camera(**fields):
     """Case setup: `synth` on the wall spec with its first camera updated."""
     cams = wall_spec_dict()["cameras"]
@@ -632,11 +649,28 @@ MALFORMED_INPUTS = {
     "synth-garden-side-one": spec_file({"kind": "gaussian-garden", "params": {"side": 1}}),
     "synth-garden-side-negative": spec_file({"kind": "gaussian-garden", "params": {"side": -1}}),
     "synth-garden-side-float": spec_file({"kind": "gaussian-garden", "params": {"side": 8.5}}),
+    # 10^7 splats per row would need hundreds of TiB; 300000^2 pixels hundreds of GiB
+    "synth-garden-side-huge": spec_file({"kind": "gaussian-garden", "params": {"side": 10**7}}),
+    "synth-image-size-huge": spec_file({"image_size": [300000, 300000]}),
+    "synth-unknown-key": spec_file({"fov": 20}),
+    "synth-near-far": spec_file({"near": 0.5, "far": 10.0}),
+    "synth-camera-unknown-key": first_camera(upp=[0.0, -1.0, 0.0]),
+    "synth-camera-not-object": spec_file({"cameras": [[0, 0, 0], [0.2, 0, 0]]}),
+    "synth-param-unknown": spec_file({"kind": "sphere", "params": {"radiuss": 0.5}}),
+    "synth-param-of-other-kind": spec_file({"kind": "sphere", "params": {"wall_z": 2.0}}),
+    "synth-param-bool": spec_file({"params": {"wall_z": True}}),
+    "synth-param-int-too-large-for-float": spec_file({"params": {"wall_z": 10**400}}),
+    "synth-fov-text": spec_file({"fov_deg": "60"}),
+    "synth-fov-zero": spec_file({"fov_deg": 0}),
+    "synth-fov-180": spec_file({"fov_deg": 180}),
     "synth-spec-missing": lambda scene_dir, tmp_path: synth_args(tmp_path / "none.json", tmp_path),
     "synth-spec-directory": lambda scene_dir, tmp_path: synth_args(scene_dir, tmp_path),
     "run-scene-missing": lambda scene_dir, tmp_path: [
         "run", "--scene", str(tmp_path / "none"), "--out", str(tmp_path / "x")],
     "run-use-gt-without-depth-files": without_depth_files,
+    "run-camera-width-infinity": camera_field(width=float("inf")),
+    "run-camera-width-fraction": camera_field(width=24.5),  # int() would make it the true 24
+    "run-camera-fx-int-too-large-for-float": camera_field(fx=10**400),
     "run-sh-degree-4": lambda scene_dir, tmp_path: run_args(scene_dir, tmp_path / "x",
                                                             "-o", "head.sh_degree=4"),
     "eval-gaussians-missing": lambda scene_dir, tmp_path: eval_args(

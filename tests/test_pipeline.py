@@ -184,6 +184,8 @@ class TestConfig:
         ("loss", {"lam": "0.05"}),
         ("render", {"bg": (0.0, True, 0.0)}),
         ("unet", {"blocks": MAX_UNET_BLOCKS + 1}),
+        ("voxel", {"size": 10**400}),  # an int too large for a float
+        ("render", {"bg": (0.0, 10**400, 0.0)}),
     ])
     def test_validate_rejects(self, section, values):
         cfg = base_config(**{section: values})

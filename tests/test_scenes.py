@@ -1,10 +1,17 @@
+import itertools
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from volsplat import scenes
 from volsplat.errors import InvalidInputError
 from volsplat.geometry import project_point
 from volsplat.renderer import _project_all
 from volsplat.scenes import (
+    MAX_GARDEN_SIDE,
+    MAX_IMAGE_SIDE,
     CameraPose,
     SceneSpec,
     _expected_depth,
@@ -77,6 +84,100 @@ class TestSpecValidation:
     def test_from_json_missing_field(self):
         with pytest.raises(InvalidInputError):
             SceneSpec.from_json({"kind": "sphere"})
+
+    @pytest.mark.parametrize("change", [
+        {"fov": 20},
+        {"near": 0.5},
+        {"far": 10.0},
+        {"cameras": [{"position": [0, 0, 0], "look_at": [0, 0, 2], "upp": [0, -1, 0]},
+                     {"position": [0.2, 0, 0], "look_at": [0, 0, 2]}]},
+        {"cameras": [[0, 0, 0], [0.2, 0, 0]]},
+        {"params": {"radiuss": 0.5}},
+        {"params": {"wall_z": 2.0}},
+        {"params": {"radius": True}},
+        {"params": {"radius": 10**400}},
+        {"params": {"center": [0, 0, 10**400]}},
+        {"params": {"center": (0, 0)}},
+        {"fov_deg": "60"},
+        {"fov_deg": 0},
+        {"fov_deg": 180},
+        {"fov_deg": True},
+        {"image_size": [MAX_IMAGE_SIDE + 1, 16]},
+    ], ids=repr)
+    def test_from_json_rejects(self, change):
+        with pytest.raises(InvalidInputError):
+            SceneSpec.from_json({**SPHERE_SPEC, **change})
+
+    @pytest.mark.parametrize("value", [1, 8.5, 2.0, True, MAX_GARDEN_SIDE + 1])
+    def test_garden_side_must_be_an_integer_in_range(self, value):
+        with pytest.raises(InvalidInputError, match="'side' must be an integer from 2"):
+            two_cam_spec("gaussian-garden", side=value)
+
+    def test_size_bounds_are_inclusive(self):
+        spec = SceneSpec.from_json({**SPHERE_SPEC, "image_size": [MAX_IMAGE_SIDE, 1]})
+        assert spec.image_size == (MAX_IMAGE_SIDE, 1)
+        assert two_cam_spec("gaussian-garden", side=MAX_GARDEN_SIDE).params["side"] == 512
+
+    def test_from_json_turns_lists_into_tuples(self):
+        spec = SceneSpec.from_json({**SPHERE_SPEC, "fov_deg": 45})
+        assert spec.image_size == (16, 16) and spec.fov_deg == 45
+        assert spec.cameras[0] == CameraPose((0, 0, 0), (0, 0, 2))
+        assert spec.cameras[0].up == scenes.DEFAULT_UP
+
+
+SPHERE_SPEC = {
+    "kind": "sphere",
+    "cameras": [
+        {"position": [0, 0, 0], "look_at": [0, 0, 2]},
+        {"position": [0.2, 0, 0], "look_at": [0, 0, 2]},
+    ],
+    "image_size": [16, 16],
+}
+
+# Each kind's parameters at the defaults the scenes were first drawn with.
+DEFAULT_PARAMS = {
+    "textured-wall": {"wall_z": 2.0, "texture_scale": 2.0},
+    "two-planes": {"near_z": 1.5, "far_z": 3.0, "half_extent": 0.5, "texture_scale": 2.0},
+    "sphere": {"center": (0.0, 0.0, 2.0), "radius": 0.6, "far_z": 4.0, "texture_scale": 2.0},
+    "gaussian-garden": {"side": 48, "half_extent": 1.6, "z_base": 2.0, "z_amp": 0.15,
+                        "splat_scale": 0.07},
+}
+
+
+def views_bytes(spec):
+    views, gt = synthesize(spec)
+    return ([(v.image.tobytes(), v.gt_depth.tobytes(), v.gt_depth_mask.tobytes()) for v in views],
+            None if gt is None else gt.centers.tobytes())
+
+
+class TestParamTable:
+    @pytest.mark.parametrize("kind", DEFAULT_PARAMS)
+    def test_explicit_defaults_give_the_same_views(self, kind):
+        assert scenes._PARAMS[kind].keys() == DEFAULT_PARAMS[kind].keys()
+        assert views_bytes(two_cam_spec(kind)) == views_bytes(
+            two_cam_spec(kind, **DEFAULT_PARAMS[kind]))
+
+    @pytest.mark.parametrize("kind, key", [(kind, key) for kind, table in DEFAULT_PARAMS.items()
+                                           for key in table])
+    def test_every_param_is_read(self, kind, key):
+        default = DEFAULT_PARAMS[kind][key]
+        if isinstance(default, tuple):
+            value = tuple(c + 0.05 for c in default)
+        else:
+            value = default + (2 if isinstance(default, int) else 0.1 * default)
+        assert views_bytes(two_cam_spec(kind)) != views_bytes(two_cam_spec(kind, **{key: value}))
+
+    def test_readme_lists_every_param_and_default(self):
+        text = (Path(__file__).parents[1] / "README.md").read_text()
+        lines = [line.strip() for line in text.splitlines()]
+        start = lines.index("| kind | param | default |") + 2
+        rows = itertools.takewhile(lambda line: line.startswith("|"), lines[start:])
+        table = {}
+        for row in rows:
+            kind, key, default = (cell.strip().strip("`") for cell in row.strip("|").split("|"))
+            table[kind, key] = json.loads(default)
+        assert table == {(kind, key): list(d) if isinstance(d, tuple) else d
+                         for kind, params in scenes._PARAMS.items() for key, d in params.items()}
 
 
 class TestSynthesize:
