@@ -8,8 +8,8 @@ verbatim roundtrip; activated opacity/scale are derived properties.
 from __future__ import annotations
 
 import json
-import struct
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -235,62 +235,51 @@ def _ply_property_names(sh_degree: int):
     return names
 
 
+def _ply_header(count: int, sh_degree: int) -> bytes:
+    """The one header export_ply writes and import_ply accepts."""
+    lines = ["ply", "format binary_little_endian 1.0", f"element vertex {count}",
+             *(f"property float {n}" for n in _ply_property_names(sh_degree)), "end_header", ""]
+    return "\n".join(lines).encode("ascii")
+
+
+def _sh_file_order(sh_degree: int) -> np.ndarray:
+    """The sh column of each f_dc/f_rest property: f_rest is channel-major, as in 3DGS."""
+    rest = 3 * np.arange(1, (sh_degree + 1) ** 2) + np.arange(3)[:, None]
+    return np.r_[0:3, rest.ravel()]
+
+
 def export_ply(gset: GaussianSet, path) -> None:
     if len(gset) == 0:
         raise InvalidInputError("refusing to export an empty Gaussian set")
-    names = _ply_property_names(gset.sh_degree)
-    header = ["ply", "format binary_little_endian 1.0", f"element vertex {len(gset)}"]
-    header += [f"property float {n}" for n in names]
-    header.append("end_header")
-    n_coeff = (gset.sh_degree + 1) ** 2
-    dc = gset.sh[:, :3]
-    rest = gset.sh[:, 3:]
     payload = np.concatenate(
-        [gset.centers, dc, rest, gset.opacity_logits[:, None], gset.log_scales, gset.rotations],
+        [gset.centers, gset.sh[:, _sh_file_order(gset.sh_degree)], gset.opacity_logits[:, None],
+         gset.log_scales, gset.rotations],
         axis=1,
     ).astype("<f4")
-    assert payload.shape[1] == len(names)
     with open(path, "wb") as f:
-        f.write(("\n".join(header) + "\n").encode("ascii"))
+        f.write(_ply_header(len(gset), gset.sh_degree))
         f.write(payload.tobytes())
 
 
 def import_ply(path) -> GaussianSet:
     raw = read_bytes(path, "PLY file")
-    end = raw.find(b"end_header\n")
-    if not raw.startswith(b"ply") or end < 0:
-        raise FormatError(f"{path}: not a PLY file")
-    try:
-        header = raw[:end].decode("ascii").splitlines()
-    except UnicodeDecodeError:
-        raise FormatError(f"{path}: PLY header is not ASCII") from None
-    names = []
-    count = 0
-    for line in header:
-        if line.startswith("element vertex"):
-            try:
-                count = int(line.split()[-1])
-            except ValueError:
-                raise FormatError(f"{path}: bad vertex count in {line!r}") from None
-        elif line.startswith("property float"):
-            names.append(line.split()[-1])
-        elif line.startswith("property"):
-            raise FormatError(f"{path}: unsupported property type in {line!r}")
-    n_rest = sum(1 for n in names if n.startswith("f_rest_"))
-    sh_degree = int(round(np.sqrt(n_rest / 3 + 1))) - 1
-    if names != _ply_property_names(sh_degree) or sh_degree > MAX_SH_DEGREE:
-        raise FormatError(f"{path}: not a 3DGS property layout of SH degree 0 to {MAX_SH_DEGREE}")
-    payload = Payload(raw, path, "PLY file", end + len(b"end_header\n"))
-    data = payload.array("<f4", (count, len(names)), f"the payload of {count} vertices")
+    start = re.match(rb"ply\nformat binary_little_endian 1\.0\nelement vertex (\d{1,18})\n", raw)
+    count = int(start[1]) if start else 0  # 18 digits at most keep int() within its limit
+    degrees = [d for d in range(MAX_SH_DEGREE + 1) if raw.startswith(_ply_header(count, d))]
+    if not degrees:
+        raise FormatError(f"{path}: not a volsplat PLY of SH degree 0 to {MAX_SH_DEGREE}")
+    order = _sh_file_order(degrees[0])
+    payload = Payload(raw, path, "PLY file", len(_ply_header(count, degrees[0])))
+    off = 3 + len(order)  # the opacity column; scale and rot follow
+    data = payload.array("<f4", (count, off + 8), f"the payload of {count} vertices")
     payload.end()
-    off = 6 + n_rest
     return GaussianSet(
         centers=data[:, 0:3].copy(),
         opacity_logits=data[:, off].copy(),
         log_scales=data[:, off + 1 : off + 4].copy(),
         rotations=data[:, off + 4 : off + 8].copy(),
-        sh=data[:, 3:off].copy(),
-        sh_degree=sh_degree,
+        sh=data.take(3 + np.argsort(order), axis=1),
+        sh_degree=degrees[0],
     )
 
 

@@ -93,9 +93,9 @@ def write_ppm(path, rgb: np.ndarray) -> None:
 def read_ppm(path) -> np.ndarray:
     """Returns H x W x 3 floats in [0, 1]."""
     raw = read_bytes(path, "image")
-    # The single whitespace byte after maxval ends the header; the payload
-    # may start with a byte that is itself whitespace.
-    header = re.match(rb"P6\s+(\d+)\s+(\d+)\s+255\s", raw)
+    # The single whitespace byte after maxval ends the header (the payload may
+    # start with whitespace); 18 digits at most keep int() within its limit.
+    header = re.match(rb"P6\s+(\d{1,18})\s+(\d{1,18})\s+255\s", raw)
     if header is None:
         raise InvalidInputError(f"{path}: expected binary P6 maxval-255 PPM")
     w, h = int(header[1]), int(header[2])

@@ -36,6 +36,12 @@ MAX_IMAGE_SIDE = 2048
 # camera: 512 (262,144 splats) draws two 64 x 64 views in about 3 s and 190 MB
 # on a 2-vCPU host, while 10^7 would ask numpy for hundreds of TiB.
 MAX_GARDEN_SIDE = 512
+# Every scene number lies within +-MAX_SCENE_NUMBER, each of _LENGTHS is at least
+# MIN_LENGTH: at these limits every kind synthesizes with no numpy RuntimeWarning,
+# while a radius of 1e200 overflows and a length of 0 or below draws nothing.
+MAX_SCENE_NUMBER = 1e6
+MIN_LENGTH = 1e-6
+_LENGTHS = ("texture_scale", "radius", "half_extent", "splat_scale")
 
 
 @dataclass
@@ -46,10 +52,11 @@ class CameraPose:
 
     def __post_init__(self):
         for name in ("position", "look_at", "up"):
-            v = tuple(getattr(self, name))
-            if len(v) != 3 or not all(map(finite_number, v)):
-                raise InvalidInputError(f"camera {name} must be 3 finite numbers, got {v!r}")
-            setattr(self, name, v)
+            v = getattr(self, name)
+            if not _like(v, DEFAULT_UP):
+                raise InvalidInputError(f"camera {name} must be 3 numbers within "
+                                        f"+-{MAX_SCENE_NUMBER:g}, got {v!r}")
+            setattr(self, name, tuple(v))
 
 
 @dataclass
@@ -79,6 +86,7 @@ class SceneSpec:
             raise InvalidInputError(f"params must be an object, got {self.params!r}")
         table = _PARAMS[self.kind]
         for key, value in self.params.items():
+            low = MIN_LENGTH if key in _LENGTHS else -MAX_SCENE_NUMBER
             if key not in table:
                 raise InvalidInputError(f"unknown {self.kind} scene param {key!r}; "
                                         f"it takes {', '.join(table)}")
@@ -86,9 +94,9 @@ class SceneSpec:
                 if type(value) is not int or not 2 <= value <= MAX_GARDEN_SIDE:
                     raise InvalidInputError(f"scene param {key!r} must be an integer from 2 to "
                                             f"{MAX_GARDEN_SIDE}, got {value!r}")
-            elif not _like(value, table[key]):
-                raise InvalidInputError(f"scene param {key!r} must be finite and shaped like "
-                                        f"{table[key]}, got {value!r}")
+            elif not _like(value, table[key], low):
+                raise InvalidInputError(f"scene param {key!r} must be shaped like {table[key]} and "
+                                        f"within [{low:g}, {MAX_SCENE_NUMBER:g}], got {value!r}")
 
     @staticmethod
     def from_json(path_or_dict) -> "SceneSpec":
@@ -103,12 +111,12 @@ class SceneSpec:
             raise InvalidInputError(f"bad scene spec: {e}") from e
 
 
-def _like(value, default) -> bool:
-    """Whether `value` is finite and shaped like `default`, a float or a tuple of floats."""
+def _like(value, default, low=-MAX_SCENE_NUMBER) -> bool:
+    """Whether `value` has `default`'s shape, its numbers in [low, MAX_SCENE_NUMBER]."""
     if isinstance(default, tuple):
         return (isinstance(value, (list, tuple)) and len(value) == len(default)
-                and all(map(finite_number, value)))
-    return finite_number(value)
+                and all(_like(v, 0.0, low) for v in value))
+    return finite_number(value) and low <= value <= MAX_SCENE_NUMBER
 
 
 def _params(spec: SceneSpec) -> dict:

@@ -608,6 +608,19 @@ def run_on_ppm_with_trailing_byte(scene_dir, tmp_path):
     return run_args(scene_dir, tmp_path / "x")
 
 
+def run_on_ppm_of_5000_digit_width(scene_dir, tmp_path):
+    path = scene_dir / "view_001.ppm"
+    path.write_bytes(path.read_bytes().replace(b"P6\n24", b"P6\n" + b"1" * 5000, 1))
+    return run_args(scene_dir, tmp_path / "x")
+
+
+def eval_on_big_endian_ply(scene_dir, tmp_path):
+    args = eval_on_small_ply(scene_dir, tmp_path)
+    path = tmp_path / "g.ply"
+    path.write_bytes(path.read_bytes().replace(b"binary_little_endian", b"binary_big_endian", 1))
+    return args
+
+
 def out_under_a_file(args_of):
     """Case setup: the arguments `args_of` gives, with `--out` under a regular file."""
     def setup(scene_dir, tmp_path):
@@ -660,6 +673,18 @@ MALFORMED_INPUTS = {
     "synth-param-of-other-kind": spec_file({"kind": "sphere", "params": {"wall_z": 2.0}}),
     "synth-param-bool": spec_file({"params": {"wall_z": True}}),
     "synth-param-int-too-large-for-float": spec_file({"params": {"wall_z": 10**400}}),
+    # huge, zero or negative lengths and far-off cameras made numpy warn or drew a wrong scene
+    "synth-camera-position-far": first_camera(position=[1e300, 0.0, 0.0]),
+    "synth-camera-look-at-past-bound": first_camera(look_at=[0.0, 0.0, 1.000001e6]),
+    "synth-param-radius-huge": spec_file({"kind": "sphere", "params": {"radius": 1e200}}),
+    "synth-param-radius-zero": spec_file({"kind": "sphere", "params": {"radius": 0}}),
+    "synth-param-radius-negative": spec_file({"kind": "sphere", "params": {"radius": -0.6}}),
+    "synth-param-texture-scale-zero": spec_file({"params": {"texture_scale": 0}}),
+    "synth-param-half-extent-negative": spec_file({"kind": "two-planes",
+                                                   "params": {"half_extent": -0.5}}),
+    "synth-param-splat-scale-huge": spec_file({"kind": "gaussian-garden",
+                                               "params": {"splat_scale": 1e300}}),
+    "synth-param-wall-z-past-bound": spec_file({"params": {"wall_z": 2e6}}),
     "synth-fov-text": spec_file({"fov_deg": "60"}),
     "synth-fov-zero": spec_file({"fov_deg": 0}),
     "synth-fov-180": spec_file({"fov_deg": 180}),
@@ -681,6 +706,8 @@ MALFORMED_INPUTS = {
     "eval-sh-degree-4-ply": ply_of_sh_degree_4,
     "eval-ply-trailing-byte": eval_on_ply_with_trailing_byte,
     "run-ppm-trailing-byte": run_on_ppm_with_trailing_byte,
+    "run-ppm-width-of-5000-digits": run_on_ppm_of_5000_digit_width,
+    "eval-ply-big-endian": eval_on_big_endian_ply,
     "synth-out-under-file": out_under_a_file(spec_file({})),
     "run-out-under-file": out_under_a_file(lambda scene_dir, tmp_path: run_args(scene_dir,
                                                                                 tmp_path / "x")),

@@ -167,7 +167,7 @@ def test_gaussian_set_rejects_sh_degree_the_renderer_lacks(deg):
 
 
 class TestPly:
-    @pytest.mark.parametrize("deg", [0, 1, 2])
+    @pytest.mark.parametrize("deg", [0, 1, 2, 3])
     def test_bit_exact_roundtrip(self, tmp_path, deg):
         gset = random_set(np.random.default_rng(3), n=37, sh_degree=deg)
         path = tmp_path / "g.ply"
@@ -178,24 +178,34 @@ class TestPly:
             np.testing.assert_array_equal(getattr(back, name), getattr(gset, name))
 
     def test_independent_parser_oracle(self, tmp_path):
-        gset = random_set(np.random.default_rng(4), n=5)
-        path = tmp_path / "g.ply"
-        export_ply(gset, path)
-        raw = path.read_bytes()
-        end = raw.index(b"end_header\n") + len(b"end_header\n")
-        header = raw[:end].decode()
-        assert "format binary_little_endian 1.0" in header
-        assert "element vertex 5" in header
-        props = [l.split()[-1] for l in header.splitlines() if l.startswith("property")]
-        assert props[:6] == ["x", "y", "z", "f_dc_0", "f_dc_1", "f_dc_2"]
-        assert props[6:] == ["opacity", "scale_0", "scale_1", "scale_2",
-                             "rot_0", "rot_1", "rot_2", "rot_3"]
-        body = np.frombuffer(raw[end:], "<f4").reshape(5, 14)
-        np.testing.assert_array_equal(body[:, 0:3], gset.centers)
-        np.testing.assert_array_equal(body[:, 3:6], gset.sh)
-        np.testing.assert_array_equal(body[:, 6], gset.opacity_logits)
-        np.testing.assert_array_equal(body[:, 7:10], gset.log_scales)
-        np.testing.assert_array_equal(body[:, 10:14], gset.rotations)
+        for deg in range(4):
+            gset = random_set(np.random.default_rng(4), n=5, sh_degree=deg)
+            path = tmp_path / "g.ply"
+            export_ply(gset, path)
+            raw = path.read_bytes()
+            end = raw.index(b"end_header\n") + len(b"end_header\n")
+            header = raw[:end].decode()
+            assert "format binary_little_endian 1.0" in header
+            assert "element vertex 5" in header
+            props = [l.split()[-1] for l in header.splitlines() if l.startswith("property")]
+            n_rest = 3 * ((deg + 1) ** 2 - 1)
+            assert props[:6] == ["x", "y", "z", "f_dc_0", "f_dc_1", "f_dc_2"]
+            assert props[6 : 6 + n_rest] == [f"f_rest_{i}" for i in range(n_rest)]
+            assert props[6 + n_rest :] == ["opacity", "scale_0", "scale_1", "scale_2",
+                                           "rot_0", "rot_1", "rot_2", "rot_3"]
+            body = np.frombuffer(raw[end:], "<f4").reshape(5, 14 + n_rest)
+            np.testing.assert_array_equal(body[:, 0:3], gset.centers)
+            np.testing.assert_array_equal(body[:, 3:6], gset.sh[:, 0:3])
+            # 3DGS writes f_rest channel-major: f_rest[c (K-1) + k-1] = sh[3k + c]
+            k_rest = n_rest // 3
+            for c in range(3):
+                for k in range(1, k_rest + 1):
+                    np.testing.assert_array_equal(body[:, 6 + c * k_rest + k - 1],
+                                                  gset.sh[:, 3 * k + c])
+            off = 6 + n_rest
+            np.testing.assert_array_equal(body[:, off], gset.opacity_logits)
+            np.testing.assert_array_equal(body[:, off + 1 : off + 4], gset.log_scales)
+            np.testing.assert_array_equal(body[:, off + 4 : off + 8], gset.rotations)
 
     def test_empty_set_export_fails(self, tmp_path):
         empty = GaussianSet(
@@ -208,6 +218,27 @@ class TestPly:
         path = tmp_path / "bad.ply"
         path.write_bytes(b"not a ply at all")
         with pytest.raises(FormatError):
+            import_ply(path)
+
+    @pytest.mark.parametrize("change", [
+        (b"binary_little_endian", b"binary_big_endian"),
+        (b"binary_little_endian", b"ascii"),
+        (b"ply\n", b"ply\ncomment made elsewhere\n"),
+        (b"element vertex 5\n", b"element vertex " + b"0" * 18 + b"5\n"),  # 19 digits
+        (b"element vertex 5\n", b"element vertex " + b"0" * 4999 + b"5\n"),
+        (b"element vertex 5\n", b"element vertex 05\n"),
+        (b"property float x\nproperty float y\n", b"property float y\nproperty float x\n"),
+        (b"property float x\n", b"property double x\n"),
+        (b"property float rot_3\n", b""),
+        (b"end_header\n", b"end_header\r\n"),
+    ], ids=repr)
+    def test_rejects_any_other_header(self, tmp_path, change):
+        path = tmp_path / "g.ply"
+        export_ply(random_set(np.random.default_rng(9), n=5, sh_degree=1), path)
+        raw = path.read_bytes()
+        assert change[0] in raw
+        path.write_bytes(raw.replace(change[0], change[1], 1))
+        with pytest.raises(FormatError, match="not a volsplat PLY"):
             import_ply(path)
 
     def test_imported_arrays_are_writable_copies(self, tmp_path):

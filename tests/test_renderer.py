@@ -400,3 +400,16 @@ class TestPpm:
         path.write_bytes(b"P3\n1 1\n255\n0 0 0\n")
         with pytest.raises(InvalidInputError):
             read_ppm(path)
+
+    @pytest.mark.parametrize("width", [b"1" * 19, b"1" * 5000])
+    def test_rejects_side_of_more_than_18_digits(self, tmp_path, width):
+        path = tmp_path / "wide.ppm"
+        path.write_bytes(b"P6\n" + width + b" 1\n255\n" + bytes(3))
+        with pytest.raises(InvalidInputError, match="expected binary P6"):
+            read_ppm(path)
+
+    def test_side_of_18_digits_is_a_short_payload(self, tmp_path):
+        path = tmp_path / "wide.ppm"
+        path.write_bytes(b"P6\n" + b"9" * 18 + b" 1\n255\n" + bytes(3))
+        with pytest.raises(FormatError, match="3 payload bytes"):
+            read_ppm(path)

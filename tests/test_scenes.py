@@ -12,6 +12,8 @@ from volsplat.renderer import _project_all
 from volsplat.scenes import (
     MAX_GARDEN_SIDE,
     MAX_IMAGE_SIDE,
+    MAX_SCENE_NUMBER,
+    MIN_LENGTH,
     CameraPose,
     SceneSpec,
     _expected_depth,
@@ -103,6 +105,17 @@ class TestSpecValidation:
         {"fov_deg": 180},
         {"fov_deg": True},
         {"image_size": [MAX_IMAGE_SIDE + 1, 16]},
+        {"params": {"radius": 1e200}},
+        {"params": {"radius": 0}},
+        {"params": {"radius": -0.6}},
+        {"params": {"radius": MIN_LENGTH / 2}},
+        {"params": {"texture_scale": 0}},
+        {"params": {"far_z": MAX_SCENE_NUMBER * 1.5}},
+        {"params": {"center": [0, 0, -MAX_SCENE_NUMBER * 1.5]}},
+        {"cameras": [{"position": [1e300, 0, 0], "look_at": [0, 0, 2]},
+                     {"position": [0.2, 0, 0], "look_at": [0, 0, 2]}]},
+        {"cameras": [{"position": [0, 0, 0], "look_at": [0, 0, 2], "up": [0, -2e6, 0]},
+                     {"position": [0.2, 0, 0], "look_at": [0, 0, 2]}]},
     ], ids=repr)
     def test_from_json_rejects(self, change):
         with pytest.raises(InvalidInputError):
@@ -112,6 +125,19 @@ class TestSpecValidation:
     def test_garden_side_must_be_an_integer_in_range(self, value):
         with pytest.raises(InvalidInputError, match="'side' must be an integer from 2"):
             two_cam_spec("gaussian-garden", side=value)
+
+    @pytest.mark.parametrize("kind", scenes._PARAMS)
+    def test_numbers_at_their_bounds_synthesize_without_warnings(self, kind):
+        # tier-1 turns a RuntimeWarning into an error: every length at its lower
+        # bound seen from nearby, then every number at the upper bound from far off
+        m, eps, table = MAX_SCENE_NUMBER, MIN_LENGTH, scenes._PARAMS[kind]
+        small = {k: eps for k in table if k in scenes._LENGTHS}
+        near = [CameraPose((0, 0, 0), (0, 0, 2)), CameraPose((eps, 0, 0), (0, 0, 2), (0, -eps, 0))]
+        large = {k: (m,) * 3 if isinstance(d, tuple) else m
+                 for k, d in table.items() if k != "side"}
+        far = [CameraPose((0, 0, -m), (0, 0, m), (0, -m, 0)), CameraPose((-m, -m, -m), (0, 0, m))]
+        for params, cameras in ((small, near), (large, far)):
+            synthesize(SceneSpec(kind, cameras, image_size=(8, 8), params=params))
 
     def test_size_bounds_are_inclusive(self):
         spec = SceneSpec.from_json({**SPHERE_SPEC, "image_size": [MAX_IMAGE_SIDE, 1]})

@@ -1,0 +1,45 @@
+"""Source checks that a linter would make: no import in `src/volsplat` goes unread."""
+
+import ast
+from pathlib import Path
+
+import volsplat
+
+SRC = Path(volsplat.__file__).parent
+
+
+def unread_imports(source: str):
+    """(line, name) of each name an import binds that the module never reads.
+    A name listed in `__all__`, or imported on a line marked `# noqa: F401`
+    (a re-export), counts as read."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            read |= {elt.value for elt in node.value.elts if isinstance(elt, ast.Constant)}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                isinstance(node, ast.ImportFrom) and node.module == "__future__"):
+            continue
+        if "# noqa: F401" in lines[node.lineno - 1]:
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in read:
+                yield node.lineno, name
+
+
+def test_unread_imports_are_found():
+    source = ("import os\nimport re  # noqa: F401\nfrom json import dumps, loads\n"
+              "__all__ = ['loads']\nprint(os.sep)\n")
+    assert list(unread_imports(source)) == [(3, "dumps")]
+
+
+def test_src_has_no_unread_imports():
+    found = [f"{p.relative_to(SRC)}:{line}: {name}"
+             for p in sorted(SRC.rglob("*.py"))
+             for line, name in unread_imports(p.read_text())]
+    assert found == []
