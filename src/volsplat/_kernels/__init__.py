@@ -34,6 +34,10 @@ splats that pass, in order, leaving the pixel as soon as T < T_CUTOFF. Each
 q is the one-splat-at-a-time loop's expression, rounded the same way in each
 vector lane, and a NaN q is not skipped there either, so rgb and transmit
 are byte-identical to that loop, which tests/composite_scalar.c keeps.
+Colours are (n, k) and rgb (th, tw, k) for any k, one letter in `_check`:
+each channel is its own sum, rgb += alpha T color, with the same weight, so
+a channel's bytes do not depend on the channels beside it. The C loop is one
+inline body, compiled at k = 3, the renderer's colour, and for any other k.
 
 Neither of the first two C kernels is bit-identical to its numpy twin,
 though both do the same operations in the same order. The compositing
@@ -152,7 +156,7 @@ def load(out_dir: Path | None = None, source: Path = SOURCE) -> Optional[Kernels
     except (OSError, AttributeError, subprocess.SubprocessError):
         return None
     ptr, size = ctypes.c_void_p, ctypes.c_long
-    composite.argtypes = [ptr, ptr, ptr, ptr, size, size, size, size, size, ptr, ptr, ptr]
+    composite.argtypes = [ptr, ptr, ptr, ptr, size, size, size, size, size, size, ptr, ptr, ptr]
     sweep.argtypes = [ptr, ptr, size, size, size, ptr, ptr, ptr, size, ptr, ptr, ptr, ptr, ptr]
     scatter.argtypes = [ptr, ptr, ptr, size, size]
     composite.restype = sweep.restype = scatter.restype = None
@@ -204,13 +208,13 @@ def _checked_composite(fn):
         x0, y0 = operator.index(x0), operator.index(y0)
         size = _check("composite_tile", (
             ("means", means, _F64, ("n", 2)), ("conics", conics, _F64, ("n", 3)),
-            ("colors", colors, _F64, ("n", 3)), ("opacities", opacities, _F64, ("n",)),
-            ("rgb", rgb, _F64, ("th", "tw", 3)), ("transmit", transmit, _F64, ("th", "tw")),
+            ("colors", colors, _F64, ("n", "k")), ("opacities", opacities, _F64, ("n",)),
+            ("rgb", rgb, _F64, ("th", "tw", "k")), ("transmit", transmit, _F64, ("th", "tw")),
         ), ("rgb", "transmit"))
         n = size["n"]
         splats = np.empty(5 * -(-n // COMPOSITE_BLOCK) * COMPOSITE_BLOCK)
         fn(means.ctypes.data, conics.ctypes.data, colors.ctypes.data, opacities.ctypes.data,
-           n, x0, y0, size["th"], size["tw"], rgb.ctypes.data, transmit.ctypes.data,
+           n, size["k"], x0, y0, size["th"], size["tw"], rgb.ctypes.data, transmit.ctypes.data,
            splats.ctypes.data)
 
     return composite_tile

@@ -3,7 +3,7 @@
 Per pixel, splats are composited front to back:
 
     alpha = min(ALPHA_MAX, opacity * exp(-q / 2)), or 0 where q > Q_SKIP
-    rgb  += (alpha * T) * color
+    rgb  += (alpha * T) * color     (each of the k colour channels)
     T    *= 1 - alpha
 
 and a pixel takes no more splats once T < T_CUTOFF. A splat adds nothing
@@ -21,7 +21,7 @@ and each chunk is one block of numpy calls over (splat, live pixel) pairs:
 - the transmittance in front of each splat is a cumulative product over
   [T, 1 - alpha_0, ..., 1 - alpha_{m-1}];
 - alpha is zeroed where that transmittance is below T_CUTOFF;
-- the colour is the sum over rows [rgb, (alpha_0 T_0) color_0, ...];
+- each colour channel is the sum over rows [rgb, (alpha_0 T_0) color_0, ...];
 - T is frozen at the first transmittance below T_CUTOFF. T never increases,
   since each step multiplies by 1 - alpha <= 1 (opacities are in [0, 1]), so
   a pixel that falls below the cutoff stays below it.
@@ -50,8 +50,9 @@ CHUNK_ELEMENTS = 1 << 13
 def composite_tile(means, conics, colors, opacities, x0, y0, rgb, transmit):
     """Front-to-back composite pre-sorted splats into one tile.
 
-    rgb (th, tw, 3) and transmit (th, tw) are updated in place; transmit
-    must start at 1 and rgb at 0 for a fresh tile. Opacities lie in [0, 1].
+    colors are (n, k); rgb (th, tw, k) and transmit (th, tw) are updated in
+    place; transmit must start at 1 and rgb at 0 for a fresh tile.
+    Opacities lie in [0, 1].
     """
     th, tw = transmit.shape
     n = means.shape[0]
@@ -59,7 +60,8 @@ def composite_tile(means, conics, colors, opacities, x0, y0, rgb, transmit):
     px = (x0 + xs).astype(float)
     py = (y0 + ys).astype(float)
     flat_T = transmit.ravel()
-    flat_rgb = rgb.reshape(-1, 3)
+    k = colors.shape[1]
+    flat_rgb = rgb.reshape(th * tw, k)
     live = np.flatnonzero(flat_T >= T_CUTOFF)
     s = 0
     while s < n and live.size:
@@ -81,7 +83,7 @@ def composite_tile(means, conics, colors, opacities, x0, y0, rgb, transmit):
         alpha = np.where(ok[:-1], alpha, 0.0)
 
         # rows [rgb, (alpha_0 T_0) color_0, ...] summed in row order
-        terms = np.empty((e - s + 1, 3, p))
+        terms = np.empty((e - s + 1, k, p))
         terms[0] = flat_rgb[live].T
         np.multiply((alpha * T[:-1])[:, None], colors[s:e, :, None], out=terms[1:])
         flat_rgb[live] = np.add.reduce(terms, axis=0).T
@@ -92,4 +94,4 @@ def composite_tile(means, conics, colors, opacities, x0, y0, rgb, transmit):
         s = e
     # no-ops when ravel/reshape returned views, copies back otherwise
     transmit[...] = flat_T.reshape(th, tw)
-    rgb[...] = flat_rgb.reshape(th, tw, 3)
+    rgb[...] = flat_rgb.reshape(th, tw, k)

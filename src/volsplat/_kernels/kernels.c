@@ -31,9 +31,12 @@
 
 /* Front-to-back compositing of pre-sorted 2D splats into one tile: the
  * per-pixel loop of _composite_np.py. means (n, 2), conics (n, 3),
- * colors (n, 3), opacities (n), rgb (th, tw, 3) and transmit (th, tw); rgb
+ * colors (n, nc), opacities (n), rgb (th, tw, nc) and transmit (th, tw); rgb
  * and transmit are updated in place. ALPHA_MAX, T_CUTOFF and Q_SKIP match
- * _composite_np.py; a splat adds nothing at a pixel where q > Q_SKIP.
+ * _composite_np.py; a splat adds nothing at a pixel where q > Q_SKIP. Each
+ * of the nc channels is its own sum, rgb += w * color with the same weight
+ * w = alpha T, so a channel is bit-identical whatever the other channels
+ * hold.
  *
  * The splats are first copied into five columns (mx, my, c0, c1, c2) of
  * `splats`, the caller's scratch of 5 m doubles, m being n rounded up to a
@@ -47,29 +50,26 @@
  * set bit takes the scalar loop's steps in its order, and T < T_CUTOFF
  * leaves the pixel at once, mid-block or not. So rgb and transmit are
  * byte-identical to the one-splat-at-a-time loop kept in
- * tests/composite_scalar.c.
+ * tests/composite_scalar.c. The per-pixel loop is one inline body, compiled
+ * once at nc = 3, the renderer's colour, and once for any other nc.
  */
-void composite_tile(const double *means, const double *conics, const double *colors,
-                    const double *opacities, long n, long x0, long y0, long th, long tw,
-                    double *rgb, double *transmit, double *splats)
+static inline __attribute__((always_inline)) void
+composite_pixels(const double *colors, const double *opacities, long n, long nc, long x0,
+                 long y0, long th, long tw, double *rgb, double *transmit,
+                 const double *splats)
 {
     const long m = (n + BLOCK - 1) / BLOCK * BLOCK;
-    double *mx = splats, *my = mx + m, *c0 = my + m, *c1 = c0 + m, *c2 = c1 + m;
-    for (long i = 0; i < n; i++) {
-        mx[i] = means[2 * i];
-        my[i] = means[2 * i + 1];
-        c0[i] = conics[3 * i];
-        c1[i] = conics[3 * i + 1];
-        c2[i] = conics[3 * i + 2];
-    }
-    for (long i = n; i < m; i++) /* padded lanes: their bits are masked off */
-        mx[i] = my[i] = c0[i] = c1[i] = c2[i] = 0.0;
+    const double *mx = splats, *my = mx + m, *c0 = my + m, *c1 = c0 + m, *c2 = c1 + m;
     for (long p = 0; p < th * tw; p++) {
         double t = transmit[p];
         if (t < T_CUTOFF)
             continue;
         double px = (double)(x0 + p % tw), py = (double)(y0 + p / tw);
-        double r = rgb[3 * p], g = rgb[3 * p + 1], b = rgb[3 * p + 2];
+        /* at nc = 3 the sums are a local array, which the compiler keeps
+         * apart from rgb: summing in rgb measured ~2 % slower there */
+        double sum3[3], *acc = nc == 3 ? sum3 : rgb + nc * p;
+        for (int c = 0; c < 3 && nc == 3; c++)
+            sum3[c] = rgb[3 * p + c];
         for (long i = 0; i < n; i += BLOCK) {
             double q[BLOCK];
             unsigned live = 0;
@@ -84,25 +84,44 @@ void composite_tile(const double *means, const double *conics, const double *col
             while (live) {
                 int j = __builtin_ctz(live);
                 live &= live - 1u;
-                const double *col = colors + 3 * (i + j);
+                const double *col = colors + nc * (i + j);
                 double alpha = opacities[i + j] * exp(-0.5 * q[j]);
                 if (alpha > ALPHA_MAX)
                     alpha = ALPHA_MAX;
                 double w = alpha * t;
-                r += w * col[0];
-                g += w * col[1];
-                b += w * col[2];
+                for (long c = 0; c < nc; c++)
+                    acc[c] += w * col[c];
                 t *= 1.0 - alpha;
                 if (t < T_CUTOFF)
                     goto done;
             }
         }
     done:
-        rgb[3 * p] = r;
-        rgb[3 * p + 1] = g;
-        rgb[3 * p + 2] = b;
+        for (int c = 0; c < 3 && nc == 3; c++)
+            rgb[3 * p + c] = sum3[c];
         transmit[p] = t;
     }
+}
+
+void composite_tile(const double *means, const double *conics, const double *colors,
+                    const double *opacities, long n, long nc, long x0, long y0, long th,
+                    long tw, double *rgb, double *transmit, double *splats)
+{
+    const long m = (n + BLOCK - 1) / BLOCK * BLOCK;
+    double *mx = splats, *my = mx + m, *c0 = my + m, *c1 = c0 + m, *c2 = c1 + m;
+    for (long i = 0; i < n; i++) {
+        mx[i] = means[2 * i];
+        my[i] = means[2 * i + 1];
+        c0[i] = conics[3 * i];
+        c1[i] = conics[3 * i + 1];
+        c2[i] = conics[3 * i + 2];
+    }
+    for (long i = n; i < m; i++) /* padded lanes: their bits are masked off */
+        mx[i] = my[i] = c0[i] = c1[i] = c2[i] = 0.0;
+    if (nc == 3)
+        composite_pixels(colors, opacities, n, 3, x0, y0, th, tw, rgb, transmit, splats);
+    else
+        composite_pixels(colors, opacities, n, nc, x0, y0, th, tw, rgb, transmit, splats);
 }
 
 /* Snap a coordinate within SNAP_TOL of an integer onto it, as

@@ -268,6 +268,8 @@ def import_ply(path) -> GaussianSet:
     degrees = [d for d in range(MAX_SH_DEGREE + 1) if raw.startswith(_ply_header(count, d))]
     if not degrees:
         raise FormatError(f"{path}: not a volsplat PLY of SH degree 0 to {MAX_SH_DEGREE}")
+    if count == 0:  # export_ply writes no empty set
+        raise FormatError(f"{path}: the PLY holds no vertices")
     order = _sh_file_order(degrees[0])
     payload = Payload(raw, path, "PLY file", len(_ply_header(count, degrees[0])))
     off = 3 + len(order)  # the opacity column; scale and rot follow

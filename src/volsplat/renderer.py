@@ -145,10 +145,12 @@ def rasterize(mean2d, conics, colors, ops, radius, h: int, w: int, threads: int 
 
     Each splat goes to every tile its radius touches, and each non-empty tile
     is one `composite_tile` call over its splats in input order, on `threads`
-    workers (0 = one per CPU). Returns (rgb, transmit): the accumulated
-    colour and the remaining transmittance.
+    workers (0 = one per CPU). colors are (n, k), any k. Returns (rgb,
+    transmit): the accumulated k-channel colour, (h, w, k), and the
+    remaining transmittance.
     """
-    rgb = np.zeros((h, w, 3))
+    k = colors.shape[1]
+    rgb = np.zeros((h, w, k))
     transmit = np.ones((h, w))
     nx = -(-w // TILE)
     ny = -(-h // TILE)
@@ -164,7 +166,7 @@ def rasterize(mean2d, conics, colors, ops, radius, h: int, w: int, threads: int 
         x0, y0 = tx * TILE, ty * TILE
         tw = min(TILE, w - x0)
         th = min(TILE, h - y0)
-        tile_rgb = np.zeros((th, tw, 3))
+        tile_rgb = np.zeros((th, tw, k))
         tile_T = np.ones((th, tw))
         composite_tile(mean2d[sel], conics[sel], colors[sel], ops[sel],
                        x0, y0, tile_rgb, tile_T)

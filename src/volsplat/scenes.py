@@ -15,7 +15,7 @@ import numpy as np
 from .errors import InvalidInputError
 from .gaussians import SH_C0, GaussianSet
 from .geometry import CameraView, Extrinsics, Intrinsics
-from .renderer import _project_all, rasterize, render
+from .renderer import _project_all, rasterize
 from .sceneio import finite_number, read_json
 
 DEFAULT_UP = (0.0, -1.0, 0.0)  # image-up in world coordinates (y points down)
@@ -32,9 +32,9 @@ _PARAMS = {
 # Every view holds several (H, W, 3) float arrays (rays, hits, texture taps),
 # about 100 MB each at 2048 x 2048; a larger image side is a spec error.
 MAX_IMAGE_SIDE = 2048
-# A garden of side n holds n^2 splats, each rendered and depth-composited per
-# camera: 512 (262,144 splats) draws two 64 x 64 views in about 3 s and 190 MB
-# on a 2-vCPU host, while 10^7 would ask numpy for hundreds of TiB.
+# A garden of side n holds n^2 splats, each projected and composited once per
+# camera: 512 (262,144 splats) draws two 64 x 64 views in about 2.1 s and
+# 185 MB on a 2-vCPU host, while 10^7 would ask numpy for hundreds of TiB.
 MAX_GARDEN_SIDE = 512
 # Every scene number lies within +-MAX_SCENE_NUMBER, each of _LENGTHS is at least
 # MIN_LENGTH: at these limits every kind synthesizes with no numpy RuntimeWarning,
@@ -199,8 +199,7 @@ def synthesize(spec: SceneSpec):
     for pose in spec.cameras:
         E = look_at_extrinsics(pose.position, pose.look_at, pose.up)
         if gt_set is not None:
-            img = render(gt_set, K, E, bg=(0.0, 0.0, 0.0)).rgb
-            depth, mask = _expected_depth(gt_set, K, E)
+            img, depth, mask = _garden_view(gt_set, K, E)
         else:
             img, depth = _draw(spec.kind, p, tex, E, _ray_grid(K, E))
             mask = np.ones(depth.shape, bool)
@@ -280,18 +279,20 @@ def _garden_gaussians(spec: SceneSpec) -> GaussianSet:
     )
 
 
-def _expected_depth(gset: GaussianSet, K: Intrinsics, E: Extrinsics):
-    """Alpha-weighted mean splat depth per pixel; valid where alpha > 0.5.
+def _garden_view(gset: GaussianSet, K: Intrinsics, E: Extrinsics):
+    """(image, depth, mask) of one camera from one projection and one
+    composite: the image on a black background, the alpha-weighted mean
+    splat depth per pixel, and where alpha > 0.5.
 
-    The splats are composited through the renderer's tile path with colour
-    [z, 1, 0]: channel 0 accumulates sum(alpha T z) and channel 1 sum(alpha T).
+    Each splat's colour is [r, g, b, z, 1], so channels 3 and 4 accumulate
+    sum(alpha T z) and sum(alpha T) with the weights that make the image.
     """
-    mean2d, conics, z, _, ops, radius, _ = _project_all(gset, K, E)
-    colors = np.stack([z, np.ones_like(z), np.zeros_like(z)], axis=1)
-    rgb, _ = rasterize(mean2d, conics, colors, ops, radius, K.height, K.width)
-    acc_d, acc_a = rgb[..., 0], rgb[..., 1]
+    mean2d, conics, z, colors, ops, radius, _ = _project_all(gset, K, E)
+    colors = np.column_stack([colors, z, np.ones_like(z)])
+    acc, _ = rasterize(mean2d, conics, colors, ops, radius, K.height, K.width)
+    acc_d, acc_a = acc[..., 3], acc[..., 4]
     depth = np.divide(acc_d, acc_a, out=np.ones(acc_a.shape), where=acc_a > 0)
-    return depth, acc_a > 0.5
+    return np.clip(acc[..., :3], 0.0, 1.0), depth, acc_a > 0.5
 
 
 def hold_out(views: Sequence, m: int):

@@ -12,22 +12,22 @@
 
 /* Front-to-back compositing of pre-sorted 2D splats into one tile: the
  * per-pixel loop of _composite_np.py. means (n, 2), conics (n, 3),
- * colors (n, 3), opacities (n), rgb (th, tw, 3) and transmit (th, tw); rgb
- * and transmit are updated in place. ALPHA_MAX, T_CUTOFF and Q_SKIP match
- * _composite_np.py; a splat adds nothing at a pixel where q > Q_SKIP.
+ * colors (n, nc), opacities (n), rgb (th, tw, nc) and transmit (th, tw);
+ * rgb and transmit are updated in place. ALPHA_MAX, T_CUTOFF and Q_SKIP
+ * match _composite_np.py; a splat adds nothing at a pixel where q > Q_SKIP.
+ * Each channel is its own sum, rgb += w * color with the same w.
  */
 void composite_tile(const double *means, const double *conics, const double *colors,
-                    const double *opacities, long n, long x0, long y0, long th, long tw,
-                    double *rgb, double *transmit)
+                    const double *opacities, long n, long nc, long x0, long y0, long th,
+                    long tw, double *rgb, double *transmit)
 {
     for (long p = 0; p < th * tw; p++) {
         double t = transmit[p];
         if (t < T_CUTOFF)
             continue;
         double px = (double)(x0 + p % tw), py = (double)(y0 + p / tw);
-        double r = rgb[3 * p], g = rgb[3 * p + 1], b = rgb[3 * p + 2];
         for (long i = 0; i < n; i++) {
-            const double *c = conics + 3 * i, *col = colors + 3 * i;
+            const double *c = conics + 3 * i, *col = colors + nc * i;
             double dx = px - means[2 * i], dy = py - means[2 * i + 1];
             double q = c[0] * dx * dx + 2.0 * c[1] * dx * dy + c[2] * dy * dy;
             if (q > Q_SKIP)
@@ -36,16 +36,12 @@ void composite_tile(const double *means, const double *conics, const double *col
             if (alpha > ALPHA_MAX)
                 alpha = ALPHA_MAX;
             double w = alpha * t;
-            r += w * col[0];
-            g += w * col[1];
-            b += w * col[2];
+            for (long k = 0; k < nc; k++)
+                rgb[nc * p + k] += w * col[k];
             t *= 1.0 - alpha;
             if (t < T_CUTOFF)
                 break;
         }
-        rgb[3 * p] = r;
-        rgb[3 * p + 1] = g;
-        rgb[3 * p + 2] = b;
         transmit[p] = t;
     }
 }

@@ -13,7 +13,7 @@ from click.testing import CliRunner
 import volsplat
 from volsplat import KERNEL_BACKEND, __version__
 from volsplat.cli import main
-from volsplat.gaussians import GaussianSet, _ply_property_names, export_ply
+from volsplat.gaussians import GaussianSet, _ply_header, _ply_property_names, export_ply
 from volsplat.renderer import MAX_THREADS
 from volsplat.sceneio import load_scene, read_depth, save_scene, write_depth
 from volsplat.scenes import CameraPose, SceneSpec, synthesize
@@ -409,6 +409,14 @@ class TestEval:
         res = runner.invoke(main, self.eval_args(ply, scene_dir, tmp_path))
         assert_one_error_line(res, 2)
         assert "non-finite" in res.stderr
+
+    def test_empty_ply_exits_2(self, runner, scene_dir, tmp_path):
+        ply = tmp_path / "empty.ply"
+        ply.write_bytes(_ply_header(0, 0))
+        res = runner.invoke(main, self.eval_args(ply, scene_dir, tmp_path))
+        assert_one_error_line(res, 2)
+        assert "no vertices" in res.stderr
+        assert not (tmp_path / "r.json").exists()
 
     def test_corrupt_ply_exits_2(self, runner, scene_dir, tmp_path):
         bad = tmp_path / "bad.ply"

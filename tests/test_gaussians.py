@@ -8,6 +8,7 @@ from volsplat.gaussians import (
     GaussianSet,
     RawGaussianParams,
     SH_C0,
+    _ply_header,
     activate,
     activate_set,
     decode_raw,
@@ -213,6 +214,14 @@ class TestPly:
         )
         with pytest.raises(InvalidInputError):
             export_ply(empty, tmp_path / "e.ply")
+
+    @pytest.mark.parametrize("sh_degree", [0, 3])
+    def test_empty_file_raises(self, tmp_path, sh_degree):
+        # the header export_ply would write for 0 vertices, and no payload
+        path = tmp_path / "empty.ply"
+        path.write_bytes(_ply_header(0, sh_degree))
+        with pytest.raises(FormatError, match="no vertices"):
+            import_ply(path)
 
     def test_bad_file(self, tmp_path):
         path = tmp_path / "bad.ply"

@@ -77,14 +77,15 @@ def composite_tile_sequential(means, conics, colors, opacities, x0, y0, rgb, tra
         active = transmit >= T_CUTOFF
 
 
-def random_splats(rng, n, x0, y0, th, tw, max_opacity=1.0):
-    """n splats around the tile, with positive-definite conics."""
+def random_splats(rng, n, x0, y0, th, tw, max_opacity=1.0, k=3):
+    """n splats around the tile, with positive-definite conics and k colour
+    channels."""
     means = np.c_[rng.uniform(x0 - 8, x0 + tw + 8, n), rng.uniform(y0 - 8, y0 + th + 8, n)]
     conics = np.zeros((n, 3))
     conics[:, 0] = rng.uniform(0.01, 2.0, n)
     conics[:, 2] = rng.uniform(0.01, 2.0, n)
     conics[:, 1] = rng.uniform(-0.95, 0.95, n) * np.sqrt(conics[:, 0] * conics[:, 2])
-    colors = rng.uniform(0, 1, (n, 3))
+    colors = rng.uniform(0, 1, (n, k))
     ops = rng.uniform(0, max_opacity, n)
     return means, conics, colors, ops
 
@@ -98,8 +99,8 @@ def assert_kernels_agree(splats, x0, y0, rgb, transmit):
     assert t_b.tobytes() == t_a.tobytes()
 
 
-def fresh(th, tw):
-    return np.zeros((th, tw, 3)), np.ones((th, tw))
+def fresh(th, tw, k=3):
+    return np.zeros((th, tw, k)), np.ones((th, tw))
 
 
 class TestOracle:
@@ -161,6 +162,53 @@ class TestOracle:
         transmit = rng.uniform(0, 1, (th, tw))
         transmit[rng.uniform(size=(th, tw)) < saturated] = T_CUTOFF * 0.999
         assert_kernels_agree(splats, x0, y0, rgb, transmit)
+
+    @pytest.mark.parametrize("k", [1, 5])
+    @pytest.mark.parametrize("max_opacity", [0.05, 1.0])
+    def test_any_channel_count(self, k, max_opacity):
+        rng = np.random.default_rng(20 + k)
+        for n, th, tw, x0, y0 in ((0, 16, 16, 0, 0), (1, 16, 5, 48, 0),
+                                  (5 * FULL_TILE_CHUNK + 3, 16, 16, 0, 0), (300, 3, 2, 112, 80)):
+            splats = random_splats(rng, n, x0, y0, th, tw, max_opacity, k)
+            assert_kernels_agree(splats, x0, y0, *fresh(th, tw, k))
+            rgb, transmit = rng.uniform(-1, 4, (th, tw, k)), rng.uniform(0, 1, (th, tw))
+            transmit[rng.uniform(size=(th, tw)) < 0.4] = np.nextafter(T_CUTOFF, 0.0)
+            assert_kernels_agree(splats, x0, y0, rgb, transmit)
+
+
+def test_each_channel_is_that_of_a_three_channel_pass(kernel_backend):
+    # [r, g, b, z, 1] in one pass: channels 0-2 are the (r, g, b) pass and
+    # channels 3-4 the first two of the (z, 1, 0) pass, bit for bit, and all
+    # three passes leave the same transmittance
+    rng = np.random.default_rng(40)
+    n = 300
+    means, conics, rgb_colors, ops = random_splats(rng, n, 16, 0, TILE, TILE, 0.8)
+    z = rng.uniform(1.5, 4.0, n)
+    out = []
+    for colors in (np.column_stack([rgb_colors, z, np.ones(n)]), rgb_colors,
+                   np.column_stack([z, np.ones(n), np.zeros(n)])):
+        acc, transmit = fresh(TILE, TILE, colors.shape[1])
+        renderer.composite_tile(means, conics, colors, ops, 16, 0, acc, transmit)
+        out.append((acc, transmit))
+    (five, t5), (rgb, t_rgb), (zed, t_z) = out
+    assert five[..., :3].tobytes() == rgb.tobytes()
+    assert five[..., 3:].tobytes() == zed[..., :2].tobytes()
+    assert t5.tobytes() == t_rgb.tobytes() == t_z.tobytes()
+    assert t5.min() < 0.5 < t5.max()  # the weights differ across the tile
+
+
+@pytest.mark.parametrize("colors_k,rgb_k", [(5, 3), (3, 5), (1, 3), (5, 1)])
+def test_checker_raises_when_colors_and_rgb_disagree_on_k(colors_k, rgb_k):
+    # the wrapper around a recording stand-in: no call means no pointer passed
+    calls = []
+    checked = _kernels._checked_composite(lambda *args: calls.append(args))
+    rng = np.random.default_rng(17)
+    splats = random_splats(rng, 20, 0, 0, TILE, TILE, k=colors_k)
+    with pytest.raises(ValueError, match=rf"rgb has shape .*expected \(16, 16, {colors_k}\)"):
+        checked(*splats, 0, 0, *fresh(TILE, TILE, rgb_k))
+    assert calls == []
+    checked(*splats, 0, 0, *fresh(TILE, TILE, colors_k))
+    assert len(calls) == 1 and calls[0][4:6] == (20, colors_k)  # n, then k
 
 
 @pytest.fixture(scope="session")
@@ -394,17 +442,17 @@ def scalar_composite(tmp_path_factory):
     fn = ctypes.CDLL(str(_kernels.build(tmp_path_factory.mktemp("scalar"),
                                         SCALAR_SOURCE))).composite_tile
     ptr, size = ctypes.c_void_p, ctypes.c_long
-    fn.argtypes = [ptr, ptr, ptr, ptr, size, size, size, size, size, ptr, ptr]
+    fn.argtypes = [ptr, ptr, ptr, ptr, size, size, size, size, size, size, ptr, ptr]
     fn.restype = None
 
     def composite_tile(means, conics, colors, opacities, x0, y0, rgb, transmit):
         for a in (means, conics, colors, opacities, rgb, transmit):
             assert a.dtype == np.float64 and a.flags.c_contiguous
-        n = means.shape[0]
-        assert means.shape == (n, 2) and conics.shape == colors.shape == (n, 3)
-        assert opacities.shape == (n,) and rgb.shape == transmit.shape + (3,)
+        n, k = colors.shape
+        assert means.shape == (n, 2) and conics.shape == (n, 3)
+        assert opacities.shape == (n,) and rgb.shape == transmit.shape + (k,)
         fn(means.ctypes.data, conics.ctypes.data, colors.ctypes.data, opacities.ctypes.data, n,
-           x0, y0, *transmit.shape, rgb.ctypes.data, transmit.ctypes.data)
+           k, x0, y0, *transmit.shape, rgb.ctypes.data, transmit.ctypes.data)
 
     return composite_tile
 
@@ -518,6 +566,21 @@ class TestBlockedKernel:
         transmit = rng.uniform(0, 1, (th, tw))
         transmit[rng.uniform(size=(th, tw)) < saturated] = T_CUTOFF * 0.999
         assert_matches_scalar(c_composite, scalar_composite, splats, x0, y0, rgb, transmit)
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("max_opacity", [0.05, 1.0])
+    def test_any_channel_count(self, c_composite, scalar_composite, k, max_opacity):
+        rng = np.random.default_rng(30 + k)
+        for n, th, tw, x0, y0 in ((0, 16, 16, 0, 0), (1, 16, 16, 0, 0), (BLOCK + 1, 7, 16, 16, 32),
+                                  (1000, 16, 16, 0, 0), (300, 3, 2, 112, 80)):
+            means, conics, colors, ops = random_splats(rng, n, x0, y0, th, tw, max_opacity, k)
+            splats = (means, conics, 5.0 * colors - 1.0, ops)  # depth-like values too
+            assert_matches_scalar(c_composite, scalar_composite, splats, x0, y0,
+                                  *fresh(th, tw, k))
+            rgb, transmit = rng.uniform(-1, 4, (th, tw, k)), rng.uniform(0, 1, (th, tw))
+            transmit[rng.uniform(size=(th, tw)) < 0.4] = np.nextafter(T_CUTOFF, 0.0)
+            transmit.flat[0] = T_CUTOFF
+            assert_matches_scalar(c_composite, scalar_composite, splats, x0, y0, rgb, transmit)
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")

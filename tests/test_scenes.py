@@ -5,10 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from volsplat import scenes
+from volsplat import renderer, scenes
 from volsplat.errors import InvalidInputError
 from volsplat.geometry import project_point
-from volsplat.renderer import _project_all
+from volsplat.renderer import _project_all, rasterize, render
 from volsplat.scenes import (
     MAX_GARDEN_SIDE,
     MAX_IMAGE_SIDE,
@@ -16,8 +16,8 @@ from volsplat.scenes import (
     MIN_LENGTH,
     CameraPose,
     SceneSpec,
-    _expected_depth,
     _garden_gaussians,
+    _garden_view,
     _intrinsics,
     hold_out,
     look_at_extrinsics,
@@ -288,8 +288,13 @@ class TestSynthesize:
             synthesize(spec)
 
 
+# The benchmark's garden rig: six cameras on a 0.25 ring around the surface.
+GARDEN_RING = [CameraPose((0.25 * np.cos(a), 0.25 * np.sin(a), 0.0), (0.0, 0.0, 2.0))
+               for a in 2 * np.pi * np.arange(6) / 6]
+
+
 def expected_depth_per_splat(gset, K, E):
-    """The whole-image, one-splat-at-a-time loop `_expected_depth` replaced."""
+    """Expected depth and mask from a whole-image, one-splat-at-a-time loop."""
     h, w = K.height, K.width
     mean2d, conics, z, colors, ops, radius, idx = _project_all(gset, K, E)
     order = np.lexsort((idx, z))
@@ -313,18 +318,15 @@ def expected_depth_per_splat(gset, K, E):
     return depth, mask
 
 
-def test_expected_depth_matches_per_splat_loop():
-    # The benchmark's garden rig: six cameras on a 0.25 ring around the surface.
+def test_garden_view_depth_matches_per_splat_loop():
     # The tile path drops each splat outside its 3-sigma tiles, which the
     # whole-image loop still adds, so depths agree to a tolerance, not exactly.
-    cams = [CameraPose((0.25 * np.cos(a), 0.25 * np.sin(a), 0.0), (0.0, 0.0, 2.0))
-            for a in 2 * np.pi * np.arange(6) / 6]
-    spec = SceneSpec(kind="gaussian-garden", cameras=cams, image_size=(64, 64), seed=0)
+    spec = SceneSpec(kind="gaussian-garden", cameras=GARDEN_RING, image_size=(64, 64), seed=0)
     gset, K = _garden_gaussians(spec), _intrinsics(spec)
     worst = 0.0
-    for cam in cams:
+    for cam in GARDEN_RING:
         E = look_at_extrinsics(cam.position, cam.look_at, cam.up)
-        depth, mask = _expected_depth(gset, K, E)
+        _, depth, mask = _garden_view(gset, K, E)
         want_depth, want_mask = expected_depth_per_splat(gset, K, E)
         assert np.array_equal(mask, want_mask)
         assert mask.mean() > 0.9
@@ -332,7 +334,7 @@ def test_expected_depth_matches_per_splat_loop():
     assert worst < 5e-3
 
 
-def test_expected_depth_mask_on_translucent_splats():
+def test_garden_view_mask_on_translucent_splats():
     # partial coverage, so the alpha > 0.5 mask has an edge to get right
     from test_renderer import E0, K, make_set
 
@@ -341,11 +343,61 @@ def test_expected_depth_mask_on_translucent_splats():
     gset = make_set(np.c_[rng.uniform(-0.5, 0.5, (n, 2)), rng.uniform(1.5, 4.0, n)],
                     rng.uniform(0, 1, (n, 3)), rng.uniform(0.1, 0.5, n),
                     rng.uniform(0.03, 0.1, (n, 3)))
-    depth, mask = _expected_depth(gset, K, E0)
+    _, depth, mask = _garden_view(gset, K, E0)
     want_depth, want_mask = expected_depth_per_splat(gset, K, E0)
     assert 0.1 < mask.mean() < 0.9
     assert np.array_equal(mask, want_mask)
     np.testing.assert_allclose(depth[mask], want_depth[mask], rtol=0, atol=5e-3)
+
+
+def two_pass_view(gset, K, E):
+    """The garden view as two projections and two composites: `render` on a
+    black background for the image, then the colour [z, 1, 0] for depth."""
+    image = np.clip(render(gset, K, E, bg=(0.0, 0.0, 0.0)).rgb, 0.0, 1.0)
+    mean2d, conics, z, _, ops, radius, _ = _project_all(gset, K, E)
+    colors = np.stack([z, np.ones_like(z), np.zeros_like(z)], axis=1)
+    acc, _ = rasterize(mean2d, conics, colors, ops, radius, K.height, K.width)
+    depth = np.divide(acc[..., 0], acc[..., 1], out=np.ones(acc.shape[:2]), where=acc[..., 1] > 0)
+    mask = acc[..., 1] > 0.5
+    return image, np.where(mask, depth, 1.0), mask
+
+
+@pytest.mark.parametrize("image_size,params", [
+    ((64, 64), {}),  # the benchmark's garden
+    ((37, 29), {"side": 20, "half_extent": 0.8}),  # partial tiles, bare background
+])
+def test_garden_synthesis_matches_two_pass_path(kernel_backend, image_size, params):
+    spec = SceneSpec(kind="gaussian-garden", cameras=GARDEN_RING, image_size=image_size,
+                     seed=4, params=params)
+    views, gset = synthesize(spec)
+    K = _intrinsics(spec)
+    for view in views:
+        want = two_pass_view(gset, K, view.extrinsics)
+        got = (view.image, view.gt_depth, view.gt_depth_mask)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    if params:
+        assert 0.05 < views[0].gt_depth_mask.mean() < 0.95
+
+
+@pytest.mark.parametrize("kind", DEFAULT_PARAMS)
+def test_garden_projects_and_composites_once_per_camera(monkeypatch, kind):
+    calls = {"_project_all": 0, "rasterize": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:  # both the renderer's names and the ones scenes imported
+        wrapper = counted(name, getattr(renderer, name))
+        for module in (renderer, scenes):
+            monkeypatch.setattr(module, name, wrapper)
+    spec = SceneSpec(kind=kind, cameras=GARDEN_RING[:3], image_size=(16, 16))
+    synthesize(spec)
+    n = len(spec.cameras) if kind == "gaussian-garden" else 0
+    assert calls == {"_project_all": n, "rasterize": n}
 
 
 class TestHoldOut:
