@@ -395,6 +395,6 @@ def evaluate(gset: GaussianSet, targets: Sequence[CameraView], threads: int = 1)
     return {
         "per_view": per_view,
         "mean": mean,
-        "pgs": len(gset) / max(1, len(targets)),
+        "pgs": len(gset) / len(targets),
         "gaussian_count": len(gset),
     }

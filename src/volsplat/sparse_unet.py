@@ -18,6 +18,7 @@ import numpy as np
 from ._kernels import scatter_add_rows
 from .errors import FormatError, InvalidInputError, WeightLoadError
 from .sceneio import Payload, read_bytes
+from .voxels import _BIAS, _BITS, _encode
 
 WEIGHT_MAGIC = b"VSWT"
 # Widest U-Net level a config may ask for: one 27 x 512 x 512 float64 kernel
@@ -50,17 +51,6 @@ class SparseTensor:
             raise InvalidInputError("coords/feats row mismatch")
         if self.stride < 1 or (self.stride & (self.stride - 1)):
             raise InvalidInputError("stride must be a power of two")
-
-
-_BITS = 21
-_BIAS = 1 << (_BITS - 1)
-
-
-def _encode(coords: np.ndarray) -> np.ndarray:
-    c = coords.astype(np.int64) + _BIAS
-    if np.any(c < 0) or np.any(c >= (1 << _BITS)):
-        raise InvalidInputError("voxel coordinates out of supported range")
-    return (c[:, 0] << (2 * _BITS)) | (c[:, 1] << _BITS) | c[:, 2]
 
 
 def _offset_code(di: int, dj: int, dk: int) -> int:
@@ -182,10 +172,9 @@ def submanifold_map(coords: np.ndarray, index: Optional[_CoordIndex] = None) -> 
 
 
 def downsample_coords(coords: np.ndarray) -> np.ndarray:
-    """Unique floor-divided-by-2 coords, lexicographically sorted."""
+    """Unique floor-divided-by-2 coords, in ascending code order."""
     if not coords.size:
         return coords.copy()
-    # _encode is monotone in (z, y, x), so sorting codes sorts rows
     codes = np.unique(_encode(coords >> 1))
     mask = (1 << _BITS) - 1
     fields = [(codes >> (2 * _BITS)) & mask, (codes >> _BITS) & mask, codes & mask]

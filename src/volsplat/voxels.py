@@ -1,4 +1,4 @@
-"""Lifting pixels to world points and average-pooled sparse voxelization."""
+"""Lifting pixels to world points, the voxel key code and average-pooled voxelization."""
 
 from __future__ import annotations
 
@@ -30,7 +30,7 @@ class FeaturedPointCloud:
 @dataclass
 class SparseVoxelGrid:
     voxel_size: float
-    keys: np.ndarray  # V x 3 int64, sorted lexicographically
+    keys: np.ndarray  # V x 3 int64, in ascending code order
     features: np.ndarray  # V x C
     counts: np.ndarray  # V
 
@@ -44,13 +44,30 @@ class SparseVoxelGrid:
         return self.keys.shape[0]
 
 
+# A voxel key (z, y, x) packs into one int64 code, 21 bits per axis biased by
+# _BIAS, and codes ascend in (z, y, x) order. The sparse U-Net encodes each key
+# k's neighbours k +- 1 and its level-1 children 2 * (k >> 1) + (-1, 0, 1):
+# all are in range for |k| <= _MAX_KEY.
+_BITS = 21
+_BIAS = 1 << (_BITS - 1)
+_MAX_KEY = _BIAS - 2
+
+
+def _encode(coords: np.ndarray) -> np.ndarray:
+    c = coords.astype(np.int64) + _BIAS
+    if np.any(c < 0) or np.any(c >= (1 << _BITS)):
+        raise InvalidInputError("voxel coordinates out of supported range")
+    return (c[:, 0] << (2 * _BITS)) | (c[:, 1] << _BITS) | c[:, 2]
+
+
 def voxel_index(p: np.ndarray, voxel_size: float) -> np.ndarray:
     """Nearest-integer voxel key of world point(s), (..., 3) -> int64.
 
     Rounding is half-away-from-zero. Quotients within a few ulps of an
     exact half-integer are snapped to it first so that tie handling does
     not depend on division rounding (e.g. 0.15/0.1 evaluating below 1.5).
-    A key that does not fit in int64 is an error.
+    A key beyond +-_MAX_KEY on any axis, which the sparse U-Net could not
+    encode, is an error.
     """
     if voxel_size <= 0:
         raise InvalidInputError("voxel size must be positive")
@@ -67,9 +84,9 @@ def voxel_index(p: np.ndarray, voxel_size: float) -> np.ndarray:
         # the fraction q - trunc(q) is exact, where |q| + 0.5 rounds from 2^52 up
         whole = np.trunc(q)
         key = whole + np.copysign(np.abs(q - whole) >= 0.5, q)
-    if not np.all((key >= -2.0**63) & (key < 2.0**63)):
-        raise InvalidInputError(
-            f"voxel keys do not fit in int64: points too far for voxel size {voxel_size}")
+    if not np.all(np.abs(key) <= _MAX_KEY):
+        raise InvalidInputError(f"voxel keys outside [-{_MAX_KEY}, {_MAX_KEY}]: "
+                                f"points too far for voxel size {voxel_size}")
     return key.astype(np.int64)
 
 
@@ -122,30 +139,20 @@ def lift_views(
 def voxelize(cloud: FeaturedPointCloud, voxel_size: float) -> SparseVoxelGrid:
     """Average-pool point features into their voxels.
 
-    Each voxel sums its points in list order (a stable sort by key), so the
+    Each voxel sums its points in list order (a stable sort by code), so the
     means depend on the order of the points. `run_pipeline` sorts its views
     before lifting them, which makes that order independent of the input
     order.
     """
-    if voxel_size <= 0:
-        raise InvalidInputError("voxel size must be positive")
-    m = len(cloud)
-    c = cloud.features.shape[1] if cloud.features.ndim == 2 else 0
-    if m == 0:
-        return SparseVoxelGrid(voxel_size, np.zeros((0, 3), np.int64), np.zeros((0, c)), np.zeros(0, np.int64))
     keys = voxel_index(cloud.positions, voxel_size)
-    order = np.lexsort((keys[:, 2], keys[:, 1], keys[:, 0]))
-    keys = keys[order]
-    feats = cloud.features[order]
-    new_group = np.empty(m, dtype=bool)
-    new_group[0] = True
-    new_group[1:] = np.any(keys[1:] != keys[:-1], axis=1)
-    starts = np.nonzero(new_group)[0]
-    counts = np.diff(np.append(starts, m))
-    sums = np.add.reduceat(feats, starts, axis=0)
+    codes = _encode(keys)
+    order = np.argsort(codes, kind="stable")
+    starts = np.flatnonzero(np.diff(codes[order], prepend=-1))  # codes are >= 0
+    counts = np.diff(np.append(starts, len(keys)))
+    sums = np.add.reduceat(cloud.features[order], starts, axis=0)
     return SparseVoxelGrid(
         voxel_size=voxel_size,
-        keys=keys[starts],
+        keys=keys[order[starts]],
         features=sums / counts[:, None],
         counts=counts.astype(np.int64),
     )

@@ -13,7 +13,8 @@ from click.testing import CliRunner
 import volsplat
 from volsplat import KERNEL_BACKEND, __version__
 from volsplat.cli import main
-from volsplat.gaussians import GaussianSet, _ply_header, _ply_property_names, export_ply
+from volsplat.gaussians import (GaussianSet, _ply_header, _ply_property_names, export_ply,
+                                import_ply)
 from volsplat.renderer import MAX_THREADS
 from volsplat.sceneio import load_scene, read_depth, save_scene, write_depth
 from volsplat.scenes import CameraPose, SceneSpec, synthesize
@@ -241,10 +242,10 @@ class TestRun:
         assert "unknown config key feature.kind" in res.stderr
 
     def test_stage_failure_exits_1(self, runner, scene_dir, tmp_path):
-        # voxel keys of a wall 2 units away at 1e-6 units overflow the U-Net's coordinate range
+        # voxel keys of a wall 2 units away at 1e-6 units are outside the supported range
         res = runner.invoke(main, run_args(scene_dir, tmp_path / "x", "-o", "voxel.size=1e-6"))
         assert_one_error_line(res, 1)
-        assert "stage 'refine' failed" in res.stderr
+        assert "stage 'voxelize' failed" in res.stderr
 
     def test_feature_scale_not_dividing_the_image_exits_2(self, runner, tmp_path):
         scene = tmp_path / "scene"
@@ -254,20 +255,45 @@ class TestRun:
         assert "image size must be divisible by feature.scale" in res.stderr
         assert "stage" not in res.stderr
 
-    @pytest.mark.parametrize("unet", ["false", "true"])
-    def test_far_gt_depth_fails_in_voxelize(self, runner, tmp_path, unet):
-        # a 1e30 depth at voxel 0.05 puts a key beyond int64, which the cast
-        # to int64 once turned into INT64_MIN on all three axes
+    @staticmethod
+    def wall_with_one_depth(tmp_path, value):
+        """The 3-view 16x16 wall with view 0's first depth set to `value`."""
         scene = tmp_path / "scene"
         save_scene(synthesize(SceneSpec.from_json(wall_spec_dict(size=16)))[0], scene)
         path = scene / "view_000.depth"
         depth, mask = read_depth(path)
-        depth[0, 0] = 1e30
+        depth[0, 0] = value
         write_depth(path, depth, mask)
+        return scene
+
+    @pytest.mark.parametrize("unet", ["false", "true"])
+    def test_far_gt_depth_fails_in_voxelize(self, runner, tmp_path, unet):
+        # a 1e30 depth at voxel 0.05 puts a key beyond int64, which the cast
+        # to int64 once turned into INT64_MIN on all three axes
+        scene = self.wall_with_one_depth(tmp_path, 1e30)
         res = runner.invoke(main, run_args(scene, tmp_path / "x", "-o", f"unet.enabled={unet}",
                                            "-o", "voxel.size=0.05"))
         assert_one_error_line(res, 1)
-        assert "stage 'voxelize' failed: voxel keys do not fit in int64" in res.stderr
+        assert ("stage 'voxelize' failed: voxel keys outside [-1048574, 1048574]: "
+                "points too far for voxel size 0.05") in res.stderr
+
+    @pytest.mark.parametrize("unet", ["false", "true"])
+    @pytest.mark.parametrize("depth", [131072.0, 104857.5])
+    def test_depth_past_the_key_range_fails_in_voxelize_with_or_without_the_unet(
+            self, runner, tmp_path, unet, depth):
+        # at voxel 0.1 the point's z key is 1310720 or 1048575, which the U-Net
+        # could not encode, so voxelize rejects it whether or not the U-Net runs
+        scene = self.wall_with_one_depth(tmp_path, depth)
+        res = runner.invoke(main, run_args(scene, tmp_path / "x", "-o", f"unet.enabled={unet}"))
+        assert_one_error_line(res, 1)
+        assert "stage 'voxelize' failed: voxel keys outside [-1048574, 1048574]" in res.stderr
+
+    def test_depth_at_the_key_range_edge_runs_with_the_unet(self, runner, tmp_path):
+        # float32 104857.4 puts the point's z key at 1048574, the last one in range
+        scene = self.wall_with_one_depth(tmp_path, 104857.4)
+        res = runner.invoke(main, run_args(scene, tmp_path / "x"))
+        assert res.exit_code == 0, res.output
+        assert import_ply(tmp_path / "x" / "gaussians.ply").centers[:, 2].max() > 104857
 
     def test_empty_scene_dir_exits_2(self, runner, tmp_path):
         empty = tmp_path / "empty"

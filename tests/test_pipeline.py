@@ -317,11 +317,11 @@ class TestRunPipeline:
 
     def test_stage_errors_are_tagged(self, tmp_path):
         views = wall_views()
-        # voxel keys out of the U-Net's coordinate range
+        # voxel keys outside the supported range
         cfg = base_config(voxel={"size": 1e-6})
         with pytest.raises(StageError) as exc_info:
             run_pipeline(views, cfg)
-        assert exc_info.value.stage == "refine"
+        assert exc_info.value.stage == "voxelize"
 
     def test_bad_head_kind_rejected_before_any_stage(self):
         views = wall_views()

@@ -137,7 +137,7 @@ def test_cli_exit_code_and_one_error_line(inputs, kind, data):
         path.write_bytes(raw)
         shutil.rmtree(inputs / "synth-out", ignore_errors=True)
     # a well-formed file can still hold values no stage can run with (a finite
-    # depth of 131072 puts voxel keys outside the U-Net's range): exit 1
+    # depth of 131072 puts a voxel key outside +-1048574, which voxelize rejects): exit 1
     assert res.exit_code in (0, 1, 2), res.output
     assert res.exception is None or isinstance(res.exception, SystemExit)
     assert "Traceback" not in res.output

@@ -392,7 +392,7 @@ def coord_sets(draw, max_n=40, extent=5, bases=BASES):
 
 def in_code_order(coords):
     """The rows in ascending `_encode` order, the only order the convs take."""
-    return coords[np.argsort(sparse_unet._encode(coords))]
+    return coords[np.argsort(voxels._encode(coords))]
 
 
 def site_sets(**kwargs):
@@ -516,6 +516,19 @@ class TestKernelMapOracle:
         x = SparseTensor(np.array([[2**19, 0, 0]]), np.ones((1, 2)), stride=2)
         with pytest.raises(InvalidInputError, match="out of supported range"):
             transposed_up(x, np.zeros((1, 3), np.int64), np.ones((3, 3, 3, 2, 2)))
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_voxel_key_range_is_the_forward_range(self, sign):
+        # every key voxel_index accepts runs a 4-level forward; one past the range raises
+        spec = UNetSpec(levels=(2, 2, 2, 2))
+        weights = random_weights(spec, 2, seed=3)
+        for axis in range(3):
+            coords = np.zeros((2, 3), np.int64)
+            coords[1, axis] = sign * voxels._MAX_KEY
+            unet_forward(SparseTensor(in_code_order(coords), np.ones((2, 2))), spec, weights)
+            coords[1, axis] += sign
+            with pytest.raises(InvalidInputError, match="out of supported range"):
+                unet_forward(SparseTensor(in_code_order(coords), np.ones((2, 2))), spec, weights)
 
     @pytest.mark.parametrize("levels,blocks", [((), 2), ((), 0), ((5, 7), 1), ((3, 4, 5, 6), 2)])
     @settings(max_examples=15, deadline=None)
@@ -804,7 +817,7 @@ class TestCodeOrder:
         positions = rng.normal(size=(m, 3)) * rng.choice([0.1, 1.0, 3.0])
         positions[rng.random(m) < 0.2] = positions[0]  # points that share a voxel
         cloud = voxels.FeaturedPointCloud(positions, rng.normal(size=(m, 2)))
-        codes = sparse_unet._encode(voxels.voxelize(cloud, voxel).keys)
+        codes = voxels._encode(voxels.voxelize(cloud, voxel).keys)
         assert np.all(codes[1:] > codes[:-1])
 
     @settings(max_examples=100, deadline=None)
@@ -813,15 +826,15 @@ class TestCodeOrder:
     # its half [0, 2, 0] comes after [0, 0, 0], so the halves must be sorted
     @example(np.array([[0, 5, 0], [1, 0, 0]], np.int64))
     def test_downsample_coords_rows(self, coords):
-        codes = sparse_unet._encode(downsample_coords(coords))
+        codes = voxels._encode(downsample_coords(coords))
         assert np.all(codes[1:] > codes[:-1])
 
     @settings(max_examples=100, deadline=None)
     @given(coord_sets(max_n=60, extent=3, bases=BASES + [2**20 - 4, -(2**20) + 3]))
     def test_halved_codes_and_odd_axes(self, coords):
         # the down map reads each fine site's parent and parity off its code
-        codes = sparse_unet._encode(coords)
-        assert sparse_unet._halve(codes).tobytes() == sparse_unet._encode(coords >> 1).tobytes()
+        codes = voxels._encode(coords)
+        assert sparse_unet._halve(codes).tobytes() == voxels._encode(coords >> 1).tobytes()
         assert sparse_unet._odd_axes(codes).tolist() == ((coords & 1) @ [4, 2, 1]).tolist()
 
 

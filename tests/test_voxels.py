@@ -65,19 +65,24 @@ class TestVoxelIndex:
                                        (-2.0**63 - 2048, 1.0), (1e300, 1e-10)],
                              ids=["1e30", "-1e30", "2^63", "below-2^63", "infinite-quotient"])
     def test_rejects_keys_beyond_int64(self, p, v_s):
-        with pytest.raises(InvalidInputError, match="do not fit in int64"):
+        # keys no int64 holds, and an infinite quotient, raise before the int cast
+        with pytest.raises(InvalidInputError, match=r"voxel keys outside \[-1048574, 1048574\]"):
             voxel_index(np.array([0.0, p, 0.0]), v_s)
 
-    def test_exact_above_2_to_the_52(self):
-        # an odd integer quotient from 2^52 to 2^53 is its own key, not the next one
-        p = np.array([2.0**52 + 1, -(2.0**52 + 3), 2.0**53 - 1])
-        np.testing.assert_array_equal(voxel_index(p, 1.0), [2**52 + 1, -(2**52 + 3), 2**53 - 1])
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("edge", [1048575, -1048575])
+    def test_rejects_keys_one_past_the_range(self, axis, edge):
+        # the sparse U-Net cannot encode every neighbour and child of such a key
+        for v_s in (1.0, 0.1, 0.025):
+            key = np.zeros(3, np.int64)
+            key[axis] = edge
+            with pytest.raises(InvalidInputError, match="points too far for voxel size"):
+                voxel_index(voxel_center(key, v_s), v_s)
 
-    def test_largest_keys_that_fit(self):
-        # the float64 just below 2^63 is 2^63 - 1024; -2^63 is INT64_MIN itself
-        top = np.nextafter(2.0**63, 0)
-        np.testing.assert_array_equal(voxel_index(np.array([top, -2.0**63, 0.0]), 1.0),
-                                      [2**63 - 1024, -2**63, 0])
+    @pytest.mark.parametrize("v_s", [1.0, 0.1, 0.025, 0.02])
+    def test_keys_at_the_range_edge_round_trip(self, v_s):
+        key = np.array([[1048574, -1048574, 0], [-1048574, 0, 1048574]], np.int64)
+        np.testing.assert_array_equal(voxel_index(voxel_center(key, v_s), v_s), key)
 
 
 class TestVoxelCenter:
