@@ -15,6 +15,7 @@ import numpy as np
 from ._kernels import plane_sweep
 from .errors import InvalidInputError
 from .geometry import CameraView, DepthMap, bilinear_sample
+from .sceneio import finite_number
 # unused here, but perfbench/run.py:install_trace wraps features.warp_feature by name
 from .geometry import warp_feature  # noqa: F401
 
@@ -98,21 +99,24 @@ def extract_features(view: CameraView, spec: FeatureExtractorSpec) -> np.ndarray
     return _gradient_descriptor(img, spec)
 
 
-def sample_depth_hypotheses(near: float, far: float, count: int, spacing: str = "inverse"):
-    """D candidate depths between near and far, endpoints included exactly."""
-    if not (0 < near < far and np.isfinite(far)):
-        raise InvalidInputError(f"need 0 < near < far < inf, got ({near}, {far})")
-    if count < 2:
-        raise InvalidInputError("need at least 2 hypotheses")
+def sample_depth_hypotheses(near: float, far: float, count: int, spacing: str):
+    """`count` candidate depths between near and far, endpoints included exactly."""
+    if not (finite_number(near) and finite_number(far) and 0 < near < far):
+        raise InvalidInputError(
+            f"need 0 < depth.near < depth.far, both finite, got ({near!r}, {far!r})")
+    if not 2 <= count <= MAX_DEPTH_HYPOTHESES:
+        raise InvalidInputError(
+            f"depth.num_hypotheses must be 2 to {MAX_DEPTH_HYPOTHESES}, got {count}")
     if spacing == "linear":
         d = np.linspace(near, far, count)
     elif spacing == "inverse":
-        d = 1.0 / np.linspace(1.0 / near, 1.0 / far, count)
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite planes fail below
+            d = 1.0 / np.linspace(1.0 / near, 1.0 / far, count)
         d[0], d[-1] = near, far
     else:
-        raise InvalidInputError(f"unknown spacing {spacing!r}")
+        raise InvalidInputError(f"depth.spacing must be one of {DEPTH_SPACINGS}, got {spacing!r}")
     if not np.all(np.isfinite(d)):  # 1 / near overflows for a subnormal near
-        raise InvalidInputError(f"depth hypotheses over ({near}, {far}) are not finite")
+        raise InvalidInputError(f"depth.near={near}, depth.far={far} give non-finite hypotheses")
     return d
 
 
@@ -150,7 +154,7 @@ def build_cost_volume(
                       valid_cells=int(np.count_nonzero(n_valid)))
 
 
-def regress_depth(cv: CostVolume, temperature: float = 0.05) -> DepthMap:
+def regress_depth(cv: CostVolume, temperature: float) -> DepthMap:
     """Softargmax over the depth axis of a cost volume."""
     if temperature <= 0:
         raise InvalidInputError("temperature must be positive")

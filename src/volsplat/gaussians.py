@@ -28,6 +28,9 @@ _LOG_SCALE_MAX = 3.0
 
 def param_length(sh_degree: int) -> int:
     """offset(3) + opacity(1) + log-scale(3) + quaternion(4) + SH."""
+    if not 0 <= sh_degree <= MAX_SH_DEGREE:
+        raise InvalidInputError(
+            f"SH degree must be 0 to {MAX_SH_DEGREE} (head.sh_degree), got {sh_degree}")
     return 11 + 3 * (sh_degree + 1) ** 2
 
 
@@ -102,8 +105,7 @@ class GaussianSet:
     voxel_keys: Optional[np.ndarray] = None  # provenance, N x 3
 
     def __post_init__(self):
-        if not 0 <= self.sh_degree <= MAX_SH_DEGREE:
-            raise InvalidInputError(f"SH degree must be 0 to {MAX_SH_DEGREE}, got {self.sh_degree}")
+        param_length(self.sh_degree)  # rejects a degree the renderer lacks
         n = self.centers.shape[0]
         for name in ("centers", "opacity_logits", "log_scales", "rotations", "sh"):
             with np.errstate(over="ignore"):  # a value past float32's range fails below

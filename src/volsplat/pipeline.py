@@ -13,8 +13,6 @@ import numpy as np
 
 from .errors import InvalidInputError, StageError
 from .features import (
-    DEPTH_SPACINGS,
-    MAX_DEPTH_HYPOTHESES,
     FeatureExtractorSpec,
     bilinear_upsample,
     build_cost_volume,
@@ -23,7 +21,6 @@ from .features import (
     sample_depth_hypotheses,
 )
 from .gaussians import (
-    MAX_SH_DEGREE,
     GaussianSet,
     SH_C0,
     RawGaussianParams,
@@ -37,8 +34,6 @@ from .geometry import CameraView, DepthMap
 from .renderer import compute_image_metrics, render
 from .sceneio import finite_number, read_json
 from .sparse_unet import (
-    MAX_UNET_BLOCKS,
-    MAX_UNET_WIDTH,
     SparseTensor,
     UNetSpec,
     check_weights,
@@ -48,7 +43,7 @@ from .sparse_unet import (
     residual_refine,
     unet_forward,
 )
-from .voxels import lift_views, voxelize
+from .voxels import check_voxel_size, lift_views, voxelize
 
 
 @dataclass
@@ -164,7 +159,8 @@ class PipelineConfig:
 
     def validate(self) -> None:
         """Reject settings that no stage can run with: first any field whose
-        type is not its default's, then out-of-range and conflicting values."""
+        type is not its default's, then out-of-range and conflicting values.
+        A value's range is checked by the function that reads it."""
         for sec_name, types in _FIELD_TYPES.items():
             section = getattr(self, sec_name)
             for attr, kind in types.items():
@@ -173,33 +169,18 @@ class PipelineConfig:
                     raise InvalidInputError(
                         f"{sec_name}.{attr} must be {_KIND_NAMES[kind]}, got {value!r}")
         d, f, u, h = self.depth, self.feature, self.unet, self.head
-        for name, value in (("depth.near", d.near), ("depth.far", d.far),
-                            ("depth.temperature", d.temperature),
-                            ("voxel.size", self.voxel.size),
+        for name, value in (("depth.temperature", d.temperature),
                             ("head.offset_radius_multiplier", h.offset_radius_multiplier)):
             if not (finite_number(value) and value > 0):
                 raise InvalidInputError(f"{name} must be a positive finite number, got {value!r}")
-        if not d.near < d.far:
-            raise InvalidInputError(f"need depth.near < depth.far, got ({d.near}, {d.far})")
-        if not 2 <= d.num_hypotheses <= MAX_DEPTH_HYPOTHESES:
-            raise InvalidInputError(
-                f"depth.num_hypotheses must be 2 to {MAX_DEPTH_HYPOTHESES}, got {d.num_hypotheses}")
-        if d.spacing not in DEPTH_SPACINGS:
-            raise InvalidInputError(
-                f"depth.spacing must be one of {DEPTH_SPACINGS}, got {d.spacing!r}")
-        FeatureExtractorSpec(f.channels, f.scale)  # channels, scale
+        sample_depth_hypotheses(d.near, d.far, d.num_hypotheses, d.spacing)
+        check_voxel_size(self.voxel.size)
+        FeatureExtractorSpec(f.channels, f.scale)
+        UNetSpec(tuple(u.levels), u.blocks)
+        param_length(h.sh_degree)
         for name, value in (("unet.seed", u.seed), ("head.seed", h.seed)):
             if value < 0:
                 raise InvalidInputError(f"{name} must be >= 0, got {value}")
-        if not 0 <= u.blocks <= MAX_UNET_BLOCKS:
-            raise InvalidInputError(f"unet.blocks must be 0 to {MAX_UNET_BLOCKS}, got {u.blocks}")
-        if not 0 <= h.sh_degree <= MAX_SH_DEGREE:
-            raise InvalidInputError(
-                f"head.sh_degree must be 0 to {MAX_SH_DEGREE}, got {h.sh_degree}")
-        if u.levels and (len(u.levels) < 2 or not all(
-                _fits(c, int) and 1 <= c <= MAX_UNET_WIDTH for c in u.levels)):
-            raise InvalidInputError(f"unet.levels must be empty or >= 2 integers "
-                                    f"from 1 to {MAX_UNET_WIDTH}, got {u.levels!r}")
         if h.kind not in HEAD_KINDS:
             raise InvalidInputError(f"head.kind must be one of {HEAD_KINDS}, got {h.kind!r}")
         if h.kind == "color-copy" and f.channels < 3:

@@ -306,8 +306,15 @@ class UNetSpec:
     blocks_per_level: int = 2
 
     def __post_init__(self):
-        if self.levels and (len(self.levels) < 2 or any(c < 1 for c in self.levels)):
-            raise InvalidInputError("need >= 2 levels with positive widths")
+        # `type(...) is int` turns away bools and floats
+        if self.levels and (len(self.levels) < 2 or not all(
+                type(c) is int and 1 <= c <= MAX_UNET_WIDTH for c in self.levels)):
+            raise InvalidInputError(f"unet.levels must be empty or >= 2 integers "
+                                    f"from 1 to {MAX_UNET_WIDTH}, got {self.levels!r}")
+        b = self.blocks_per_level
+        if not (type(b) is int and 0 <= b <= MAX_UNET_BLOCKS):
+            raise InvalidInputError(
+                f"unet.blocks must be an integer from 0 to {MAX_UNET_BLOCKS}, got {b!r}")
 
     def widths(self, in_channels: int) -> Tuple[int, ...]:
         return self.levels if self.levels else (in_channels, 2 * in_channels, 4 * in_channels)

@@ -10,6 +10,7 @@ import numpy as np
 from .errors import InvalidInputError
 from .features import bilinear_upsample
 from .geometry import CameraView, DepthMap, unproject_pixel
+from .sceneio import finite_number
 
 
 @dataclass
@@ -60,6 +61,11 @@ def _encode(coords: np.ndarray) -> np.ndarray:
     return (c[:, 0] << (2 * _BITS)) | (c[:, 1] << _BITS) | c[:, 2]
 
 
+def check_voxel_size(voxel_size: float) -> None:
+    if not (finite_number(voxel_size) and voxel_size > 0):
+        raise InvalidInputError(f"voxel.size must be a positive finite number, got {voxel_size!r}")
+
+
 def voxel_index(p: np.ndarray, voxel_size: float) -> np.ndarray:
     """Nearest-integer voxel key of world point(s), (..., 3) -> int64.
 
@@ -69,8 +75,7 @@ def voxel_index(p: np.ndarray, voxel_size: float) -> np.ndarray:
     A key beyond +-_MAX_KEY on any axis, which the sparse U-Net could not
     encode, is an error.
     """
-    if voxel_size <= 0:
-        raise InvalidInputError("voxel size must be positive")
+    check_voxel_size(voxel_size)
     p = np.asarray(p, dtype=float)
     if not np.all(np.isfinite(p)):
         raise InvalidInputError("points must be finite")
@@ -92,8 +97,7 @@ def voxel_index(p: np.ndarray, voxel_size: float) -> np.ndarray:
 
 def voxel_center(key, voxel_size: float) -> np.ndarray:
     """World position whose voxel_index is exactly `key`."""
-    if voxel_size <= 0:
-        raise InvalidInputError("voxel size must be positive")
+    check_voxel_size(voxel_size)
     return np.asarray(key, dtype=float) * voxel_size
 
 

@@ -66,7 +66,7 @@ class TestHypotheses:
 
     def test_rejects_bad_range(self):
         with pytest.raises(InvalidInputError):
-            sample_depth_hypotheses(3, 1, 4)
+            sample_depth_hypotheses(3, 1, 4, "inverse")
 
     @pytest.mark.parametrize("near,far,spacing", [
         (0.5, np.inf, "linear"), (0.5, np.inf, "inverse"), (np.nan, 2.0, "inverse"),
@@ -74,8 +74,18 @@ class TestHypotheses:
         (5e-324, 1.0, "inverse"),  # 1 / near overflows: NaN planes between the ends
     ])
     def test_rejects_non_finite_planes(self, near, far, spacing):
-        with pytest.raises(InvalidInputError), np.errstate(invalid="ignore"):
+        # an overflow on the way is no RuntimeWarning, only the error
+        with pytest.raises(InvalidInputError):
             sample_depth_hypotheses(near, far, 4, spacing)
+
+    @pytest.mark.parametrize("count", [1, 257, 100000])
+    def test_rejects_plane_counts_outside_2_to_256(self, count):
+        with pytest.raises(InvalidInputError, match="depth.num_hypotheses must be 2 to 256"):
+            sample_depth_hypotheses(0.5, 10.0, count, "inverse")
+
+    def test_rejects_unknown_spacing(self):
+        with pytest.raises(InvalidInputError, match="depth.spacing must be one of"):
+            sample_depth_hypotheses(0.5, 10.0, 4, "log")
 
 
 def feature_cam(h, w):

@@ -29,6 +29,18 @@ def test_param_length():
     assert param_length(3) == 59
 
 
+@pytest.mark.parametrize("deg", [-1, 4])
+def test_param_length_rejects_sh_degree_the_renderer_lacks(deg):
+    with pytest.raises(InvalidInputError, match=r"SH degree must be 0 to 3 \(head.sh_degree\)"):
+        param_length(deg)
+
+
+def test_raw_params_reject_sh_degree_minus_one():
+    # 11 columns is the length the formula gives for degree -1
+    with pytest.raises(InvalidInputError, match="SH degree must be 0 to 3"):
+        RawGaussianParams(np.zeros((1, 11)), -1)
+
+
 class TestSigmoid:
     def test_values(self):
         np.testing.assert_allclose(sigmoid(np.array([0.0])), [0.5])

@@ -186,6 +186,7 @@ class TestConfig:
         ("unet", {"blocks": MAX_UNET_BLOCKS + 1}),
         ("voxel", {"size": 10**400}),  # an int too large for a float
         ("render", {"bg": (0.0, 10**400, 0.0)}),
+        ("depth", {"near": 5e-309}),  # 1 / near overflows: non-finite planes
     ])
     def test_validate_rejects(self, section, values):
         cfg = base_config(**{section: values})

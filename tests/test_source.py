@@ -1,4 +1,5 @@
-"""Source checks that a linter would make: no import in `src/volsplat` goes unread."""
+"""Source checks: no import in `src/volsplat` goes unread, and `pipeline.py`
+keeps no copy of a range rule that belongs to the module reading the value."""
 
 import ast
 from pathlib import Path
@@ -36,6 +37,17 @@ def test_unread_imports_are_found():
     source = ("import os\nimport re  # noqa: F401\nfrom json import dumps, loads\n"
               "__all__ = ['loads']\nprint(os.sep)\n")
     assert list(unread_imports(source)) == [(3, "dumps")]
+
+
+def imported_names(source: str):
+    return {alias.asname or alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+
+
+def test_pipeline_imports_no_range_bound():
+    # `validate()` calls the functions that own these bounds instead of copying them
+    names = imported_names((SRC / "pipeline.py").read_text())
+    assert sorted(n for n in names if n.startswith("MAX_") or n == "DEPTH_SPACINGS") == []
 
 
 def test_src_has_no_unread_imports():

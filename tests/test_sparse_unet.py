@@ -195,6 +195,16 @@ class TestUNet:
             unet_forward(x2, self.spec, random_weights(self.spec, 4))
 
 
+class TestUNetSpec:
+    @pytest.mark.parametrize("levels,blocks", [((), -1), ((), 9), ((), 2.0), ((), True),
+                                               ((4, 513), 2), ((4, True), 2), ((4, 8.0), 2),
+                                               ((4, 0), 2), ((4,), 2), ((100000000, 2), 2)])
+    def test_rejects(self, levels, blocks):
+        # a negative block count would build the no-block plan; a width past 512, kernels too large
+        with pytest.raises(InvalidInputError, match=r"unet\.(levels|blocks) must be"):
+            UNetSpec(levels=levels, blocks_per_level=blocks)
+
+
 class TestLayerPlan:
     def test_default_widths_and_head(self):
         plan = layer_plan(UNetSpec(), 8)

@@ -85,6 +85,16 @@ class TestVoxelIndex:
         np.testing.assert_array_equal(voxel_index(voxel_center(key, v_s), v_s), key)
 
 
+@pytest.mark.parametrize("v_s", [np.inf, np.nan])
+def test_non_finite_voxel_size_is_rejected(v_s):
+    # with an infinite size every point would pool into key (0, 0, 0)
+    cloud = FeaturedPointCloud(np.array([[0.0, 1.0, 2.0], [5.0, -3.0, 9.0]]), np.ones((2, 1)))
+    for call in (lambda: voxel_index(cloud.positions, v_s), lambda: voxelize(cloud, v_s),
+                 lambda: voxel_center(np.array([1, 0, 0]), v_s)):
+        with pytest.raises(InvalidInputError, match="voxel.size must be a positive finite number"):
+            call()
+
+
 class TestVoxelCenter:
     def test_known_value(self):
         np.testing.assert_allclose(voxel_center(np.array([3, 0, 10]), 0.1), [0.3, 0.0, 1.0])
