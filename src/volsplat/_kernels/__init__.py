@@ -48,14 +48,15 @@ matmul order the channel sum and the camera transforms in their own way.
 output element takes exactly one IEEE addition, out + src, as in
 `out[rows] += src`, and there is no sum whose order could differ.
 
-The C sweep runs in three passes per reference pixel: it projects every
-plane, sorts the planes into dropped, edge and interior ones, then samples
-the interior planes over contiguous channels and takes their dot products
-four at a time. Each (pixel, plane) keeps the operations and the order of
-the one-plane-at-a-time scalar loop, which tests/plane_sweep_scalar.c keeps,
-so acc and n_valid are byte-identical to that loop's. The wrappers allocate
-every kernel's scratch, the compositing columns and the three passes'
-arrays; the C file holds no buffer of its own.
+The C sweep samples the neighbour inside a zero border, as
+`geometry.bilinear_sample` does, in three passes per reference pixel: it
+projects every plane, drops those behind the neighbour or off its grid, then
+samples the rest over contiguous channels and takes their dot products four
+at a time. Each (pixel, plane) keeps the operations and the order of the
+one-plane-at-a-time scalar loop, which tests/plane_sweep_scalar.c keeps, so
+acc and n_valid are byte-identical to that loop's (kernels.c shows why a
+border tap cannot move them). The wrappers allocate every kernel's scratch
+and the bordered neighbour; the C file holds no buffer of its own.
 """
 
 from __future__ import annotations
@@ -235,8 +236,9 @@ def _camera(name: str, cam) -> np.ndarray:
 def _checked_sweep(fn):
     """Wrap the raw C plane sweep in the signature of plane_sweep_np.
 
-    The kernel's scratch (projections and weights, interior-plane taps,
-    channel samples) is allocated here from the checked shapes.
+    The kernel's scratch (projections and weights, plane taps, channel
+    samples) and nbr inside a zero border, a zeroed (h + 1, w + 1, c) copy,
+    are allocated here from the checked shapes.
     """
 
     def plane_sweep(ref, nbr, ref_cam, nbr_cam, depths, acc, n_valid):
@@ -247,8 +249,10 @@ def _checked_sweep(fn):
         ), ("acc", "n_valid"))
         cams = [_camera("ref_cam", ref_cam), _camera("nbr_cam", nbr_cam)]
         h, w, c, d = size["h"], size["w"], size["c"], size["d"]
+        padded = np.zeros((h + 1, w + 1, c))
+        padded[:h, :w] = nbr
         proj, taps, samples = np.empty(7 * d), np.empty(2 * d, np.int64), np.empty(d * c)
-        fn(ref.ctypes.data, nbr.ctypes.data, h, w, c, cams[0].ctypes.data,
+        fn(ref.ctypes.data, padded.ctypes.data, h, w, c, cams[0].ctypes.data,
            cams[1].ctypes.data, depths.ctypes.data, d, acc.ctypes.data, n_valid.ctypes.data,
            proj.ctypes.data, taps.ctypes.data, samples.ctypes.data)
 

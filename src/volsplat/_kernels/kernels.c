@@ -12,10 +12,10 @@
  * than 4.3e-18 per skipped pair. It tests BLOCK splats per step, q and
  * the skip test with no branch, then runs the recurrence on the splats that
  * pass, in order, so its output is byte-identical to the one-splat-at-a-time
- * loop kept in tests/composite_scalar.c. The plane sweep runs in three
- * passes per pixel (project, classify, sample and dot) whose vectorised
- * loops keep each plane's operations and their order, so its output is
- * byte-identical to the one-plane-at-a-time scalar loop kept in
+ * loop kept in tests/composite_scalar.c. The plane sweep reads a zero
+ * border and runs three passes per pixel (project, drop or queue, sample
+ * and dot) whose vectorised loops keep each plane's operations and their
+ * order, so its output is byte-identical to the scalar loop kept in
  * tests/plane_sweep_scalar.c. Built with -ffp-contract=off and without
  * fast-math, no a * b + c is fused and no sum is reassociated. The wrappers
  * allocate every scratch array; this file holds no buffer of its own.
@@ -139,33 +139,35 @@ static inline double snap(double x)
 }
 
 /* One (reference, neighbour) pair of the plane sweep in
- * features.build_cost_volume. ref and nbr are (h, w, c) feature grids; a
- * camera is 16 doubles: fx, fy, cx, cy, then the camera-to-world R (3x3, row
- * major) and T. For every reference pixel and each of the d depth planes the
- * pixel is unprojected at that depth, moved into the neighbour's camera and
- * projected (geometry.unproject_pixel, world_to_cam, project_point). Where the
+ * features.build_cost_volume. ref is an (h, w, c) feature grid and nbr one
+ * inside a zero border, (h + 1, w + 1, c); a camera is 16 doubles: fx, fy,
+ * cx, cy, then the camera-to-world R (3x3, row major) and T. For every
+ * reference pixel and each of the d depth planes the pixel is unprojected at
+ * that depth, moved into the neighbour's camera and projected
+ * (geometry.unproject_pixel, world_to_cam, project_point). Where the
  * projection is in front of the neighbour and inside its grid, the neighbour
- * is sampled bilinearly (taps 00, 01, 10, 11 in that order, off-grid taps
- * skipped, as in geometry.bilinear_sample), dotted with the reference feature,
- * and dot / c is added to acc (h, w, d) while n_valid (h, w, d) counts one
- * more valid neighbour. The warped (h, w, c) grid is never built. The numpy
- * sampler starts each tap sum from +0.0; here a zero sum may be -0.0, but the
- * dot product starts from +0.0, so no sign of zero reaches the score.
+ * is sampled bilinearly (taps 00, 01, 10, 11 in that order, an off-grid tap
+ * reading +0.0 from the border, as in geometry.bilinear_sample), dotted with
+ * the reference feature, and dot / c is added to acc (h, w, d) while n_valid
+ * (h, w, d) counts one more valid neighbour. The warped (h, w, c) grid is
+ * never built. A border tap's weight is exactly 0 (fx = 0 on the last
+ * column, fy = 0 on the last row), so it adds a +-0 product, which can only
+ * flip the sign of a zero tap sum; the dot product starts from +0.0, so no
+ * sign of zero reaches the score.
  *
  * Each pixel takes three passes over its planes:
  * 1. Project: q2, u and v of every plane into proj, with no branch.
- * 2. Classify: drop a plane behind the neighbour or off its grid. Score an
- *    edge plane, one whose right or lower taps are off the grid, on the spot
- *    with the tap tests. Queue an interior plane: its index and tap offset
- *    into taps, its four weights into proj.
+ * 2. Classify: drop a plane behind the neighbour or off its grid; queue any
+ *    other: its index and tap offset into taps, its four weights into proj.
  * 3. Sample each queued plane over contiguous channels into samples, then dot
  *    four planes at a time with four independent sums.
  * A (pixel, plane) still takes the same IEEE operations in the same order as
  * one plane at a time would: each tap sum is ((00 + 01) + 10) + 11 and each
  * dot runs over k = 0 .. c - 1 from +0.0. With -ffp-contract=off and no
  * fast-math a vectorised loop rounds each lane as the scalar loop does, so
- * acc and n_valid are byte-identical to the scalar kernel's. proj (7 d
- * doubles), taps (2 d) and samples (d c doubles) are the caller's scratch.
+ * acc and n_valid are byte-identical to the scalar kernel's, which skips the
+ * off-grid taps. proj (7 d doubles), taps (2 d) and samples (d c doubles)
+ * are the caller's scratch.
  */
 void plane_sweep(const double *restrict ref, const double *restrict nbr, long h, long w, long c,
                  const double *restrict ref_cam, const double *restrict nbr_cam,
@@ -222,42 +224,20 @@ void plane_sweep(const double *restrict ref, const double *restrict nbr, long h,
                     continue;
                 long x0 = (long)u, y0 = (long)v; /* floor, as u, v >= 0 */
                 double fx = u - (double)x0, fy = v - (double)y0;
-                double w00 = (1.0 - fx) * (1.0 - fy), w01 = fx * (1.0 - fy);
-                double w10 = (1.0 - fx) * fy, w11 = fx * fy;
-                int right = x0 + 1 < w, down = y0 + 1 < h;
-                const double *t00 = nbr + (y0 * w + x0) * c;
-                if (right && down) {
-                    double *wt = weights + 4 * n;
-                    wt[0] = w00;
-                    wt[1] = w01;
-                    wt[2] = w10;
-                    wt[3] = w11;
-                    plane[n] = m;
-                    offset[n] = t00 - nbr;
-                    n++;
-                    continue;
-                }
-                const double *t01 = t00 + c, *t10 = t00 + w * c, *t11 = t10 + c;
-                double dot = 0.0;
-                for (long k = 0; k < c; k++) {
-                    double s = t00[k] * w00;
-                    if (right)
-                        s += t01[k] * w01;
-                    if (down)
-                        s += t10[k] * w10;
-                    if (right && down)
-                        s += t11[k] * w11;
-                    dot += f[k] * s;
-                }
-                a[m] += dot / (double)c;
-                nv[m] += 1.0;
+                double *wt = weights + 4 * n;
+                wt[0] = (1.0 - fx) * (1.0 - fy);
+                wt[1] = fx * (1.0 - fy);
+                wt[2] = (1.0 - fx) * fy;
+                wt[3] = fx * fy;
+                plane[n] = m;
+                offset[n++] = (y0 * (w + 1) + x0) * c;
             }
 
             for (long i = 0; i < n; i++) {
                 const double *wt = weights + 4 * i;
                 const double w00 = wt[0], w01 = wt[1], w10 = wt[2], w11 = wt[3];
                 const double *t00 = nbr + offset[i];
-                const double *t01 = t00 + c, *t10 = t00 + w * c, *t11 = t10 + c;
+                const double *t01 = t00 + c, *t10 = t00 + (w + 1) * c, *t11 = t10 + c;
                 double *s = samples + i * c;
                 for (long k = 0; k < c; k++)
                     s[k] = ((t00[k] * w00 + t01[k] * w01) + t10[k] * w10) + t11[k] * w11;

@@ -154,10 +154,15 @@ def build_cost_volume(
                       valid_cells=int(np.count_nonzero(n_valid)))
 
 
+def check_temperature(temperature: float) -> None:
+    if not (finite_number(temperature) and temperature > 0):
+        raise InvalidInputError(
+            f"depth.temperature must be a positive finite number, got {temperature!r}")
+
+
 def regress_depth(cv: CostVolume, temperature: float) -> DepthMap:
     """Softargmax over the depth axis of a cost volume."""
-    if temperature <= 0:
-        raise InvalidInputError("temperature must be positive")
+    check_temperature(temperature)
     s = cv.scores / temperature
     s = s - s.max(axis=-1, keepdims=True)
     w = np.exp(s)

@@ -16,6 +16,7 @@ from .features import (
     FeatureExtractorSpec,
     bilinear_upsample,
     build_cost_volume,
+    check_temperature,
     extract_features,
     regress_depth,
     sample_depth_hypotheses,
@@ -31,7 +32,7 @@ from .gaussians import (
     random_head_weights,
 )
 from .geometry import CameraView, DepthMap
-from .renderer import compute_image_metrics, render
+from .renderer import check_bg, compute_image_metrics, render
 from .sceneio import finite_number, read_json
 from .sparse_unet import (
     SparseTensor,
@@ -169,10 +170,10 @@ class PipelineConfig:
                     raise InvalidInputError(
                         f"{sec_name}.{attr} must be {_KIND_NAMES[kind]}, got {value!r}")
         d, f, u, h = self.depth, self.feature, self.unet, self.head
-        for name, value in (("depth.temperature", d.temperature),
-                            ("head.offset_radius_multiplier", h.offset_radius_multiplier)):
-            if not (finite_number(value) and value > 0):
-                raise InvalidInputError(f"{name} must be a positive finite number, got {value!r}")
+        if not (finite_number(h.offset_radius_multiplier) and h.offset_radius_multiplier > 0):
+            raise InvalidInputError("head.offset_radius_multiplier must be a positive finite "
+                                    f"number, got {h.offset_radius_multiplier!r}")
+        check_temperature(d.temperature)
         sample_depth_hypotheses(d.near, d.far, d.num_hypotheses, d.spacing)
         check_voxel_size(self.voxel.size)
         FeatureExtractorSpec(f.channels, f.scale)
@@ -186,9 +187,7 @@ class PipelineConfig:
         if h.kind == "color-copy" and f.channels < 3:
             raise InvalidInputError(
                 f"head.kind=color-copy needs feature.channels >= 3, got {f.channels}")
-        bg = self.render.bg
-        if len(bg) != 3 or not all(map(finite_number, bg)):
-            raise InvalidInputError(f"render.bg must be 3 finite numbers, got {bg!r}")
+        check_bg(self.render.bg)
 
 
 # Each field's type is its default's: a float field also takes an int, a tuple

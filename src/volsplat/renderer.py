@@ -18,6 +18,7 @@ from ._kernels import composite_tile
 from .errors import InvalidInputError
 from .gaussians import SH_C0, GaussianSet, quat_to_rotmat
 from .geometry import Extrinsics, Intrinsics
+from .sceneio import finite_number
 
 TILE = 16
 NEAR_PLANE = 0.01
@@ -215,6 +216,12 @@ def check_threads(threads: int) -> None:
         raise InvalidInputError(f"threads must be 0 (auto) to {MAX_THREADS}, got {threads}")
 
 
+def check_bg(bg) -> None:
+    """Raise InvalidInputError unless `bg` is 3 finite numbers."""
+    if len(bg) != 3 or not all(map(finite_number, bg)):
+        raise InvalidInputError(f"render.bg must be 3 finite numbers, got {bg!r}")
+
+
 def render(
     gset: GaussianSet,
     K: Intrinsics,
@@ -226,6 +233,7 @@ def render(
     workers, the calling thread among them (0 = os.cpu_count()); no more
     workers start than there are non-empty tiles."""
     check_threads(threads)
+    check_bg(bg)
     mean2d, conics, _, colors, ops, radius, _ = _project_all(gset, K, E)
     rgb, transmit = rasterize(mean2d, conics, colors, ops, radius, K.height, K.width, threads)
     rgb = rgb + transmit[..., None] * np.asarray(bg, dtype=float)

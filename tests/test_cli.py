@@ -222,6 +222,8 @@ class TestRun:
         ["head.sh_degree=4"],
         ["unet.blocks=9"],
         ["depth.near=5e-309"],
+        ["depth.temperature=nan"],
+        ["render.bg=[0,0]"],
     ])
     def test_bad_config_value_exits_2(self, runner, scene_dir, tmp_path, overrides):
         extra = [arg for item in overrides for arg in ("-o", item)]

@@ -167,6 +167,13 @@ class TestRegressDepth:
         with pytest.raises(InvalidInputError):
             regress_depth(cv, temperature=0.0)
 
+    @pytest.mark.parametrize("temperature", [float("inf"), float("nan"), -float("inf"), -1.0,
+                                             True, "0.05"])
+    def test_rejects_non_finite_or_non_positive_temperature(self, temperature):
+        cv = CostVolume(np.zeros((2, 2, 4)), np.array([1.0, 2.0, 3.0, 4.0]))
+        with pytest.raises(InvalidInputError, match="depth.temperature must be a positive finite"):
+            regress_depth(cv, temperature=temperature)
+
 
 class TestUpsample:
     def test_same_size_identity(self):

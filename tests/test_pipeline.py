@@ -187,6 +187,8 @@ class TestConfig:
         ("voxel", {"size": 10**400}),  # an int too large for a float
         ("render", {"bg": (0.0, 10**400, 0.0)}),
         ("depth", {"near": 5e-309}),  # 1 / near overflows: non-finite planes
+        ("depth", {"temperature": float("nan")}),
+        ("depth", {"temperature": float("inf")}),
     ])
     def test_validate_rejects(self, section, values):
         cfg = base_config(**{section: values})

@@ -330,11 +330,12 @@ def scalar_sweep(tmp_path_factory):
     return plane_sweep
 
 
-def assert_bit_identical(c_sweep, scalar_sweep, ref, nbrs, ref_cam, hyp, rng=None):
+def assert_bit_identical(c_sweep, scalar_sweep, ref, nbrs, ref_cam, hyp, rng=None, zero=0.0):
     """Both kernels add every neighbour into the same acc and n_valid, from
-    zeros or from random values; the raw bytes must agree. Returns n_valid."""
+    `zero` (+0.0 or -0.0) or from random values; the raw bytes must agree.
+    Returns n_valid."""
     hyp = np.asarray(hyp, dtype=float)
-    start = np.zeros(ref.shape[:2] + hyp.shape)
+    start = np.full(ref.shape[:2] + hyp.shape, zero)
     if rng is not None:
         start = rng.normal(size=start.shape)
     out = []
@@ -357,8 +358,8 @@ def test_bit_identical_to_the_scalar_sweep_on_random_rigs(c_sweep, scalar_sweep,
     f = rng.uniform(0.5, 2.0) * max(h, w)
     ref_cam = grid_cam(h, w, f, cx=rng.uniform(0, w - 1), cy=rng.uniform(0, h - 1))
     moved = (ref_cam[0], Extrinsics(rot(*rng.uniform(-0.3, 0.3, 2)), rng.uniform(-0.5, 0.5, 3)))
-    # the self-warp keeps every plane of every pixel off the last row and
-    # column interior, so n_planes interior planes there, in any residue mod 4
+    # the self-warp keeps every plane of every pixel, so each pixel queues
+    # n_planes planes, in any residue mod 4
     nbrs = [(rng.normal(size=(h, w, c)), moved), (rng.normal(size=(h, w, c)), ref_cam)]
     hyp = np.sort(rng.uniform(0.3, 6.0, n_planes))
     assert_bit_identical(c_sweep, scalar_sweep, rng.normal(size=(h, w, c)), nbrs, ref_cam, hyp,
@@ -406,24 +407,47 @@ EDGE_OFFSETS = [0.0, -0.5, 0.5, 1e-10, -1e-10, 9.99e-10, -9.99e-10, 1.001e-9, -1
                 0.25, -1.0, "last"]
 
 
-@pytest.mark.parametrize("tz", [0.0, 1.0])  # 1.0: planes at 0.5 and 1 have q2 < 0 and = 0
-@pytest.mark.parametrize("oy", EDGE_OFFSETS)
-@pytest.mark.parametrize("ox", EDGE_OFFSETS)
-def test_bit_identical_on_edge_projections(c_sweep, scalar_sweep, ox, oy, tz):
-    h, w, c = 5, 7, 5
-    rng = np.random.default_rng(7)
+def edge_rig(ox, oy, tz, h, w):
+    """(ref_cam, moved, still, planes) of the edge-projection rig: pixel x of
+    the reference lands on x + ox (y + oy) in the still neighbour."""
     ox = -(w - 1.0) if ox == "last" else ox  # pixel w - 1 lands on column 0 and vice versa
     oy = -(h - 1.0) if oy == "last" else oy
 
     def cam(cx, cy, T):  # principal points off the image, which Intrinsics refuses
         return SimpleNamespace(fx=1.0, fy=1.0, cx=cx, cy=cy), Extrinsics(np.eye(3), np.array(T))
 
-    ref_cam = cam(0.0, 0.0, (0.0, 0.0, 0.0))
     # with tz = 0 the translation moves plane z by exactly (-0.5 / z, 0.25 / z)
     # pixels; the still neighbour lands every plane on the offsets alone
-    nbr_cam = cam(ox, oy, (0.5, -0.25, tz))
-    still = cam(ox, oy, (0.0, 0.0, tz))
-    hyp = [0.5, 1.0, 2.0, 4.0, 8.0]
+    return (cam(0.0, 0.0, (0.0, 0.0, 0.0)), cam(ox, oy, (0.5, -0.25, tz)),
+            cam(ox, oy, (0.0, 0.0, tz)), [0.5, 1.0, 2.0, 4.0, 8.0])
+
+
+@pytest.mark.parametrize("tz", [0.0, 1.0])  # 1.0: planes at 0.5 and 1 have q2 < 0 and = 0
+@pytest.mark.parametrize("oy", EDGE_OFFSETS)
+@pytest.mark.parametrize("ox", EDGE_OFFSETS)
+def test_bit_identical_on_edge_projections(c_sweep, scalar_sweep, ox, oy, tz):
+    h, w, c = 5, 7, 5
+    rng = np.random.default_rng(7)
+    ref_cam, nbr_cam, still, hyp = edge_rig(ox, oy, tz, h, w)
     nbrs = [(rng.normal(size=(h, w, c)), nbr_cam), (rng.normal(size=(h, w, c)), still)]
     assert_bit_identical(c_sweep, scalar_sweep, rng.normal(size=(h, w, c)), nbrs, ref_cam, hyp,
                          rng)
+
+
+@pytest.mark.parametrize("tz", [0.0, 1.0])
+@pytest.mark.parametrize("oy", EDGE_OFFSETS)
+@pytest.mark.parametrize("ox", EDGE_OFFSETS)
+def test_bit_identical_on_edge_projections_with_signed_zeros(c_sweep, scalar_sweep, ox, oy, tz):
+    # features of +-0 and +-1 make exact zero tap sums of either sign; the
+    # compiled sweep adds its +0.0 border taps to them where the scalar loop
+    # skips the off-grid taps, so only the sign of such a zero may differ.
+    # acc starts from -0.0, so a -0.0 dot product would show in its bytes.
+    h, w, c = 5, 7, 5
+    rng = np.random.default_rng(8)
+    ref_cam, nbr_cam, still, hyp = edge_rig(ox, oy, tz, h, w)
+
+    def draw():
+        return rng.choice([0.0, -0.0, 1.0, -1.0], size=(h, w, c))
+
+    nbrs = [(draw(), nbr_cam), (draw(), still)]
+    assert_bit_identical(c_sweep, scalar_sweep, draw(), nbrs, ref_cam, hyp, zero=-0.0)

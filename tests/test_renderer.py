@@ -192,6 +192,18 @@ class TestRender:
         with pytest.raises(InvalidInputError, match="threads must be 0"):
             render(gset, K, E0, threads=threads)
 
+    @pytest.mark.parametrize("bg", [(float("nan"), 0.0, 0.0), (0.0, float("inf"), 0.0), (1, 2),
+                                    (0.0, 0.0, 0.0, 0.0), (0.0, "0", 0.0), (True, 0.0, 0.0)])
+    def test_bad_background_raises_before_rendering(self, monkeypatch, bg):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("rendering was started")
+
+        monkeypatch.setattr(renderer, "rasterize", no_pool)
+        monkeypatch.setattr(renderer, "_project_all", no_pool)
+        gset = make_set([0, 0, 2.0], [1, 0, 0], [0.5], [[0.02] * 3])
+        with pytest.raises(InvalidInputError, match="render.bg must be 3 finite numbers"):
+            render(gset, K, E0, bg=bg)
+
     @pytest.mark.parametrize("threads,cpus,expect", [(1, 8, 1), (2, 8, 2), (8, 8, 4),
                                                      (0, 3, 3), (0, 8, 4), (0, None, 1)])
     def test_workers_are_capped_by_the_non_empty_tiles(self, monkeypatch, threads, cpus,

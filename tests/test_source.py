@@ -1,12 +1,21 @@
-"""Source checks: no import in `src/volsplat` goes unread, and `pipeline.py`
-keeps no copy of a range rule that belongs to the module reading the value."""
+"""Source checks: no import in `src/volsplat` goes unread, `pipeline.py`
+keeps no copy of a range rule that belongs to the module reading the value,
+and the shipped C kernels and their scalar test oracles compile without a
+warning."""
 
 import ast
+import shutil
+import subprocess
 from pathlib import Path
+
+import pytest
 
 import volsplat
 
 SRC = Path(volsplat.__file__).parent
+TESTS = Path(__file__).parent
+C_SOURCES = [SRC / "_kernels" / "kernels.c", TESTS / "composite_scalar.c",
+             TESTS / "plane_sweep_scalar.c"]
 
 
 def unread_imports(source: str):
@@ -55,3 +64,11 @@ def test_src_has_no_unread_imports():
              for p in sorted(SRC.rglob("*.py"))
              for line, name in unread_imports(p.read_text())]
     assert found == []
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+@pytest.mark.parametrize("source", C_SOURCES, ids=lambda p: p.name)
+def test_c_source_compiles_without_warnings(source):
+    res = subprocess.run(["cc", "-fsyntax-only", "-Wall", "-Wextra", "-Werror", str(source)],
+                         stdin=subprocess.DEVNULL, capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
