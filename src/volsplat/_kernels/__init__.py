@@ -1,11 +1,13 @@
-"""The engine's three kernels, and the one place that picks their backend.
+"""The engine's five kernels, and the one place that picks their backend.
 
-`composite_tile` is the rasterizer's per-tile compositing loop,
-`plane_sweep` adds one (reference, neighbour) pair into the depth stage's
-cost volume, and `scatter_add_rows` is the scatter-add of one kernel
-offset's rows in a sparse U-Net conv. Each kernel has one signature and two
-implementations: a C function in `kernels.c` behind a checked ctypes
-wrapper, and a numpy twin (`_composite_np.composite_tile`, `plane_sweep_np`,
+`project_splats` is the renderer's per-splat EWA projection, `bin_tiles`
+sorts the splats into the 16x16 tiles they overlap, `composite_tile` is the
+per-tile compositing loop, `plane_sweep` adds one (reference, neighbour) pair
+into the depth stage's cost volume, and `scatter_add_rows` is the
+scatter-add of one kernel offset's rows in a sparse U-Net conv. Each kernel
+has one signature and two implementations: a C function in `kernels.c`
+behind a checked ctypes wrapper, and a numpy twin (`project_splats_np`,
+`bin_tiles_np`, `_composite_np.composite_tile`, `plane_sweep_np`,
 `scatter_add_rows_np`), so callers import the names below and never ask
 which backend runs.
 
@@ -14,11 +16,27 @@ On first import `kernels.c` is built with `cc -O3 -ffp-contract=off -fPIC
 volsplat/), under a file name that carries a hash of the source and the
 flags, and loaded with ctypes, which releases the GIL for the length of each
 call, so render threads composite tiles in parallel. If the build or the
-load fails, or VOLSPLAT_FORCE_NUMPY=1 is set, the three kernels are the
+load fails, or VOLSPLAT_FORCE_NUMPY=1 is set, the five kernels are the
 numpy twins together (`NUMPY`). BACKEND names the kernels in use: "c" or
 "numpy". Every C wrapper checks its arrays with one checker, `_check`: the
 kernel's dtype and shapes, C-contiguous, writeable where the kernel writes.
-It copies nothing, and any mismatch raises before a pointer is passed.
+It copies nothing, and any mismatch raises before a pointer is passed. The
+wrappers of the kernels that write by index also check the indices:
+`scatter_add_rows` its rows, and `bin_tiles` that every tile rectangle lies
+inside the grid and that rows has one entry per (tile, splat) pair. Each
+wrapper reads every array's address once per call, and the renderer calls
+`project_splats` and `bin_tiles` once per frame.
+
+`project_splats` takes the splats in front of the near plane, in the camera
+frame, with their quaternions and scales, and writes each one's pixel mean,
+the conic of its dilated 2D covariance, its 3-sigma radius and whether that
+footprint meets the image. The C loop uses only + - * / and sqrt, in
+numpy's order, and lets a NaN through each max(., 0) as numpy does, so every
+output is byte-identical to the twin's. `bin_tiles` takes each splat's
+inclusive tile rectangle, a (4, n) int64 array of rows tx0, tx1, ty0, ty1,
+and writes the splats of tile t to rows[bounds[t] : bounds[t + 1]] in
+ascending order: a counting sort in C, a stable argsort of the (tile, splat)
+pairs in numpy, with byte-identical rows and bounds.
 
 Both compositing kernels follow one recurrence, in which a splat adds
 nothing at a pixel where its squared Mahalanobis distance q exceeds Q_SKIP
@@ -39,8 +57,8 @@ each channel is its own sum, rgb += alpha T color, with the same weight, so
 a channel's bytes do not depend on the channels beside it. The C loop is one
 inline body, compiled at k = 3, the renderer's colour, and for any other k.
 
-Neither of the first two C kernels is bit-identical to its numpy twin,
-though both do the same operations in the same order. The compositing
+Neither the compositing kernel nor the sweep is bit-identical to its numpy
+twin, though both do the same operations in the same order. The compositing
 kernel agrees to about 1e-16: it calls libm `exp`, and numpy may dispatch its
 own vectorised `exp`. The sweep agrees to about 1e-15: numpy's `einsum` and
 matmul order the channel sum and the camera transforms in their own way.
@@ -72,7 +90,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from ..geometry import warp_feature
+from ..geometry import quat_to_rotmat, warp_feature
 from . import _composite_np
 from ._composite_np import ALPHA_MAX, T_CUTOFF
 
@@ -86,10 +104,13 @@ SOURCE = Path(__file__).with_name("kernels.c")
 FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
 BUILD_TIMEOUT_S = 120
 COMPOSITE_BLOCK = 8  # kernels.c BLOCK: splats composite_tile tests per step
+COV2D_DILATION = 0.3  # kernels.c COV2D_DILATION: px^2 added to each 2D variance
 
 
 class Kernels(NamedTuple):
     """One backend's kernels; a field has the same signature on every backend."""
+    project_splats: Callable
+    bin_tiles: Callable
     composite_tile: Callable
     plane_sweep: Callable
     scatter_add_rows: Callable
@@ -117,7 +138,75 @@ def scatter_add_rows_np(out, rows, src):
     out[rows] += src
 
 
-NUMPY = Kernels(_composite_np.composite_tile, plane_sweep_np, scatter_add_rows_np)
+def project_splats_np(p_cam, rotations, scales, cam, mean2d, conics, radius, inside):
+    """EWA projection of splats in front of the near plane.
+
+    p_cam (n, 3) are the centres in the camera frame, rotations (n, 4)
+    quaternions (w, x, y, z), scales (n, 3) and cam an (Intrinsics,
+    Extrinsics) pair. Writes each splat's pixel mean into mean2d (n, 2), the
+    conic of its dilated 2D covariance into conics (n, 3), its 3-sigma radius
+    into radius (n) and, into the boolean inside (n), whether that footprint
+    meets the image.
+    """
+    K, E = cam
+    x, y, z = p_cam[:, 0], p_cam[:, 1], p_cam[:, 2]
+    np.stack([K.fx * x / z + K.cx, K.fy * y / z + K.cy], axis=1, out=mean2d)
+
+    # cov2d = J W Sigma W^T J^T = (J W Rq S)(J W Rq S)^T, with J the 2x3
+    # perspective Jacobian at the mean, W the world -> camera rotation and
+    # Sigma = Rq S^2 Rq^T. Every entry of J, J W and J W Rq S is one (n,)
+    # array; J's entries j01 and j10 are 0.
+    W = E.R.T
+    j00, j02 = K.fx / z, -K.fx * x / (z * z)
+    j11, j12 = K.fy / z, -K.fy * y / (z * z)
+    jw = ([j00 * W[0, k] + j02 * W[2, k] for k in range(3)],
+          [j11 * W[1, k] + j12 * W[2, k] for k in range(3)])
+    Rq = quat_to_rotmat(rotations)
+    u, v = ([(r[0] * Rq[:, 0, k] + r[1] * Rq[:, 1, k] + r[2] * Rq[:, 2, k]) * scales[:, k]
+             for k in range(3)] for r in jw)
+    a = u[0] * u[0] + u[1] * u[1] + u[2] * u[2] + COV2D_DILATION
+    b = u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+    c = v[0] * v[0] + v[1] * v[1] + v[2] * v[2] + COV2D_DILATION
+    mid = 0.5 * (a + c)
+    disc = np.sqrt(np.maximum(mid * mid - (a * c - b * b), 0.0))
+    np.multiply(3.0, np.sqrt(np.maximum(mid + disc, 0.0)), out=radius)
+    np.divide(np.stack([c, -b, a], axis=1), (a * c - b * b)[:, None], out=conics)
+    mx, my = mean2d[:, 0], mean2d[:, 1]
+    inside[...] = ((mx + radius >= -0.5) & (mx - radius <= K.width - 0.5)
+                   & (my + radius >= -0.5) & (my - radius <= K.height - 0.5))
+
+
+def tile_pairs(rects) -> int:
+    """The (tile, splat) pairs of the inclusive tile rectangles rects (4, n),
+    rows tx0, tx1, ty0, ty1: the length `bin_tiles` needs for rows."""
+    tx0, tx1, ty0, ty1 = rects
+    return int((tx1 - tx0 + 1) @ (ty1 - ty0 + 1))
+
+
+def bin_tiles_np(rects, nx, ny, rows, bounds):
+    """Splat rows per tile from each splat's inclusive tile rectangle.
+
+    rects (4, n) holds rows tx0, tx1, ty0 and ty1 in an nx x ny tile grid,
+    tile t = ty nx + tx. The 3DGS scheme (Kerbl et al. 2023): every splat is
+    repeated once per tile it overlaps, the (tile, row) pairs are stably
+    sorted by tile, and tile t's splats are written to
+    rows[bounds[t] : bounds[t + 1]], in ascending order. rows holds
+    `tile_pairs(rects)` entries and bounds nx ny + 1.
+    """
+    tx0, tx1, ty0, ty1 = rects
+    span_x = tx1 - tx0 + 1
+    counts = span_x * (ty1 - ty0 + 1)
+    pair_rows = np.repeat(np.arange(counts.size), counts)
+    offset = np.arange(pair_rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    span_x = span_x[pair_rows]
+    tile = (ty0[pair_rows] + offset // span_x) * nx + tx0[pair_rows] + offset % span_x
+    by_tile = np.argsort(tile, kind="stable")
+    rows[...] = pair_rows[by_tile]
+    bounds[...] = np.searchsorted(tile[by_tile], np.arange(nx * ny + 1))
+
+
+NUMPY = Kernels(project_splats_np, bin_tiles_np, _composite_np.composite_tile, plane_sweep_np,
+                scatter_add_rows_np)
 
 
 def cache_dir() -> Path:
@@ -153,19 +242,24 @@ def load(out_dir: Path | None = None, source: Path = SOURCE) -> Optional[Kernels
     default), or None when they cannot be built or loaded."""
     try:
         lib = ctypes.CDLL(str(build(cache_dir() if out_dir is None else out_dir, source)))
+        project, binner = lib.project_splats, lib.bin_tiles
         composite, sweep, scatter = lib.composite_tile, lib.plane_sweep, lib.scatter_add_rows
     except (OSError, AttributeError, subprocess.SubprocessError):
         return None
     ptr, size = ctypes.c_void_p, ctypes.c_long
+    project.argtypes = [ptr, ptr, ptr, ptr, size, size, size, ptr, ptr, ptr, ptr]
+    binner.argtypes = [ptr, size, size, size, ptr, ptr]
     composite.argtypes = [ptr, ptr, ptr, ptr, size, size, size, size, size, size, ptr, ptr, ptr]
     sweep.argtypes = [ptr, ptr, size, size, size, ptr, ptr, ptr, size, ptr, ptr, ptr, ptr, ptr]
     scatter.argtypes = [ptr, ptr, ptr, size, size]
+    project.restype = binner.restype = None
     composite.restype = sweep.restype = scatter.restype = None
-    return Kernels(_checked_composite(composite), _checked_sweep(sweep),
-                   _checked_scatter(scatter))
+    return Kernels(_checked_project(project), _checked_bin(binner), _checked_composite(composite),
+                   _checked_sweep(sweep), _checked_scatter(scatter))
 
 
 _F64, _I64, _U64 = np.dtype(np.float64), np.dtype(np.int64), np.dtype(np.uint64)
+_BOOL = np.dtype(np.bool_)
 
 
 def _check(kernel: str, args, outputs) -> dict:
@@ -229,8 +323,52 @@ def _camera(name: str, cam) -> np.ndarray:
                              np.asarray(E.R, dtype=np.float64).ravel(),
                              np.asarray(E.T, dtype=np.float64).ravel()))
     if packed.shape != (16,):
-        raise ValueError(f"plane_sweep: {name} must hold a 3x3 R and a 3-vector T")
+        raise ValueError(f"{name} must hold a 3x3 R and a 3-vector T")
     return packed
+
+
+def _checked_project(fn):
+    """Wrap the raw C projection in the signature of project_splats_np."""
+
+    def project_splats(p_cam, rotations, scales, cam, mean2d, conics, radius, inside):
+        size = _check("project_splats", (
+            ("p_cam", p_cam, _F64, ("n", 3)), ("rotations", rotations, _F64, ("n", 4)),
+            ("scales", scales, _F64, ("n", 3)), ("mean2d", mean2d, _F64, ("n", 2)),
+            ("conics", conics, _F64, ("n", 3)), ("radius", radius, _F64, ("n",)),
+            ("inside", inside, _BOOL, ("n",)),
+        ), ("mean2d", "conics", "radius", "inside"))
+        packed = _camera("project_splats: cam", cam)
+        width, height = operator.index(cam[0].width), operator.index(cam[0].height)
+        fn(p_cam.ctypes.data, rotations.ctypes.data, scales.ctypes.data, packed.ctypes.data,
+           size["n"], width, height, mean2d.ctypes.data, conics.ctypes.data,
+           radius.ctypes.data, inside.ctypes.data)
+
+    return project_splats
+
+
+def _checked_bin(fn):
+    """Wrap the raw C binning in the signature of bin_tiles_np. The kernel
+    writes by tile index, so every rectangle must also lie inside the tile
+    grid, with tx0 <= tx1 and ty0 <= ty1, and rows must hold exactly
+    `tile_pairs(rects)` entries."""
+
+    def bin_tiles(rects, nx, ny, rows, bounds):
+        nx, ny = operator.index(nx), operator.index(ny)
+        size = _check("bin_tiles", (
+            ("rects", rects, _I64, (4, "n")), ("rows", rows, _I64, ("m",)),
+            ("bounds", bounds, _I64, (nx * ny + 1,)),
+        ), ("rows", "bounds"))
+        tx0, tx1, ty0, ty1 = rects
+        if size["n"] and not (tx0.min() >= 0 and ty0.min() >= 0 and (tx0 <= tx1).all()
+                              and (ty0 <= ty1).all() and tx1.max() < nx and ty1.max() < ny):
+            raise IndexError(f"bin_tiles: rects must satisfy 0 <= tx0 <= tx1 < {nx} "
+                             f"and 0 <= ty0 <= ty1 < {ny}")
+        pairs = tile_pairs(rects)
+        if pairs != size["m"]:
+            raise ValueError(f"bin_tiles: rows has {size['m']} entries, the rects {pairs} pairs")
+        fn(rects.ctypes.data, size["n"], nx, ny, rows.ctypes.data, bounds.ctypes.data)
+
+    return bin_tiles
 
 
 def _checked_sweep(fn):
@@ -247,7 +385,8 @@ def _checked_sweep(fn):
             ("depths", depths, _F64, ("d",)), ("acc", acc, _F64, ("h", "w", "d")),
             ("n_valid", n_valid, _F64, ("h", "w", "d")),
         ), ("acc", "n_valid"))
-        cams = [_camera("ref_cam", ref_cam), _camera("nbr_cam", nbr_cam)]
+        cams = [_camera("plane_sweep: ref_cam", ref_cam),
+                _camera("plane_sweep: nbr_cam", nbr_cam)]
         h, w, c, d = size["h"], size["w"], size["c"], size["d"]
         padded = np.zeros((h + 1, w + 1, c))
         padded[:h, :w] = nbr
@@ -285,8 +424,9 @@ def select():
     return NUMPY, "numpy"
 
 
-(composite_tile, plane_sweep, scatter_add_rows), BACKEND = select()
+(project_splats, bin_tiles, composite_tile, plane_sweep, scatter_add_rows), BACKEND = select()
 
-__all__ = ["composite_tile", "plane_sweep", "scatter_add_rows", "plane_sweep_np",
-           "scatter_add_rows_np", "NUMPY", "BACKEND", "Kernels", "ALPHA_MAX", "T_CUTOFF", "build",
-           "load", "select"]
+__all__ = ["project_splats", "bin_tiles", "composite_tile", "plane_sweep", "scatter_add_rows",
+           "project_splats_np", "bin_tiles_np", "plane_sweep_np", "scatter_add_rows_np",
+           "tile_pairs", "NUMPY", "BACKEND", "Kernels", "ALPHA_MAX", "T_CUTOFF",
+           "COV2D_DILATION", "build", "load", "select"]

@@ -1,13 +1,17 @@
-/* The engine's three compiled kernels: tile compositing, the plane sweep and
- * the sparse U-Net's row scatter-add.
+/* The engine's five compiled kernels: EWA projection, tile binning and tile
+ * compositing for the renderer, the plane sweep and the sparse U-Net's row
+ * scatter-add.
  *
  * Each follows its numpy counterpart with the same operations in the same
- * order. Arrays are C-contiguous float64 (row indices int64). The Python
- * wrappers in __init__.py check every dtype, shape, contiguity and row
- * index, so this file does no validation. The scatter-add is bit-identical
- * to its numpy line, out[rows] += src: each element takes the one addition
- * out + src, and no sum is reordered. Compositing skips a (splat, pixel)
- * pair whose q exceeds Q_SKIP before its exp: there alpha <= e^-40 < 2^-57
+ * order. Arrays are C-contiguous float64 (row indices and tile rectangles
+ * int64, the in-image flag one byte). The Python wrappers in __init__.py
+ * check every dtype, shape, contiguity, row index and tile rectangle, so
+ * this file does no validation. The projection, the binning and the
+ * scatter-add are bit-identical to their numpy twins: the projection uses
+ * only + - * / and sqrt, each correctly rounded, in numpy's order, the
+ * binning computes no float, and the scatter-add makes one addition per
+ * element. Compositing skips a (splat, pixel) pair whose q exceeds Q_SKIP
+ * before its exp: there alpha <= e^-40 < 2^-57
  * would leave transmittance unchanged to the bit, so only rgb moves, by less
  * than 4.3e-18 per skipped pair. It tests BLOCK splats per step, q and
  * the skip test with no branch, then runs the recurrence on the splats that
@@ -18,7 +22,8 @@
  * order, so its output is byte-identical to the scalar loop kept in
  * tests/plane_sweep_scalar.c. Built with -ffp-contract=off and without
  * fast-math, no a * b + c is fused and no sum is reassociated. The wrappers
- * allocate every scratch array; this file holds no buffer of its own.
+ * allocate every scratch array and the callers every output; this file holds
+ * no buffer of its own.
  */
 #include <math.h>
 #include <stdint.h>
@@ -28,6 +33,7 @@
 #define Q_SKIP 80.0
 #define SNAP_TOL 1e-9
 #define BLOCK 8 /* splats tested per step in composite_tile */
+#define COV2D_DILATION 0.3
 
 /* Front-to-back compositing of pre-sorted 2D splats into one tile: the
  * per-pixel loop of _composite_np.py. means (n, 2), conics (n, 3),
@@ -122,6 +128,109 @@ void composite_tile(const double *means, const double *conics, const double *col
         composite_pixels(colors, opacities, n, 3, x0, y0, th, tw, rgb, transmit, splats);
     else
         composite_pixels(colors, opacities, n, nc, x0, y0, th, tw, rgb, transmit, splats);
+}
+
+/* np.maximum(v, 0.0): a NaN v stays NaN, where fmax would give 0 */
+static inline double at_least_zero(double v)
+{
+    return v < 0.0 ? 0.0 : v;
+}
+
+/* EWA projection of n splats, all in front of the near plane: the per-splat
+ * arithmetic of _kernels.project_splats_np. p_cam (n, 3) are the centres in
+ * the camera frame, rotations (n, 4) quaternions (w, x, y, z), not
+ * necessarily unit, and scales (n, 3); cam is 16 doubles, fx, fy, cx, cy,
+ * then the camera-to-world R (3x3, row major) and T, of which T is unread.
+ * Each splat gets its pixel mean, mean2d (n, 2), the conic of its dilated 2D
+ * covariance, conics (n, 3), its 3-sigma radius (n) and inside (n), 1 where
+ * that footprint meets the width x height image and 0 elsewhere.
+ *
+ * cov2d = (J W Rq S)(J W Rq S)^T, with J the perspective Jacobian at the
+ * mean (j01 = j10 = 0), W = R^T the world-to-camera rotation, Rq the
+ * quaternion's matrix (geometry.quat_to_rotmat) and S the scales. Every
+ * entry takes numpy's operations in numpy's order, with no exp or libm call
+ * but sqrt, and a NaN passes each max(., 0) as it does in numpy, so every
+ * output is byte-identical to the twin's.
+ */
+void project_splats(const double *restrict p_cam, const double *restrict rotations,
+                    const double *restrict scales, const double *restrict cam, long n,
+                    long width, long height, double *restrict mean2d,
+                    double *restrict conics, double *restrict radius,
+                    unsigned char *restrict inside)
+{
+    const double fx = cam[0], fy = cam[1], cx = cam[2], cy = cam[3];
+    const double *R = cam + 4; /* W[r][k] = R[k][r] */
+    const double right = (double)width - 0.5, bottom = (double)height - 0.5;
+    for (long i = 0; i < n; i++) {
+        const double x = p_cam[3 * i], y = p_cam[3 * i + 1], z = p_cam[3 * i + 2];
+        const double mx = fx * x / z + cx, my = fy * y / z + cy;
+        const double j00 = fx / z, j02 = -fx * x / (z * z);
+        const double j11 = fy / z, j12 = -fy * y / (z * z);
+        double jw0[3], jw1[3];
+        for (int k = 0; k < 3; k++) {
+            jw0[k] = j00 * R[3 * k] + j02 * R[3 * k + 2];
+            jw1[k] = j11 * R[3 * k + 1] + j12 * R[3 * k + 2];
+        }
+        const double *q = rotations + 4 * i;
+        const double qw = q[0], qx = q[1], qy = q[2], qz = q[3];
+        const double Rq[3][3] = {
+            {1.0 - 2.0 * (qy * qy + qz * qz), 2.0 * (qx * qy - qw * qz), 2.0 * (qx * qz + qw * qy)},
+            {2.0 * (qx * qy + qw * qz), 1.0 - 2.0 * (qx * qx + qz * qz), 2.0 * (qy * qz - qw * qx)},
+            {2.0 * (qx * qz - qw * qy), 2.0 * (qy * qz + qw * qx), 1.0 - 2.0 * (qx * qx + qy * qy)},
+        };
+        double u[3], v[3];
+        for (int k = 0; k < 3; k++) {
+            const double s = scales[3 * i + k];
+            u[k] = (jw0[0] * Rq[0][k] + jw0[1] * Rq[1][k] + jw0[2] * Rq[2][k]) * s;
+            v[k] = (jw1[0] * Rq[0][k] + jw1[1] * Rq[1][k] + jw1[2] * Rq[2][k]) * s;
+        }
+        const double a = u[0] * u[0] + u[1] * u[1] + u[2] * u[2] + COV2D_DILATION;
+        const double b = u[0] * v[0] + u[1] * v[1] + u[2] * v[2];
+        const double c = v[0] * v[0] + v[1] * v[1] + v[2] * v[2] + COV2D_DILATION;
+        const double mid = 0.5 * (a + c);
+        const double disc = sqrt(at_least_zero(mid * mid - (a * c - b * b)));
+        const double r = 3.0 * sqrt(at_least_zero(mid + disc));
+        const double det = a * c - b * b;
+        mean2d[2 * i] = mx;
+        mean2d[2 * i + 1] = my;
+        conics[3 * i] = c / det;
+        conics[3 * i + 1] = -b / det;
+        conics[3 * i + 2] = a / det;
+        radius[i] = r;
+        inside[i] = (mx + r >= -0.5) & (mx - r <= right) & (my + r >= -0.5) & (my - r <= bottom);
+    }
+}
+
+/* The splats of each tile, by a counting sort: the work of
+ * _kernels.bin_tiles_np. rects (4, n) holds the splats' inclusive tile
+ * rectangles, one row each of tx0, tx1, ty0 and ty1, inside the nx x ny
+ * tile grid; tile t = ty nx + tx. Tile t's splats go to
+ * rows[bounds[t] : bounds[t + 1]] in ascending order, which is the stable
+ * sort by tile of the (tile, splat) pairs taken in splat order. bounds has
+ * nx ny + 1 entries and rows one per pair. bounds[t + 1] first counts tile
+ * t's pairs, then holds its start, and is moved past each row written, so
+ * it ends as tile t's end.
+ */
+void bin_tiles(const int64_t *restrict rects, long n, long nx, long ny, int64_t *restrict rows,
+               int64_t *restrict bounds)
+{
+    const int64_t *tx0 = rects, *tx1 = rects + n, *ty0 = rects + 2 * n, *ty1 = rects + 3 * n;
+    for (long t = 0; t <= nx * ny; t++)
+        bounds[t] = 0;
+    for (long i = 0; i < n; i++)
+        for (int64_t ty = ty0[i]; ty <= ty1[i]; ty++)
+            for (int64_t tx = tx0[i]; tx <= tx1[i]; tx++)
+                bounds[ty * nx + tx + 1]++;
+    int64_t start = 0;
+    for (long t = 1; t <= nx * ny; t++) {
+        const int64_t count = bounds[t];
+        bounds[t] = start;
+        start += count;
+    }
+    for (long i = 0; i < n; i++)
+        for (int64_t ty = ty0[i]; ty <= ty1[i]; ty++)
+            for (int64_t tx = tx0[i]; tx <= tx1[i]; tx++)
+                rows[bounds[ty * nx + tx + 1]++] = i;
 }
 
 /* Snap a coordinate within SNAP_TOL of an integer onto it, as

@@ -15,6 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import FormatError, InvalidInputError, WeightLoadError
+from .geometry import quat_to_rotmat
 from .sceneio import Payload, read_bytes
 from .sparse_unet import SparseTensor, WeightBlob
 from .voxels import voxel_center
@@ -128,22 +129,6 @@ class GaussianSet:
     @property
     def scales(self) -> np.ndarray:
         return np.exp(self.log_scales.astype(float))
-
-
-def quat_to_rotmat(q: np.ndarray) -> np.ndarray:
-    """(N, 4) unit quaternions (w, x, y, z) -> (N, 3, 3) rotations."""
-    w, x, y, z = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
-    R = np.empty((q.shape[0], 3, 3))
-    R[:, 0, 0] = 1 - 2 * (y * y + z * z)
-    R[:, 0, 1] = 2 * (x * y - w * z)
-    R[:, 0, 2] = 2 * (x * z + w * y)
-    R[:, 1, 0] = 2 * (x * y + w * z)
-    R[:, 1, 1] = 1 - 2 * (x * x + z * z)
-    R[:, 1, 2] = 2 * (y * z - w * x)
-    R[:, 2, 0] = 2 * (x * z - w * y)
-    R[:, 2, 1] = 2 * (y * z + w * x)
-    R[:, 2, 2] = 1 - 2 * (x * x + y * y)
-    return R
 
 
 def check_head_weights(head_weights: WeightBlob, channels: int, sh_degree: int = 0) -> None:

@@ -84,6 +84,22 @@ class Extrinsics:
         return (p - self.T) @ self.R
 
 
+def quat_to_rotmat(q: np.ndarray) -> np.ndarray:
+    """(N, 4) unit quaternions (w, x, y, z) -> (N, 3, 3) rotations."""
+    w, x, y, z = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
+    R = np.empty((q.shape[0], 3, 3))
+    R[:, 0, 0] = 1 - 2 * (y * y + z * z)
+    R[:, 0, 1] = 2 * (x * y - w * z)
+    R[:, 0, 2] = 2 * (x * z + w * y)
+    R[:, 1, 0] = 2 * (x * y + w * z)
+    R[:, 1, 1] = 1 - 2 * (x * x + z * z)
+    R[:, 1, 2] = 2 * (y * z - w * x)
+    R[:, 2, 0] = 2 * (x * z - w * y)
+    R[:, 2, 1] = 2 * (y * z + w * x)
+    R[:, 2, 2] = 1 - 2 * (x * x + y * y)
+    return R
+
+
 @dataclass
 class CameraView:
     """One input image with its calibrated camera and optional true depth.

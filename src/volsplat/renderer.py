@@ -14,15 +14,14 @@ from typing import Sequence
 
 import numpy as np
 
-from ._kernels import composite_tile
+from ._kernels import bin_tiles, composite_tile, project_splats, tile_pairs
 from .errors import InvalidInputError
-from .gaussians import SH_C0, GaussianSet, quat_to_rotmat
+from .gaussians import SH_C0, GaussianSet
 from .geometry import Extrinsics, Intrinsics
 from .sceneio import finite_number
 
 TILE = 16
 NEAR_PLANE = 0.01
-COV2D_DILATION = 0.3
 PSNR_CAP = 99.0
 MAX_THREADS = 64  # render workers; 0 asks for one per CPU
 
@@ -44,7 +43,7 @@ def eval_sh(sh: np.ndarray, degree: int, dirs: np.ndarray) -> np.ndarray:
     """View-dependent RGB from SH coefficients, clipped to [0, 1].
 
     sh is (N, 3 (L+1)^2) laid out channel-fastest per coefficient;
-    dirs are unit view directions (N, 3).
+    dirs are unit view directions (N, 3), unread at degree 0.
     """
     coeff = sh.reshape(sh.shape[0], sh.shape[1] // 3, 3).astype(float)
     c = 0.5 + SH_C0 * coeff[:, 0]
@@ -75,70 +74,38 @@ def _project_all(gset: GaussianSet, K: Intrinsics, E: Extrinsics):
     index in the set, idx, as the tiebreak.
 
     Per-splat inputs are gathered only when some splat is behind the near
-    plane, and each output is gathered once, by the one index that both
-    culls and sorts.
+    plane, `project_splats` projects the rest, and each output is gathered
+    once, by the one index that both culls and sorts. Colours are evaluated
+    for the kept splats only, and view directions only at SH degree 1 and
+    up: degree 0 does not depend on the view.
     """
     centers = gset.centers.astype(float)
     p_cam = E.world_to_cam(centers)
     near = np.flatnonzero(p_cam[:, 2] > NEAR_PLANE)
-    rotations, scales, sh, opacities = gset.rotations, gset.scales, gset.sh, gset.opacities
+    rotations, scales = gset.rotations, gset.scales
     if near.size < len(gset):
-        centers, p_cam, rotations, scales, sh, opacities = (
-            np.take(a, near, axis=0) for a in (centers, p_cam, rotations, scales, sh, opacities))
-    x, y, z = p_cam[:, 0], p_cam[:, 1], p_cam[:, 2]
-    mean2d = np.stack([K.fx * x / z + K.cx, K.fy * y / z + K.cy], axis=1)
-
-    # cov2d = J W Sigma W^T J^T = (J W Rq S)(J W Rq S)^T, with J the 2x3
-    # perspective Jacobian at the mean, W the world -> camera rotation and
-    # Sigma = Rq S^2 Rq^T. Every entry of J, J W and J W Rq S is one (N,)
-    # array; J's entries j01 and j10 are 0.
-    W = E.R.T
-    j00, j02 = K.fx / z, -K.fx * x / (z * z)
-    j11, j12 = K.fy / z, -K.fy * y / (z * z)
-    jw = ([j00 * W[0, k] + j02 * W[2, k] for k in range(3)],
-          [j11 * W[1, k] + j12 * W[2, k] for k in range(3)])
-    Rq = quat_to_rotmat(rotations.astype(float))
-    u, v = ([(r[0] * Rq[:, 0, k] + r[1] * Rq[:, 1, k] + r[2] * Rq[:, 2, k]) * scales[:, k]
-             for k in range(3)] for r in jw)
-    a = u[0] * u[0] + u[1] * u[1] + u[2] * u[2] + COV2D_DILATION
-    b = u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
-    c = v[0] * v[0] + v[1] * v[1] + v[2] * v[2] + COV2D_DILATION
-    mid = 0.5 * (a + c)
-    disc = np.sqrt(np.maximum(mid * mid - (a * c - b * b), 0.0))
-    radius = 3.0 * np.sqrt(np.maximum(mid + disc, 0.0))
-
-    dirs = centers - E.T
-    norms = np.linalg.norm(dirs, axis=1, keepdims=True)
-    dirs = np.divide(dirs, norms, out=np.zeros_like(dirs), where=norms > 0)
-    colors = eval_sh(sh, gset.sh_degree, dirs)
-    conics = np.stack([c, -b, a], axis=1) / (a * c - b * b)[:, None]
+        p_cam, rotations, scales = (np.take(a, near, axis=0) for a in (p_cam, rotations, scales))
+    p_cam, rotations, scales = (np.ascontiguousarray(a, dtype=np.float64)
+                                for a in (p_cam, rotations, scales))
+    n = near.size
+    mean2d, conics, radius = np.empty((n, 2)), np.empty((n, 3)), np.empty(n)
+    inside = np.empty(n, dtype=bool)
+    project_splats(p_cam, rotations, scales, (K, E), mean2d, conics, radius, inside)
 
     # keep splats whose 3-sigma footprint meets the image, then sort them by
     # depth; near is ascending, so a stable sort breaks ties by set index
-    rows = np.flatnonzero(
-        (mean2d[:, 0] + radius >= -0.5) & (mean2d[:, 0] - radius <= K.width - 0.5)
-        & (mean2d[:, 1] + radius >= -0.5) & (mean2d[:, 1] - radius <= K.height - 0.5))
+    z = p_cam[:, 2]
+    rows = np.flatnonzero(inside)
     rows = rows[np.argsort(z[rows], kind="stable")]
-    return tuple(np.take(a, rows, axis=0) for a in (mean2d, conics, z, colors, opacities,
-                                                    radius, near))
-
-
-def bin_tiles(tx0, tx1, ty0, ty1, nx: int, ny: int):
-    """Splat rows per tile from each splat's inclusive tile rectangle.
-
-    The 3DGS scheme (Kerbl et al. 2023): every splat is repeated once per
-    tile it overlaps, the (tile, row) pairs are stably sorted by tile, and
-    tile t holds rows[bounds[t] : bounds[t + 1]], in ascending row order.
-    """
-    span_x = tx1 - tx0 + 1
-    counts = span_x * (ty1 - ty0 + 1)
-    rows = np.repeat(np.arange(counts.size), counts)
-    offset = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    span_x = span_x[rows]
-    tile = (ty0[rows] + offset // span_x) * nx + tx0[rows] + offset % span_x
-    by_tile = np.argsort(tile, kind="stable")
-    bounds = np.searchsorted(tile[by_tile], np.arange(nx * ny + 1))
-    return rows[by_tile], bounds
+    idx = near[rows]
+    dirs = None
+    if gset.sh_degree >= 1:
+        dirs = np.take(centers, idx, axis=0) - E.T
+        norms = np.linalg.norm(dirs, axis=1, keepdims=True)
+        dirs = np.divide(dirs, norms, out=np.zeros_like(dirs), where=norms > 0)
+    colors = eval_sh(np.take(gset.sh, idx, axis=0), gset.sh_degree, dirs)
+    return (*(np.take(a, rows, axis=0) for a in (mean2d, conics, z)), colors,
+            np.take(gset.opacities, idx), np.take(radius, rows), idx)
 
 
 def rasterize(mean2d, conics, colors, ops, radius, h: int, w: int, threads: int = 1):
@@ -155,26 +122,34 @@ def rasterize(mean2d, conics, colors, ops, radius, h: int, w: int, threads: int 
     transmit = np.ones((h, w))
     nx = -(-w // TILE)
     ny = -(-h // TILE)
-    tx0 = np.clip(((mean2d[:, 0] - radius) // TILE).astype(int), 0, nx - 1)
-    tx1 = np.clip(((mean2d[:, 0] + radius) // TILE).astype(int), 0, nx - 1)
-    ty0 = np.clip(((mean2d[:, 1] - radius) // TILE).astype(int), 0, ny - 1)
-    ty1 = np.clip(((mean2d[:, 1] + radius) // TILE).astype(int), 0, ny - 1)
-    rows, bounds = bin_tiles(tx0, tx1, ty0, ty1, nx, ny)
+    # each splat's inclusive tile rectangle, rows tx0, tx1, ty0 and ty1: its
+    # pixel bounds in tiles (exact, as TILE is a power of two), clipped to the
+    # grid before the cast, which then floors, so a footprint past the int64
+    # range, or an infinite one, still reaches the last tile
+    mx, my = mean2d.T
+    rects = np.stack([mx - radius, mx + radius, my - radius, my + radius])
+    rects *= 1.0 / TILE
+    np.clip(rects, 0.0, [[nx - 1], [nx - 1], [ny - 1], [ny - 1]], out=rects)
+    rects = rects.astype(np.int64)
+    rows, bounds = np.empty(tile_pairs(rects), np.int64), np.empty(nx * ny + 1, np.int64)
+    bin_tiles(rects, nx, ny, rows, bounds)
+    # every tile's splats in one gather per array; a tile takes a slice
+    splats = [np.take(a, rows, axis=0) for a in (mean2d, conics, colors, ops)]
+    tiles = np.flatnonzero(np.diff(bounds)).tolist()
+    bounds = bounds.tolist()
 
     def do_tile(t):
         ty, tx = divmod(t, nx)
-        sel = rows[bounds[t] : bounds[t + 1]]
+        part = slice(bounds[t], bounds[t + 1])
         x0, y0 = tx * TILE, ty * TILE
         tw = min(TILE, w - x0)
         th = min(TILE, h - y0)
         tile_rgb = np.zeros((th, tw, k))
         tile_T = np.ones((th, tw))
-        composite_tile(mean2d[sel], conics[sel], colors[sel], ops[sel],
-                       x0, y0, tile_rgb, tile_T)
+        composite_tile(*(a[part] for a in splats), x0, y0, tile_rgb, tile_T)
         rgb[y0 : y0 + th, x0 : x0 + tw] = tile_rgb
         transmit[y0 : y0 + th, x0 : x0 + tw] = tile_T
 
-    tiles = np.flatnonzero(np.diff(bounds)).tolist()
     workers = min(threads or os.cpu_count() or 1, len(tiles))
     _on_threads(do_tile, tiles, workers)
     return rgb, transmit

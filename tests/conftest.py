@@ -47,12 +47,33 @@ def c_scatter(c_kernels):
     return c_kernels.scatter_add_rows
 
 
-@pytest.fixture(params=["numpy", "c"])
-def kernel_backend(request, monkeypatch):
-    """Run the test once per kernel backend, patched into the renderer, the
-    depth stage and the sparse U-Net as `_kernels.select` would set them."""
-    kernels = _kernels.NUMPY if request.param == "numpy" else request.getfixturevalue("c_kernels")
-    monkeypatch.setattr(renderer, "composite_tile", kernels.composite_tile)
+def patch_kernels(monkeypatch, kernels):
+    """Patch one backend's kernels into the renderer, the depth stage and the
+    sparse U-Net, as `_kernels.select` would set them."""
+    for name in ("project_splats", "bin_tiles", "composite_tile"):
+        monkeypatch.setattr(renderer, name, getattr(kernels, name))
     monkeypatch.setattr(features, "plane_sweep", kernels.plane_sweep)
     monkeypatch.setattr(sparse_unet, "scatter_add_rows", kernels.scatter_add_rows)
+
+
+@pytest.fixture(params=["numpy", "c"])
+def kernel_backend(request, monkeypatch):
+    """Run the test once per kernel backend, patched in by `patch_kernels`."""
+    kernels = _kernels.NUMPY if request.param == "numpy" else request.getfixturevalue("c_kernels")
+    patch_kernels(monkeypatch, kernels)
     return request.param
+
+
+@pytest.fixture
+def each_backend(request, monkeypatch):
+    """For a test that runs its body once per kernel backend under one test
+    id: `for backend in each_backend():` patches the numpy kernels in, then
+    the compiled ones, as `kernel_backend` does."""
+
+    def backends():
+        for name in ("numpy", "c"):
+            kernels = _kernels.NUMPY if name == "numpy" else request.getfixturevalue("c_kernels")
+            patch_kernels(monkeypatch, kernels)
+            yield name
+
+    return backends

@@ -13,8 +13,10 @@ transmit as they were. Each kernel's skip rule (a splat adds nothing where
 q > Q_SKIP) is checked against the same kernel without it: the reference
 run with `q_skip=inf`, and kernels.c rebuilt with Q_SKIP at infinity.
 `project_all_stacked` is the stacked-matmul projection that
-`renderer._project_all` replaced. The loader is checked to switch all three
-kernels (compositing, the plane sweep, whose own agreement test is
+`renderer._project_all` replaced; the projection and the tile binning run on
+both backends, and their C kernels equal their numpy twins on raw bytes. The
+loader is checked to switch all five kernels (projection, binning,
+compositing, the plane sweep, whose own agreement test is
 test_plane_sweep.py, and the U-Net's row scatter-add, tested in
 test_sparse_unet.py) to their numpy twins, `_kernels.NUMPY`, together
 whenever the library cannot be built or loaded, or VOLSPLAT_FORCE_NUMPY=1 is
@@ -45,7 +47,8 @@ from volsplat._kernels._composite_np import (
     composite_tile,
 )
 from volsplat.gaussians import GaussianSet, quat_to_rotmat
-from volsplat.renderer import COV2D_DILATION, TILE, _project_all, bin_tiles, eval_sh, render
+from volsplat._kernels import COV2D_DILATION
+from volsplat.renderer import TILE, _project_all, eval_sh, render
 from volsplat.scenes import look_at_extrinsics
 
 from test_renderer import E0, K, make_set
@@ -282,8 +285,9 @@ class TestSkipRule:
         assert np.abs(rgb_a - rgb_b).max(initial=0.0) <= n * (np.exp(-40) + ulp)
 
 
-def triple_loop_bins(tx0, tx1, ty0, ty1, nx, ny):
+def triple_loop_bins(rects, nx, ny):
     tile_lists = [[] for _ in range(nx * ny)]
+    tx0, tx1, ty0, ty1 = rects
     for i in range(tx0.size):
         for ty in range(ty0[i], ty1[i] + 1):
             for tx in range(tx0[i], tx1[i] + 1):
@@ -291,25 +295,94 @@ def triple_loop_bins(tx0, tx1, ty0, ty1, nx, ny):
     return tile_lists
 
 
+def tile_rects(mean2d, radius, nx, ny):
+    """Inclusive tile rectangles, rows tx0, tx1, ty0, ty1, of splats at
+    mean2d with radius, clipped to the nx x ny grid."""
+    return np.stack([np.clip(((mean2d[:, axis] + sign * radius) // TILE).astype(int), 0, size - 1)
+                     for axis, size in ((0, nx), (1, ny)) for sign in (-1, 1)])
+
+
+def binned(bin_tiles, rects, nx, ny):
+    rows = np.full(_kernels.tile_pairs(rects), -1, np.int64)
+    bounds = np.full(nx * ny + 1, -1, np.int64)
+    bin_tiles(rects, nx, ny, rows, bounds)
+    return rows, bounds
+
+
 class TestBinning:
-    def test_matches_triple_loop(self):
+    def test_matches_triple_loop(self, each_backend):
         rng = np.random.default_rng(10)
         nx, ny, n = 7, 5, 400
-        mean2d = rng.uniform(-20, 130, (n, 2))
-        radius = rng.exponential(12.0, n)
-        tx0 = np.clip(((mean2d[:, 0] - radius) // TILE).astype(int), 0, nx - 1)
-        tx1 = np.clip(((mean2d[:, 0] + radius) // TILE).astype(int), 0, nx - 1)
-        ty0 = np.clip(((mean2d[:, 1] - radius) // TILE).astype(int), 0, ny - 1)
-        ty1 = np.clip(((mean2d[:, 1] + radius) // TILE).astype(int), 0, ny - 1)
-        rows, bounds = bin_tiles(tx0, tx1, ty0, ty1, nx, ny)
-        expect = triple_loop_bins(tx0, tx1, ty0, ty1, nx, ny)
-        assert [rows[bounds[t] : bounds[t + 1]].tolist() for t in range(nx * ny)] == expect
-        assert bounds[-1] == sum(len(tl) for tl in expect)
+        rects = tile_rects(rng.uniform(-20, 130, (n, 2)), rng.exponential(12.0, n), nx, ny)
+        expect = triple_loop_bins(rects, nx, ny)
+        for _ in each_backend():
+            rows, bounds = binned(renderer.bin_tiles, rects, nx, ny)
+            assert [rows[bounds[t] : bounds[t + 1]].tolist() for t in range(nx * ny)] == expect
+            assert bounds[-1] == sum(len(tl) for tl in expect)
 
-    def test_empty(self):
-        none = np.zeros(0, int)
-        rows, bounds = bin_tiles(none, none, none, none, 3, 2)
-        assert rows.size == 0 and bounds.tolist() == [0] * 7
+    def test_empty(self, each_backend):
+        for _ in each_backend():
+            rows, bounds = binned(renderer.bin_tiles, np.zeros((4, 0), np.int64), 3, 2)
+            assert rows.size == 0 and bounds.tolist() == [0] * 7
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 300), nx=st.integers(1, 9),
+           ny=st.integers(1, 9), shape=st.sampled_from(["random", "one tile", "whole frame"]))
+    def test_c_matches_numpy_on_raw_bytes(self, c_kernels, seed, n, nx, ny, shape):
+        rng = np.random.default_rng(seed)
+        if shape == "random":
+            lo = rng.integers(0, [[nx], [ny]], (2, n))
+            hi = rng.integers(lo, [[nx], [ny]])
+            rects = np.stack([lo[0], hi[0], lo[1], hi[1]])
+        elif shape == "one tile":
+            tx, ty = rng.integers(0, nx, n), rng.integers(0, ny, n)
+            rects = np.stack([tx, tx, ty, ty])
+        else:
+            rects = np.tile([[0], [nx - 1], [0], [ny - 1]], (1, n))
+        rects = np.ascontiguousarray(rects, dtype=np.int64)
+        want = binned(_kernels.bin_tiles_np, rects, nx, ny)
+        got = binned(c_kernels.bin_tiles, rects, nx, ny)
+        assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+        assert want[1][-1] == want[0].size == _kernels.tile_pairs(rects)
+
+    @pytest.mark.parametrize("bad", [
+        "tx1 past the grid", "ty1 past the grid", "tx0 negative", "ty0 negative", "tx0 > tx1",
+        "ty0 > ty1", "rects float64", "rects int32", "rects strided", "rects (n, 4)",
+        "rows one short", "rows one long", "bounds one short", "rows read-only",
+    ])
+    def test_c_wrapper_raises_on_bad_arguments(self, c_kernels, bad):
+        nx, ny = 4, 3
+        rects = np.array([[0, 1, 3], [2, 1, 3], [0, 0, 1], [1, 0, 2]], np.int64)
+        rows, bounds = np.full(_kernels.tile_pairs(rects), 7), np.full(nx * ny + 1, 7)
+        args = {"rects": rects, "rows": rows, "bounds": bounds}
+        edit = {
+            "tx1 past the grid": lambda: rects[1].__setitem__(2, nx),
+            "ty1 past the grid": lambda: rects[3].__setitem__(0, ny),
+            "tx0 negative": lambda: rects[0].__setitem__(1, -1),
+            "ty0 negative": lambda: rects[2].__setitem__(1, -1),
+            "tx0 > tx1": lambda: rects[0].__setitem__(0, 3),
+            "ty0 > ty1": lambda: rects[2].__setitem__(2, 3),
+        }
+        if bad in edit:
+            edit[bad]()
+            args["rows"] = rows = np.full(max(0, _kernels.tile_pairs(rects)), 7)
+            error = IndexError
+        else:
+            name, change = bad.split(" ", 1)
+            a = args[name]
+            args[name] = {
+                "float64": lambda: a.astype(np.float64), "int32": lambda: a.astype(np.int32),
+                "strided": lambda: np.repeat(a, 2, axis=1)[:, ::2], "(n, 4)": lambda: a.T.copy(),
+                "one short": lambda: a[:-1].copy(), "one long": lambda: np.append(a, 7),
+                "read-only": lambda: np.frombuffer(a.tobytes(), np.int64),
+            }[change]()
+            assert change != "strided" or not args[name].flags.c_contiguous
+            error = (TypeError, ValueError)
+        before = {k: np.array(args[k], copy=True) for k in ("rows", "bounds")}
+        with pytest.raises(error):
+            c_kernels.bin_tiles(args["rects"], nx, ny, args["rows"], args["bounds"])
+        for k, old in before.items():
+            assert args[k].tobytes() == old.tobytes()
 
 
 def test_render_matches_sequential_kernel_at_any_thread_count(monkeypatch):
@@ -631,7 +704,7 @@ def project_all_stacked(gset, K, E):
 
 class TestProjection:
     @pytest.mark.parametrize("seed", range(5))
-    def test_closed_form_matches_stacked_matmuls(self, seed):
+    def test_closed_form_matches_stacked_matmuls(self, each_backend, seed):
         rng = np.random.default_rng(seed)
         n = 3000
         quats = rng.normal(size=(n, 4))
@@ -643,14 +716,103 @@ class TestProjection:
             rotations=quats / np.linalg.norm(quats, axis=1, keepdims=True),
             sh=rng.normal(size=(n, 12)), sh_degree=1)
         cams = [E0, look_at_extrinsics(rng.uniform(-1, 1, 3) + [0, 0, -1], [0, 0, 2])]
-        for E in cams:
-            got, want = _project_all(gset, K, E), project_all_stacked(gset, K, E)
-            assert 100 < want[6].size < n  # some splats are culled, most are not
-            for i in (0, 2, 3, 4, 6):  # mean2d, z, colors, opacities, surviving indices
-                assert got[i].tobytes() == want[i].tobytes()
-            scale = np.abs(want[1]).max(axis=1, keepdims=True)
-            assert (np.abs(got[1] - want[1]) <= 1e-9 * scale).all()
-            np.testing.assert_allclose(got[5], want[5], rtol=1e-9, atol=0)
+        for _ in each_backend():
+            for E in cams:
+                got, want = _project_all(gset, K, E), project_all_stacked(gset, K, E)
+                assert 100 < want[6].size < n  # some splats are culled, most are not
+                for i in (0, 2, 3, 4, 6):  # mean2d, z, colors, opacities, surviving indices
+                    assert got[i].tobytes() == want[i].tobytes()
+                scale = np.abs(want[1]).max(axis=1, keepdims=True)
+                assert (np.abs(got[1] - want[1]) <= 1e-9 * scale).all()
+                np.testing.assert_allclose(got[5], want[5], rtol=1e-9, atol=0)
+
+
+def random_gaussians(rng, n, sh_degree, quats, max_log_scale):
+    """n splats with z from -4 to 4, about a tenth of them on or within an ulp
+    or 1e-9 of the near plane; unit, unnormalised or some zero quaternions."""
+    z = rng.uniform(-4.0, 4.0, n)
+    edge = rng.uniform(size=n) < 0.1
+    near = renderer.NEAR_PLANE
+    z[edge] = rng.choice([near, np.nextafter(near, 1.0), np.nextafter(near, 0.0), near + 1e-9],
+                         edge.sum())
+    q = rng.normal(size=(n, 4)) * rng.uniform(0.1, 10.0, (n, 1))
+    if quats == "unit":
+        q /= np.linalg.norm(q, axis=1, keepdims=True)
+    elif quats == "some zero":
+        q[rng.uniform(size=n) < 0.3] = 0.0
+    return GaussianSet(
+        centers=np.c_[rng.uniform(-1.5, 1.5, (n, 2)), z], opacity_logits=rng.normal(size=n),
+        log_scales=rng.uniform(-7.0, max_log_scale, (n, 3)), rotations=q,
+        sh=rng.normal(size=(n, 3 * (sh_degree + 1) ** 2)), sh_degree=sh_degree)
+
+
+class TestProjectSplats:
+    """The C projection against its numpy twin, on raw bytes."""
+
+    def test_dilation_matches_the_wrapper(self):
+        assert f"#define COV2D_DILATION {COV2D_DILATION!r}\n" in _kernels.SOURCE.read_text()
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 400), sh_degree=st.integers(0, 3),
+           quats=st.sampled_from(["unit", "unnormalised", "some zero"]),
+           max_log_scale=st.sampled_from([-3.0, 3.0, 80.0]), pose=st.sampled_from([0, 1]))
+    # at log-scale 80 a 2D covariance can round to singular: numpy warns of
+    # the division by zero that C makes silently, to the same inf
+    @np.errstate(divide="ignore", invalid="ignore")
+    def test_c_matches_numpy_on_raw_bytes(self, c_kernels, seed, n, sh_degree, quats,
+                                          max_log_scale, pose):
+        rng = np.random.default_rng(seed)
+        gset = random_gaussians(rng, n, sh_degree, quats, max_log_scale)
+        E = E0 if pose == 0 else look_at_extrinsics(rng.uniform(-1, 1, 3) + [0, 0, -1],
+                                                    [0, 0, 2])
+        # the kernels on the near-plane-culled splats
+        p_cam = E.world_to_cam(gset.centers.astype(float))
+        near = p_cam[:, 2] > renderer.NEAR_PLANE
+        inputs = (p_cam[near], gset.rotations[near].astype(float), gset.scales[near])
+        outs = []
+        for project in (_kernels.project_splats_np, c_kernels.project_splats):
+            m = int(near.sum())
+            out = (np.full((m, 2), np.nan), np.full((m, 3), np.nan), np.full(m, np.nan),
+                   np.zeros(m, bool))
+            project(*inputs, (K, E), *out)
+            outs.append(b"".join(a.tobytes() for a in out))
+        assert outs[0] == outs[1]
+        # and every output of the whole projection, colours and culling included
+        projected = []
+        for kernels in (_kernels.NUMPY, c_kernels):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(renderer, "project_splats", kernels.project_splats)
+                projected.append(b"".join(a.tobytes() for a in _project_all(gset, K, E)))
+        assert projected[0] == projected[1]
+
+    @pytest.mark.parametrize("bad", [
+        "p_cam float32", "rotations (n, 3)", "scales n - 1 rows", "mean2d (n, 3)",
+        "inside float64", "radius read-only", "conics strided", "p_cam Fortran-ordered",
+    ])
+    def test_wrapper_raises_on_bad_arguments(self, c_kernels, bad):
+        rng = np.random.default_rng(15)
+        n = 20
+        gset = random_gaussians(rng, n, 0, "unit", 0.0)
+        args = {"p_cam": np.c_[rng.uniform(-1, 1, (n, 2)), rng.uniform(1, 3, n)],
+                "rotations": gset.rotations.astype(float), "scales": gset.scales,
+                "mean2d": np.zeros((n, 2)), "conics": np.zeros((n, 3)), "radius": np.zeros(n),
+                "inside": np.zeros(n, bool)}
+        name, change = bad.split(" ", 1)
+        a = args[name]
+        args[name] = {
+            "float32": lambda: a.astype(np.float32), "(n, 3)": lambda: np.zeros((n, 3)),
+            "n - 1 rows": lambda: a[:-1], "float64": lambda: a.astype(np.float64),
+            "read-only": lambda: np.frombuffer(bytes(a.nbytes)).reshape(a.shape),
+            "strided": lambda: np.repeat(a, 2, axis=0)[::2],
+            "Fortran-ordered": lambda: np.asfortranarray(a),
+        }[change]()
+        outputs = ("mean2d", "conics", "radius", "inside")
+        before = [np.array(args[k], copy=True) for k in outputs]
+        with pytest.raises((TypeError, ValueError)):
+            c_kernels.project_splats(args["p_cam"], args["rotations"], args["scales"], (K, E0),
+                                     *(args[k] for k in outputs))
+        for k, old in zip(outputs, before):
+            assert np.asarray(args[k]).tobytes() == old.tobytes()
 
 
 def test_build_flags_keep_ieee_rounding_and_any_host():
@@ -681,9 +843,9 @@ def cache(tmp_path, monkeypatch):
 class TestLoader:
     def test_builds_once_into_the_user_cache(self, cache, tmp_path, monkeypatch):
         kernels, backend = _kernels.select()
-        assert backend == "c" and kernels.composite_tile is not composite_tile
-        assert kernels.plane_sweep is not _kernels.plane_sweep_np
-        assert kernels.scatter_add_rows is not _kernels.scatter_add_rows_np
+        assert backend == "c"
+        for field in _kernels.Kernels._fields:
+            assert getattr(kernels, field) is not getattr(_kernels.NUMPY, field), field
         built = sorted(p.name for p in cache.iterdir())
         assert len(built) == 1 and built[0].startswith("kernels-") and built[0].endswith(".so")
         # warm cache: no compiler is needed on the next import
@@ -697,11 +859,14 @@ class TestLoader:
 
     @pytest.mark.parametrize("force,expect", [("0", "c False False"), ("1", "numpy True True")])
     def test_force_numpy_switches_both_kernels_at_import(self, cache, force, expect):
-        # a fresh interpreter: the renderer and the depth stage read the kernels at import
+        # a fresh interpreter: the renderer and the depth stage read the kernels at
+        # import, the renderer its three together
         probe = ("import volsplat, volsplat.features as f, volsplat.renderer as r\n"
                  "from volsplat._kernels import NUMPY\n"
-                 "print(volsplat.KERNEL_BACKEND, f.plane_sweep is NUMPY.plane_sweep,"
-                 " r.composite_tile is NUMPY.composite_tile)")
+                 "same = {r.project_splats is NUMPY.project_splats,"
+                 " r.bin_tiles is NUMPY.bin_tiles, r.composite_tile is NUMPY.composite_tile}\n"
+                 "assert len(same) == 1, same\n"
+                 "print(volsplat.KERNEL_BACKEND, f.plane_sweep is NUMPY.plane_sweep, same.pop())")
         src = Path(_kernels.__file__).parents[2]  # the directory holding volsplat/
         env = dict(os.environ, VOLSPLAT_FORCE_NUMPY=force, PYTHONPATH=str(src))
         out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,

@@ -5,12 +5,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from volsplat._kernels import COV2D_DILATION
 from volsplat.errors import FormatError, InvalidInputError
 from volsplat.gaussians import GaussianSet, SH_C0
 from volsplat.geometry import Extrinsics, Intrinsics
 from volsplat import renderer
 from volsplat.renderer import (
-    COV2D_DILATION,
     MAX_THREADS,
     PSNR_CAP,
     RenderedImage,
@@ -60,39 +60,46 @@ def project_one(gset, E=E0):
 
 
 class TestProjection:
-    def test_on_axis_cov2d_oracle(self):
+    """Each test runs on both kernel backends."""
+
+    def test_on_axis_cov2d_oracle(self, each_backend):
         # isotropic sigma at depth d on the optical axis:
         # cov2d = (fx * sigma / d)^2 I + dilation I, mean at principal point
         sigma, d = 0.05, 2.0
         gset = make_set([0, 0, d], [1, 0, 0], [0.8], [[sigma] * 3])
-        s = project_one(gset)
-        np.testing.assert_allclose(s.mean2d, [32, 32], atol=1e-6)
-        expect = (K.fx * sigma / d) ** 2 + COV2D_DILATION
-        np.testing.assert_allclose(s.cov2d, np.diag([expect, expect]), atol=1e-9)
-        assert s.depth == pytest.approx(d)
-        assert s.opacity == pytest.approx(0.8, abs=1e-6)
-        assert s.radius == pytest.approx(3 * np.sqrt(expect), rel=1e-6)
+        for _ in each_backend():
+            s = project_one(gset)
+            np.testing.assert_allclose(s.mean2d, [32, 32], atol=1e-6)
+            expect = (K.fx * sigma / d) ** 2 + COV2D_DILATION
+            np.testing.assert_allclose(s.cov2d, np.diag([expect, expect]), atol=1e-9)
+            assert s.depth == pytest.approx(d)
+            assert s.opacity == pytest.approx(0.8, abs=1e-6)
+            assert s.radius == pytest.approx(3 * np.sqrt(expect), rel=1e-6)
 
-    def test_depth_halving_quadruples_pre_dilation_cov(self):
+    def test_depth_halving_quadruples_pre_dilation_cov(self, each_backend):
         sigma = 0.05
-        far = project_one(make_set([0, 0, 4.0], [1, 0, 0], [0.5], [[sigma] * 3]))
-        near = project_one(make_set([0, 0, 2.0], [1, 0, 0], [0.5], [[sigma] * 3]))
-        ratio = (near.cov2d[0, 0] - COV2D_DILATION) / (far.cov2d[0, 0] - COV2D_DILATION)
-        assert ratio == pytest.approx(4.0, rel=1e-9)
+        for _ in each_backend():
+            far = project_one(make_set([0, 0, 4.0], [1, 0, 0], [0.5], [[sigma] * 3]))
+            near = project_one(make_set([0, 0, 2.0], [1, 0, 0], [0.5], [[sigma] * 3]))
+            ratio = (near.cov2d[0, 0] - COV2D_DILATION) / (far.cov2d[0, 0] - COV2D_DILATION)
+            assert ratio == pytest.approx(4.0, rel=1e-9)
 
-    def test_behind_camera_culled(self):
+    def test_behind_camera_culled(self, each_backend):
         gset = make_set([0, 0, -1.0], [1, 0, 0], [0.5], [[0.05] * 3])
-        assert project_one(gset) is None
+        for _ in each_backend():
+            assert project_one(gset) is None
 
-    def test_far_off_screen_culled(self):
+    def test_far_off_screen_culled(self, each_backend):
         gset = make_set([1000.0, 0, 2.0], [1, 0, 0], [0.5], [[0.01] * 3])
-        assert project_one(gset) is None
+        for _ in each_backend():
+            assert project_one(gset) is None
 
-    def test_extrinsics_shift(self):
+    def test_extrinsics_shift(self, each_backend):
         E = Extrinsics(np.eye(3), np.array([0.5, 0.0, 0.0]))
         gset = make_set([0.5, 0, 2.0], [1, 0, 0], [0.5], [[0.05] * 3])
-        s = project_one(gset, E)
-        np.testing.assert_allclose(s.mean2d, [32, 32], atol=1e-6)
+        for _ in each_backend():
+            s = project_one(gset, E)
+            np.testing.assert_allclose(s.mean2d, [32, 32], atol=1e-6)
 
 
 class TestEvalSh:
@@ -256,6 +263,40 @@ class TestRender:
         # center: red over green with alpha ~0.5
         a = out.alpha[32, 32]
         np.testing.assert_allclose(out.rgb[32, 32], [a, 1 - a, 0.0], atol=1e-9)
+
+
+    def test_any_array_layout_renders_as_a_contiguous_copy(self, kernel_backend):
+        rng = np.random.default_rng(21)
+        n = 300
+        gset = make_set(np.c_[rng.uniform(-0.6, 0.6, (n, 2)), rng.uniform(1.5, 5.0, n)],
+                        rng.uniform(0, 1, (n, 3)), rng.uniform(0.05, 0.9, n),
+                        rng.uniform(0.02, 0.2, (n, 3)), rng.normal(size=(n, 4)))
+        def strided(a):
+            return np.repeat(a, 2, axis=0)[::2]
+
+        other = GaussianSet(centers=strided(gset.centers),
+                            opacity_logits=strided(gset.opacity_logits),
+                            log_scales=np.asfortranarray(gset.log_scales),
+                            rotations=np.asfortranarray(gset.rotations), sh=strided(gset.sh))
+        assert not any(getattr(other, f).flags.c_contiguous
+                       for f in ("centers", "opacity_logits", "log_scales", "rotations", "sh"))
+        # every splat in front, then some behind the near plane
+        for E in (E0, Extrinsics(np.eye(3), np.array([0.1, 0.0, 3.0]))):
+            want, got = render(gset, K, E), render(other, K, E)
+            assert got.rgb.tobytes() == want.rgb.tobytes()
+            assert got.alpha.tobytes() == want.alpha.tobytes()
+
+    def test_splat_past_the_int64_tile_range_covers_every_tile(self, kernel_backend):
+        # log-scale 80 at z = 2: a finite radius of ~3e36 px, whose tile
+        # bounds lie past the int64 range; it must cover all 4 x 4 tiles of
+        # the frame (and raise no RuntimeWarning: they are errors here)
+        gset = GaussianSet(centers=np.array([[0.0, 0.0, 2.0]]), opacity_logits=np.zeros(1),
+                           log_scales=np.full((1, 3), 80.0), rotations=np.array([[1.0, 0, 0, 0]]),
+                           sh=np.zeros((1, 3)))
+        radius = renderer._project_all(gset, K, E0)[5]
+        assert radius.size == 1 and radius[0] > 1e36
+        out = render(gset, K, E0)
+        np.testing.assert_allclose(out.alpha, 0.5, rtol=1e-12)
 
 
 class TestBackendAgreement:
