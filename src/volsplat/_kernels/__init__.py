@@ -29,28 +29,28 @@ wrapper reads every array's address once per call, and the renderer calls
 
 `project_splats` takes the splats in front of the near plane, in the camera
 frame, with their quaternions and scales, and writes each one's pixel mean,
-the conic of its dilated 2D covariance, its 3-sigma radius and whether that
-footprint meets the image. The C loop uses only + - * / and sqrt, in
-numpy's order, and lets a NaN through each max(., 0) as numpy does, so every
-output is byte-identical to the twin's. `bin_tiles` takes each splat's
+the conic of its dilated 2D covariance, its radius EXTENT sqrt(lambda_max)
+and whether that footprint meets the image. The C loop uses only + - * /
+and sqrt, in numpy's order, and lets a NaN through each max(., 0) as numpy
+does, so every output is byte-identical to the twin's. `bin_tiles` takes each splat's
 inclusive tile rectangle, a (4, n) int64 array of rows tx0, tx1, ty0, ty1,
 and writes the splats of tile t to rows[bounds[t] : bounds[t + 1]] in
 ascending order: a counting sort in C, a stable argsort of the (tile, splat)
 pairs in numpy, with byte-identical rows and bounds.
 
 Both compositing kernels follow one recurrence, in which a splat adds
-nothing at a pixel where its squared Mahalanobis distance q exceeds Q_SKIP
-(80); the C kernel skips the exp there. The unskipped alpha would be at most
-e^-40 < 2^-57, so 1 - alpha rounds to exactly 1: transmittance is
-bit-identical to the recurrence without the rule, and colour differs by less
-than 4.3e-18 per skipped (splat, pixel) pair.
+nothing at a pixel where its squared Mahalanobis distance q exceeds
+EXTENT^2; the C kernel skips the exp there. One constant, EXTENT (3), sets
+both that cut and the projected radius, and the ellipse q <= EXTENT^2 lies
+inside the disc of that radius, so every pixel a splat reaches is in one of
+its tiles and a render does not depend on the tile size.
 
 The C compositing kernel copies the tile's splats into five columns (mean x
 and y, the three conic entries), then tests COMPOSITE_BLOCK splats per step:
-their q values and a skip mask with no branch, then the recurrence on the
+their q values and a cut mask with no branch, then the recurrence on the
 splats that pass, in order, leaving the pixel as soon as T < T_CUTOFF. Each
 q is the one-splat-at-a-time loop's expression, rounded the same way in each
-vector lane, and a NaN q is not skipped there either, so rgb and transmit
+vector lane, and a NaN q is not cut there either, so rgb and transmit
 are byte-identical to that loop, which tests/composite_scalar.c keeps.
 Colours are (n, k) and rgb (th, tw, k) for any k, one letter in `_check`:
 each channel is its own sum, rgb += alpha T color, with the same weight, so
@@ -92,7 +92,7 @@ import numpy as np
 
 from ..geometry import quat_to_rotmat, warp_feature
 from . import _composite_np
-from ._composite_np import ALPHA_MAX, T_CUTOFF
+from ._composite_np import ALPHA_MAX, EXTENT, T_CUTOFF
 
 SOURCE = Path(__file__).with_name("kernels.c")
 # Fixed, whatever CC and CFLAGS say: -ffp-contract=off keeps the compiler from
@@ -144,9 +144,9 @@ def project_splats_np(p_cam, rotations, scales, cam, mean2d, conics, radius, ins
     p_cam (n, 3) are the centres in the camera frame, rotations (n, 4)
     quaternions (w, x, y, z), scales (n, 3) and cam an (Intrinsics,
     Extrinsics) pair. Writes each splat's pixel mean into mean2d (n, 2), the
-    conic of its dilated 2D covariance into conics (n, 3), its 3-sigma radius
-    into radius (n) and, into the boolean inside (n), whether that footprint
-    meets the image.
+    conic of its dilated 2D covariance into conics (n, 3), its radius
+    EXTENT sqrt(lambda_max) into radius (n) and, into the boolean inside (n),
+    whether that footprint meets the image.
     """
     K, E = cam
     x, y, z = p_cam[:, 0], p_cam[:, 1], p_cam[:, 2]
@@ -169,7 +169,7 @@ def project_splats_np(p_cam, rotations, scales, cam, mean2d, conics, radius, ins
     c = v[0] * v[0] + v[1] * v[1] + v[2] * v[2] + COV2D_DILATION
     mid = 0.5 * (a + c)
     disc = np.sqrt(np.maximum(mid * mid - (a * c - b * b), 0.0))
-    np.multiply(3.0, np.sqrt(np.maximum(mid + disc, 0.0)), out=radius)
+    np.multiply(EXTENT, np.sqrt(np.maximum(mid + disc, 0.0)), out=radius)
     np.divide(np.stack([c, -b, a], axis=1), (a * c - b * b)[:, None], out=conics)
     mx, my = mean2d[:, 0], mean2d[:, 1]
     inside[...] = ((mx + radius >= -0.5) & (mx - radius <= K.width - 0.5)
@@ -428,5 +428,5 @@ def select():
 
 __all__ = ["project_splats", "bin_tiles", "composite_tile", "plane_sweep", "scatter_add_rows",
            "project_splats_np", "bin_tiles_np", "plane_sweep_np", "scatter_add_rows_np",
-           "tile_pairs", "NUMPY", "BACKEND", "Kernels", "ALPHA_MAX", "T_CUTOFF",
+           "tile_pairs", "NUMPY", "BACKEND", "Kernels", "ALPHA_MAX", "EXTENT", "T_CUTOFF",
            "COV2D_DILATION", "build", "load", "select"]

@@ -2,22 +2,22 @@
 
 Per pixel, splats are composited front to back:
 
-    alpha = min(ALPHA_MAX, opacity * exp(-q / 2)), or 0 where q > Q_SKIP
+    alpha = min(ALPHA_MAX, opacity * exp(-q / 2)), or 0 where q > EXTENT^2
     rgb  += (alpha * T) * color     (each of the k colour channels)
     T    *= 1 - alpha
 
-and a pixel takes no more splats once T < T_CUTOFF. A splat adds nothing
-where q > Q_SKIP: there alpha <= e^-40 < 2^-57, so 1 - alpha rounds to
-exactly 1 and T is bit-identical to the recurrence without the skip, while
-rgb moves by less than 4.3e-18 per skipped pair. The C kernel uses the rule
-to skip the exp.
+and a pixel takes no more splats once T < T_CUTOFF. A splat reaches EXTENT
+standard deviations: the ellipse q <= EXTENT^2. The projection gives it the
+tiles of the disc of radius EXTENT sqrt(lambda_max), which holds that
+ellipse, so the cut is part of the model, not an approximation of it, and no
+pixel depends on the tile grid. The C kernel skips the exp past the cut.
 
 Looping over single splats costs a dozen numpy calls on a 16x16 tile per
 splat, so call overhead dominates. Instead the splats are taken in chunks
 and each chunk is one block of numpy calls over (splat, live pixel) pairs:
 
 - alpha uses the same expressions, in the same order, as the per-splat form,
-  and is 0 where q > Q_SKIP;
+  and is 0 where q > EXTENT^2;
 - the transmittance in front of each splat is a cumulative product over
   [T, 1 - alpha_0, ..., 1 - alpha_{m-1}];
 - alpha is zeroed where that transmittance is below T_CUTOFF;
@@ -41,8 +41,9 @@ import numpy as np
 
 ALPHA_MAX = 0.99
 T_CUTOFF = 1e-4
-# a splat adds nothing to a pixel where its squared Mahalanobis distance q exceeds this
-Q_SKIP = 80.0
+# a splat's reach in standard deviations: its tile radius is EXTENT sqrt(lambda_max),
+# and it adds nothing where its squared Mahalanobis distance q exceeds EXTENT^2
+EXTENT = 3.0
 # (splat, pixel) pairs per chunk; bounds the kernel's scratch memory
 CHUNK_ELEMENTS = 1 << 13
 
@@ -72,7 +73,7 @@ def composite_tile(means, conics, colors, opacities, x0, y0, rgb, transmit):
         c = conics[s:e, :, None]
         q = c[:, 0] * dx * dx + 2.0 * c[:, 1] * dx * dy + c[:, 2] * dy * dy
         alpha = np.minimum(ALPHA_MAX, opacities[s:e, None] * np.exp(-0.5 * q))
-        alpha[q > Q_SKIP] = 0.0
+        alpha[q > EXTENT * EXTENT] = 0.0
 
         # T[k]: transmittance in front of splat s + k, k = 0..e - s
         T = np.empty((e - s + 1, p))

@@ -10,16 +10,17 @@
  * scatter-add are bit-identical to their numpy twins: the projection uses
  * only + - * / and sqrt, each correctly rounded, in numpy's order, the
  * binning computes no float, and the scatter-add makes one addition per
- * element. Compositing skips a (splat, pixel) pair whose q exceeds Q_SKIP
- * before its exp: there alpha <= e^-40 < 2^-57
- * would leave transmittance unchanged to the bit, so only rgb moves, by less
- * than 4.3e-18 per skipped pair. It tests BLOCK splats per step, q and
- * the skip test with no branch, then runs the recurrence on the splats that
- * pass, in order, so its output is byte-identical to the one-splat-at-a-time
- * loop kept in tests/composite_scalar.c. The plane sweep reads a zero
- * border and runs three passes per pixel (project, drop or queue, sample
- * and dot) whose vectorised loops keep each plane's operations and their
- * order, so its output is byte-identical to the scalar loop kept in
+ * element. A splat reaches EXTENT standard deviations: the projection gives
+ * it the radius EXTENT sqrt(lambda_max), and compositing cuts a (splat,
+ * pixel) pair whose q exceeds EXTENT^2 before its exp. That ellipse lies
+ * inside the disc of that radius, so a render does not depend on the tile
+ * grid. Compositing tests BLOCK splats per step, q and the cut with no
+ * branch, then runs the recurrence on the splats that pass, in order, so its
+ * output is byte-identical to the one-splat-at-a-time loop kept in
+ * tests/composite_scalar.c. The plane sweep reads a zero border and runs
+ * three passes per pixel (project, drop or queue, sample and dot) whose
+ * vectorised loops keep each plane's operations and their order, so its
+ * output is byte-identical to the scalar loop kept in
  * tests/plane_sweep_scalar.c. Built with -ffp-contract=off and without
  * fast-math, no a * b + c is fused and no sum is reassociated. The wrappers
  * allocate every scratch array and the callers every output; this file holds
@@ -30,7 +31,7 @@
 
 #define ALPHA_MAX 0.99
 #define T_CUTOFF 1e-4
-#define Q_SKIP 80.0
+#define EXTENT 3.0
 #define SNAP_TOL 1e-9
 #define BLOCK 8 /* splats tested per step in composite_tile */
 #define COV2D_DILATION 0.3
@@ -38,8 +39,8 @@
 /* Front-to-back compositing of pre-sorted 2D splats into one tile: the
  * per-pixel loop of _composite_np.py. means (n, 2), conics (n, 3),
  * colors (n, nc), opacities (n), rgb (th, tw, nc) and transmit (th, tw); rgb
- * and transmit are updated in place. ALPHA_MAX, T_CUTOFF and Q_SKIP match
- * _composite_np.py; a splat adds nothing at a pixel where q > Q_SKIP. Each
+ * and transmit are updated in place. ALPHA_MAX, T_CUTOFF and EXTENT match
+ * _composite_np.py; a splat adds nothing at a pixel where q > EXTENT^2. Each
  * of the nc channels is its own sum, rgb += w * color with the same weight
  * w = alpha T, so a channel is bit-identical whatever the other channels
  * hold.
@@ -49,10 +50,10 @@
  * multiple of BLOCK. A live pixel then tests BLOCK splats per step: it
  * computes their q with no branch, into q[] and a bit mask, and runs the
  * recurrence on the set bits in splat order. A lane at or past n is masked
- * off by its index, so it counts for nothing whatever Q_SKIP is. Each q is
+ * off by its index, so it counts for nothing whatever its q is. Each q is
  * the scalar loop's expression on the same doubles, and with
  * -ffp-contract=off and no fast-math every vector lane rounds as that loop
- * does; the mask is !(q > Q_SKIP), so a NaN q is not skipped, as there. A
+ * does; the mask is !(q > EXTENT^2), so a NaN q is not cut, as there. A
  * set bit takes the scalar loop's steps in its order, and T < T_CUTOFF
  * leaves the pixel at once, mid-block or not. So rgb and transmit are
  * byte-identical to the one-splat-at-a-time loop kept in
@@ -84,7 +85,7 @@ composite_pixels(const double *colors, const double *opacities, long n, long nc,
                 q[j] = c0[i + j] * dx * dx + 2.0 * c1[i + j] * dx * dy + c2[i + j] * dy * dy;
             }
             for (int j = 0; j < BLOCK; j++)
-                live |= (unsigned)!(q[j] > Q_SKIP) << j;
+                live |= (unsigned)!(q[j] > EXTENT * EXTENT) << j;
             if (n - i < BLOCK)
                 live &= (1u << (n - i)) - 1u;
             while (live) {
@@ -142,8 +143,9 @@ static inline double at_least_zero(double v)
  * necessarily unit, and scales (n, 3); cam is 16 doubles, fx, fy, cx, cy,
  * then the camera-to-world R (3x3, row major) and T, of which T is unread.
  * Each splat gets its pixel mean, mean2d (n, 2), the conic of its dilated 2D
- * covariance, conics (n, 3), its 3-sigma radius (n) and inside (n), 1 where
- * that footprint meets the width x height image and 0 elsewhere.
+ * covariance, conics (n, 3), its radius EXTENT sqrt(lambda_max), radius (n),
+ * and inside (n), 1 where that footprint meets the width x height image and
+ * 0 elsewhere.
  *
  * cov2d = (J W Rq S)(J W Rq S)^T, with J the perspective Jacobian at the
  * mean (j01 = j10 = 0), W = R^T the world-to-camera rotation, Rq the
@@ -189,7 +191,7 @@ void project_splats(const double *restrict p_cam, const double *restrict rotatio
         const double c = v[0] * v[0] + v[1] * v[1] + v[2] * v[2] + COV2D_DILATION;
         const double mid = 0.5 * (a + c);
         const double disc = sqrt(at_least_zero(mid * mid - (a * c - b * b)));
-        const double r = 3.0 * sqrt(at_least_zero(mid + disc));
+        const double r = EXTENT * sqrt(at_least_zero(mid + disc));
         const double det = a * c - b * b;
         mean2d[2 * i] = mx;
         mean2d[2 * i + 1] = my;

@@ -89,9 +89,9 @@ def cmd_run(config_path, scene_dir, out_dir, threads, overrides):
         diagnostics = dict(diagnostics)
         timings = diagnostics.pop("stages", {})
         with open(os.path.join(out_dir, "diagnostics.json"), "w") as f:
-            json.dump(diagnostics, f, indent=2, sort_keys=True)
+            json.dump(diagnostics, f, indent=2, sort_keys=True, allow_nan=False)
         with open(os.path.join(out_dir, "timings.json"), "w") as f:
-            json.dump(timings, f, indent=2, sort_keys=True)
+            json.dump(timings, f, indent=2, sort_keys=True, allow_nan=False)
         render_dir = os.path.join(out_dir, "renders")
         os.makedirs(render_dir, exist_ok=True)
         for i, v in enumerate(views):
@@ -117,7 +117,7 @@ def cmd_eval(ply_path, target_dir, report_path, threads):
         report = evaluate(gset, targets, threads=threads)
         report["schema_version"] = CONFIG_SCHEMA_VERSION
         with open(report_path, "w") as f:
-            json.dump(report, f, indent=2, sort_keys=True)
+            json.dump(report, f, indent=2, sort_keys=True, allow_nan=False)
     except (VolsplatError, OSError) as e:
         raise _fail(e)
     click.echo(f"{'view':>6} {'psnr':>8} {'ssim':>8} {'mse':>10}")

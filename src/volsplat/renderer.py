@@ -2,7 +2,8 @@
 
 EWA projection: each 3D Gaussian is mapped to a 2D Gaussian through the
 local projection Jacobian, then alpha-composited front to back in 16x16
-tiles. Tiles are independent, so the worker count never changes output.
+tiles. Tiles are independent, so the worker count never changes output, and
+a splat reaches only pixels inside its tiles, so neither does the tile size.
 """
 
 from __future__ import annotations
@@ -122,12 +123,19 @@ def rasterize(mean2d, conics, colors, ops, radius, h: int, w: int, threads: int 
     transmit = np.ones((h, w))
     nx = -(-w // TILE)
     ny = -(-h // TILE)
+    # The ellipse q <= EXTENT^2 lies inside the radius only up to rounding:
+    # the float conic's ellipse can reach past the float radius by about eps
+    # times the 2D covariance's condition number, below radius^2 with the
+    # 0.3 px^2 dilation (measured: under 2^-53 (1 + radius^2) of the radius).
+    # So the rectangle reaches 2^-40 (1 + radius^2) of the radius further.
+    with np.errstate(over="ignore"):  # an overflowing reach is infinite and covers the grid
+        reach = radius * (1.0 + 2.0**-40 * (1.0 + radius * radius))
     # each splat's inclusive tile rectangle, rows tx0, tx1, ty0 and ty1: its
     # pixel bounds in tiles (exact, as TILE is a power of two), clipped to the
     # grid before the cast, which then floors, so a footprint past the int64
     # range, or an infinite one, still reaches the last tile
     mx, my = mean2d.T
-    rects = np.stack([mx - radius, mx + radius, my - radius, my + radius])
+    rects = np.stack([mx - reach, mx + reach, my - reach, my + reach])
     rects *= 1.0 / TILE
     np.clip(rects, 0.0, [[nx - 1], [nx - 1], [ny - 1], [ny - 1]], out=rects)
     rects = rects.astype(np.int64)
@@ -263,9 +271,13 @@ def ssim(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def compute_image_metrics(a: np.ndarray, b: np.ndarray) -> dict:
-    """MSE / PSNR (capped at 99 dB) / SSIM for images in [0, 1]."""
+    """MSE / PSNR (capped at 99 dB) / SSIM for images in [0, 1]; a non-finite
+    value in either image raises InvalidInputError, as it has no score."""
     if a.shape != b.shape:
         raise InvalidInputError("metric inputs must share shape")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise InvalidInputError("metric inputs must be finite: the render or the target "
+                                "holds NaN or infinite values")
     mse = float(np.mean((a.astype(float) - b.astype(float)) ** 2))
     psnr = PSNR_CAP if mse == 0 else min(PSNR_CAP, -10.0 * np.log10(mse))
     return {"mse": mse, "psnr": float(psnr), "ssim": ssim(a, b)}

@@ -1,5 +1,5 @@
 /* Tile compositing as kernels.c computed it before it tested splats in
- * blocks: one splat at a time, with a branch on q > Q_SKIP per (pixel,
+ * blocks: one splat at a time, with a branch on q > EXTENT^2 per (pixel,
  * splat). test_kernel.py builds this file with _kernels.build and holds the
  * shipped kernel's rgb and transmit to it byte for byte. It is test-only and
  * never loaded by the engine.
@@ -8,13 +8,13 @@
 
 #define ALPHA_MAX 0.99
 #define T_CUTOFF 1e-4
-#define Q_SKIP 80.0
+#define EXTENT 3.0
 
 /* Front-to-back compositing of pre-sorted 2D splats into one tile: the
  * per-pixel loop of _composite_np.py. means (n, 2), conics (n, 3),
  * colors (n, nc), opacities (n), rgb (th, tw, nc) and transmit (th, tw);
- * rgb and transmit are updated in place. ALPHA_MAX, T_CUTOFF and Q_SKIP
- * match _composite_np.py; a splat adds nothing at a pixel where q > Q_SKIP.
+ * rgb and transmit are updated in place. ALPHA_MAX, T_CUTOFF and EXTENT
+ * match _composite_np.py; a splat adds nothing at a pixel where q > EXTENT^2.
  * Each channel is its own sum, rgb += w * color with the same w.
  */
 void composite_tile(const double *means, const double *conics, const double *colors,
@@ -30,7 +30,7 @@ void composite_tile(const double *means, const double *conics, const double *col
             const double *c = conics + 3 * i, *col = colors + nc * i;
             double dx = px - means[2 * i], dy = py - means[2 * i + 1];
             double q = c[0] * dx * dx + 2.0 * c[1] * dx * dy + c[2] * dy * dy;
-            if (q > Q_SKIP)
+            if (q > EXTENT * EXTENT)
                 continue;
             double alpha = opacities[i] * exp(-0.5 * q);
             if (alpha > ALPHA_MAX)

@@ -439,6 +439,22 @@ class TestEval:
         assert_one_error_line(res, 2)
         assert "non-finite" in res.stderr
 
+    # the needle's 2D covariance rounds to singular (ROADMAP item 9): the numpy
+    # kernels warn of the division by zero and the inf - inf that C makes silently
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_render_exits_2(self, runner, scene_dir, tmp_path):
+        # finite fields, but this needle splat renders NaN in the first view:
+        # no score and no report, rather than a 99 dB view and a bare NaN
+        ply = tmp_path / "needle.ply"
+        export_ply(GaussianSet(centers=np.array([[0.1, 0.0, 2.0]]), opacity_logits=np.zeros(1),
+                               log_scales=np.array([[80.0, -7.0, -7.0]]),
+                               rotations=np.array([[0.9, 0.3, 0.2, 0.1]]),
+                               sh=np.zeros((1, 3))), ply)
+        res = runner.invoke(main, self.eval_args(ply, scene_dir, tmp_path))
+        assert_one_error_line(res, 2)
+        assert "finite" in res.stderr
+        assert not (tmp_path / "r.json").exists()
+
     def test_empty_ply_exits_2(self, runner, scene_dir, tmp_path):
         ply = tmp_path / "empty.ply"
         ply.write_bytes(_ply_header(0, 0))

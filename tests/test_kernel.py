@@ -9,9 +9,9 @@ bytes with the one-splat-at-a-time C loop it replaced, kept in
 composite_scalar.c and built with the same flags. Its checked
 wrapper takes C-contiguous float64 arrays of the tile's shapes and copies
 nothing: any other argument raises before the call and leaves rgb and
-transmit as they were. Each kernel's skip rule (a splat adds nothing where
-q > Q_SKIP) is checked against the same kernel without it: the reference
-run with `q_skip=inf`, and kernels.c rebuilt with Q_SKIP at infinity.
+transmit as they were. Both kernels cut a splat where q > EXTENT^2, checked
+on either side of the cut, and each C source must hold the Python side's
+constants.
 `project_all_stacked` is the stacked-matmul projection that
 `renderer._project_all` replaced; the projection and the tile binning run on
 both backends, and their C kernels equal their numpy twins on raw bytes. The
@@ -25,9 +25,9 @@ compiles without a warning at -Wall -Wextra.
 """
 
 import ctypes
-import functools
 import inspect
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -42,7 +42,7 @@ from volsplat import _kernels, renderer
 from volsplat._kernels._composite_np import (
     ALPHA_MAX,
     CHUNK_ELEMENTS,
-    Q_SKIP,
+    EXTENT,
     T_CUTOFF,
     composite_tile,
 )
@@ -56,11 +56,9 @@ from test_renderer import E0, K, make_set
 FULL_TILE_CHUNK = CHUNK_ELEMENTS // (TILE * TILE)
 
 
-def composite_tile_sequential(means, conics, colors, opacities, x0, y0, rgb, transmit,
-                              q_skip=Q_SKIP):
-    """Same contract as `composite_tile`: rgb and transmit update in place.
-    A splat adds nothing where q > q_skip; q_skip=inf is the recurrence
-    without the skip rule."""
+def composite_tile_sequential(means, conics, colors, opacities, x0, y0, rgb, transmit):
+    """Same contract as `composite_tile`: rgb and transmit update in place,
+    and a splat adds nothing where q > EXTENT^2."""
     th, tw = transmit.shape
     ys, xs = np.mgrid[0:th, 0:tw]
     px = (x0 + xs).astype(float)
@@ -73,7 +71,7 @@ def composite_tile_sequential(means, conics, colors, opacities, x0, y0, rgb, tra
         dy = py - means[i, 1]
         q = conics[i, 0] * dx * dx + 2.0 * conics[i, 1] * dx * dy + conics[i, 2] * dy * dy
         alpha = np.minimum(ALPHA_MAX, opacities[i] * np.exp(-0.5 * q))
-        alpha[q > q_skip] = 0.0
+        alpha[q > EXTENT * EXTENT] = 0.0
         a = np.where(active, alpha, 0.0)
         rgb += (a * transmit)[..., None] * colors[i]
         transmit *= np.where(active, 1.0 - a, 1.0)
@@ -214,75 +212,25 @@ def test_checker_raises_when_colors_and_rgb_disagree_on_k(colors_k, rgb_k):
     assert len(calls) == 1 and calls[0][4:6] == (20, colors_k)  # n, then k
 
 
-@pytest.fixture(scope="session")
-def c_composite_no_skip(tmp_path_factory):
-    """kernels.c with Q_SKIP at infinity: the C recurrence without the skip."""
-    if shutil.which("cc") is None:
-        pytest.skip("no C compiler")
-    line = f"#define Q_SKIP {Q_SKIP:.1f}\n"
-    text = _kernels.SOURCE.read_text()
-    assert text.count(line) == 1
-    source = tmp_path_factory.mktemp("no_skip") / "kernels.c"
-    source.write_text(text.replace(line, "#define Q_SKIP INFINITY\n"))
-    kernels = _kernels.load(source.parent, source)
-    assert kernels is not None, "kernels.c with Q_SKIP at infinity did not build or load"
-    return kernels.composite_tile
-
-
-@pytest.fixture(scope="module", params=["numpy", "c"])
-def with_and_without_skip(request):
-    """One backend's kernel and the same recurrence without the skip rule."""
-    if request.param == "numpy":
-        return composite_tile, functools.partial(composite_tile_sequential, q_skip=np.inf)
-    return (request.getfixturevalue("c_composite"),
-            request.getfixturevalue("c_composite_no_skip"))
-
-
 class TestSkipRule:
     def test_pixels_either_side_of_the_threshold(self, kernel_backend):
-        # one opaque white splat between two pixels: q is 80 (1 + 2h)^2 at
-        # pixel 0, just above Q_SKIP, and 80 (1 - 2h)^2 at pixel 1, just below
+        # one opaque white splat between two pixels: q is 9 (1 + 2h)^2 at
+        # pixel 0, just past the cut EXTENT^2 = 9, and 9 (1 - 2h)^2 at pixel 1
+        cut = EXTENT * EXTENT
         h = 1e-9
-        splat = (np.array([[0.5 + h, 0.0]]), np.array([[4 * Q_SKIP, 0.0, 4 * Q_SKIP]]),
+        splat = (np.array([[0.5 + h, 0.0]]), np.array([[4 * cut, 0.0, 4 * cut]]),
                  np.ones((1, 3)), np.ones(1))
         dx = np.array([0.0, 1.0]) - splat[0][0, 0]
-        q = 4 * Q_SKIP * dx * dx  # the kernels' q, as dy = 0 and the conic is diagonal
-        assert q[0] > Q_SKIP > q[1]
+        q = 4 * cut * dx * dx  # the kernels' q, as dy = 0 and the conic is diagonal
+        assert q[0] > cut > q[1]
         rgb, transmit = fresh(1, 2)
         renderer.composite_tile(*splat, 0, 0, rgb, transmit)
-        assert rgb[0, 0].tobytes() == bytes(24)  # skipped: +0.0 in every channel
-        np.testing.assert_allclose(rgb[0, 1], np.exp(-0.5 * q[1]), rtol=1e-12)
-        assert 0 < rgb[0, 1, 0] < 4.3e-18
-        # 1 - alpha rounds to 1 on both sides of the threshold
-        assert transmit.tobytes() == np.ones((1, 2)).tobytes()
-        # without the rule pixel 0 would have taken its e^-40
-        rgb_all, t_all = fresh(1, 2)
-        composite_tile_sequential(*splat, 0, 0, rgb_all, t_all, q_skip=np.inf)
-        assert 0 < rgb_all[0, 0, 0] < 4.3e-18 and t_all.tobytes() == transmit.tobytes()
-
-    @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 3 * FULL_TILE_CHUNK + 2),
-           th=st.integers(1, TILE), tw=st.integers(1, TILE),
-           x0=st.integers(0, 200), y0=st.integers(0, 200),
-           max_opacity=st.sampled_from([0.02, 0.5, 1.0]), is_fresh=st.booleans())
-    def test_transmittance_is_that_of_the_recurrence_without_the_skip(
-            self, with_and_without_skip, seed, n, th, tw, x0, y0, max_opacity, is_fresh):
-        kernel, no_skip = with_and_without_skip
-        rng = np.random.default_rng(seed)
-        splats = random_splats(rng, n, x0, y0, th, tw, max_opacity)
-        if is_fresh:
-            rgb, transmit = fresh(th, tw)
-        else:
-            rgb, transmit = rng.uniform(0, 1, (th, tw, 3)), rng.uniform(0, 1, (th, tw))
-        rgb_a, t_a = rgb.copy(), transmit.copy()
-        rgb_b, t_b = rgb.copy(), transmit.copy()
-        kernel(*splats, x0, y0, rgb_a, t_a)
-        no_skip(*splats, x0, y0, rgb_b, t_b)
-        assert t_a.tobytes() == t_b.tobytes()
-        # each of the n splats either adds a skipped term below e^-40 or, once
-        # an earlier skip moved the running sum, may round it one ulp apart
-        ulp = np.spacing(max(1.0, np.abs(rgb_b).max(initial=0.0)))
-        assert np.abs(rgb_a - rgb_b).max(initial=0.0) <= n * (np.exp(-40) + ulp)
+        assert rgb[0, 0].tobytes() == bytes(24)  # cut: +0.0 in every channel
+        assert transmit[0, 0] == 1.0
+        alpha = np.exp(-0.5 * q[1])  # about e^-4.5, 0.0111
+        np.testing.assert_allclose(rgb[0, 1], alpha, rtol=1e-12)
+        np.testing.assert_allclose(transmit[0, 1], 1.0 - alpha, rtol=1e-12)
+        assert 0.0111 < alpha < 0.0112
 
 
 def triple_loop_bins(rects, nx, ny):
@@ -556,9 +504,6 @@ class TestBlockedKernel:
     """The shipped kernel tests BLOCK splats per step; it must equal the
     scalar loop it replaced on raw bytes."""
 
-    def test_block_matches_the_wrapper(self):
-        assert f"#define BLOCK {BLOCK} " in _kernels.SOURCE.read_text()
-
     @pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, 1000])
     @pytest.mark.parametrize("max_opacity", [0.05, 1.0])
     def test_full_tile(self, c_composite, scalar_composite, n, max_opacity):
@@ -594,26 +539,32 @@ class TestBlockedKernel:
         assert transmit[0, 0] == left * left * left < T_CUTOFF
 
     def test_q_within_an_ulp_of_q_skip_and_the_alpha_clamp(self, c_composite, scalar_composite):
-        # q is c0 exactly: just below, at and just above Q_SKIP, then q = 0,
-        # where opacities above ALPHA_MAX are clamped, between them
-        below, above = np.nextafter(Q_SKIP, 0.0), np.nextafter(Q_SKIP, np.inf)
-        q = np.array([below, Q_SKIP, above, 0.0, above, Q_SKIP, 0.0, below, above, 0.0, 0.0])
+        # q is c0 exactly: just below, at and just above the cut EXTENT^2 = 9,
+        # then q = 0, where opacities above ALPHA_MAX are clamped, between them
+        cut = EXTENT * EXTENT
+        below, above = np.nextafter(cut, 0.0), np.nextafter(cut, np.inf)
+        q = np.array([below, cut, above, 0.0, above, cut, 0.0, below, above, 0.0, 0.0])
         ops = np.array([1.0, 1.0, 1.0, 0.995, 1.0, 1.0, 1.0, 1.0, 1.0, 0.3, 0.2])
         splats = one_pixel_splats(q, ops)
         rgb, transmit = fresh(1, 1)
         rgb_c, t_c = assert_matches_scalar(c_composite, scalar_composite, splats, 0, 0, rgb,
                                            transmit)
-        # the three above Q_SKIP add nothing: drop them and nothing changes
-        kept = tuple(a[q <= Q_SKIP] for a in splats)
+        # the three above the cut add nothing: drop them and nothing changes
+        kept = tuple(a[q <= cut] for a in splats)
         rgb_k, t_k = fresh(1, 1)
         c_composite(*kept, 0, 0, rgb_k, t_k)
         assert rgb_k.tobytes() == rgb_c.tobytes() and t_k.tobytes() == t_c.tobytes()
-        # on their own, the splats at Q_SKIP and one ulp below it add e^-40
-        for at in (0, 1):
-            alone = assert_matches_scalar(c_composite, scalar_composite,
-                                          tuple(a[at : at + 1] for a in splats), 0, 0,
-                                          *fresh(1, 1))[0]
-            assert (0 < alone).all() and (alone < 4.3e-18).all()
+        # on their own, the splats one ulp below and at the cut add e^-4.5 of
+        # their colour, and the one an ulp above it adds +0.0
+        for at in (0, 1, 2):
+            alone, t_alone = assert_matches_scalar(c_composite, scalar_composite,
+                                                   tuple(a[at : at + 1] for a in splats), 0, 0,
+                                                   *fresh(1, 1))
+            if at == 2:
+                assert alone.tobytes() == bytes(24) and t_alone[0, 0] == 1.0
+            else:
+                np.testing.assert_allclose(alone[0, 0], np.exp(-4.5) * splats[2][at], rtol=1e-14)
+                np.testing.assert_allclose(t_alone[0, 0], 1.0 - np.exp(-4.5), rtol=1e-14)
 
     @pytest.mark.parametrize("lane", [0, 3, BLOCK - 1, BLOCK + 1])
     def test_nan_q_is_composited_not_skipped(self, c_composite, scalar_composite, lane):
@@ -656,6 +607,20 @@ class TestBlockedKernel:
             assert_matches_scalar(c_composite, scalar_composite, splats, x0, y0, rgb, transmit)
 
 
+def c_define(source, name):
+    """The value of `#define name value` in a C source file."""
+    return float(re.search(rf"^#define {name} (\S+)", source.read_text(), re.MULTILINE)[1])
+
+
+def test_c_defines_match_the_python_constants():
+    # kernels.c and its one-splat-at-a-time oracle each keep their own copies
+    for source in (_kernels.SOURCE, SCALAR_SOURCE):
+        for name, value in (("ALPHA_MAX", ALPHA_MAX), ("T_CUTOFF", T_CUTOFF), ("EXTENT", EXTENT)):
+            assert c_define(source, name) == value, f"{source.name}: {name}"
+    assert c_define(_kernels.SOURCE, "BLOCK") == _kernels.COMPOSITE_BLOCK
+    assert c_define(_kernels.SOURCE, "COV2D_DILATION") == COV2D_DILATION
+
+
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
 @pytest.mark.parametrize("source", [_kernels.SOURCE, SCALAR_SOURCE,
                                     Path(__file__).with_name("plane_sweep_scalar.c")],
@@ -688,7 +653,7 @@ def project_all_stacked(gset, K, E):
     c = cov2d[:, 1, 1] + COV2D_DILATION
     mid = 0.5 * (a + c)
     disc = np.sqrt(np.maximum(mid * mid - (a * c - b * b), 0.0))
-    radius = 3.0 * np.sqrt(np.maximum(mid + disc, 0.0))
+    radius = EXTENT * np.sqrt(np.maximum(mid + disc, 0.0))
     dirs = centers[idx] - E.T
     norms = np.linalg.norm(dirs, axis=1, keepdims=True)
     dirs = np.divide(dirs, norms, out=np.zeros_like(dirs), where=norms > 0)
@@ -748,9 +713,6 @@ def random_gaussians(rng, n, sh_degree, quats, max_log_scale):
 
 class TestProjectSplats:
     """The C projection against its numpy twin, on raw bytes."""
-
-    def test_dilation_matches_the_wrapper(self):
-        assert f"#define COV2D_DILATION {COV2D_DILATION!r}\n" in _kernels.SOURCE.read_text()
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 400), sh_degree=st.integers(0, 3),

@@ -20,7 +20,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # voxels.occupied (= gaussians.count), sparse_unet.sites, renderer.splat_tile_pairs
 COUNTS = {"sweep": (3361, 4292, 18460), "dense": (14176, 29534, 34591),
-          "garden": (10772, 0, 31223)}
+          "garden": (10803, 0, 31288)}
 # Metrics that read 0. The compiled plane sweep calls no `warp_feature`;
 # ground-truth depth skips the sweep; the garden runs no U-Net.
 SWEEP_ZEROS = {"features.warp_calls", "geometry.warp_s"}

@@ -4,7 +4,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from conftest import patch_kernels
+from volsplat import _kernels
 from volsplat._kernels import COV2D_DILATION
 from volsplat.errors import FormatError, InvalidInputError
 from volsplat.gaussians import GaussianSet, SH_C0
@@ -356,6 +360,75 @@ class TestDeterminismOnBothBackends:
             assert out.alpha.tobytes() == outs[0].alpha.tobytes()
 
 
+def tile_grid_set(seed, n, w, h, nudge):
+    """A w x h camera and n + 1 splats that probe the tile rectangles.
+
+    Each of the first n splats is, by draw, centred anywhere near the frame,
+    up to 12 px off it, on a corner of the 8 px grid (so of every tile grid
+    tried), or one pixel wide: with scales of 1e-4 the 0.3 px^2 dilation is
+    all of its footprint. The last splat lies on the optical axis, widest
+    along x, so its mean is the principal point (cx, cy), which is float64:
+    cx puts the right end of its radius `nudge` ulps from pixel x = 8, a tile
+    edge at TILE 8 but not at 16 or 32, and cy is a whole pixel, so pixel
+    (8, cy) is at q ~ 9. Only a right or bottom edge can drop such a pixel,
+    as the tile rectangle floors both ends. w and h are at least 9.
+    """
+    rng = np.random.default_rng(seed)
+    kind = rng.integers(0, 4, n)  # 0 near the frame, 1 off it, 2 on a corner, 3 one pixel
+    mx, my = rng.uniform(-8, w + 8, n), rng.uniform(-8, h + 8, n)
+    off = kind == 1
+    mx[off] = np.where(rng.uniform(size=off.sum()) < 0.5, -rng.uniform(0.5, 12, off.sum()),
+                       w - 0.5 + rng.uniform(0, 12, off.sum()))
+    corner = kind == 2
+    mx[corner] = 8 * rng.integers(0, w // 8 + 2, corner.sum())
+    my[corner] = 8 * rng.integers(0, h // 8 + 2, corner.sum())
+    scales = rng.uniform(0.002, 0.15, (n + 1, 3))
+    scales[:n][kind == 3] = 1e-4
+    scales[n] = np.sort(scales[n])[::-1] / 3  # widest along x, radius < 8 px
+    quats = rng.normal(size=(n + 1, 4))
+    quats[n] = [1.0, 0.0, 0.0, 0.0]
+    z = rng.uniform(1.5, 5.0, n + 1)
+
+    def camera(cx):
+        return Intrinsics(fx=60.0, fy=60.0, cx=cx, cy=float(h // 2), width=w, height=h)
+
+    edge = GaussianSet(centers=np.array([[0.0, 0.0, z[n]]]), opacity_logits=np.zeros(1),
+                       log_scales=np.log(scales[n:]), rotations=quats[n:], sh=np.zeros((1, 3)))
+    cx = 8.0 - _project_all(edge, camera(8.0), E0)[5][0]
+    for _ in range(abs(nudge)):
+        cx = np.nextafter(cx, np.copysign(np.inf, nudge))
+    K = camera(float(cx))
+    centers = np.c_[(mx - K.cx) * z[:n] / K.fx, (my - K.cy) * z[:n] / K.fy, z[:n]]
+    gset = GaussianSet(centers=np.r_[centers, edge.centers], opacity_logits=rng.normal(size=n + 1),
+                       log_scales=np.log(scales), rotations=quats,
+                       sh=rng.normal(size=(n + 1, 3)))
+    return gset, K
+
+
+class TestTileSize:
+    """A splat reaches the pixels where q <= EXTENT^2, which all lie in its
+    tile rectangle, so the tile size cannot change a render."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 120), w=st.integers(9, 70),
+           h=st.integers(9, 70), nudge=st.integers(-3, 3))
+    # pixel (8, 4) has q <= 9 one ulp past the radius: without the slack in
+    # `rasterize`, TILE 8 drops it and TILE 16 keeps it
+    @example(seed=0, n=11, w=9, h=9, nudge=-1)
+    def test_render_is_the_same_at_tile_8_16_and_32(self, c_kernels, seed, n, w, h, nudge):
+        gset, cam = tile_grid_set(seed, n, w, h, nudge)
+        with pytest.MonkeyPatch.context() as mp:
+            for kernels in (_kernels.NUMPY, c_kernels):
+                patch_kernels(mp, kernels)
+                outs = []
+                for tile in (8, 16, 32):
+                    mp.setattr(renderer, "TILE", tile)
+                    outs.append(render(gset, cam, E0))
+                for out in outs[1:]:
+                    assert out.rgb.tobytes() == outs[0].rgb.tobytes()
+                    assert out.alpha.tobytes() == outs[0].alpha.tobytes()
+
+
 class TestMetrics:
     def test_identical_images(self):
         img = np.random.default_rng(4).uniform(size=(32, 32, 3))
@@ -374,6 +447,24 @@ class TestMetrics:
     def test_shape_mismatch(self):
         with pytest.raises(InvalidInputError):
             compute_image_metrics(np.zeros((4, 4, 3)), np.zeros((5, 5, 3)))
+
+    # the needle's 2D covariance rounds to singular (ROADMAP item 9): the numpy
+    # kernels warn of the division by zero and the inf - inf that C makes silently
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_image_raises(self):
+        # a needle splat renders NaN over about half the frame; min(PSNR_CAP,
+        # nan) would score it as a perfect 99 dB
+        needle = GaussianSet(centers=np.array([[0.1, 0.0, 2.0]]), opacity_logits=np.zeros(1),
+                             log_scales=np.array([[80.0, -7.0, -7.0]]),
+                             rotations=np.array([[0.9, 0.3, 0.2, 0.1]]), sh=np.zeros((1, 3)))
+        rgb = render(needle, K, E0).rgb
+        assert np.isnan(rgb).any()
+        target = np.full((64, 64, 3), 0.5)
+        with pytest.raises(InvalidInputError, match="finite"):
+            compute_image_metrics(rgb, target)
+        target[3, 5, 1] = np.inf
+        with pytest.raises(InvalidInputError, match="finite"):
+            compute_image_metrics(np.full((64, 64, 3), 0.5), target)
 
     def test_ssim_matches_naive_oracle(self):
         """A direct 11x11 window against the separable blur, on images larger
