@@ -504,6 +504,9 @@ class TestBlockedKernel:
     """The shipped kernel tests BLOCK splats per step; it must equal the
     scalar loop it replaced on raw bytes."""
 
+    def test_block_matches_the_wrapper(self):
+        assert c_define(_kernels.SOURCE, "BLOCK") == BLOCK
+
     @pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, 1000])
     @pytest.mark.parametrize("max_opacity", [0.05, 1.0])
     def test_full_tile(self, c_composite, scalar_composite, n, max_opacity):
@@ -617,8 +620,6 @@ def test_c_defines_match_the_python_constants():
     for source in (_kernels.SOURCE, SCALAR_SOURCE):
         for name, value in (("ALPHA_MAX", ALPHA_MAX), ("T_CUTOFF", T_CUTOFF), ("EXTENT", EXTENT)):
             assert c_define(source, name) == value, f"{source.name}: {name}"
-    assert c_define(_kernels.SOURCE, "BLOCK") == _kernels.COMPOSITE_BLOCK
-    assert c_define(_kernels.SOURCE, "COV2D_DILATION") == COV2D_DILATION
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
@@ -713,6 +714,9 @@ def random_gaussians(rng, n, sh_degree, quats, max_log_scale):
 
 class TestProjectSplats:
     """The C projection against its numpy twin, on raw bytes."""
+
+    def test_dilation_matches_the_wrapper(self):
+        assert c_define(_kernels.SOURCE, "COV2D_DILATION") == COV2D_DILATION
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 400), sh_degree=st.integers(0, 3),
