@@ -9,7 +9,10 @@ has one signature and two implementations: a C function in `kernels.c`
 behind a checked ctypes wrapper, and a numpy twin (`project_splats_np`,
 `bin_tiles_np`, `_composite_np.composite_tile`, `plane_sweep_np`,
 `scatter_add_rows_np`), so callers import the names below and never ask
-which backend runs.
+which backend runs. A kernel returns the arrays it creates: on both
+backends `project_splats`, `bin_tiles` and `composite_tile` allocate their
+outputs and return them. Only `plane_sweep` and `scatter_add_rows` take
+output arrays, because they add into them across calls.
 
 On first import `kernels.c` is built with `cc -O3 -ffp-contract=off -fPIC
 -shared` into the per-user cache ($XDG_CACHE_HOME or ~/.cache, then
@@ -18,44 +21,48 @@ flags, and loaded with ctypes, which releases the GIL for the length of each
 call, so render threads composite tiles in parallel. If the build or the
 load fails, or VOLSPLAT_FORCE_NUMPY=1 is set, the five kernels are the
 numpy twins together (`NUMPY`). BACKEND names the kernels in use: "c" or
-"numpy". Every C wrapper checks its arrays with one checker, `_check`: the
-kernel's dtype and shapes, C-contiguous, writeable where the kernel writes.
-It copies nothing, and any mismatch raises before a pointer is passed. The
-wrappers of the kernels that write by index also check the indices:
-`scatter_add_rows` its rows, and `bin_tiles` that every tile rectangle lies
-inside the grid and that rows has one entry per (tile, splat) pair. Each
-wrapper reads every array's address once per call, and the renderer calls
-`project_splats` and `bin_tiles` once per frame.
+"numpy". Every C wrapper checks the arrays it is given with one checker,
+`_check`: the kernel's dtype and shapes, C-contiguous, and writeable where
+the kernel adds into them. It copies nothing, and any mismatch raises before
+a pointer is passed. The wrappers of the kernels that write by index also
+check the indices: `scatter_add_rows` its rows, and `bin_tiles` that every
+tile rectangle lies inside the grid. Each wrapper reads every array's
+address once per call, and the renderer calls `project_splats` and
+`bin_tiles` once per frame.
 
 `project_splats` takes the splats in front of the near plane, in the camera
-frame, with their quaternions and scales, and writes each one's pixel mean,
+frame, with their quaternions and scales, and returns each one's pixel mean,
 the conic of its dilated 2D covariance, its radius EXTENT sqrt(lambda_max)
 and whether that footprint meets the image. The C loop uses only + - * /
 and sqrt, in numpy's order, and lets a NaN through each max(., 0) as numpy
-does, so every output is byte-identical to the twin's. `bin_tiles` takes each splat's
-inclusive tile rectangle, a (4, n) int64 array of rows tx0, tx1, ty0, ty1,
-and writes the splats of tile t to rows[bounds[t] : bounds[t + 1]] in
-ascending order: a counting sort in C, a stable argsort of the (tile, splat)
-pairs in numpy, with byte-identical rows and bounds.
+does, so every output is byte-identical to the twin's. `bin_tiles`
+takes each splat's inclusive tile rectangle, a (4, n) int64 array of rows
+tx0, tx1, ty0, ty1, and returns (rows, bounds): the splats of tile t are
+rows[bounds[t] : bounds[t + 1]] in ascending order, from a counting sort in
+C and a stable argsort of the (tile, splat) pairs in numpy, with
+byte-identical rows and bounds.
 
-Both compositing kernels follow one recurrence, in which a splat adds
-nothing at a pixel where its squared Mahalanobis distance q exceeds
-EXTENT^2; the C kernel skips the exp there. One constant, EXTENT (3), sets
-both that cut and the projected radius, and the ellipse q <= EXTENT^2 lies
-inside the disc of that radius, so every pixel a splat reaches is in one of
-its tiles and a render does not depend on the tile size.
+Both compositing kernels composite a fresh tile, every pixel from rgb 0 and
+T = 1, and follow one recurrence, in which a splat adds nothing at a pixel
+where its squared Mahalanobis distance q exceeds EXTENT^2; the C kernel
+skips the exp there. One constant, EXTENT (3), sets both that cut and the
+projected radius, and the ellipse q <= EXTENT^2 lies inside the disc of that
+radius, so every pixel a splat reaches is in one of its tiles and a render
+does not depend on the tile size.
 
 The C compositing kernel copies the tile's splats into five columns (mean x
 and y, the three conic entries), then tests COMPOSITE_BLOCK splats per step:
 their q values and a cut mask with no branch, then the recurrence on the
 splats that pass, in order, leaving the pixel as soon as T < T_CUTOFF. Each
 q is the one-splat-at-a-time loop's expression, rounded the same way in each
-vector lane, and a NaN q is not cut there either, so rgb and transmit
-are byte-identical to that loop, which tests/composite_scalar.c keeps.
-Colours are (n, k) and rgb (th, tw, k) for any k, one letter in `_check`:
-each channel is its own sum, rgb += alpha T color, with the same weight, so
-a channel's bytes do not depend on the channels beside it. The C loop is one
-inline body, compiled at k = 3, the renderer's colour, and for any other k.
+vector lane, and a NaN q is not cut there either, so rgb and transmit are
+byte-identical to that loop, which tests/composite_scalar.c keeps. Colours
+are (n, k) and rgb (th, tw, k) for any k: each channel is its own sum,
+rgb += alpha T color, with the same weight, so a channel's bytes do not
+depend on the channels beside it. The C loop is one inline body, compiled at k = 3,
+the renderer's colour, and for any other k: without the k = 3 body,
+`render_s` rose 1.8, 2.4 and 2.9 % on perfbench's `dense`, `sweep` and
+`garden` (10 alternating `--seconds 8` pairs each, on a 2-vCPU host).
 
 Neither the compositing kernel nor the sweep is bit-identical to its numpy
 twin, though both do the same operations in the same order. The compositing
@@ -64,7 +71,9 @@ own vectorised `exp`. The sweep agrees to about 1e-15: numpy's `einsum` and
 matmul order the channel sum and the camera transforms in their own way.
 `scatter_add_rows` is bit-identical to its twin for distinct rows: each
 output element takes exactly one IEEE addition, out + src, as in
-`out[rows] += src`, and there is no sum whose order could differ.
+`out[rows] += src`, and there is no sum whose order could differ. The C
+scatter stays because with numpy's `out[rows] += src` in its place,
+perfbench's `dense` `reconstruct_s` rose 8 % (10 alternating pairs).
 
 The C sweep samples the neighbour inside a zero border, as
 `geometry.bilinear_sample` does, in three passes per reference pixel: it
@@ -73,8 +82,9 @@ samples the rest over contiguous channels and takes their dot products four
 at a time. Each (pixel, plane) keeps the operations and the order of the
 one-plane-at-a-time scalar loop, which tests/plane_sweep_scalar.c keeps, so
 acc and n_valid are byte-identical to that loop's (kernels.c shows why a
-border tap cannot move them). The wrappers allocate every kernel's scratch
-and the bordered neighbour; the C file holds no buffer of its own.
+border tap cannot move them). The wrappers allocate every kernel's scratch,
+the bordered neighbour and every array a kernel returns; the C file holds no
+buffer of its own.
 """
 
 from __future__ import annotations
@@ -138,19 +148,19 @@ def scatter_add_rows_np(out, rows, src):
     out[rows] += src
 
 
-def project_splats_np(p_cam, rotations, scales, cam, mean2d, conics, radius, inside):
+def project_splats_np(p_cam, rotations, scales, cam):
     """EWA projection of splats in front of the near plane.
 
     p_cam (n, 3) are the centres in the camera frame, rotations (n, 4)
     quaternions (w, x, y, z), scales (n, 3) and cam an (Intrinsics,
-    Extrinsics) pair. Writes each splat's pixel mean into mean2d (n, 2), the
-    conic of its dilated 2D covariance into conics (n, 3), its radius
-    EXTENT sqrt(lambda_max) into radius (n) and, into the boolean inside (n),
-    whether that footprint meets the image.
+    Extrinsics) pair. Returns each splat's pixel mean, mean2d (n, 2), the
+    conic of its dilated 2D covariance, conics (n, 3), its radius
+    EXTENT sqrt(lambda_max), radius (n), and whether that footprint meets the
+    image, the boolean inside (n).
     """
     K, E = cam
     x, y, z = p_cam[:, 0], p_cam[:, 1], p_cam[:, 2]
-    np.stack([K.fx * x / z + K.cx, K.fy * y / z + K.cy], axis=1, out=mean2d)
+    mean2d = np.stack([K.fx * x / z + K.cx, K.fy * y / z + K.cy], axis=1)
 
     # cov2d = J W Sigma W^T J^T = (J W Rq S)(J W Rq S)^T, with J the 2x3
     # perspective Jacobian at the mean, W the world -> camera rotation and
@@ -167,31 +177,28 @@ def project_splats_np(p_cam, rotations, scales, cam, mean2d, conics, radius, ins
     a = u[0] * u[0] + u[1] * u[1] + u[2] * u[2] + COV2D_DILATION
     b = u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
     c = v[0] * v[0] + v[1] * v[1] + v[2] * v[2] + COV2D_DILATION
+    # a c - b^2 by Lagrange's identity, |u x v|^2 + d (a + c - d) with d the
+    # dilation: terms that cannot cancel, as a c - b^2 does for a needle splat
+    w = (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+    det = w[0] * w[0] + w[1] * w[1] + w[2] * w[2] + COV2D_DILATION * (a + c - COV2D_DILATION)
     mid = 0.5 * (a + c)
-    disc = np.sqrt(np.maximum(mid * mid - (a * c - b * b), 0.0))
-    np.multiply(EXTENT, np.sqrt(np.maximum(mid + disc, 0.0)), out=radius)
-    np.divide(np.stack([c, -b, a], axis=1), (a * c - b * b)[:, None], out=conics)
+    radius = EXTENT * np.sqrt(mid + np.sqrt(np.maximum(mid * mid - det, 0.0)))
+    conics = np.stack([c, -b, a], axis=1) / det[:, None]
     mx, my = mean2d[:, 0], mean2d[:, 1]
-    inside[...] = ((mx + radius >= -0.5) & (mx - radius <= K.width - 0.5)
-                   & (my + radius >= -0.5) & (my - radius <= K.height - 0.5))
+    inside = ((mx + radius >= -0.5) & (mx - radius <= K.width - 0.5)
+              & (my + radius >= -0.5) & (my - radius <= K.height - 0.5))
+    return mean2d, conics, radius, inside
 
 
-def tile_pairs(rects) -> int:
-    """The (tile, splat) pairs of the inclusive tile rectangles rects (4, n),
-    rows tx0, tx1, ty0, ty1: the length `bin_tiles` needs for rows."""
-    tx0, tx1, ty0, ty1 = rects
-    return int((tx1 - tx0 + 1) @ (ty1 - ty0 + 1))
-
-
-def bin_tiles_np(rects, nx, ny, rows, bounds):
+def bin_tiles_np(rects, nx, ny):
     """Splat rows per tile from each splat's inclusive tile rectangle.
 
     rects (4, n) holds rows tx0, tx1, ty0 and ty1 in an nx x ny tile grid,
     tile t = ty nx + tx. The 3DGS scheme (Kerbl et al. 2023): every splat is
     repeated once per tile it overlaps, the (tile, row) pairs are stably
-    sorted by tile, and tile t's splats are written to
-    rows[bounds[t] : bounds[t + 1]], in ascending order. rows holds
-    `tile_pairs(rects)` entries and bounds nx ny + 1.
+    sorted by tile, and tile t's splats are rows[bounds[t] : bounds[t + 1]],
+    in ascending order. Returns (rows, bounds), int64: rows holds one entry
+    per (tile, splat) pair and bounds nx ny + 1.
     """
     tx0, tx1, ty0, ty1 = rects
     span_x = tx1 - tx0 + 1
@@ -201,8 +208,7 @@ def bin_tiles_np(rects, nx, ny, rows, bounds):
     span_x = span_x[pair_rows]
     tile = (ty0[pair_rows] + offset // span_x) * nx + tx0[pair_rows] + offset % span_x
     by_tile = np.argsort(tile, kind="stable")
-    rows[...] = pair_rows[by_tile]
-    bounds[...] = np.searchsorted(tile[by_tile], np.arange(nx * ny + 1))
+    return pair_rows[by_tile], np.searchsorted(tile[by_tile], np.arange(nx * ny + 1))
 
 
 NUMPY = Kernels(project_splats_np, bin_tiles_np, _composite_np.composite_tile, plane_sweep_np,
@@ -259,10 +265,9 @@ def load(out_dir: Path | None = None, source: Path = SOURCE) -> Optional[Kernels
 
 
 _F64, _I64, _U64 = np.dtype(np.float64), np.dtype(np.int64), np.dtype(np.uint64)
-_BOOL = np.dtype(np.bool_)
 
 
-def _check(kernel: str, args, outputs) -> dict:
+def _check(kernel: str, args, outputs=()) -> dict:
     """Check one C kernel's array arguments before any pointer is passed.
 
     `args` holds (name, array, dtype, dims) for each array. The array must be
@@ -295,22 +300,23 @@ def _check(kernel: str, args, outputs) -> dict:
 def _checked_composite(fn):
     """Wrap the raw C compositing kernel in the signature of the numpy one.
 
-    The kernel's scratch, five columns of n splats padded to a whole number
-    of COMPOSITE_BLOCKs, is allocated here from the checked n.
+    The tile's rgb and transmit, and the kernel's scratch, five columns of n
+    splats padded to a whole number of COMPOSITE_BLOCKs, are allocated here
+    from the checked sizes; the kernel writes every rgb and transmit entry.
     """
 
-    def composite_tile(means, conics, colors, opacities, x0, y0, rgb, transmit):
-        x0, y0 = operator.index(x0), operator.index(y0)
+    def composite_tile(means, conics, colors, opacities, x0, y0, th, tw):
+        x0, y0, th, tw = map(operator.index, (x0, y0, th, tw))
         size = _check("composite_tile", (
             ("means", means, _F64, ("n", 2)), ("conics", conics, _F64, ("n", 3)),
             ("colors", colors, _F64, ("n", "k")), ("opacities", opacities, _F64, ("n",)),
-            ("rgb", rgb, _F64, ("th", "tw", "k")), ("transmit", transmit, _F64, ("th", "tw")),
-        ), ("rgb", "transmit"))
-        n = size["n"]
+        ))
+        n, k = size["n"], size["k"]
+        rgb, transmit = np.empty((th, tw, k)), np.empty((th, tw))
         splats = np.empty(5 * -(-n // COMPOSITE_BLOCK) * COMPOSITE_BLOCK)
         fn(means.ctypes.data, conics.ctypes.data, colors.ctypes.data, opacities.ctypes.data,
-           n, size["k"], x0, y0, size["th"], size["tw"], rgb.ctypes.data, transmit.ctypes.data,
-           splats.ctypes.data)
+           n, k, x0, y0, th, tw, rgb.ctypes.data, transmit.ctypes.data, splats.ctypes.data)
+        return rgb, transmit
 
     return composite_tile
 
@@ -330,18 +336,19 @@ def _camera(name: str, cam) -> np.ndarray:
 def _checked_project(fn):
     """Wrap the raw C projection in the signature of project_splats_np."""
 
-    def project_splats(p_cam, rotations, scales, cam, mean2d, conics, radius, inside):
-        size = _check("project_splats", (
+    def project_splats(p_cam, rotations, scales, cam):
+        n = _check("project_splats", (
             ("p_cam", p_cam, _F64, ("n", 3)), ("rotations", rotations, _F64, ("n", 4)),
-            ("scales", scales, _F64, ("n", 3)), ("mean2d", mean2d, _F64, ("n", 2)),
-            ("conics", conics, _F64, ("n", 3)), ("radius", radius, _F64, ("n",)),
-            ("inside", inside, _BOOL, ("n",)),
-        ), ("mean2d", "conics", "radius", "inside"))
+            ("scales", scales, _F64, ("n", 3)),
+        ))["n"]
         packed = _camera("project_splats: cam", cam)
         width, height = operator.index(cam[0].width), operator.index(cam[0].height)
+        mean2d, conics, radius = np.empty((n, 2)), np.empty((n, 3)), np.empty(n)
+        inside = np.empty(n, np.bool_)
         fn(p_cam.ctypes.data, rotations.ctypes.data, scales.ctypes.data, packed.ctypes.data,
-           size["n"], width, height, mean2d.ctypes.data, conics.ctypes.data,
-           radius.ctypes.data, inside.ctypes.data)
+           n, width, height, mean2d.ctypes.data, conics.ctypes.data, radius.ctypes.data,
+           inside.ctypes.data)
+        return mean2d, conics, radius, inside
 
     return project_splats
 
@@ -349,24 +356,21 @@ def _checked_project(fn):
 def _checked_bin(fn):
     """Wrap the raw C binning in the signature of bin_tiles_np. The kernel
     writes by tile index, so every rectangle must also lie inside the tile
-    grid, with tx0 <= tx1 and ty0 <= ty1, and rows must hold exactly
-    `tile_pairs(rects)` entries."""
+    grid, with tx0 <= tx1 and ty0 <= ty1; rows is allocated with one entry
+    per (tile, splat) pair of those rectangles."""
 
-    def bin_tiles(rects, nx, ny, rows, bounds):
+    def bin_tiles(rects, nx, ny):
         nx, ny = operator.index(nx), operator.index(ny)
-        size = _check("bin_tiles", (
-            ("rects", rects, _I64, (4, "n")), ("rows", rows, _I64, ("m",)),
-            ("bounds", bounds, _I64, (nx * ny + 1,)),
-        ), ("rows", "bounds"))
+        n = _check("bin_tiles", (("rects", rects, _I64, (4, "n")),))["n"]
         tx0, tx1, ty0, ty1 = rects
-        if size["n"] and not (tx0.min() >= 0 and ty0.min() >= 0 and (tx0 <= tx1).all()
-                              and (ty0 <= ty1).all() and tx1.max() < nx and ty1.max() < ny):
+        if n and not (tx0.min() >= 0 and ty0.min() >= 0 and (tx0 <= tx1).all()
+                      and (ty0 <= ty1).all() and tx1.max() < nx and ty1.max() < ny):
             raise IndexError(f"bin_tiles: rects must satisfy 0 <= tx0 <= tx1 < {nx} "
                              f"and 0 <= ty0 <= ty1 < {ny}")
-        pairs = tile_pairs(rects)
-        if pairs != size["m"]:
-            raise ValueError(f"bin_tiles: rows has {size['m']} entries, the rects {pairs} pairs")
-        fn(rects.ctypes.data, size["n"], nx, ny, rows.ctypes.data, bounds.ctypes.data)
+        rows = np.empty(int((tx1 - tx0 + 1) @ (ty1 - ty0 + 1)), np.int64)
+        bounds = np.empty(nx * ny + 1, np.int64)
+        fn(rects.ctypes.data, n, nx, ny, rows.ctypes.data, bounds.ctypes.data)
+        return rows, bounds
 
     return bin_tiles
 
@@ -428,5 +432,5 @@ def select():
 
 __all__ = ["project_splats", "bin_tiles", "composite_tile", "plane_sweep", "scatter_add_rows",
            "project_splats_np", "bin_tiles_np", "plane_sweep_np", "scatter_add_rows_np",
-           "tile_pairs", "NUMPY", "BACKEND", "Kernels", "ALPHA_MAX", "EXTENT", "T_CUTOFF",
+           "NUMPY", "BACKEND", "Kernels", "ALPHA_MAX", "EXTENT", "T_CUTOFF",
            "COV2D_DILATION", "build", "load", "select"]

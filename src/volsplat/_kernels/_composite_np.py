@@ -48,22 +48,21 @@ EXTENT = 3.0
 CHUNK_ELEMENTS = 1 << 13
 
 
-def composite_tile(means, conics, colors, opacities, x0, y0, rgb, transmit):
-    """Front-to-back composite pre-sorted splats into one tile.
+def composite_tile(means, conics, colors, opacities, x0, y0, th, tw):
+    """Front-to-back composite pre-sorted splats into a fresh th x tw tile
+    whose top-left pixel is (x0, y0).
 
-    colors are (n, k); rgb (th, tw, k) and transmit (th, tw) are updated in
-    place; transmit must start at 1 and rgb at 0 for a fresh tile.
-    Opacities lie in [0, 1].
+    colors are (n, k) and opacities lie in [0, 1]. Returns new arrays: the
+    accumulated colour, rgb (th, tw, k), started at 0, and the remaining
+    transmittance, transmit (th, tw), started at 1.
     """
-    th, tw = transmit.shape
-    n = means.shape[0]
+    n, k = colors.shape
     ys, xs = np.divmod(np.arange(th * tw), tw)
     px = (x0 + xs).astype(float)
     py = (y0 + ys).astype(float)
-    flat_T = transmit.ravel()
-    k = colors.shape[1]
-    flat_rgb = rgb.reshape(th * tw, k)
-    live = np.flatnonzero(flat_T >= T_CUTOFF)
+    flat_T = np.ones(th * tw)
+    flat_rgb = np.zeros((th * tw, k))
+    live = np.arange(th * tw)
     s = 0
     while s < n and live.size:
         p = live.size
@@ -93,6 +92,4 @@ def composite_tile(means, conics, colors, opacities, x0, y0, rgb, transmit):
         flat_T[live] = T[np.minimum(ok.sum(axis=0), e - s), np.arange(p)]
         live = live[ok[-1]]
         s = e
-    # no-ops when ravel/reshape returned views, copies back otherwise
-    transmit[...] = flat_T.reshape(th, tw)
-    rgb[...] = flat_rgb.reshape(th, tw, k)
+    return flat_rgb.reshape(th, tw, k), flat_T.reshape(th, tw)

@@ -23,8 +23,9 @@
  * output is byte-identical to the scalar loop kept in
  * tests/plane_sweep_scalar.c. Built with -ffp-contract=off and without
  * fast-math, no a * b + c is fused and no sum is reassociated. The wrappers
- * allocate every scratch array and the callers every output; this file holds
- * no buffer of its own.
+ * allocate every scratch array and every array a kernel returns; only the
+ * plane sweep and the scatter-add add into their callers' arrays, across
+ * calls. This file holds no buffer of its own.
  */
 #include <math.h>
 #include <stdint.h>
@@ -36,18 +37,18 @@
 #define BLOCK 8 /* splats tested per step in composite_tile */
 #define COV2D_DILATION 0.3
 
-/* Front-to-back compositing of pre-sorted 2D splats into one tile: the
- * per-pixel loop of _composite_np.py. means (n, 2), conics (n, 3),
- * colors (n, nc), opacities (n), rgb (th, tw, nc) and transmit (th, tw); rgb
- * and transmit are updated in place. ALPHA_MAX, T_CUTOFF and EXTENT match
- * _composite_np.py; a splat adds nothing at a pixel where q > EXTENT^2. Each
- * of the nc channels is its own sum, rgb += w * color with the same weight
- * w = alpha T, so a channel is bit-identical whatever the other channels
- * hold.
+/* Front-to-back compositing of pre-sorted 2D splats into a fresh tile: the
+ * per-pixel loop of _composite_np.py. means (n, 2), conics (n, 3), colors
+ * (n, nc) and opacities (n) are read; rgb (th, tw, nc) and transmit (th, tw)
+ * are written, not read: each pixel starts at rgb 0 and T = 1. ALPHA_MAX,
+ * T_CUTOFF and EXTENT match _composite_np.py; a splat adds nothing at a
+ * pixel where q > EXTENT^2. Each of the nc channels is its own sum,
+ * rgb += w * color with the same weight w = alpha T, so a channel is
+ * bit-identical whatever the other channels hold.
  *
  * The splats are first copied into five columns (mx, my, c0, c1, c2) of
  * `splats`, the caller's scratch of 5 m doubles, m being n rounded up to a
- * multiple of BLOCK. A live pixel then tests BLOCK splats per step: it
+ * multiple of BLOCK. Each pixel then tests BLOCK splats per step: it
  * computes their q with no branch, into q[] and a bit mask, and runs the
  * recurrence on the set bits in splat order. A lane at or past n is masked
  * off by its index, so it counts for nothing whatever its q is. Each q is
@@ -68,15 +69,13 @@ composite_pixels(const double *colors, const double *opacities, long n, long nc,
     const long m = (n + BLOCK - 1) / BLOCK * BLOCK;
     const double *mx = splats, *my = mx + m, *c0 = my + m, *c1 = c0 + m, *c2 = c1 + m;
     for (long p = 0; p < th * tw; p++) {
-        double t = transmit[p];
-        if (t < T_CUTOFF)
-            continue;
-        double px = (double)(x0 + p % tw), py = (double)(y0 + p / tw);
+        double t = 1.0, px = (double)(x0 + p % tw), py = (double)(y0 + p / tw);
         /* at nc = 3 the sums are a local array, which the compiler keeps
-         * apart from rgb: summing in rgb measured ~2 % slower there */
+         * apart from rgb: without this body render_s rose 1.8-2.9 % on the
+         * three perfbench workloads (10 alternating pairs, 2-vCPU host) */
         double sum3[3], *acc = nc == 3 ? sum3 : rgb + nc * p;
-        for (int c = 0; c < 3 && nc == 3; c++)
-            sum3[c] = rgb[3 * p + c];
+        for (long c = 0; c < nc; c++)
+            acc[c] = 0.0;
         for (long i = 0; i < n; i += BLOCK) {
             double q[BLOCK];
             unsigned live = 0;
@@ -149,10 +148,13 @@ static inline double at_least_zero(double v)
  *
  * cov2d = (J W Rq S)(J W Rq S)^T, with J the perspective Jacobian at the
  * mean (j01 = j10 = 0), W = R^T the world-to-camera rotation, Rq the
- * quaternion's matrix (geometry.quat_to_rotmat) and S the scales. Every
- * entry takes numpy's operations in numpy's order, with no exp or libm call
- * but sqrt, and a NaN passes each max(., 0) as it does in numpy, so every
- * output is byte-identical to the twin's.
+ * quaternion's matrix (geometry.quat_to_rotmat) and S the scales. Its
+ * determinant a c - b^2 is |u x v|^2 + d (a + c - d) (Lagrange's identity; u
+ * and v the rows of J W Rq S, d = COV2D_DILATION): terms that cannot cancel
+ * to zero or below, as a c - b^2 does for a needle splat. Every entry takes
+ * numpy's operations in numpy's order, with no exp or libm call but sqrt,
+ * and a NaN passes each max(., 0) as it does in numpy, so every output is
+ * byte-identical to the twin's.
  */
 void project_splats(const double *restrict p_cam, const double *restrict rotations,
                     const double *restrict scales, const double *restrict cam, long n,
@@ -189,10 +191,11 @@ void project_splats(const double *restrict p_cam, const double *restrict rotatio
         const double a = u[0] * u[0] + u[1] * u[1] + u[2] * u[2] + COV2D_DILATION;
         const double b = u[0] * v[0] + u[1] * v[1] + u[2] * v[2];
         const double c = v[0] * v[0] + v[1] * v[1] + v[2] * v[2] + COV2D_DILATION;
+        const double w0 = u[1] * v[2] - u[2] * v[1], w1 = u[2] * v[0] - u[0] * v[2];
+        const double w2 = u[0] * v[1] - u[1] * v[0];
+        const double det = w0 * w0 + w1 * w1 + w2 * w2 + COV2D_DILATION * (a + c - COV2D_DILATION);
         const double mid = 0.5 * (a + c);
-        const double disc = sqrt(at_least_zero(mid * mid - (a * c - b * b)));
-        const double r = EXTENT * sqrt(at_least_zero(mid + disc));
-        const double det = a * c - b * b;
+        const double r = EXTENT * sqrt(mid + sqrt(at_least_zero(mid * mid - det)));
         mean2d[2 * i] = mx;
         mean2d[2 * i + 1] = my;
         conics[3 * i] = c / det;

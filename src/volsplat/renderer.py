@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._kernels import bin_tiles, composite_tile, project_splats, tile_pairs
+from ._kernels import bin_tiles, composite_tile, project_splats
 from .errors import InvalidInputError
 from .gaussians import SH_C0, GaussianSet
 from .geometry import Extrinsics, Intrinsics
@@ -88,10 +88,7 @@ def _project_all(gset: GaussianSet, K: Intrinsics, E: Extrinsics):
         p_cam, rotations, scales = (np.take(a, near, axis=0) for a in (p_cam, rotations, scales))
     p_cam, rotations, scales = (np.ascontiguousarray(a, dtype=np.float64)
                                 for a in (p_cam, rotations, scales))
-    n = near.size
-    mean2d, conics, radius = np.empty((n, 2)), np.empty((n, 3)), np.empty(n)
-    inside = np.empty(n, dtype=bool)
-    project_splats(p_cam, rotations, scales, (K, E), mean2d, conics, radius, inside)
+    mean2d, conics, radius, inside = project_splats(p_cam, rotations, scales, (K, E))
 
     # keep splats whose 3-sigma footprint meets the image, then sort them by
     # depth; near is ascending, so a stable sort breaks ties by set index
@@ -139,8 +136,7 @@ def rasterize(mean2d, conics, colors, ops, radius, h: int, w: int, threads: int 
     rects *= 1.0 / TILE
     np.clip(rects, 0.0, [[nx - 1], [nx - 1], [ny - 1], [ny - 1]], out=rects)
     rects = rects.astype(np.int64)
-    rows, bounds = np.empty(tile_pairs(rects), np.int64), np.empty(nx * ny + 1, np.int64)
-    bin_tiles(rects, nx, ny, rows, bounds)
+    rows, bounds = bin_tiles(rects, nx, ny)
     # every tile's splats in one gather per array; a tile takes a slice
     splats = [np.take(a, rows, axis=0) for a in (mean2d, conics, colors, ops)]
     tiles = np.flatnonzero(np.diff(bounds)).tolist()
@@ -152,11 +148,8 @@ def rasterize(mean2d, conics, colors, ops, radius, h: int, w: int, threads: int 
         x0, y0 = tx * TILE, ty * TILE
         tw = min(TILE, w - x0)
         th = min(TILE, h - y0)
-        tile_rgb = np.zeros((th, tw, k))
-        tile_T = np.ones((th, tw))
-        composite_tile(*(a[part] for a in splats), x0, y0, tile_rgb, tile_T)
-        rgb[y0 : y0 + th, x0 : x0 + tw] = tile_rgb
-        transmit[y0 : y0 + th, x0 : x0 + tw] = tile_T
+        rgb[y0 : y0 + th, x0 : x0 + tw], transmit[y0 : y0 + th, x0 : x0 + tw] = composite_tile(
+            *(a[part] for a in splats), x0, y0, th, tw)
 
     workers = min(threads or os.cpu_count() or 1, len(tiles))
     _on_threads(do_tile, tiles, workers)

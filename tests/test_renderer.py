@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import patch_kernels
@@ -303,6 +303,31 @@ class TestRender:
         np.testing.assert_allclose(out.alpha, 0.5, rtol=1e-12)
 
 
+# one splat: a centre past the near plane, three log-scales, any quaternion
+# (zero and unnormalised ones too) and an opacity logit
+ANY_SPLAT = st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0),
+                      st.floats(renderer.NEAR_PLANE, 10.0, exclude_min=True),
+                      *[st.floats(-88.0, 88.0)] * 3, *[st.floats(-10.0, 10.0)] * 4,
+                      st.floats(-10.0, 10.0))
+
+
+class TestFiniteRenders:
+    # each_backend patches the kernels in again on every example
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(splats=st.lists(ANY_SPLAT, min_size=1, max_size=4))
+    # a needle whose a c - b^2 cancels: it rendered NaN over half the frame
+    @example(splats=[(0.1, 0.0, 2.0, 80.0, -7.0, -7.0, 0.9, 0.3, 0.2, 0.1, 3.0)])
+    def test_any_set_past_the_near_plane_renders_finite(self, each_backend, splats):
+        p = np.array(splats)
+        gset = GaussianSet(centers=p[:, :3], log_scales=p[:, 3:6], rotations=p[:, 6:10],
+                           opacity_logits=p[:, 10], sh=np.zeros((len(p), 3)))
+        for _ in each_backend():
+            out = render(gset, K, E0)
+            assert np.isfinite(out.rgb).all()
+            assert ((0.0 <= out.alpha) & (out.alpha <= 1.0)).all()
+
+
 class TestBackendAgreement:
     def test_numpy_and_compiled_kernels_match(self, c_composite):
         from volsplat._kernels import _composite_np
@@ -316,10 +341,8 @@ class TestBackendAgreement:
         conics[:, 1] = rng.uniform(-0.1, 0.1, n) * np.sqrt(conics[:, 0] * conics[:, 2])
         colors = rng.uniform(0, 1, (n, 3))
         ops = rng.uniform(0.05, 0.99, n)
-        rgb_a = np.zeros((16, 16, 3)); t_a = np.ones((16, 16))
-        rgb_b = np.zeros((16, 16, 3)); t_b = np.ones((16, 16))
-        _composite_np.composite_tile(means, conics, colors, ops, 0, 0, rgb_a, t_a)
-        c_composite(means, conics, colors, ops, 0, 0, rgb_b, t_b)
+        rgb_a, t_a = _composite_np.composite_tile(means, conics, colors, ops, 0, 0, 16, 16)
+        rgb_b, t_b = c_composite(means, conics, colors, ops, 0, 0, 16, 16)
         np.testing.assert_allclose(rgb_b, rgb_a, atol=1e-12)
         np.testing.assert_allclose(t_b, t_a, atol=1e-12)
 
@@ -452,13 +475,9 @@ class TestMetrics:
     # kernels warn of the division by zero and the inf - inf that C makes silently
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_image_raises(self):
-        # a needle splat renders NaN over about half the frame; min(PSNR_CAP,
-        # nan) would score it as a perfect 99 dB
-        needle = GaussianSet(centers=np.array([[0.1, 0.0, 2.0]]), opacity_logits=np.zeros(1),
-                             log_scales=np.array([[80.0, -7.0, -7.0]]),
-                             rotations=np.array([[0.9, 0.3, 0.2, 0.1]]), sh=np.zeros((1, 3)))
-        rgb = render(needle, K, E0).rgb
-        assert np.isnan(rgb).any()
+        # min(PSNR_CAP, nan) would score a NaN image as a perfect 99 dB
+        rgb = np.full((64, 64, 3), 0.5)
+        rgb[10, 20, 2] = np.nan
         target = np.full((64, 64, 3), 0.5)
         with pytest.raises(InvalidInputError, match="finite"):
             compute_image_metrics(rgb, target)
