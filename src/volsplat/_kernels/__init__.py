@@ -15,10 +15,13 @@ outputs and return them. Only `plane_sweep` and `scatter_add_rows` take
 output arrays, because they add into them across calls.
 
 On first import `kernels.c` is built with `cc -O3 -ffp-contract=off -fPIC
--shared` into the per-user cache ($XDG_CACHE_HOME or ~/.cache, then
-volsplat/), under a file name that carries a hash of the source and the
-flags, and loaded with ctypes, which releases the GIL for the length of each
-call, so render threads composite tiles in parallel. If the build or the
+-shared` and one -DNAME=value per constant the C code shares with Python
+(ALPHA_MAX, T_CUTOFF, EXTENT, SNAP_TOL, BLOCK = COMPOSITE_BLOCK and
+COV2D_DILATION, each written once on the Python side, none in C), into the
+per-user cache ($XDG_CACHE_HOME or ~/.cache, then volsplat/), under a file
+name that carries a hash of the source and the flags, and loaded with
+ctypes, which releases the GIL for the length of each call, so render
+threads composite tiles in parallel. If the build or the
 load fails, or VOLSPLAT_FORCE_NUMPY=1 is set, the five kernels are the
 numpy twins together (`NUMPY`). BACKEND names the kernels in use: "c" or
 "numpy". Every C wrapper checks the arrays it is given with one checker,
@@ -100,21 +103,25 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from ..geometry import quat_to_rotmat, warp_feature
+from ..geometry import SNAP_TOL, quat_to_rotmat, warp_feature
 from . import _composite_np
 from ._composite_np import ALPHA_MAX, EXTENT, T_CUTOFF
 
 SOURCE = Path(__file__).with_name("kernels.c")
+COMPOSITE_BLOCK = 8  # passed to C as BLOCK: splats composite_tile tests per step
+COV2D_DILATION = 0.3  # px^2 added to each 2D variance, in C and in project_splats_np
 # Fixed, whatever CC and CFLAGS say: -ffp-contract=off keeps the compiler from
 # fusing a * b + c into one rounding, so the C loops round like numpy does.
 # -O3 because GCC vectorises the sweep's channel loops only there; with no
 # fast-math each vector lane still rounds like the scalar code. No -march:
 # a library tuned to one CPU could be loaded from the per-user cache by
-# another host that shares it.
-FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
+# another host that shares it. Each constant the C sources share with Python
+# is a -D macro of its repr, which C parses to the same value, so no C file
+# defines one, and the build digest covers its value.
+FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared") + tuple(f"-D{k}={v!r}" for k, v in (
+    ("ALPHA_MAX", ALPHA_MAX), ("T_CUTOFF", T_CUTOFF), ("EXTENT", EXTENT), ("SNAP_TOL", SNAP_TOL),
+    ("BLOCK", COMPOSITE_BLOCK), ("COV2D_DILATION", COV2D_DILATION)))
 BUILD_TIMEOUT_S = 120
-COMPOSITE_BLOCK = 8  # kernels.c BLOCK: splats composite_tile tests per step
-COV2D_DILATION = 0.3  # kernels.c COV2D_DILATION: px^2 added to each 2D variance
 
 
 class Kernels(NamedTuple):
@@ -432,5 +439,4 @@ def select():
 
 __all__ = ["project_splats", "bin_tiles", "composite_tile", "plane_sweep", "scatter_add_rows",
            "project_splats_np", "bin_tiles_np", "plane_sweep_np", "scatter_add_rows_np",
-           "NUMPY", "BACKEND", "Kernels", "ALPHA_MAX", "EXTENT", "T_CUTOFF",
-           "COV2D_DILATION", "build", "load", "select"]
+           "NUMPY", "BACKEND", "Kernels", "EXTENT", "COV2D_DILATION", "build", "load", "select"]

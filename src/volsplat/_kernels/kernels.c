@@ -26,22 +26,19 @@
  * allocate every scratch array and every array a kernel returns; only the
  * plane sweep and the scatter-add add into their callers' arrays, across
  * calls. This file holds no buffer of its own.
+ *
+ * ALPHA_MAX, T_CUTOFF, EXTENT, SNAP_TOL, BLOCK and COV2D_DILATION are not
+ * defined here: the build (_kernels.FLAGS) passes each as -DNAME=value from
+ * the Python constant it mirrors, so the two sides cannot disagree.
  */
 #include <math.h>
 #include <stdint.h>
-
-#define ALPHA_MAX 0.99
-#define T_CUTOFF 1e-4
-#define EXTENT 3.0
-#define SNAP_TOL 1e-9
-#define BLOCK 8 /* splats tested per step in composite_tile */
-#define COV2D_DILATION 0.3
 
 /* Front-to-back compositing of pre-sorted 2D splats into a fresh tile: the
  * per-pixel loop of _composite_np.py. means (n, 2), conics (n, 3), colors
  * (n, nc) and opacities (n) are read; rgb (th, tw, nc) and transmit (th, tw)
  * are written, not read: each pixel starts at rgb 0 and T = 1. ALPHA_MAX,
- * T_CUTOFF and EXTENT match _composite_np.py; a splat adds nothing at a
+ * T_CUTOFF and EXTENT are _composite_np.py's; a splat adds nothing at a
  * pixel where q > EXTENT^2. Each of the nc channels is its own sum,
  * rgb += w * color with the same weight w = alpha T, so a channel is
  * bit-identical whatever the other channels hold.

@@ -168,6 +168,15 @@ def _normalized_quats(q: np.ndarray) -> np.ndarray:
     return out
 
 
+def check_offset_radius(offset_radius: float) -> None:
+    """A centre lies up to offset_radius from its voxel's, and centres are
+    float32, so the radius must be positive and at most float32's max: a NaN,
+    an infinity or an int too large for a float fails the comparison."""
+    if not 0 < offset_radius <= float(np.finfo(np.float32).max):
+        raise InvalidInputError("head.offset_radius_multiplier * voxel.size must be positive and "
+                                f"at most float32's max, got {offset_radius!r}")
+
+
 def activate_set(
     raw: RawGaussianParams,
     keys: np.ndarray,
@@ -176,8 +185,7 @@ def activate_set(
 ) -> GaussianSet:
     """Apply the activation transforms to every voxel's raw parameters: the
     center is the voxel center plus offset_radius * sigmoid(raw offset)."""
-    if offset_radius <= 0:
-        raise InvalidInputError("offset radius must be positive")
+    check_offset_radius(offset_radius)
     if raw.values.shape[0] != keys.shape[0]:
         raise InvalidInputError("raw params / keys length mismatch")
     centers = voxel_center(keys, voxel_size) + offset_radius * sigmoid(raw.offset)

@@ -17,6 +17,9 @@ import numpy as np
 from .errors import BehindCameraError, InvalidInputError
 
 _ORTHO_TOL = 1e-9
+# `bilinear_sample` snaps a coordinate this close to an integer onto it, so a
+# self-warp is an exact identity; the C plane sweep reads it as a -D macro
+SNAP_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -200,8 +203,8 @@ def bilinear_sample(data: np.ndarray, u: np.ndarray, v: np.ndarray):
     # snap near-integer coords so self-warps are exact identities
     ur = np.rint(u)
     vr = np.rint(v)
-    u = np.where(np.abs(u - ur) < 1e-9, ur, u)
-    v = np.where(np.abs(v - vr) < 1e-9, vr, v)
+    u = np.where(np.abs(u - ur) < SNAP_TOL, ur, u)
+    v = np.where(np.abs(v - vr) < SNAP_TOL, vr, v)
     valid = (u >= 0) & (u <= w - 1) & (v >= 0) & (v <= h - 1)
     # a non-finite coordinate samples the border: all four taps read zero
     finite = np.isfinite(u) & np.isfinite(v)

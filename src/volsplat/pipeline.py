@@ -27,6 +27,7 @@ from .gaussians import (
     RawGaussianParams,
     activate_set,
     check_head_weights,
+    check_offset_radius,
     decode_raw,
     param_length,
     random_head_weights,
@@ -170,12 +171,12 @@ class PipelineConfig:
                     raise InvalidInputError(
                         f"{sec_name}.{attr} must be {_KIND_NAMES[kind]}, got {value!r}")
         d, f, u, h = self.depth, self.feature, self.unet, self.head
-        if not (finite_number(h.offset_radius_multiplier) and h.offset_radius_multiplier > 0):
-            raise InvalidInputError("head.offset_radius_multiplier must be a positive finite "
-                                    f"number, got {h.offset_radius_multiplier!r}")
         check_temperature(d.temperature)
         sample_depth_hypotheses(d.near, d.far, d.num_hypotheses, d.spacing)
         check_voxel_size(self.voxel.size)
+        # an int too large for a float would overflow the product: check it as it is
+        m = h.offset_radius_multiplier
+        check_offset_radius(m * self.voxel.size if finite_number(m) else m)
         FeatureExtractorSpec(f.channels, f.scale)
         UNetSpec(tuple(u.levels), u.blocks)
         param_length(h.sh_degree)

@@ -6,15 +6,12 @@
  */
 #include <math.h>
 
-#define ALPHA_MAX 0.99
-#define T_CUTOFF 1e-4
-#define EXTENT 3.0
-
 /* Front-to-back compositing of pre-sorted 2D splats into one tile: the
  * per-pixel loop of _composite_np.py. means (n, 2), conics (n, 3),
  * colors (n, nc), opacities (n), rgb (th, tw, nc) and transmit (th, tw);
  * rgb and transmit are updated in place. ALPHA_MAX, T_CUTOFF and EXTENT
- * match _composite_np.py; a splat adds nothing at a pixel where q > EXTENT^2.
+ * are _composite_np.py's, passed as -D macros by _kernels.build; a splat adds
+ * nothing at a pixel where q > EXTENT^2.
  * Each channel is its own sum, rgb += w * color with the same w.
  */
 void composite_tile(const double *means, const double *conics, const double *colors,

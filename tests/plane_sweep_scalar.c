@@ -6,10 +6,9 @@
  */
 #include <math.h>
 
-#define SNAP_TOL 1e-9
-
-/* Snap a coordinate within SNAP_TOL of an integer onto it, as
- * geometry.bilinear_sample does, so a self-warp is an exact identity. */
+/* Snap a coordinate within SNAP_TOL (geometry.SNAP_TOL, passed as a -D macro
+ * by _kernels.build) of an integer onto it, as geometry.bilinear_sample does,
+ * so a self-warp is an exact identity. */
 static double snap(double x)
 {
     double r = rint(x);

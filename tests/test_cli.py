@@ -224,6 +224,8 @@ class TestRun:
         ["depth.near=5e-309"],
         ["depth.temperature=nan"],
         ["render.bg=[0,0]"],
+        ["head.offset_radius_multiplier=5e-324"],  # times voxel.size rounds to 0
+        ["head.offset_radius_multiplier=1e300"],  # centres past float32's range
     ])
     def test_bad_config_value_exits_2(self, runner, scene_dir, tmp_path, overrides):
         extra = [arg for item in overrides for arg in ("-o", item)]

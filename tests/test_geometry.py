@@ -160,8 +160,8 @@ def masked_bilinear_sample(data, u, v):
     v = np.asarray(v, dtype=float)
     ur = np.rint(u)
     vr = np.rint(v)
-    u = np.where(np.abs(u - ur) < 1e-9, ur, u)
-    v = np.where(np.abs(v - vr) < 1e-9, vr, v)
+    u = np.where(np.abs(u - ur) < geometry.SNAP_TOL, ur, u)
+    v = np.where(np.abs(v - vr) < geometry.SNAP_TOL, vr, v)
     x0 = np.floor(u).astype(np.int64)
     y0 = np.floor(v).astype(np.int64)
     fx = u - x0

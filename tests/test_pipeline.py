@@ -189,6 +189,9 @@ class TestConfig:
         ("depth", {"near": 5e-309}),  # 1 / near overflows: non-finite planes
         ("depth", {"temperature": float("nan")}),
         ("depth", {"temperature": float("inf")}),
+        ("head", {"offset_radius_multiplier": 5e-324}),  # times voxel.size rounds to 0
+        ("head", {"offset_radius_multiplier": 1e300}),  # centres past float32's range
+        ("head", {"offset_radius_multiplier": 10**400}),  # an int too large for a float
     ])
     def test_validate_rejects(self, section, values):
         cfg = base_config(**{section: values})

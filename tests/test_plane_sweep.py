@@ -33,7 +33,7 @@ from volsplat.features import (
     extract_features,
     sample_depth_hypotheses,
 )
-from volsplat.geometry import Extrinsics, Intrinsics, warp_feature
+from volsplat.geometry import SNAP_TOL, Extrinsics, Intrinsics, warp_feature
 from volsplat.scenes import CameraPose, SceneSpec, synthesize
 
 TOL = 1e-12
@@ -403,8 +403,8 @@ def test_bit_identical_on_the_sweep_workload(c_sweep, scalar_sweep):
 # offset: exactly -0.5 and w - 0.5 (the pre-snap bounds), w - 1 and h - 1 (the
 # last column and row), within and just beyond SNAP_TOL of an integer on either
 # side, and on half-integer ties.
-EDGE_OFFSETS = [0.0, -0.5, 0.5, 1e-10, -1e-10, 9.99e-10, -9.99e-10, 1.001e-9, -1.001e-9,
-                0.25, -1.0, "last"]
+EDGE_OFFSETS = [0.0, -0.5, 0.5, 1e-10, -1e-10, 0.999 * SNAP_TOL, -0.999 * SNAP_TOL,
+                1.001 * SNAP_TOL, -1.001 * SNAP_TOL, 0.25, -1.0, "last"]
 
 
 def edge_rig(ox, oy, tz, h, w):
