@@ -16,12 +16,12 @@ output arrays, because they add into them across calls.
 
 On first import `kernels.c` is built with `cc -O3 -ffp-contract=off -fPIC
 -shared` and one -DNAME=value per constant the C code shares with Python
-(ALPHA_MAX, T_CUTOFF, EXTENT, SNAP_TOL, BLOCK = COMPOSITE_BLOCK and
-COV2D_DILATION, each written once on the Python side, none in C), into the
-per-user cache ($XDG_CACHE_HOME or ~/.cache, then volsplat/), under a file
-name that carries a hash of the source and the flags, and loaded with
-ctypes, which releases the GIL for the length of each call, so render
-threads composite tiles in parallel. If the build or the
+(ALPHA_MAX, T_CUTOFF, EXTENT, SNAP_TOL, BLOCK = COMPOSITE_BLOCK, CELL =
+COMPOSITE_CELL and COV2D_DILATION, each written once on the Python side,
+none in C), into the per-user cache ($XDG_CACHE_HOME or ~/.cache, then
+volsplat/), under a file name that carries a hash of the source and the
+flags, and loaded with ctypes, which releases the GIL for the length of
+each call, so render threads composite tiles in parallel. If the build or the
 load fails, or VOLSPLAT_FORCE_NUMPY=1 is set, the five kernels are the
 numpy twins together (`NUMPY`). BACKEND names the kernels in use: "c" or
 "numpy". Every C wrapper checks the arrays it is given with one checker,
@@ -47,19 +47,26 @@ byte-identical rows and bounds.
 
 Both compositing kernels composite a fresh tile, every pixel from rgb 0 and
 T = 1, and follow one recurrence, in which a splat adds nothing at a pixel
+outside its pixel rectangle, an (n, 4) int32 array of x0, x1, y0, y1, nor
 where its squared Mahalanobis distance q exceeds EXTENT^2; the C kernel
 skips the exp there. One constant, EXTENT (3), sets both that cut and the
-projected radius, and the ellipse q <= EXTENT^2 lies inside the disc of that
-radius, so every pixel a splat reaches is in one of its tiles and a render
-does not depend on the tile size.
+projected radius. The renderer's rectangle holds the pixels of the disc of
+that radius, and so of the ellipse q <= EXTENT^2: the rectangle cut drops no
+pixel the ellipse reaches. The tiles a splat is binned into are that
+rectangle in tiles, so a render does not depend on the tile size.
 
-The C compositing kernel copies the tile's splats into five columns (mean x
-and y, the three conic entries), then tests COMPOSITE_BLOCK splats per step:
-their q values and a cut mask with no branch, then the recurrence on the
-splats that pass, in order, leaving the pixel as soon as T < T_CUTOFF. Each
-q is the one-splat-at-a-time loop's expression, rounded the same way in each
-vector lane, and a NaN q is not cut there either, so rgb and transmit are
-byte-identical to that loop, which tests/composite_scalar.c keeps. Colours
+The C compositing kernel splits the tile into COMPOSITE_CELL x
+COMPOSITE_CELL pixel cells and, in one pass over the splats in order, hands
+each splat to the cells its rectangle meets, in batches of five columns
+(mean x and y, the three conic entries) with one bit per cell pixel the
+rectangle holds; a cell whose pixels have all left takes no more. A pixel
+tests its cell's splats COMPOSITE_BLOCK per step: their q values and a mask
+of both cuts with no branch, then the recurrence on the splats that pass,
+in order, leaving the pixel as soon as T < T_CUTOFF. Each q is the
+one-splat-at-a-time loop's expression, rounded the same way in each vector
+lane, and a NaN q is not cut there either, so rgb and transmit are
+byte-identical to that loop, which tests/composite_scalar.c keeps, whenever
+the rectangles hold the ellipses, as the renderer's do. Colours
 are (n, k) and rgb (th, tw, k) for any k: each channel is its own sum,
 rgb += alpha T color, with the same weight, so a channel's bytes do not
 depend on the channels beside it. The C loop is one inline body, compiled at k = 3,
@@ -85,9 +92,10 @@ samples the rest over contiguous channels and takes their dot products four
 at a time. Each (pixel, plane) keeps the operations and the order of the
 one-plane-at-a-time scalar loop, which tests/plane_sweep_scalar.c keeps, so
 acc and n_valid are byte-identical to that loop's (kernels.c shows why a
-border tap cannot move them). The wrappers allocate every kernel's scratch,
-the bordered neighbour and every array a kernel returns; the C file holds no
-buffer of its own.
+border tap cannot move them). The wrappers allocate the bordered
+neighbour, every array a kernel returns and every kernel's scratch but the
+compositing kernel's cell batches, which live on its stack; the C file
+holds no buffer of its own.
 """
 
 from __future__ import annotations
@@ -109,6 +117,9 @@ from ._composite_np import ALPHA_MAX, EXTENT, T_CUTOFF
 
 SOURCE = Path(__file__).with_name("kernels.c")
 COMPOSITE_BLOCK = 8  # passed to C as BLOCK: splats composite_tile tests per step
+# passed to C as CELL: side in pixels of the cells composite_tile splits a tile
+# into; at 8 it composited perfbench's dense and garden tiles 15-20 % slower
+COMPOSITE_CELL = 4
 COV2D_DILATION = 0.3  # px^2 added to each 2D variance, in C and in project_splats_np
 # Fixed, whatever CC and CFLAGS say: -ffp-contract=off keeps the compiler from
 # fusing a * b + c into one rounding, so the C loops round like numpy does.
@@ -120,7 +131,7 @@ COV2D_DILATION = 0.3  # px^2 added to each 2D variance, in C and in project_spla
 # defines one, and the build digest covers its value.
 FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared") + tuple(f"-D{k}={v!r}" for k, v in (
     ("ALPHA_MAX", ALPHA_MAX), ("T_CUTOFF", T_CUTOFF), ("EXTENT", EXTENT), ("SNAP_TOL", SNAP_TOL),
-    ("BLOCK", COMPOSITE_BLOCK), ("COV2D_DILATION", COV2D_DILATION)))
+    ("BLOCK", COMPOSITE_BLOCK), ("CELL", COMPOSITE_CELL), ("COV2D_DILATION", COV2D_DILATION)))
 BUILD_TIMEOUT_S = 120
 
 
@@ -262,7 +273,7 @@ def load(out_dir: Path | None = None, source: Path = SOURCE) -> Optional[Kernels
     ptr, size = ctypes.c_void_p, ctypes.c_long
     project.argtypes = [ptr, ptr, ptr, ptr, size, size, size, ptr, ptr, ptr, ptr]
     binner.argtypes = [ptr, size, size, size, ptr, ptr]
-    composite.argtypes = [ptr, ptr, ptr, ptr, size, size, size, size, size, size, ptr, ptr, ptr]
+    composite.argtypes = [ptr, ptr, ptr, ptr, ptr, size, size, size, size, size, size, ptr, ptr]
     sweep.argtypes = [ptr, ptr, size, size, size, ptr, ptr, ptr, size, ptr, ptr, ptr, ptr, ptr]
     scatter.argtypes = [ptr, ptr, ptr, size, size]
     project.restype = binner.restype = None
@@ -272,6 +283,7 @@ def load(out_dir: Path | None = None, source: Path = SOURCE) -> Optional[Kernels
 
 
 _F64, _I64, _U64 = np.dtype(np.float64), np.dtype(np.int64), np.dtype(np.uint64)
+_I32 = np.dtype(np.int32)
 
 
 def _check(kernel: str, args, outputs=()) -> dict:
@@ -306,23 +318,21 @@ def _check(kernel: str, args, outputs=()) -> dict:
 
 def _checked_composite(fn):
     """Wrap the raw C compositing kernel in the signature of the numpy one.
+    The tile's rgb and transmit are allocated here from the checked sizes;
+    the kernel writes every entry of both."""
 
-    The tile's rgb and transmit, and the kernel's scratch, five columns of n
-    splats padded to a whole number of COMPOSITE_BLOCKs, are allocated here
-    from the checked sizes; the kernel writes every rgb and transmit entry.
-    """
-
-    def composite_tile(means, conics, colors, opacities, x0, y0, th, tw):
+    def composite_tile(means, conics, colors, opacities, rects, x0, y0, th, tw):
         x0, y0, th, tw = map(operator.index, (x0, y0, th, tw))
         size = _check("composite_tile", (
             ("means", means, _F64, ("n", 2)), ("conics", conics, _F64, ("n", 3)),
             ("colors", colors, _F64, ("n", "k")), ("opacities", opacities, _F64, ("n",)),
+            ("rects", rects, _I32, ("n", 4)),
         ))
-        n, k = size["n"], size["k"]
+        k = size["k"]
         rgb, transmit = np.empty((th, tw, k)), np.empty((th, tw))
-        splats = np.empty(5 * -(-n // COMPOSITE_BLOCK) * COMPOSITE_BLOCK)
         fn(means.ctypes.data, conics.ctypes.data, colors.ctypes.data, opacities.ctypes.data,
-           n, k, x0, y0, th, tw, rgb.ctypes.data, transmit.ctypes.data, splats.ctypes.data)
+           rects.ctypes.data, size["n"], k, x0, y0, th, tw, rgb.ctypes.data,
+           transmit.ctypes.data)
         return rgb, transmit
 
     return composite_tile

@@ -4,17 +4,21 @@
  *
  * Each follows its numpy counterpart with the same operations in the same
  * order. Arrays are C-contiguous float64 (row indices and tile rectangles
- * int64, the in-image flag one byte). The Python wrappers in __init__.py
- * check every dtype, shape, contiguity, row index and tile rectangle, so
- * this file does no validation. The projection, the binning and the
- * scatter-add are bit-identical to their numpy twins: the projection uses
- * only + - * / and sqrt, each correctly rounded, in numpy's order, the
- * binning computes no float, and the scatter-add makes one addition per
- * element. A splat reaches EXTENT standard deviations: the projection gives
- * it the radius EXTENT sqrt(lambda_max), and compositing cuts a (splat,
- * pixel) pair whose q exceeds EXTENT^2 before its exp. That ellipse lies
- * inside the disc of that radius, so a render does not depend on the tile
- * grid. Compositing tests BLOCK splats per step, q and the cut with no
+ * int64, pixel rectangles int32, the in-image flag one byte). The Python
+ * wrappers in __init__.py check every dtype, shape, contiguity, row index
+ * and tile rectangle, so this file does no validation; compositing writes no
+ * index a pixel rectangle gives, and an empty one holds no pixel. The
+ * projection, the binning and the scatter-add are bit-identical to their
+ * numpy twins: the projection uses only + - * / and sqrt, each correctly
+ * rounded, in numpy's order, the binning computes no float, and the
+ * scatter-add makes one addition per element. A splat reaches EXTENT
+ * standard deviations: the projection gives it the radius EXTENT
+ * sqrt(lambda_max), the renderer the pixel rectangle of that disc, and
+ * compositing cuts a (splat, pixel) pair outside that rectangle or whose q
+ * exceeds EXTENT^2 before its exp. That ellipse lies inside the rectangle,
+ * so a render does not depend on the tile grid. Compositing splits a tile
+ * into CELL x CELL pixel cells and tests each pixel only against the splats
+ * whose rectangle meets its cell, BLOCK per step, q and both cuts with no
  * branch, then runs the recurrence on the splats that pass, in order, so its
  * output is byte-identical to the one-splat-at-a-time loop kept in
  * tests/composite_scalar.c. The plane sweep reads a zero border and runs
@@ -23,12 +27,13 @@
  * output is byte-identical to the scalar loop kept in
  * tests/plane_sweep_scalar.c. Built with -ffp-contract=off and without
  * fast-math, no a * b + c is fused and no sum is reassociated. The wrappers
- * allocate every scratch array and every array a kernel returns; only the
- * plane sweep and the scatter-add add into their callers' arrays, across
- * calls. This file holds no buffer of its own.
+ * allocate every array a kernel returns and every scratch array but the
+ * compositing kernel's cell batches, which live on its stack; only the plane
+ * sweep and the scatter-add add into their callers' arrays, across calls.
+ * This file holds no buffer of its own.
  *
- * ALPHA_MAX, T_CUTOFF, EXTENT, SNAP_TOL, BLOCK and COV2D_DILATION are not
- * defined here: the build (_kernels.FLAGS) passes each as -DNAME=value from
+ * ALPHA_MAX, T_CUTOFF, EXTENT, SNAP_TOL, BLOCK, CELL and COV2D_DILATION are
+ * not defined here: the build (_kernels.FLAGS) passes each as -DNAME=value from
  * the Python constant it mirrors, so the two sides cannot disagree.
  */
 #include <math.h>
@@ -36,95 +41,219 @@
 
 /* Front-to-back compositing of pre-sorted 2D splats into a fresh tile: the
  * per-pixel loop of _composite_np.py. means (n, 2), conics (n, 3), colors
- * (n, nc) and opacities (n) are read; rgb (th, tw, nc) and transmit (th, tw)
- * are written, not read: each pixel starts at rgb 0 and T = 1. ALPHA_MAX,
- * T_CUTOFF and EXTENT are _composite_np.py's; a splat adds nothing at a
- * pixel where q > EXTENT^2. Each of the nc channels is its own sum,
- * rgb += w * color with the same weight w = alpha T, so a channel is
- * bit-identical whatever the other channels hold.
+ * (n, nc), opacities (n) and rects (n, 4), each splat's inclusive pixel
+ * rectangle x0, x1, y0, y1, are read; rgb (th, tw, nc) and transmit
+ * (th, tw) are written, not read: each pixel starts at rgb 0 and T = 1.
+ * ALPHA_MAX, T_CUTOFF and EXTENT are _composite_np.py's; a splat adds
+ * nothing at a pixel outside its rectangle, nor where q > EXTENT^2. Each of
+ * the nc channels is its own sum, rgb += w * color with the same weight
+ * w = alpha T, so a channel is bit-identical whatever the other channels
+ * hold.
  *
- * The splats are first copied into five columns (mx, my, c0, c1, c2) of
- * `splats`, the caller's scratch of 5 m doubles, m being n rounded up to a
- * multiple of BLOCK. Each pixel then tests BLOCK splats per step: it
- * computes their q with no branch, into q[] and a bit mask, and runs the
- * recurrence on the set bits in splat order. A lane at or past n is masked
- * off by its index, so it counts for nothing whatever its q is. Each q is
- * the scalar loop's expression on the same doubles, and with
- * -ffp-contract=off and no fast-math every vector lane rounds as that loop
- * does; the mask is !(q > EXTENT^2), so a NaN q is not cut, as there. A
- * set bit takes the scalar loop's steps in its order, and T < T_CUTOFF
- * leaves the pixel at once, mid-block or not. So rgb and transmit are
- * byte-identical to the one-splat-at-a-time loop kept in
- * tests/composite_scalar.c. The per-pixel loop is one inline body, compiled
- * once at nc = 3, the renderer's colour, and once for any other nc.
+ * The tile is split into CELL x CELL pixel cells, taken GROUP x GROUP cells
+ * at a time (one block: a whole 16 px tile). One pass over the splats, in
+ * order, appends each splat to the batch of every cell of the block its
+ * rectangle meets, with one bit per cell pixel (bit CELL y + x) that the
+ * rectangle holds, unless none of those pixels is still live
+ * (T >= T_CUTOFF). A cell's batch is composited when it holds BATCH splats,
+ * and once more after the pass; a cell whose pixels have all left takes no
+ * more splats, and the pass stops when no cell of the block is live.
+ *
+ * A batch is padded to a multiple of BLOCK with entries that hold no pixel.
+ * Each live pixel of the cell tests BLOCK of its splats per step: it
+ * computes their q with no branch, into q[] and a bit mask that is set where
+ * !(q > EXTENT^2) and the pixel's bit is set, and runs the recurrence on the
+ * set bits in splat order, carrying its T and sums in rgb and transmit from
+ * batch to batch. A splat left out of a cell's batches, or whose bit is
+ * clear, is one the rule says adds nothing at the pixel, or one that comes
+ * after the pixel left. Each q is the scalar loop's expression on the same
+ * doubles, and with -ffp-contract=off and no fast-math every vector lane
+ * rounds as that loop does; a NaN q is not cut, as there. A set bit takes the
+ * scalar loop's steps in its order, and T < T_CUTOFF leaves the pixel at
+ * once, mid-block or not. So a pixel's rgb and transmit are byte-identical to
+ * the one-splat-at-a-time loop kept in tests/composite_scalar.c whenever
+ * every rectangle holds the pixels where its splat's q <= EXTENT^2, as the
+ * renderer's do. A rectangle with x0 > x1 or y0 > y1 holds no pixel. The
+ * block's batches, about 27 KB, live on the stack. The per-pixel loop is one
+ * inline body, compiled once at nc = 3, the renderer's colour, and once for
+ * any other nc.
  */
+#define BATCH (4 * BLOCK) /* splats per cell batch; a multiple of BLOCK */
+#define GROUP 4           /* a block is GROUP x GROUP cells */
+_Static_assert(CELL * CELL <= 32, "a cell's pixels are the bits of a uint32_t");
+_Static_assert(GROUP * GROUP <= 32, "a block's cells are the bits of an unsigned");
+
+/* One cell's batch of splats, and its pixels that are still live. */
+struct cell {
+    double mx[BATCH], my[BATCH], c0[BATCH], c1[BATCH], c2[BATCH];
+    long index[BATCH];
+    uint32_t cover[BATCH];
+    uint32_t live;
+    int len;
+    long x, y; /* the cell's top-left pixel in the tile */
+};
+
+/* Composite the cell's batch into its live pixels, whose rgb and transmit
+ * hold the sums and T so far, then empty the batch. */
 static inline __attribute__((always_inline)) void
-composite_pixels(const double *colors, const double *opacities, long n, long nc, long x0,
-                 long y0, long th, long tw, double *rgb, double *transmit,
-                 const double *splats)
+flush_body(struct cell *cl, const double *colors, const double *opacities, long nc, long x0,
+           long y0, long tw, double *rgb, double *transmit)
 {
-    const long m = (n + BLOCK - 1) / BLOCK * BLOCK;
-    const double *mx = splats, *my = mx + m, *c0 = my + m, *c1 = c0 + m, *c2 = c1 + m;
-    for (long p = 0; p < th * tw; p++) {
-        double t = 1.0, px = (double)(x0 + p % tw), py = (double)(y0 + p / tw);
-        /* at nc = 3 the sums are a local array, which the compiler keeps
-         * apart from rgb: without this body render_s rose 1.8-2.9 % on the
+    int len = cl->len;
+    for (; len % BLOCK; len++) { /* padding: holds no pixel */
+        cl->mx[len] = cl->my[len] = cl->c0[len] = cl->c1[len] = cl->c2[len] = 0.0;
+        cl->index[len] = 0;
+        cl->cover[len] = 0;
+    }
+    const double *mx = cl->mx, *my = cl->my, *c0 = cl->c0, *c1 = cl->c1, *c2 = cl->c2;
+    for (uint32_t todo = cl->live; todo; todo &= todo - 1u) {
+        const int b = __builtin_ctz(todo);
+        const long p = (cl->y + b / CELL) * tw + cl->x + b % CELL;
+        const double px = (double)(x0 + cl->x + b % CELL), py = (double)(y0 + cl->y + b / CELL);
+        /* at nc = 3 the sums are locals, which the compiler keeps apart from
+         * rgb: without them, before the cells, render_s rose 1.8-2.9 % on the
          * three perfbench workloads (10 alternating pairs, 2-vCPU host) */
-        double sum3[3], *acc = nc == 3 ? sum3 : rgb + nc * p;
-        for (long c = 0; c < nc; c++)
-            acc[c] = 0.0;
-        for (long i = 0; i < n; i += BLOCK) {
+        double t = transmit[p], sum3[3], *acc = nc == 3 ? sum3 : rgb + nc * p;
+        for (int c = 0; c < 3 && nc == 3; c++)
+            sum3[c] = rgb[3 * p + c];
+        for (int i = 0; i < len; i += BLOCK) {
             double q[BLOCK];
-            unsigned live = 0;
+            unsigned hit = 0;
             for (int j = 0; j < BLOCK; j++) {
                 double dx = px - mx[i + j], dy = py - my[i + j];
                 q[j] = c0[i + j] * dx * dx + 2.0 * c1[i + j] * dx * dy + c2[i + j] * dy * dy;
             }
             for (int j = 0; j < BLOCK; j++)
-                live |= (unsigned)!(q[j] > EXTENT * EXTENT) << j;
-            if (n - i < BLOCK)
-                live &= (1u << (n - i)) - 1u;
-            while (live) {
-                int j = __builtin_ctz(live);
-                live &= live - 1u;
-                const double *col = colors + nc * (i + j);
-                double alpha = opacities[i + j] * exp(-0.5 * q[j]);
+                hit |= ((unsigned)!(q[j] > EXTENT * EXTENT) & (unsigned)(cl->cover[i + j] >> b))
+                       << j;
+            while (hit) {
+                int j = __builtin_ctz(hit);
+                hit &= hit - 1u;
+                const long s = cl->index[i + j];
+                const double *col = colors + nc * s;
+                double alpha = opacities[s] * exp(-0.5 * q[j]);
                 if (alpha > ALPHA_MAX)
                     alpha = ALPHA_MAX;
                 double w = alpha * t;
                 for (long c = 0; c < nc; c++)
                     acc[c] += w * col[c];
                 t *= 1.0 - alpha;
-                if (t < T_CUTOFF)
-                    goto done;
+                if (t < T_CUTOFF) {
+                    cl->live &= ~(1u << b);
+                    goto left;
+                }
             }
         }
-    done:
+    left:
         for (int c = 0; c < 3 && nc == 3; c++)
             rgb[3 * p + c] = sum3[c];
         transmit[p] = t;
     }
+    cl->len = 0;
+}
+
+/* flush_body compiled once at nc = 3, the renderer's colour, and once for any
+ * other nc; each is one function, so the pass below is compiled once */
+static __attribute__((noinline)) void
+flush3(struct cell *cl, const double *colors, const double *opacities, long x0, long y0, long tw,
+       double *rgb, double *transmit)
+{
+    flush_body(cl, colors, opacities, 3, x0, y0, tw, rgb, transmit);
+}
+
+static __attribute__((noinline)) void
+flush_any(struct cell *cl, const double *colors, const double *opacities, long nc, long x0,
+          long y0, long tw, double *rgb, double *transmit)
+{
+    flush_body(cl, colors, opacities, nc, x0, y0, tw, rgb, transmit);
+}
+
+static inline void
+flush(struct cell *cl, const double *colors, const double *opacities, long nc, long x0, long y0,
+      long tw, double *rgb, double *transmit)
+{
+    if (nc == 3)
+        flush3(cl, colors, opacities, x0, y0, tw, rgb, transmit);
+    else
+        flush_any(cl, colors, opacities, nc, x0, y0, tw, rgb, transmit);
 }
 
 void composite_tile(const double *means, const double *conics, const double *colors,
-                    const double *opacities, long n, long nc, long x0, long y0, long th,
-                    long tw, double *rgb, double *transmit, double *splats)
+                    const double *opacities, const int32_t *rects, long n, long nc, long x0,
+                    long y0, long th, long tw, double *rgb, double *transmit)
 {
-    const long m = (n + BLOCK - 1) / BLOCK * BLOCK;
-    double *mx = splats, *my = mx + m, *c0 = my + m, *c1 = c0 + m, *c2 = c1 + m;
-    for (long i = 0; i < n; i++) {
-        mx[i] = means[2 * i];
-        my[i] = means[2 * i + 1];
-        c0[i] = conics[3 * i];
-        c1[i] = conics[3 * i + 1];
-        c2[i] = conics[3 * i + 2];
+    for (long p = 0; p < th * tw; p++) {
+        for (long c = 0; c < nc; c++)
+            rgb[nc * p + c] = 0.0;
+        transmit[p] = 1.0;
     }
-    for (long i = n; i < m; i++) /* padded lanes: their bits are masked off */
-        mx[i] = my[i] = c0[i] = c1[i] = c2[i] = 0.0;
-    if (nc == 3)
-        composite_pixels(colors, opacities, n, 3, x0, y0, th, tw, rgb, transmit, splats);
-    else
-        composite_pixels(colors, opacities, n, nc, x0, y0, th, tw, rgb, transmit, splats);
+    const long side = GROUP * CELL;
+    for (long by = 0; by < th; by += side) {
+        for (long bx = 0; bx < tw; bx += side) {
+            struct cell cells[GROUP * GROUP];
+            /* the block's cells: gw x gh, each with its pixels inside the tile live */
+            const long gw = (tw - bx < side ? tw - bx + CELL - 1 : side) / CELL;
+            const long gh = (th - by < side ? th - by + CELL - 1 : side) / CELL;
+            unsigned open = 0; /* cells with a live pixel */
+            for (long g = 0; g < gw * gh; g++) {
+                struct cell *cl = cells + g;
+                cl->x = bx + CELL * (g % gw);
+                cl->y = by + CELL * (g / gw);
+                cl->len = 0;
+                cl->live = 0;
+                for (long y = 0; y < CELL && cl->y + y < th; y++)
+                    for (long x = 0; x < CELL && cl->x + x < tw; x++)
+                        cl->live |= 1u << (CELL * y + x);
+                open |= 1u << g;
+            }
+            /* the block's pixels in image coordinates */
+            const long ax = x0 + bx, ay = y0 + by;
+            const long ex = ax + CELL * gw - 1, ey = ay + CELL * gh - 1;
+            for (long i = 0; i < n && open; i++) {
+                const int32_t *r = rects + 4 * i;
+                if (!((r[0] <= r[1]) & (r[2] <= r[3]) & (r[1] >= ax) & (r[0] <= ex)
+                      & (r[3] >= ay) & (r[2] <= ey)))
+                    continue;
+                /* the rectangle clipped to the block, in block pixels */
+                const long rx0 = r[0] > ax ? r[0] - ax : 0;
+                const long rx1 = r[1] < ex ? r[1] - ax : ex - ax;
+                const long ry0 = r[2] > ay ? r[2] - ay : 0;
+                const long ry1 = r[3] < ey ? r[3] - ay : ey - ay;
+                for (long gy = ry0 / CELL; gy <= ry1 / CELL; gy++) {
+                    for (long gx = rx0 / CELL; gx <= rx1 / CELL; gx++) {
+                        struct cell *cl = cells + gy * gw + gx;
+                        /* the rectangle in the cell's pixels */
+                        const long xa = rx0 > CELL * gx ? rx0 - CELL * gx : 0;
+                        const long xb = rx1 < CELL * gx + CELL - 1 ? rx1 - CELL * gx : CELL - 1;
+                        const long ya = ry0 > CELL * gy ? ry0 - CELL * gy : 0;
+                        const long yb = ry1 < CELL * gy + CELL - 1 ? ry1 - CELL * gy : CELL - 1;
+                        const uint32_t row = ((2u << (xb - xa)) - 1u) << xa;
+                        uint32_t bits = 0;
+                        for (long y = ya; y <= yb; y++)
+                            bits |= row << (CELL * y);
+                        if (!(bits & cl->live))
+                            continue;
+                        const int k = cl->len++;
+                        cl->mx[k] = means[2 * i];
+                        cl->my[k] = means[2 * i + 1];
+                        cl->c0[k] = conics[3 * i];
+                        cl->c1[k] = conics[3 * i + 1];
+                        cl->c2[k] = conics[3 * i + 2];
+                        cl->index[k] = i;
+                        cl->cover[k] = bits;
+                        if (cl->len == BATCH) {
+                            flush(cl, colors, opacities, nc, x0, y0, tw, rgb, transmit);
+                            if (!cl->live)
+                                open &= ~(1u << (gy * gw + gx));
+                        }
+                    }
+                }
+            }
+            for (long g = 0; g < gw * gh; g++)
+                if (cells[g].len)
+                    flush(cells + g, colors, opacities, nc, x0, y0, tw, rgb, transmit);
+        }
+    }
 }
 
 /* np.maximum(v, 0.0): a NaN v stays NaN, where fmax would give 0 */

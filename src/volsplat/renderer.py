@@ -2,8 +2,11 @@
 
 EWA projection: each 3D Gaussian is mapped to a 2D Gaussian through the
 local projection Jacobian, then alpha-composited front to back in 16x16
-tiles. Tiles are independent, so the worker count never changes output, and
-a splat reaches only pixels inside its tiles, so neither does the tile size.
+tiles. Each splat gets the pixel rectangle of its 3-sigma disc, goes to the
+tiles that rectangle meets and reaches only pixels inside it; the C kernel
+tests it only in the 4x4-pixel cells of a tile that the rectangle meets.
+Tiles are independent, so the worker count never changes output, and the
+rectangle does not depend on the tile grid, so neither does the tile size.
 """
 
 from __future__ import annotations
@@ -109,11 +112,12 @@ def _project_all(gset: GaussianSet, K: Intrinsics, E: Extrinsics):
 def rasterize(mean2d, conics, colors, ops, radius, h: int, w: int, threads: int = 1):
     """Composite depth-sorted 2D splats front to back into an h x w image.
 
-    Each splat goes to every tile its radius touches, and each non-empty tile
-    is one `composite_tile` call over its splats in input order, on `threads`
-    workers (0 = one per CPU). colors are (n, k), any k. Returns (rgb,
-    transmit): the accumulated k-channel colour, (h, w, k), and the
-    remaining transmittance.
+    Each splat gets the pixel rectangle its radius reaches and goes to every
+    tile that rectangle meets, and each non-empty tile is one
+    `composite_tile` call over its splats, in input order, and their
+    rectangles, on `threads` workers (0 = one per CPU). colors are (n, k),
+    any k. Returns (rgb, transmit): the accumulated k-channel colour,
+    (h, w, k), and the remaining transmittance.
     """
     k = colors.shape[1]
     rgb = np.zeros((h, w, k))
@@ -127,18 +131,21 @@ def rasterize(mean2d, conics, colors, ops, radius, h: int, w: int, threads: int 
     # So the rectangle reaches 2^-40 (1 + radius^2) of the radius further.
     with np.errstate(over="ignore"):  # an overflowing reach is infinite and covers the grid
         reach = radius * (1.0 + 2.0**-40 * (1.0 + radius * radius))
-    # each splat's inclusive tile rectangle, rows tx0, tx1, ty0 and ty1: its
-    # pixel bounds in tiles (exact, as TILE is a power of two), clipped to the
-    # grid before the cast, which then floors, so a footprint past the int64
-    # range, or an infinite one, still reaches the last tile
+    # each splat's inclusive pixel rectangle, rows x0, x1, y0 and y1: its
+    # reach about the mean, clipped to the image before the cast, which then
+    # floors, so a footprint past the int64 range, or an infinite one, still
+    # reaches the last pixel; its tile rectangle is that one in tiles
     mx, my = mean2d.T
-    rects = np.stack([mx - reach, mx + reach, my - reach, my + reach])
-    rects *= 1.0 / TILE
-    np.clip(rects, 0.0, [[nx - 1], [nx - 1], [ny - 1], [ny - 1]], out=rects)
-    rects = rects.astype(np.int64)
-    rows, bounds = bin_tiles(rects, nx, ny)
+    pixels = np.stack([mx - reach, mx + reach, my - reach, my + reach])
+    np.clip(pixels, 0.0, [[w - 1], [w - 1], [h - 1], [h - 1]], out=pixels)
+    pixels = pixels.astype(np.int64)
+    rows, bounds = bin_tiles(pixels // TILE, nx, ny)
+    # the pixel rectangles go to the kernel as (n, 4) int32: 16 bytes a row, so
+    # no gathered array outgrows the conics and glibc's malloc thresholds move
+    # as before (gathered as int64 they moved garden's reconstruct_s by +15 %)
+    rects = pixels.T.astype(np.int32, order="C")
     # every tile's splats in one gather per array; a tile takes a slice
-    splats = [np.take(a, rows, axis=0) for a in (mean2d, conics, colors, ops)]
+    splats = [np.take(a, rows, axis=0) for a in (mean2d, conics, colors, ops, rects)]
     tiles = np.flatnonzero(np.diff(bounds)).tolist()
     bounds = bounds.tolist()
 

@@ -196,36 +196,40 @@ class TestRun:
         assert_one_error_line(res, 2)
         assert "unknown config key" in res.stderr
 
+    # explicit ids, so that a case inserted anywhere renames no other; these
+    # keep the index ids pytest first gave them
     @pytest.mark.parametrize("overrides", [
-        ["depth.near=5", "depth.far=1"],
-        ["depth.num_hypotheses=1"],
-        ["depth.num_hypotheses=100000000000000000000"],
-        ["depth.num_hypotheses=257"],
-        ["feature.channels=100000000000"],
-        ["feature.channels=129"],
-        ["depth.temperature=0"],
-        ["voxel.size=-1"],
-        ["voxel.size=abc"],
-        ["head.offset_radius_multiplier=nan"],
-        ["unet.blocks=-1"],
-        ["unet.levels=[0]"],
-        ["unet.levels=[4]"],
-        ["unet.levels=[4, 0]"],
-        ["unet.levels=[4, 8.5]"],
-        ["unet.levels=[100000000, 2]"],
-        ["unet.levels=[4, 513]"],
-        ["render.bg=[1]"],
-        ["render.bg=[0, 0, NaN]"],
-        ["head.sh_degree=-1"],
-        ["head.kind=telepathic"],
-        ["head.kind=color-copy", "feature.channels=2"],
-        ["head.sh_degree=4"],
-        ["unet.blocks=9"],
-        ["depth.near=5e-309"],
-        ["depth.temperature=nan"],
-        ["render.bg=[0,0]"],
-        ["head.offset_radius_multiplier=5e-324"],  # times voxel.size rounds to 0
-        ["head.offset_radius_multiplier=1e300"],  # centres past float32's range
+        pytest.param(["depth.near=5", "depth.far=1"], id="overrides0"),
+        pytest.param(["depth.num_hypotheses=1"], id="overrides1"),
+        pytest.param(["depth.num_hypotheses=100000000000000000000"], id="overrides2"),
+        pytest.param(["depth.num_hypotheses=257"], id="overrides3"),
+        pytest.param(["feature.channels=100000000000"], id="overrides4"),
+        pytest.param(["feature.channels=129"], id="overrides5"),
+        pytest.param(["depth.temperature=0"], id="overrides6"),
+        pytest.param(["voxel.size=-1"], id="overrides7"),
+        pytest.param(["voxel.size=abc"], id="overrides8"),
+        pytest.param(["head.offset_radius_multiplier=nan"], id="overrides9"),
+        pytest.param(["unet.blocks=-1"], id="overrides10"),
+        pytest.param(["unet.levels=[0]"], id="overrides11"),
+        pytest.param(["unet.levels=[4]"], id="overrides12"),
+        pytest.param(["unet.levels=[4, 0]"], id="overrides13"),
+        pytest.param(["unet.levels=[4, 8.5]"], id="overrides14"),
+        pytest.param(["unet.levels=[100000000, 2]"], id="overrides15"),
+        pytest.param(["unet.levels=[4, 513]"], id="overrides16"),
+        pytest.param(["render.bg=[1]"], id="overrides17"),
+        pytest.param(["render.bg=[0, 0, NaN]"], id="overrides18"),
+        pytest.param(["head.sh_degree=-1"], id="overrides19"),
+        pytest.param(["head.kind=telepathic"], id="overrides20"),
+        pytest.param(["head.kind=color-copy", "feature.channels=2"], id="overrides21"),
+        pytest.param(["head.sh_degree=4"], id="overrides22"),
+        pytest.param(["unet.blocks=9"], id="overrides23"),
+        pytest.param(["depth.near=5e-309"], id="overrides24"),
+        pytest.param(["depth.temperature=nan"], id="overrides25"),
+        pytest.param(["render.bg=[0,0]"], id="overrides26"),
+        # times voxel.size rounds to 0
+        pytest.param(["head.offset_radius_multiplier=5e-324"], id="overrides27"),
+        # centres past float32's range
+        pytest.param(["head.offset_radius_multiplier=1e300"], id="overrides28"),
     ])
     def test_bad_config_value_exits_2(self, runner, scene_dir, tmp_path, overrides):
         extra = [arg for item in overrides for arg in ("-o", item)]

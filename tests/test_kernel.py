@@ -9,7 +9,9 @@ numpy may use its own, and on raw bytes with the one-splat-at-a-time C loop
 it replaced, kept in composite_scalar.c, built with the same flags and
 called on fresh arrays. Its checked wrapper takes C-contiguous float64
 arrays and copies nothing: any other argument raises before the call. Both
-kernels cut a splat where q > EXTENT^2, checked on either side of the cut.
+kernels cut a splat where q > EXTENT^2, checked on either side of the cut,
+and outside its pixel rectangle; the tests that feed arbitrary conics give
+every splat the whole tile as its rectangle, where that cut never applies.
 No C source defines the constants it shares with Python: each build takes
 them from `_kernels.FLAGS`, so the C files compile here with those flags.
 `project_all_stacked` is the stacked-matmul projection that
@@ -34,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from volsplat import _kernels, renderer
@@ -50,14 +52,16 @@ from volsplat._kernels import COV2D_DILATION
 from volsplat.renderer import TILE, _project_all, eval_sh, render
 from volsplat.scenes import look_at_extrinsics
 
-from test_renderer import E0, K, make_set
+from conftest import patch_kernels
+from test_renderer import E0, K, make_set, tile_grid_set
 
 FULL_TILE_CHUNK = CHUNK_ELEMENTS // (TILE * TILE)
 
 
-def composite_tile_sequential(means, conics, colors, opacities, x0, y0, th, tw):
+def composite_tile_sequential(means, conics, colors, opacities, rects, x0, y0, th, tw):
     """Same contract as `composite_tile`: returns a fresh tile's (rgb,
-    transmit), and a splat adds nothing where q > EXTENT^2."""
+    transmit), and a splat adds nothing where q > EXTENT^2 or outside its
+    rectangle."""
     rgb, transmit = fresh(th, tw, colors.shape[1])
     ys, xs = np.mgrid[0:th, 0:tw]
     px = (x0 + xs).astype(float)
@@ -70,7 +74,9 @@ def composite_tile_sequential(means, conics, colors, opacities, x0, y0, th, tw):
         dy = py - means[i, 1]
         q = conics[i, 0] * dx * dx + 2.0 * conics[i, 1] * dx * dy + conics[i, 2] * dy * dy
         alpha = np.minimum(ALPHA_MAX, opacities[i] * np.exp(-0.5 * q))
-        alpha[q > EXTENT * EXTENT] = 0.0
+        x_lo, x_hi, y_lo, y_hi = rects[i]
+        outside = (x0 + xs < x_lo) | (x0 + xs > x_hi) | (y0 + ys < y_lo) | (y0 + ys > y_hi)
+        alpha[(q > EXTENT * EXTENT) | outside] = 0.0
         a = np.where(active, alpha, 0.0)
         rgb += (a * transmit)[..., None] * colors[i]
         transmit *= np.where(active, 1.0 - a, 1.0)
@@ -78,9 +84,14 @@ def composite_tile_sequential(means, conics, colors, opacities, x0, y0, th, tw):
     return rgb, transmit
 
 
+def whole_tile(n, x0, y0, th, tw):
+    """n pixel rectangles, each the whole th x tw tile at (x0, y0)."""
+    return np.tile(np.array([x0, x0 + tw - 1, y0, y0 + th - 1], np.int32), (n, 1))
+
+
 def random_splats(rng, n, x0, y0, th, tw, max_opacity=1.0, k=3):
-    """n splats around the tile, with positive-definite conics and k colour
-    channels."""
+    """n splats around the tile, with positive-definite conics, k colour
+    channels and the whole tile as their rectangle."""
     means = np.c_[rng.uniform(x0 - 8, x0 + tw + 8, n), rng.uniform(y0 - 8, y0 + th + 8, n)]
     conics = np.zeros((n, 3))
     conics[:, 0] = rng.uniform(0.01, 2.0, n)
@@ -88,7 +99,7 @@ def random_splats(rng, n, x0, y0, th, tw, max_opacity=1.0, k=3):
     conics[:, 1] = rng.uniform(-0.95, 0.95, n) * np.sqrt(conics[:, 0] * conics[:, 2])
     colors = rng.uniform(0, 1, (n, k))
     ops = rng.uniform(0, max_opacity, n)
-    return means, conics, colors, ops
+    return means, conics, colors, ops, whole_tile(n, x0, y0, th, tw)
 
 
 def assert_kernels_agree(splats, x0, y0, th, tw):
@@ -145,12 +156,12 @@ def test_each_channel_is_that_of_a_three_channel_pass(kernel_backend):
     # three passes leave the same transmittance
     rng = np.random.default_rng(40)
     n = 300
-    means, conics, rgb_colors, ops = random_splats(rng, n, 16, 0, TILE, TILE, 0.8)
+    means, conics, rgb_colors, ops, rects = random_splats(rng, n, 16, 0, TILE, TILE, 0.8)
     z = rng.uniform(1.5, 4.0, n)
     out = []
     for colors in (np.column_stack([rgb_colors, z, np.ones(n)]), rgb_colors,
                    np.column_stack([z, np.ones(n), np.zeros(n)])):
-        out.append(renderer.composite_tile(means, conics, colors, ops, 16, 0, TILE, TILE))
+        out.append(renderer.composite_tile(means, conics, colors, ops, rects, 16, 0, TILE, TILE))
     (five, t5), (rgb, t_rgb), (zed, t_z) = out
     assert five[..., :3].tobytes() == rgb.tobytes()
     assert five[..., 3:].tobytes() == zed[..., :2].tobytes()
@@ -165,7 +176,7 @@ class TestSkipRule:
         cut = EXTENT * EXTENT
         h = 1e-9
         splat = (np.array([[0.5 + h, 0.0]]), np.array([[4 * cut, 0.0, 4 * cut]]),
-                 np.ones((1, 3)), np.ones(1))
+                 np.ones((1, 3)), np.ones(1), whole_tile(1, 0, 0, 1, 2))
         dx = np.array([0.0, 1.0]) - splat[0][0, 0]
         q = 4 * cut * dx * dx  # the kernels' q, as dy = 0 and the conic is diagonal
         assert q[0] > cut > q[1]
@@ -311,10 +322,10 @@ class TestCKernel:
 
     def test_near_opaque_splats_on_pixel_centres_clamp_alpha(self, c_composite):
         rng = np.random.default_rng(16)
-        means, conics, colors, _ = random_splats(rng, 40, 0, 0, TILE, TILE)
+        means, conics, colors, _, rects = random_splats(rng, 40, 0, 0, TILE, TILE)
         means = np.floor(means)  # q = 0 at the pixel under each mean
         ops = rng.uniform(0.995, 1.0, 40)
-        assert_c_matches_numpy(c_composite, (means, conics, colors, ops), 0, 0, TILE, TILE)
+        assert_c_matches_numpy(c_composite, (means, conics, colors, ops, rects), 0, 0, TILE, TILE)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 3 * FULL_TILE_CHUNK + 2),
@@ -329,16 +340,19 @@ class TestCKernel:
     @pytest.mark.parametrize("bad", [
         "means float32", "conics list", "means (n, 3)", "conics (n, 2)", "colors n - 1 rows",
         "opacities (n, 1)", "means 1-D", "x0 float", "means strided", "conics Fortran-ordered",
+        "rects float64", "rects int64", "rects (n, 3)", "rects (4, n)",
     ])
     def test_wrapper_raises_on_bad_arguments(self, c_composite, bad):
         rng = np.random.default_rng(14)
-        args = dict(zip(("means", "conics", "colors", "opacities"),
+        args = dict(zip(("means", "conics", "colors", "opacities", "rects"),
                         random_splats(rng, 20, 0, 0, TILE, TILE)))
         args.update(x0=0, y0=0, th=TILE, tw=TILE)
         name, change = bad.split(" ", 1)
         a = args[name]
         args[name] = {
             "float32": lambda: a.astype(np.float32), "list": lambda: a.tolist(),
+            "float64": lambda: a.astype(np.float64), "int64": lambda: a.astype(np.int64),
+            "(4, n)": lambda: a.T.copy(),
             "(n, 3)": lambda: np.zeros((20, 3)), "(n, 2)": lambda: np.zeros((20, 2)),
             "n - 1 rows": lambda: a[:-1], "(n, 1)": lambda: a[:, None],
             "1-D": lambda: a.ravel(), "float": lambda: 1.5,
@@ -360,7 +374,10 @@ BLOCK = _kernels.COMPOSITE_BLOCK
 def scalar_composite(tmp_path_factory):
     """The one-splat-at-a-time loop of composite_scalar.c, built with the
     shipped flags, behind the shipped wrapper's signature: it composites
-    into fresh arrays, which it returns."""
+    into fresh arrays, which it returns. It has no rectangles, only the cut
+    q > EXTENT^2, so it takes `rects` and reads nothing from them: the
+    shipped kernel equals it when every rectangle holds the pixels where its
+    splat's q <= EXTENT^2, as the whole tile and the renderer's do."""
     if shutil.which("cc") is None:
         pytest.skip("no C compiler")
     fn = ctypes.CDLL(str(_kernels.build(tmp_path_factory.mktemp("scalar"),
@@ -369,7 +386,7 @@ def scalar_composite(tmp_path_factory):
     fn.argtypes = [ptr, ptr, ptr, ptr, size, size, size, size, size, size, ptr, ptr]
     fn.restype = None
 
-    def composite_tile(means, conics, colors, opacities, x0, y0, th, tw):
+    def composite_tile(means, conics, colors, opacities, rects, x0, y0, th, tw):
         for a in (means, conics, colors, opacities):
             assert a.dtype == np.float64 and a.flags.c_contiguous
         n, k = colors.shape
@@ -392,12 +409,14 @@ def assert_matches_scalar(c_composite, scalar_composite, splats, x0, y0, th, tw)
 
 
 def one_pixel_splats(q_conic, opacities, colors=None):
-    """Splats one pixel right of pixel (0, 0), whose q there is their c0."""
+    """Splats one pixel right of pixel (0, 0), whose q there is their c0,
+    with that pixel as their rectangle."""
     n = len(q_conic)
     conics = np.zeros((n, 3))
     conics[:, 0] = q_conic
     colors = np.linspace(0.1, 1.0, 3 * n).reshape(n, 3) if colors is None else colors
-    return np.tile([1.0, 0.0], (n, 1)), conics, colors, np.asarray(opacities, dtype=float)
+    return (np.tile([1.0, 0.0], (n, 1)), conics, colors, np.asarray(opacities, dtype=float),
+            whole_tile(n, 0, 0, 1, 1))
 
 
 class TestBlockedKernel:
@@ -419,9 +438,9 @@ class TestBlockedKernel:
         # pixels saturate part way through the list and leave it
         rng = np.random.default_rng(th * 100 + tw)
         for n in (0, 1, BLOCK + 1, 300):
-            means, conics, colors, ops = random_splats(rng, n, x0, y0, th, tw)
+            means, conics, colors, ops, rects = random_splats(rng, n, x0, y0, th, tw)
             for ops in (ops, 0.9 + 0.1 * ops):
-                splats = (means, conics, colors, ops)
+                splats = (means, conics, colors, ops, rects)
                 _, transmit = assert_matches_scalar(c_composite, scalar_composite, splats,
                                                     x0, y0, th, tw)
             assert n < 300 or (transmit < T_CUTOFF).any()
@@ -468,11 +487,11 @@ class TestBlockedKernel:
     def test_nan_q_is_composited_not_skipped(self, c_composite, scalar_composite, lane):
         # c2 < 0 and a splat 1e200 px away: q = inf + 0 - inf = NaN at every pixel
         rng = np.random.default_rng(lane)
-        means, conics, colors, ops = random_splats(rng, 2 * BLOCK, 0, 0, 2, 3)
+        means, conics, colors, ops, rects = random_splats(rng, 2 * BLOCK, 0, 0, 2, 3)
         means[lane] = 1e200
         conics[lane] = [1.0, 0.0, -1.0]
         rgb, transmit = assert_matches_scalar(c_composite, scalar_composite,
-                                              (means, conics, colors, ops), 0, 0, 2, 3)
+                                              (means, conics, colors, ops, rects), 0, 0, 2, 3)
         assert np.isnan(transmit).all() and np.isnan(rgb).all()
 
     @settings(max_examples=80, deadline=None)
@@ -492,9 +511,63 @@ class TestBlockedKernel:
         rng = np.random.default_rng(30 + k)
         for n, th, tw, x0, y0 in ((0, 16, 16, 0, 0), (1, 16, 16, 0, 0), (BLOCK + 1, 7, 16, 16, 32),
                                   (1000, 16, 16, 0, 0), (300, 3, 2, 112, 80)):
-            means, conics, colors, ops = random_splats(rng, n, x0, y0, th, tw, max_opacity, k)
-            splats = (means, conics, 5.0 * colors - 1.0, ops)  # depth-like values too
+            means, conics, colors, ops, rects = random_splats(rng, n, x0, y0, th, tw, max_opacity,
+                                                              k)
+            splats = (means, conics, 5.0 * colors - 1.0, ops, rects)  # depth-like values too
             assert_matches_scalar(c_composite, scalar_composite, splats, x0, y0, th, tw)
+
+
+CELL = _kernels.COMPOSITE_CELL
+
+
+class TestCells:
+    """The shipped kernel composites a tile in CELL x CELL pixel cells and
+    tests a splat only at the pixels its rectangle holds. The renderer's
+    rectangles hold every pixel where q <= EXTENT^2, so its frames equal
+    those of the scalar loop, which has no rectangles, on raw bytes."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 120),
+           w=st.integers(13, 70).filter(lambda v: v % CELL),
+           h=st.integers(9, 70).filter(lambda v: v % CELL),
+           nudge=st.integers(-3, 3), edge=st.sampled_from([CELL, 3 * CELL]))
+    # the probe's pixel (edge, cy) has q <= 9 one ulp past its radius, on a
+    # cell edge that no tile shares: without the slack in `rasterize` its
+    # rectangle, and so its cells, stop a pixel short of it
+    @example(seed=3, n=3, w=13, h=13, nudge=-1, edge=4)
+    @example(seed=17, n=11, w=15, h=15, nudge=-1, edge=12)
+    def test_renders_equal_the_scalar_loop(self, c_kernels, scalar_composite, seed, n, w, h,
+                                           nudge, edge):
+        gset, cam = tile_grid_set(seed, n, w, h, nudge, edge)
+        outs = []
+        with pytest.MonkeyPatch.context() as mp:
+            patch_kernels(mp, c_kernels)
+            for kernel in (c_kernels.composite_tile, scalar_composite):
+                mp.setattr(renderer, "composite_tile", kernel)
+                outs.append(render(gset, cam, E0))
+        assert outs[0].rgb.tobytes() == outs[1].rgb.tobytes()
+        assert outs[0].alpha.tobytes() == outs[1].alpha.tobytes()
+
+    def test_a_splat_adds_nothing_outside_its_rectangle(self, c_kernels):
+        # a wide opaque splat over a 7 x 6 tile, whose rectangle is pixel
+        # (13, 6): only that pixel takes it, on both backends
+        means = np.array([[12.5, 7.5]])
+        conics = np.array([[0.01, 0.0, 0.01]])  # q ~ 2 at the tile's far corner
+        colors = np.array([[0.2, 0.6, 1.0]])
+        rect = np.array([[13, 13, 6, 6]], np.int32)
+        outs = [kernel(means, conics, colors, np.ones(1), rect, 10, 5, 6, 7)
+                for kernel in (composite_tile, c_kernels.composite_tile)]
+        for rgb, transmit in outs:
+            assert transmit[1, 3] < 1.0 and (rgb[1, 3] > 0.0).all()
+            rest = np.ones((6, 7), bool)
+            rest[1, 3] = False
+            assert not rgb[rest].any() and (transmit[rest] == 1.0).all()
+        np.testing.assert_allclose(outs[1][0], outs[0][0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(outs[1][1], outs[0][1], rtol=0, atol=1e-12)
+        # with the whole tile as its rectangle it reaches every pixel
+        whole = whole_tile(1, 10, 5, 6, 7)
+        for kernel in (composite_tile, c_kernels.composite_tile):
+            assert (kernel(means, conics, colors, np.ones(1), whole, 10, 5, 6, 7)[1] < 1.0).all()
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")

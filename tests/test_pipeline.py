@@ -141,57 +141,64 @@ class TestConfig:
         base_config(unet={"blocks": 0, "levels": [4, 8, 16]}, head={"sh_degree": 2},
                     render={"bg": [0, 0.5, 1]}).validate()
 
+    # explicit ids, so that a case inserted anywhere renames no other; these
+    # keep the index ids pytest first gave them
     @pytest.mark.parametrize("section,values", [
-        ("depth", {"near": 5.0, "far": 1.0}),
-        ("depth", {"near": 0.0}),
-        ("depth", {"far": float("inf")}),
-        ("depth", {"near": float("nan")}),
-        ("depth", {"near": "1"}),
-        ("depth", {"num_hypotheses": 1}),
-        ("depth", {"num_hypotheses": 2.5}),
-        ("depth", {"spacing": "log"}),
-        ("depth", {"temperature": 0.0}),
-        ("voxel", {"size": -1.0}),
-        ("voxel", {"size": float("nan")}),
-        ("head", {"offset_radius_multiplier": float("nan")}),
-        ("unet", {"blocks": -1}),
-        ("unet", {"blocks": 1.0}),
-        ("unet", {"blocks": True}),
-        ("unet", {"levels": (4,)}),
-        ("unet", {"levels": (4, 0)}),
-        ("unet", {"levels": (4, 8.0)}),
-        ("unet", {"levels": 4}),
-        ("head", {"sh_degree": -1}),
-        ("head", {"sh_degree": 0.0}),
-        ("render", {"bg": (1.0,)}),
-        ("render", {"bg": (0.0, 0.0, 0.0, 0.0)}),
-        ("render", {"bg": (0.0, float("inf"), 0.0)}),
-        ("render", {"bg": (0.0, "0", 0.0)}),
-        ("head", {"kind": "telepathic"}),
-        ("feature", {"scale": 3}),
-        ("depth", {"use_gt": "false"}),
-        ("unet", {"enabled": 1}),
-        ("head", {"sh_degree": 4}),
-        ("voxel", {"size": True}),
-        ("feature", {"channels": "12"}),
-        ("feature", {"scale": 2.0}),
-        ("feature", {"channels": 0}),
-        ("unet", {"seed": "x"}),
-        ("feature", {"channels": True}),
-        ("unet", {"seed": -1}),
-        ("head", {"seed": -1}),
-        ("head", {"weights_path": None}),
-        ("loss", {"lam": "0.05"}),
-        ("render", {"bg": (0.0, True, 0.0)}),
-        ("unet", {"blocks": MAX_UNET_BLOCKS + 1}),
-        ("voxel", {"size": 10**400}),  # an int too large for a float
-        ("render", {"bg": (0.0, 10**400, 0.0)}),
-        ("depth", {"near": 5e-309}),  # 1 / near overflows: non-finite planes
-        ("depth", {"temperature": float("nan")}),
-        ("depth", {"temperature": float("inf")}),
-        ("head", {"offset_radius_multiplier": 5e-324}),  # times voxel.size rounds to 0
-        ("head", {"offset_radius_multiplier": 1e300}),  # centres past float32's range
-        ("head", {"offset_radius_multiplier": 10**400}),  # an int too large for a float
+        pytest.param("depth", {"near": 5.0, "far": 1.0}, id="depth-values0"),
+        pytest.param("depth", {"near": 0.0}, id="depth-values1"),
+        pytest.param("depth", {"far": float("inf")}, id="depth-values2"),
+        pytest.param("depth", {"near": float("nan")}, id="depth-values3"),
+        pytest.param("depth", {"near": "1"}, id="depth-values4"),
+        pytest.param("depth", {"num_hypotheses": 1}, id="depth-values5"),
+        pytest.param("depth", {"num_hypotheses": 2.5}, id="depth-values6"),
+        pytest.param("depth", {"spacing": "log"}, id="depth-values7"),
+        pytest.param("depth", {"temperature": 0.0}, id="depth-values8"),
+        pytest.param("voxel", {"size": -1.0}, id="voxel-values9"),
+        pytest.param("voxel", {"size": float("nan")}, id="voxel-values10"),
+        pytest.param("head", {"offset_radius_multiplier": float("nan")}, id="head-values11"),
+        pytest.param("unet", {"blocks": -1}, id="unet-values12"),
+        pytest.param("unet", {"blocks": 1.0}, id="unet-values13"),
+        pytest.param("unet", {"blocks": True}, id="unet-values14"),
+        pytest.param("unet", {"levels": (4,)}, id="unet-values15"),
+        pytest.param("unet", {"levels": (4, 0)}, id="unet-values16"),
+        pytest.param("unet", {"levels": (4, 8.0)}, id="unet-values17"),
+        pytest.param("unet", {"levels": 4}, id="unet-values18"),
+        pytest.param("head", {"sh_degree": -1}, id="head-values19"),
+        pytest.param("head", {"sh_degree": 0.0}, id="head-values20"),
+        pytest.param("render", {"bg": (1.0,)}, id="render-values21"),
+        pytest.param("render", {"bg": (0.0, 0.0, 0.0, 0.0)}, id="render-values22"),
+        pytest.param("render", {"bg": (0.0, float("inf"), 0.0)}, id="render-values23"),
+        pytest.param("render", {"bg": (0.0, "0", 0.0)}, id="render-values24"),
+        pytest.param("head", {"kind": "telepathic"}, id="head-values25"),
+        pytest.param("feature", {"scale": 3}, id="feature-values26"),
+        pytest.param("depth", {"use_gt": "false"}, id="depth-values27"),
+        pytest.param("unet", {"enabled": 1}, id="unet-values28"),
+        pytest.param("head", {"sh_degree": 4}, id="head-values29"),
+        pytest.param("voxel", {"size": True}, id="voxel-values30"),
+        pytest.param("feature", {"channels": "12"}, id="feature-values31"),
+        pytest.param("feature", {"scale": 2.0}, id="feature-values32"),
+        pytest.param("feature", {"channels": 0}, id="feature-values33"),
+        pytest.param("unet", {"seed": "x"}, id="unet-values34"),
+        pytest.param("feature", {"channels": True}, id="feature-values35"),
+        pytest.param("unet", {"seed": -1}, id="unet-values36"),
+        pytest.param("head", {"seed": -1}, id="head-values37"),
+        pytest.param("head", {"weights_path": None}, id="head-values38"),
+        pytest.param("loss", {"lam": "0.05"}, id="loss-values39"),
+        pytest.param("render", {"bg": (0.0, True, 0.0)}, id="render-values40"),
+        pytest.param("unet", {"blocks": MAX_UNET_BLOCKS + 1}, id="unet-values41"),
+        # an int too large for a float
+        pytest.param("voxel", {"size": 10**400}, id="voxel-values42"),
+        pytest.param("render", {"bg": (0.0, 10**400, 0.0)}, id="render-values43"),
+        # 1 / near overflows: non-finite planes
+        pytest.param("depth", {"near": 5e-309}, id="depth-values44"),
+        pytest.param("depth", {"temperature": float("nan")}, id="depth-values45"),
+        pytest.param("depth", {"temperature": float("inf")}, id="depth-values46"),
+        # times voxel.size rounds to 0
+        pytest.param("head", {"offset_radius_multiplier": 5e-324}, id="head-values47"),
+        # centres past float32's range
+        pytest.param("head", {"offset_radius_multiplier": 1e300}, id="head-values48"),
+        # an int too large for a float
+        pytest.param("head", {"offset_radius_multiplier": 10**400}, id="head-values49"),
     ])
     def test_validate_rejects(self, section, values):
         cfg = base_config(**{section: values})

@@ -341,8 +341,9 @@ class TestBackendAgreement:
         conics[:, 1] = rng.uniform(-0.1, 0.1, n) * np.sqrt(conics[:, 0] * conics[:, 2])
         colors = rng.uniform(0, 1, (n, 3))
         ops = rng.uniform(0.05, 0.99, n)
-        rgb_a, t_a = _composite_np.composite_tile(means, conics, colors, ops, 0, 0, 16, 16)
-        rgb_b, t_b = c_composite(means, conics, colors, ops, 0, 0, 16, 16)
+        rects = np.tile(np.array([0, 15, 0, 15], np.int32), (n, 1))  # the whole tile
+        rgb_a, t_a = _composite_np.composite_tile(means, conics, colors, ops, rects, 0, 0, 16, 16)
+        rgb_b, t_b = c_composite(means, conics, colors, ops, rects, 0, 0, 16, 16)
         np.testing.assert_allclose(rgb_b, rgb_a, atol=1e-12)
         np.testing.assert_allclose(t_b, t_a, atol=1e-12)
 
@@ -383,18 +384,20 @@ class TestDeterminismOnBothBackends:
             assert out.alpha.tobytes() == outs[0].alpha.tobytes()
 
 
-def tile_grid_set(seed, n, w, h, nudge):
-    """A w x h camera and n + 1 splats that probe the tile rectangles.
+def tile_grid_set(seed, n, w, h, nudge, edge=8):
+    """A w x h camera and n + 1 splats that probe the pixel rectangles.
 
     Each of the first n splats is, by draw, centred anywhere near the frame,
-    up to 12 px off it, on a corner of the 8 px grid (so of every tile grid
-    tried), or one pixel wide: with scales of 1e-4 the 0.3 px^2 dilation is
-    all of its footprint. The last splat lies on the optical axis, widest
-    along x, so its mean is the principal point (cx, cy), which is float64:
-    cx puts the right end of its radius `nudge` ulps from pixel x = 8, a tile
-    edge at TILE 8 but not at 16 or 32, and cy is a whole pixel, so pixel
-    (8, cy) is at q ~ 9. Only a right or bottom edge can drop such a pixel,
-    as the tile rectangle floors both ends. w and h are at least 9.
+    up to 12 px off it, on a corner of the 4 px grid (so of every cell and
+    tile grid tried; every other one on the 8 px grid), or one pixel wide:
+    with scales of 1e-4 the 0.3 px^2 dilation is all of its footprint. The
+    last splat lies on the optical axis, widest along x, so its mean is the
+    principal point (cx, cy), which is float64: cx puts the right end of its
+    radius `nudge` ulps from pixel x = edge, and cy is a whole pixel, so pixel
+    (edge, cy) is at q ~ 9. x = 8 is a tile edge at TILE 8 but not at 16 or
+    32; x = 4 and 12 are cell edges and no tile's. Only a right or bottom
+    edge can drop such a pixel, as the rectangle floors both ends. w and h
+    are at least 9.
     """
     rng = np.random.default_rng(seed)
     kind = rng.integers(0, 4, n)  # 0 near the frame, 1 off it, 2 on a corner, 3 one pixel
@@ -405,9 +408,10 @@ def tile_grid_set(seed, n, w, h, nudge):
     corner = kind == 2
     mx[corner] = 8 * rng.integers(0, w // 8 + 2, corner.sum())
     my[corner] = 8 * rng.integers(0, h // 8 + 2, corner.sum())
+    mx[corner] -= 4 * (np.arange(corner.sum()) % 2)
     scales = rng.uniform(0.002, 0.15, (n + 1, 3))
     scales[:n][kind == 3] = 1e-4
-    scales[n] = np.sort(scales[n])[::-1] / 3  # widest along x, radius < 8 px
+    scales[n] = np.sort(scales[n])[::-1] / (24 / edge)  # widest along x, radius < edge px
     quats = rng.normal(size=(n + 1, 4))
     quats[n] = [1.0, 0.0, 0.0, 0.0]
     z = rng.uniform(1.5, 5.0, n + 1)
@@ -415,16 +419,16 @@ def tile_grid_set(seed, n, w, h, nudge):
     def camera(cx):
         return Intrinsics(fx=60.0, fy=60.0, cx=cx, cy=float(h // 2), width=w, height=h)
 
-    edge = GaussianSet(centers=np.array([[0.0, 0.0, z[n]]]), opacity_logits=np.zeros(1),
-                       log_scales=np.log(scales[n:]), rotations=quats[n:], sh=np.zeros((1, 3)))
-    cx = 8.0 - _project_all(edge, camera(8.0), E0)[5][0]
+    probe = GaussianSet(centers=np.array([[0.0, 0.0, z[n]]]), opacity_logits=np.zeros(1),
+                        log_scales=np.log(scales[n:]), rotations=quats[n:], sh=np.zeros((1, 3)))
+    cx = edge - _project_all(probe, camera(float(edge)), E0)[5][0]
     for _ in range(abs(nudge)):
         cx = np.nextafter(cx, np.copysign(np.inf, nudge))
     K = camera(float(cx))
     centers = np.c_[(mx - K.cx) * z[:n] / K.fx, (my - K.cy) * z[:n] / K.fy, z[:n]]
-    gset = GaussianSet(centers=np.r_[centers, edge.centers], opacity_logits=rng.normal(size=n + 1),
-                       log_scales=np.log(scales), rotations=quats,
-                       sh=rng.normal(size=(n + 1, 3)))
+    gset = GaussianSet(centers=np.r_[centers, probe.centers],
+                       opacity_logits=rng.normal(size=n + 1), log_scales=np.log(scales),
+                       rotations=quats, sh=rng.normal(size=(n + 1, 3)))
     return gset, K
 
 
