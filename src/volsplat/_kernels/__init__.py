@@ -64,23 +64,24 @@ tests its cell's splats COMPOSITE_BLOCK per step: their q values and a mask
 of both cuts with no branch, then the recurrence on the splats that pass,
 in order, leaving the pixel as soon as T < T_CUTOFF. Each q is the
 one-splat-at-a-time loop's expression, rounded the same way in each vector
-lane, and a NaN q is not cut there either, so rgb and transmit are
-byte-identical to that loop, which tests/composite_scalar.c keeps, whenever
-the rectangles hold the ellipses, as the renderer's do. Colours
-are (n, k) and rgb (th, tw, k) for any k: each channel is its own sum,
-rgb += alpha T color, with the same weight, so a channel's bytes do not
-depend on the channels beside it. The C loop is one inline body, compiled at k = 3,
-the renderer's colour, and for any other k: without the k = 3 body,
-`render_s` rose 1.8, 2.4 and 2.9 % on perfbench's `dense`, `sweep` and
-`garden` (10 alternating `--seconds 8` pairs each, on a 2-vCPU host).
+lane, a NaN q is not cut there either, and exp is libm's on both backends:
+the C kernel calls it and the numpy twin takes it through math.exp
+(`_composite_np.libm_exp`), never numpy's own vectorised exp. So rgb and
+transmit are byte-identical to the twin's, which is the C kernel's oracle,
+and to that loop whenever the rectangles hold the ellipses, as the
+renderer's do. Colours are (n, k) and rgb (th, tw, k) for any k: each
+channel is its own sum, rgb += alpha T color, with the same weight, so a
+channel's bytes do not depend on the channels beside it. The C loop is one
+inline body, compiled at k = 3, the renderer's colour, and for any other k:
+without the k = 3 body, `render_s` rose 1.8, 2.4 and 2.9 % on perfbench's
+`dense`, `sweep` and `garden` (10 alternating `--seconds 8` pairs each, on a
+2-vCPU host).
 
-Neither the compositing kernel nor the sweep is bit-identical to its numpy
-twin, though both do the same operations in the same order. The compositing
-kernel agrees to about 1e-16: it calls libm `exp`, and numpy may dispatch its
-own vectorised `exp`. The sweep agrees to about 1e-15: numpy's `einsum` and
-matmul order the channel sum and the camera transforms in their own way.
-`scatter_add_rows` is bit-identical to its twin for distinct rows: each
-output element takes exactly one IEEE addition, out + src, as in
+The sweep alone is not bit-identical to its numpy twin, though both do the
+same operations in the same order: it agrees to about 1e-15, because numpy's
+`einsum` and matmul order the channel sum and the camera transforms in their
+own way. `scatter_add_rows` is bit-identical to its twin for distinct rows:
+each output element takes exactly one IEEE addition, out + src, as in
 `out[rows] += src`, and there is no sum whose order could differ. The C
 scatter stays because with numpy's `out[rows] += src` in its place,
 perfbench's `dense` `reconstruct_s` rose 8 % (10 alternating pairs).

@@ -11,15 +11,16 @@ and a pixel takes no more splats once T < T_CUTOFF. A splat reaches EXTENT
 standard deviations: the ellipse q <= EXTENT^2. The renderer gives it the
 pixel rectangle of the disc of radius EXTENT sqrt(lambda_max), which holds
 that ellipse, so neither cut is an approximation of the model, and no pixel
-depends on the tile grid. The C kernel skips the exp past either cut, and
-tests a splat only in the cells of the tile its rectangle meets.
+depends on the tile grid. Both kernels skip the exp past either cut and take
+libm's (`libm_exp`), and the C kernel tests a splat only in the cells of the
+tile its rectangle meets.
 
 Looping over single splats costs a dozen numpy calls on a 16x16 tile per
 splat, so call overhead dominates. Instead the splats are taken in chunks
 and each chunk is one block of numpy calls over (splat, live pixel) pairs:
 
 - alpha uses the same expressions, in the same order, as the per-splat form,
-  and is 0 past either cut;
+  and is 0 past either cut, where no exp is taken;
 - the transmittance in front of each splat is a cumulative product over
   [T, 1 - alpha_0, ..., 1 - alpha_{m-1}];
 - alpha is zeroed where that transmittance is below T_CUTOFF;
@@ -29,15 +30,18 @@ and each chunk is one block of numpy calls over (splat, live pixel) pairs:
   a pixel that falls below the cutoff stays below it.
 
 The cumulative product takes one multiply per row, in row order. So does
-the sum: it runs along the outer axis, and numpy uses pairwise summation only
-along the contiguous one. Every pixel thus sees the same floating-point
-operations in the same order as the one-splat-at-a-time loop, and rgb and
-transmit are bit-identical to it (tests/test_kernel.py checks against that
-loop). A chunk holds at most CHUNK_ELEMENTS (splat,
-pixel) pairs: 32 splats while all 256 pixels of a tile are live, more once
-pixels drop out. Pixels below the cutoff are dropped between chunks, and the
-tile stops when none is left.
+the sum: numpy's add.reduce along the outer axis adds row by row while a row
+holds two or more values, and sums pairwise when each holds one (one channel,
+one live pixel), so that case takes add.accumulate. Every pixel thus sees
+the same floating-point operations in the same order as the
+one-splat-at-a-time loop, and rgb and transmit are bit-identical to it
+(tests/test_kernel.py checks against that loop) and to the C kernel's. A
+chunk holds at most CHUNK_ELEMENTS (splat, pixel) pairs: 32 splats while
+all 256 pixels of a tile are live, more once pixels drop out. Pixels below
+the cutoff are dropped between chunks, and the tile stops when none is left.
 """
+
+import math
 
 import numpy as np
 
@@ -48,6 +52,19 @@ T_CUTOFF = 1e-4
 EXTENT = 3.0
 # (splat, pixel) pairs per chunk; bounds the kernel's scratch memory
 CHUNK_ELEMENTS = 1 << 13
+# ln(DBL_MAX): libm's exp is finite up to it and inf past it
+EXP_MAX = math.log(np.finfo(float).max)
+
+
+def libm_exp(x):
+    """exp of each value of the 1-D float64 array x, from the C library's
+    exp, which math.exp calls and kernels.c links, so both kernels take the
+    same bytes: numpy's own exp can differ from it in the last bit. Past
+    EXP_MAX, where math.exp raises OverflowError, it is inf, as libm's is."""
+    over = x > EXP_MAX
+    out = np.fromiter(map(math.exp, np.where(over, 0.0, x).tolist()), float, x.size)
+    out[over] = np.inf
+    return out
 
 
 def composite_tile(means, conics, colors, opacities, rects, x0, y0, th, tw):
@@ -75,11 +92,12 @@ def composite_tile(means, conics, colors, opacities, rects, x0, y0, th, tw):
         dy = py[live] - means[s:e, 1, None]
         c = conics[s:e, :, None]
         q = c[:, 0] * dx * dx + 2.0 * c[:, 1] * dx * dy + c[:, 2] * dy * dy
-        alpha = np.minimum(ALPHA_MAX, opacities[s:e, None] * np.exp(-0.5 * q))
         r = rects[s:e, :, None]
-        outside = ((ix[live] < r[:, 0]) | (ix[live] > r[:, 1]) | (iy[live] < r[:, 2])
-                   | (iy[live] > r[:, 3]))
-        alpha[(q > EXTENT * EXTENT) | outside] = 0.0
+        keep = (~(q > EXTENT * EXTENT) & (ix[live] >= r[:, 0]) & (ix[live] <= r[:, 1])
+                & (iy[live] >= r[:, 2]) & (iy[live] <= r[:, 3]))
+        alpha = np.zeros(q.shape)
+        alpha[keep] = libm_exp(-0.5 * q[keep])
+        alpha = np.minimum(ALPHA_MAX, opacities[s:e, None] * alpha)
 
         # T[k]: transmittance in front of splat s + k, k = 0..e - s
         T = np.empty((e - s + 1, p))
@@ -93,7 +111,9 @@ def composite_tile(means, conics, colors, opacities, rects, x0, y0, th, tw):
         terms = np.empty((e - s + 1, k, p))
         terms[0] = flat_rgb[live].T
         np.multiply((alpha * T[:-1])[:, None], colors[s:e, :, None], out=terms[1:])
-        flat_rgb[live] = np.add.reduce(terms, axis=0).T
+        # add.reduce sums pairwise where each row is one value: accumulate there
+        sums = np.add.accumulate(terms, axis=0)[-1] if k * p == 1 else np.add.reduce(terms, 0)
+        flat_rgb[live] = sums.T
         # T never increases, so ok is a prefix: freeze T at its first value
         # below the cutoff, or at the last one when there is none
         flat_T[live] = T[np.minimum(ok.sum(axis=0), e - s), np.arange(p)]

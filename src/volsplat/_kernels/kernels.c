@@ -19,12 +19,12 @@
  * so a render does not depend on the tile grid. Compositing splits a tile
  * into CELL x CELL pixel cells and tests each pixel only against the splats
  * whose rectangle meets its cell, BLOCK per step, q and both cuts with no
- * branch, then runs the recurrence on the splats that pass, in order, so its
- * output is byte-identical to the one-splat-at-a-time loop kept in
- * tests/composite_scalar.c. The plane sweep reads a zero border and runs
- * three passes per pixel (project, drop or queue, sample and dot) whose
- * vectorised loops keep each plane's operations and their order, so its
- * output is byte-identical to the scalar loop kept in
+ * branch, then runs the recurrence on the splats that pass, in order, with
+ * libm's exp, which the numpy twin takes too (through math.exp), so its
+ * output is byte-identical to the twin's. The plane sweep reads a zero
+ * border and runs three passes per pixel (project, drop or queue, sample and
+ * dot) whose vectorised loops keep each plane's operations and their order,
+ * so its output is byte-identical to the scalar loop kept in
  * tests/plane_sweep_scalar.c. Built with -ffp-contract=off and without
  * fast-math, no a * b + c is fused and no sum is reassociated. The wrappers
  * allocate every array a kernel returns and every scratch array but the
@@ -70,13 +70,14 @@
  * doubles, and with -ffp-contract=off and no fast-math every vector lane
  * rounds as that loop does; a NaN q is not cut, as there. A set bit takes the
  * scalar loop's steps in its order, and T < T_CUTOFF leaves the pixel at
- * once, mid-block or not. So a pixel's rgb and transmit are byte-identical to
- * the one-splat-at-a-time loop kept in tests/composite_scalar.c whenever
- * every rectangle holds the pixels where its splat's q <= EXTENT^2, as the
- * renderer's do. A rectangle with x0 > x1 or y0 > y1 holds no pixel. The
- * block's batches, about 27 KB, live on the stack. The per-pixel loop is one
- * inline body, compiled once at nc = 3, the renderer's colour, and once for
- * any other nc.
+ * once, mid-block or not. exp is libm's, which _composite_np.py takes
+ * through math.exp. So a pixel's rgb and transmit are byte-identical to the
+ * numpy twin's, and to the one-splat-at-a-time loop with no rectangles
+ * whenever every rectangle holds the pixels where its splat's q <= EXTENT^2,
+ * as the renderer's do. A rectangle with x0 > x1 or y0 > y1 holds no pixel.
+ * The block's batches, about 27 KB, live on the stack. The per-pixel loop is
+ * one inline body, compiled once at nc = 3, the renderer's colour, and once
+ * for any other nc.
  */
 #define BATCH (4 * BLOCK) /* splats per cell batch; a multiple of BLOCK */
 #define GROUP 4           /* a block is GROUP x GROUP cells */

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -352,6 +353,39 @@ def assert_outputs_identical_across_threads_and_view_order(runner, scene_dir, tm
         assert 0 < fraction <= 1
     else:
         assert fraction is None
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_synth_run_eval_write_the_same_bytes_on_both_backends(tmp_path):
+    # each command in a fresh interpreter, on the compiled kernels and with
+    # VOLSPLAT_FORCE_NUMPY=1; ground-truth depth keeps the plane sweep out
+    spec = tmp_path / "garden.json"
+    spec.write_text(json.dumps({
+        "kind": "gaussian-garden",
+        "cameras": [{"position": [0.25 * np.cos(a), 0.25 * np.sin(a), 0.0],
+                     "look_at": [0.0, 0.0, 2.0]} for a in 2 * np.pi * np.arange(4) / 4],
+        "image_size": [32, 32],
+        "params": {"side": 24},
+    }))
+    src = os.path.dirname(os.path.dirname(volsplat.__file__))
+    hashes = {}
+    for backend, force in (("c", "0"), ("numpy", "1")):
+        env = {**os.environ, "VOLSPLAT_FORCE_NUMPY": force, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        root = tmp_path / backend
+        scene, out = root / "scene", root / "out"
+        for args in (["--version"], ["synth", "--spec", str(spec), "--out", str(scene)],
+                     ["run", "--scene", str(scene), "--out", str(out), "-o", "depth.use_gt=true"],
+                     ["eval", "--gaussians", str(out / "gaussians.ply"), "--targets", str(scene),
+                      "--out", str(root / "report.json")]):
+            res = subprocess.run([sys.executable, "-m", "volsplat.cli", *args], env=env,
+                                 capture_output=True, text=True)
+            assert res.returncode == 0, res.stderr
+            if args == ["--version"]:
+                assert res.stdout.strip().endswith(f"kernel {backend})")
+        hashes[backend] = file_hashes(root)
+        del hashes[backend][os.path.join("out", "timings.json")]
+    assert len(hashes["c"]) > 10 and hashes["numpy"] == hashes["c"]
 
 
 def assert_one_error_line(res, code):

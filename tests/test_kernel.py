@@ -3,17 +3,17 @@ the kernel loader and the contract every backend's kernels share.
 
 `composite_tile_sequential` below is the reference for the chunked numpy
 kernel: the per-splat recurrence that kernel replaced. Each composites a
-fresh tile, and they are compared on raw bytes. The C kernel (kernels.c) is
-compared with the numpy kernel to 1e-12, since it calls libm `exp` where
-numpy may use its own, and on raw bytes with the one-splat-at-a-time C loop
-it replaced, kept in composite_scalar.c, built with the same flags and
-called on fresh arrays. Its checked wrapper takes C-contiguous float64
-arrays and copies nothing: any other argument raises before the call. Both
-kernels cut a splat where q > EXTENT^2, checked on either side of the cut,
-and outside its pixel rectangle; the tests that feed arbitrary conics give
-every splat the whole tile as its rectangle, where that cut never applies.
-No C source defines the constants it shares with Python: each build takes
-them from `_kernels.FLAGS`, so the C files compile here with those flags.
+fresh tile, and they are compared on raw bytes. The numpy kernel is in turn
+the oracle of the C kernel (kernels.c): both take libm's `exp`, the numpy one
+through `libm_exp`, so they are compared on raw bytes too, at the numpy
+kernel's chunk edges and at the C kernel's BLOCK edges, cells and cuts. The
+C kernel's checked wrapper takes C-contiguous float64 arrays and copies
+nothing: any other argument raises before the call. Both kernels cut a
+splat where q > EXTENT^2, checked on either side of the cut, and outside its
+pixel rectangle; the tests that feed arbitrary conics give every splat the
+whole tile as its rectangle, where that cut never applies. No C source
+defines the constants it shares with Python: each build takes them from
+`_kernels.FLAGS`, so the C files compile here with those flags.
 `project_all_stacked` is the stacked-matmul projection that
 `renderer._project_all` replaced; the projection and the tile binning run on
 both backends, and their C kernels equal their numpy twins on raw bytes. The
@@ -26,8 +26,8 @@ set; each C kernel has the signature of its numpy twin, and the three render
 kernels return new arrays of the same dtypes, shapes and order on both.
 """
 
-import ctypes
 import inspect
+import math
 import os
 import shutil
 import subprocess
@@ -46,6 +46,7 @@ from volsplat._kernels._composite_np import (
     EXTENT,
     T_CUTOFF,
     composite_tile,
+    libm_exp,
 )
 from volsplat.gaussians import GaussianSet, quat_to_rotmat
 from volsplat._kernels import COV2D_DILATION
@@ -73,11 +74,11 @@ def composite_tile_sequential(means, conics, colors, opacities, rects, x0, y0, t
         dx = px - means[i, 0]
         dy = py - means[i, 1]
         q = conics[i, 0] * dx * dx + 2.0 * conics[i, 1] * dx * dy + conics[i, 2] * dy * dy
-        alpha = np.minimum(ALPHA_MAX, opacities[i] * np.exp(-0.5 * q))
         x_lo, x_hi, y_lo, y_hi = rects[i]
-        outside = (x0 + xs < x_lo) | (x0 + xs > x_hi) | (y0 + ys < y_lo) | (y0 + ys > y_hi)
-        alpha[(q > EXTENT * EXTENT) | outside] = 0.0
-        a = np.where(active, alpha, 0.0)
+        inside = (x0 + xs >= x_lo) & (x0 + xs <= x_hi) & (y0 + ys >= y_lo) & (y0 + ys <= y_hi)
+        keep = active & ~(q > EXTENT * EXTENT) & inside
+        a = np.zeros((th, tw))
+        a[keep] = np.minimum(ALPHA_MAX, opacities[i] * libm_exp(-0.5 * q[keep]))
         rgb += (a * transmit)[..., None] * colors[i]
         transmit *= np.where(active, 1.0 - a, 1.0)
         active = transmit >= T_CUTOFF
@@ -148,6 +149,10 @@ class TestOracle:
                                   (5 * FULL_TILE_CHUNK + 3, 16, 16, 0, 0), (300, 3, 2, 112, 80)):
             splats = random_splats(rng, n, x0, y0, th, tw, max_opacity, k)
             assert_kernels_agree(splats, x0, y0, th, tw)
+        # one pixel: at k = 1 each row of the chunk's sum is a single value
+        for n in (64, 300):
+            splats = random_splats(np.random.default_rng(21), n, 0, 0, 1, 1, max_opacity, k)
+            assert_kernels_agree(splats, 0, 0, 1, 1)
 
 
 def test_each_channel_is_that_of_a_three_channel_pass(kernel_backend):
@@ -183,9 +188,8 @@ class TestSkipRule:
         rgb, transmit = renderer.composite_tile(*splat, 0, 0, 1, 2)
         assert rgb[0, 0].tobytes() == bytes(24)  # cut: +0.0 in every channel
         assert transmit[0, 0] == 1.0
-        alpha = np.exp(-0.5 * q[1])  # about e^-4.5, 0.0111
-        np.testing.assert_allclose(rgb[0, 1], alpha, rtol=1e-12)
-        np.testing.assert_allclose(transmit[0, 1], 1.0 - alpha, rtol=1e-12)
+        alpha = math.exp(-0.5 * q[1])  # libm's, about e^-4.5, 0.0111
+        assert rgb[0, 1].tolist() == [alpha] * 3 and transmit[0, 1] == 1.0 - alpha
         assert 0.0111 < alpha < 0.0112
 
 
@@ -297,13 +301,19 @@ def test_render_matches_sequential_kernel_at_any_thread_count(monkeypatch):
 
 
 def assert_c_matches_numpy(c_kernel, splats, x0, y0, th, tw):
+    """Both kernels composite the same splats into a fresh th x tw tile; the
+    raw bytes must agree. Returns the C kernel's (rgb, transmit)."""
     (rgb_a, t_a), (rgb_b, t_b) = (kernel(*splats, x0, y0, th, tw)
                                   for kernel in (composite_tile, c_kernel))
-    np.testing.assert_allclose(rgb_b, rgb_a, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(t_b, t_a, rtol=0, atol=1e-12)
+    assert rgb_b.tobytes() == rgb_a.tobytes(), "rgb differs from the numpy kernel"
+    assert t_b.tobytes() == t_a.tobytes(), "transmit differs from the numpy kernel"
+    return rgb_b, t_b
 
 
 class TestCKernel:
+    """The C kernel against the numpy kernel on raw bytes, at the numpy
+    kernel's chunk edges."""
+
     @pytest.mark.parametrize("n", [0, 1, FULL_TILE_CHUNK - 1, FULL_TILE_CHUNK,
                                    FULL_TILE_CHUNK + 1, 5 * FULL_TILE_CHUNK + 3])
     @pytest.mark.parametrize("max_opacity", [0.05, 1.0])
@@ -337,6 +347,19 @@ class TestCKernel:
         splats = random_splats(rng, n, x0, y0, th, tw, max_opacity)
         assert_c_matches_numpy(c_composite, splats, x0, y0, th, tw)
 
+    @pytest.mark.parametrize("opacity", [0.0, 0.5])
+    def test_exp_past_its_range_is_libm_inf(self, c_composite, opacity):
+        # a conic that is not positive definite: q = -1600 at the pixel, so
+        # exp(-q / 2) = exp(800) overflows to inf; alpha is 0 inf = NaN at
+        # opacity 0 and clamps to ALPHA_MAX at 0.5
+        splats = one_pixel_splats([-1600.0], [opacity])
+        with np.errstate(invalid="ignore"):  # 0 inf, which C takes silently
+            rgb, transmit = assert_c_matches_numpy(c_composite, splats, 0, 0, 1, 1)
+        if opacity:
+            assert transmit[0, 0] == 1.0 - ALPHA_MAX
+        else:
+            assert np.isnan(transmit[0, 0]) and np.isnan(rgb).all()
+
     @pytest.mark.parametrize("bad", [
         "means float32", "conics list", "means (n, 3)", "conics (n, 2)", "colors n - 1 rows",
         "opacities (n, 1)", "means 1-D", "x0 float", "means strided", "conics Fortran-ordered",
@@ -366,46 +389,7 @@ class TestCKernel:
             c_composite(**args)
 
 
-SCALAR_SOURCE = Path(__file__).with_name("composite_scalar.c")
 BLOCK = _kernels.COMPOSITE_BLOCK
-
-
-@pytest.fixture(scope="session")
-def scalar_composite(tmp_path_factory):
-    """The one-splat-at-a-time loop of composite_scalar.c, built with the
-    shipped flags, behind the shipped wrapper's signature: it composites
-    into fresh arrays, which it returns. It has no rectangles, only the cut
-    q > EXTENT^2, so it takes `rects` and reads nothing from them: the
-    shipped kernel equals it when every rectangle holds the pixels where its
-    splat's q <= EXTENT^2, as the whole tile and the renderer's do."""
-    if shutil.which("cc") is None:
-        pytest.skip("no C compiler")
-    fn = ctypes.CDLL(str(_kernels.build(tmp_path_factory.mktemp("scalar"),
-                                        SCALAR_SOURCE))).composite_tile
-    ptr, size = ctypes.c_void_p, ctypes.c_long
-    fn.argtypes = [ptr, ptr, ptr, ptr, size, size, size, size, size, size, ptr, ptr]
-    fn.restype = None
-
-    def composite_tile(means, conics, colors, opacities, rects, x0, y0, th, tw):
-        for a in (means, conics, colors, opacities):
-            assert a.dtype == np.float64 and a.flags.c_contiguous
-        n, k = colors.shape
-        assert means.shape == (n, 2) and conics.shape == (n, 3) and opacities.shape == (n,)
-        rgb, transmit = fresh(th, tw, k)
-        fn(means.ctypes.data, conics.ctypes.data, colors.ctypes.data, opacities.ctypes.data, n,
-           k, x0, y0, th, tw, rgb.ctypes.data, transmit.ctypes.data)
-        return rgb, transmit
-
-    return composite_tile
-
-
-def assert_matches_scalar(c_composite, scalar_composite, splats, x0, y0, th, tw):
-    """Both kernels composite the same splats into a fresh th x tw tile; the
-    raw bytes must agree. Returns the shipped kernel's (rgb, transmit)."""
-    out = [kernel(*splats, x0, y0, th, tw) for kernel in (scalar_composite, c_composite)]
-    assert out[1][0].tobytes() == out[0][0].tobytes(), "rgb differs from the scalar loop"
-    assert out[1][1].tobytes() == out[0][1].tobytes(), "transmit differs from the scalar loop"
-    return out[1]
 
 
 def one_pixel_splats(q_conic, opacities, colors=None):
@@ -420,20 +404,19 @@ def one_pixel_splats(q_conic, opacities, colors=None):
 
 
 class TestBlockedKernel:
-    """The shipped kernel tests BLOCK splats per step; it must equal the
-    scalar loop it replaced on raw bytes."""
+    """The C kernel tests BLOCK splats per step; against the numpy kernel on
+    raw bytes, at BLOCK edges, where pixels leave and at both cuts."""
 
     @pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, 1000])
     @pytest.mark.parametrize("max_opacity", [0.05, 1.0])
-    def test_full_tile(self, c_composite, scalar_composite, n, max_opacity):
+    def test_full_tile(self, c_composite, n, max_opacity):
         rng = np.random.default_rng(n)
         splats = random_splats(rng, n, 0, 0, TILE, TILE, max_opacity)
-        assert_matches_scalar(c_composite, scalar_composite, splats, 0, 0, TILE, TILE)
+        assert_c_matches_numpy(c_composite, splats, 0, 0, TILE, TILE)
 
     @pytest.mark.parametrize("th,tw,x0,y0", [(16, 5, 48, 0), (7, 16, 16, 32),
                                              (3, 2, 112, 80), (1, 1, 5, 9)])
-    def test_partial_tile_with_offset_and_saturated_pixels(self, c_composite, scalar_composite,
-                                                           th, tw, x0, y0):
+    def test_partial_tile_with_offset_and_saturated_pixels(self, c_composite, th, tw, x0, y0):
         # each list as drawn, then near-opaque, so that under 300 splats
         # pixels saturate part way through the list and leave it
         rng = np.random.default_rng(th * 100 + tw)
@@ -441,24 +424,23 @@ class TestBlockedKernel:
             means, conics, colors, ops, rects = random_splats(rng, n, x0, y0, th, tw)
             for ops in (ops, 0.9 + 0.1 * ops):
                 splats = (means, conics, colors, ops, rects)
-                _, transmit = assert_matches_scalar(c_composite, scalar_composite, splats,
-                                                    x0, y0, th, tw)
+                _, transmit = assert_c_matches_numpy(c_composite, splats, x0, y0, th, tw)
             assert n < 300 or (transmit < T_CUTOFF).any()
 
     @pytest.mark.parametrize("last", [2, 5, BLOCK - 1, BLOCK, BLOCK + 2, 2 * BLOCK - 1])
-    def test_pixel_leaves_in_the_middle_of_a_block(self, c_composite, scalar_composite, last):
+    def test_pixel_leaves_in_the_middle_of_a_block(self, c_composite, last):
         # clear splats, then three clamped at ALPHA_MAX ending at splat `last`:
         # T = (1 - ALPHA_MAX)^3 < T_CUTOFF, so later splats must add nothing
         n = 3 * BLOCK
         ops = np.zeros(n)
         ops[last - 2 : last + 1] = 1.0
         ops[last + 1 :] = 0.5
-        rgb, transmit = assert_matches_scalar(c_composite, scalar_composite,
-                                              one_pixel_splats(np.zeros(n), ops), 0, 0, 1, 1)
+        rgb, transmit = assert_c_matches_numpy(c_composite, one_pixel_splats(np.zeros(n), ops),
+                                               0, 0, 1, 1)
         left = 1.0 - ALPHA_MAX
         assert transmit[0, 0] == left * left * left < T_CUTOFF
 
-    def test_q_within_an_ulp_of_q_skip_and_the_alpha_clamp(self, c_composite, scalar_composite):
+    def test_q_within_an_ulp_of_q_skip_and_the_alpha_clamp(self, c_composite):
         # q is c0 exactly: just below, at and just above the cut EXTENT^2 = 9,
         # then q = 0, where opacities above ALPHA_MAX are clamped, between them
         cut = EXTENT * EXTENT
@@ -466,7 +448,7 @@ class TestBlockedKernel:
         q = np.array([below, cut, above, 0.0, above, cut, 0.0, below, above, 0.0, 0.0])
         ops = np.array([1.0, 1.0, 1.0, 0.995, 1.0, 1.0, 1.0, 1.0, 1.0, 0.3, 0.2])
         splats = one_pixel_splats(q, ops)
-        rgb_c, t_c = assert_matches_scalar(c_composite, scalar_composite, splats, 0, 0, 1, 1)
+        rgb_c, t_c = assert_c_matches_numpy(c_composite, splats, 0, 0, 1, 1)
         # the three above the cut add nothing: drop them and nothing changes
         kept = tuple(a[q <= cut] for a in splats)
         rgb_k, t_k = c_composite(*kept, 0, 0, 1, 1)
@@ -474,9 +456,9 @@ class TestBlockedKernel:
         # on their own, the splats one ulp below and at the cut add e^-4.5 of
         # their colour, and the one an ulp above it adds +0.0
         for at in (0, 1, 2):
-            alone, t_alone = assert_matches_scalar(c_composite, scalar_composite,
-                                                   tuple(a[at : at + 1] for a in splats), 0, 0,
-                                                   1, 1)
+            alone, t_alone = assert_c_matches_numpy(c_composite,
+                                                    tuple(a[at : at + 1] for a in splats), 0, 0,
+                                                    1, 1)
             if at == 2:
                 assert alone.tobytes() == bytes(24) and t_alone[0, 0] == 1.0
             else:
@@ -484,14 +466,15 @@ class TestBlockedKernel:
                 np.testing.assert_allclose(t_alone[0, 0], 1.0 - np.exp(-4.5), rtol=1e-14)
 
     @pytest.mark.parametrize("lane", [0, 3, BLOCK - 1, BLOCK + 1])
-    def test_nan_q_is_composited_not_skipped(self, c_composite, scalar_composite, lane):
+    def test_nan_q_is_composited_not_skipped(self, c_composite, lane):
         # c2 < 0 and a splat 1e200 px away: q = inf + 0 - inf = NaN at every pixel
         rng = np.random.default_rng(lane)
         means, conics, colors, ops, rects = random_splats(rng, 2 * BLOCK, 0, 0, 2, 3)
         means[lane] = 1e200
         conics[lane] = [1.0, 0.0, -1.0]
-        rgb, transmit = assert_matches_scalar(c_composite, scalar_composite,
-                                              (means, conics, colors, ops, rects), 0, 0, 2, 3)
+        with np.errstate(over="ignore", invalid="ignore"):  # numpy warns where C is silent
+            rgb, transmit = assert_c_matches_numpy(c_composite,
+                                                   (means, conics, colors, ops, rects), 0, 0, 2, 3)
         assert np.isnan(transmit).all() and np.isnan(rgb).all()
 
     @settings(max_examples=80, deadline=None)
@@ -499,32 +482,31 @@ class TestBlockedKernel:
            th=st.integers(1, TILE), tw=st.integers(1, TILE),
            x0=st.integers(0, 200), y0=st.integers(0, 200),
            max_opacity=st.sampled_from([0.02, 0.5, 1.0]))
-    def test_random_tiles(self, c_composite, scalar_composite, seed, n, th, tw, x0, y0,
-                          max_opacity):
+    def test_random_tiles(self, c_composite, seed, n, th, tw, x0, y0, max_opacity):
         rng = np.random.default_rng(seed)
         splats = random_splats(rng, n, x0, y0, th, tw, max_opacity)
-        assert_matches_scalar(c_composite, scalar_composite, splats, x0, y0, th, tw)
+        assert_c_matches_numpy(c_composite, splats, x0, y0, th, tw)
 
     @pytest.mark.parametrize("k", [1, 3, 5])
     @pytest.mark.parametrize("max_opacity", [0.05, 1.0])
-    def test_any_channel_count(self, c_composite, scalar_composite, k, max_opacity):
+    def test_any_channel_count(self, c_composite, k, max_opacity):
         rng = np.random.default_rng(30 + k)
         for n, th, tw, x0, y0 in ((0, 16, 16, 0, 0), (1, 16, 16, 0, 0), (BLOCK + 1, 7, 16, 16, 32),
                                   (1000, 16, 16, 0, 0), (300, 3, 2, 112, 80)):
             means, conics, colors, ops, rects = random_splats(rng, n, x0, y0, th, tw, max_opacity,
                                                               k)
             splats = (means, conics, 5.0 * colors - 1.0, ops, rects)  # depth-like values too
-            assert_matches_scalar(c_composite, scalar_composite, splats, x0, y0, th, tw)
+            assert_c_matches_numpy(c_composite, splats, x0, y0, th, tw)
 
 
 CELL = _kernels.COMPOSITE_CELL
 
 
 class TestCells:
-    """The shipped kernel composites a tile in CELL x CELL pixel cells and
-    tests a splat only at the pixels its rectangle holds. The renderer's
-    rectangles hold every pixel where q <= EXTENT^2, so its frames equal
-    those of the scalar loop, which has no rectangles, on raw bytes."""
+    """The C kernel composites a tile in CELL x CELL pixel cells and tests a
+    splat only at the pixels its rectangle holds. The renderer's rectangles
+    hold every pixel where q <= EXTENT^2, so its frames equal, on raw bytes,
+    those of the rectangle-free rule: the numpy kernel given whole tiles."""
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 120),
@@ -536,13 +518,17 @@ class TestCells:
     # rectangle, and so its cells, stop a pixel short of it
     @example(seed=3, n=3, w=13, h=13, nudge=-1, edge=4)
     @example(seed=17, n=11, w=15, h=15, nudge=-1, edge=12)
-    def test_renders_equal_the_scalar_loop(self, c_kernels, scalar_composite, seed, n, w, h,
-                                           nudge, edge):
+    def test_renders_equal_the_scalar_loop(self, c_kernels, seed, n, w, h, nudge, edge):
         gset, cam = tile_grid_set(seed, n, w, h, nudge, edge)
+
+        def rectangle_free(means, conics, colors, opacities, rects, x0, y0, th, tw):
+            whole = whole_tile(len(means), x0, y0, th, tw)
+            return composite_tile(means, conics, colors, opacities, whole, x0, y0, th, tw)
+
         outs = []
         with pytest.MonkeyPatch.context() as mp:
             patch_kernels(mp, c_kernels)
-            for kernel in (c_kernels.composite_tile, scalar_composite):
+            for kernel in (c_kernels.composite_tile, rectangle_free):
                 mp.setattr(renderer, "composite_tile", kernel)
                 outs.append(render(gset, cam, E0))
         assert outs[0].rgb.tobytes() == outs[1].rgb.tobytes()
@@ -562,8 +548,8 @@ class TestCells:
             rest = np.ones((6, 7), bool)
             rest[1, 3] = False
             assert not rgb[rest].any() and (transmit[rest] == 1.0).all()
-        np.testing.assert_allclose(outs[1][0], outs[0][0], rtol=0, atol=1e-12)
-        np.testing.assert_allclose(outs[1][1], outs[0][1], rtol=0, atol=1e-12)
+        assert outs[1][0].tobytes() == outs[0][0].tobytes()
+        assert outs[1][1].tobytes() == outs[0][1].tobytes()
         # with the whole tile as its rectangle it reaches every pixel
         whole = whole_tile(1, 10, 5, 6, 7)
         for kernel in (composite_tile, c_kernels.composite_tile):
@@ -571,7 +557,7 @@ class TestCells:
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
-@pytest.mark.parametrize("source", [_kernels.SOURCE, SCALAR_SOURCE,
+@pytest.mark.parametrize("source", [_kernels.SOURCE,
                                     Path(__file__).with_name("plane_sweep_scalar.c")],
                          ids=lambda p: p.name)
 def test_c_source_compiles_without_warnings(source, tmp_path):

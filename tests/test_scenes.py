@@ -7,6 +7,7 @@ import pytest
 
 from volsplat import renderer, scenes
 from volsplat._kernels import EXTENT
+from volsplat._kernels._composite_np import libm_exp
 from volsplat.errors import InvalidInputError
 from volsplat.geometry import project_point
 from volsplat.renderer import _project_all, rasterize, render
@@ -296,7 +297,8 @@ GARDEN_RING = [CameraPose((0.25 * np.cos(a), 0.25 * np.sin(a), 0.0), (0.0, 0.0, 
 
 def expected_depth_per_splat(gset, K, E):
     """Expected depth and mask from a whole-image, one-splat-at-a-time loop,
-    which knows no tiles: a splat reaches every pixel where q <= EXTENT^2."""
+    which knows no tiles: a splat reaches every pixel where q <= EXTENT^2.
+    Its exp is libm's, as both compositing kernels' is."""
     h, w = K.height, K.width
     mean2d, conics, z, colors, ops, radius, idx = _project_all(gset, K, E)
     order = np.lexsort((idx, z))
@@ -309,9 +311,9 @@ def expected_depth_per_splat(gset, K, E):
         dx = xs - mean2d[i, 0]
         dy = ys - mean2d[i, 1]
         q = conics[i, 0] * dx * dx + 2 * conics[i, 1] * dx * dy + conics[i, 2] * dy * dy
-        alpha = np.where(q > EXTENT * EXTENT, 0.0, np.minimum(0.99, ops[i] * np.exp(-0.5 * q)))
-        live = transmit >= 1e-4
-        a = np.where(live, alpha, 0.0)
+        keep = (transmit >= 1e-4) & ~(q > EXTENT * EXTENT)
+        a = np.zeros((h, w))
+        a[keep] = np.minimum(0.99, ops[i] * libm_exp(-0.5 * q[keep]))
         acc_d += a * transmit * z[i]
         acc_a += a * transmit
         transmit *= 1.0 - a
@@ -320,27 +322,17 @@ def expected_depth_per_splat(gset, K, E):
     return depth, mask
 
 
-def assert_same_depth(backend, depth, want):
-    """Raw bytes on numpy, whose exp the loop shares; within 1e-15 relative on
-    c, whose libm exp can differ from numpy's in the last bit (measured on
-    the garden: 3.9e-16)."""
-    if backend == "numpy":
-        assert depth.tobytes() == want.tobytes()
-    else:
-        np.testing.assert_allclose(depth, want, rtol=1e-15, atol=0)
-
-
 def test_garden_view_depth_matches_per_splat_loop(each_backend):
     spec = SceneSpec(kind="gaussian-garden", cameras=GARDEN_RING, image_size=(64, 64), seed=0)
     gset, K = _garden_gaussians(spec), _intrinsics(spec)
-    for backend in each_backend():
+    for _ in each_backend():
         for cam in GARDEN_RING:
             E = look_at_extrinsics(cam.position, cam.look_at, cam.up)
             _, depth, mask = _garden_view(gset, K, E)
             want_depth, want_mask = expected_depth_per_splat(gset, K, E)
             assert np.array_equal(mask, want_mask)
             assert mask.mean() > 0.9
-            assert_same_depth(backend, depth, want_depth)
+            assert depth.tobytes() == want_depth.tobytes()
 
 
 def test_garden_view_mask_on_translucent_splats(each_backend):
@@ -352,12 +344,12 @@ def test_garden_view_mask_on_translucent_splats(each_backend):
     gset = make_set(np.c_[rng.uniform(-0.5, 0.5, (n, 2)), rng.uniform(1.5, 4.0, n)],
                     rng.uniform(0, 1, (n, 3)), rng.uniform(0.1, 0.5, n),
                     rng.uniform(0.03, 0.1, (n, 3)))
-    for backend in each_backend():
+    for _ in each_backend():
         _, depth, mask = _garden_view(gset, K, E0)
         want_depth, want_mask = expected_depth_per_splat(gset, K, E0)
         assert 0.1 < mask.mean() < 0.9
         assert np.array_equal(mask, want_mask)
-        assert_same_depth(backend, depth, want_depth)
+        assert depth.tobytes() == want_depth.tobytes()
 
 
 def two_pass_view(gset, K, E):
